@@ -12,16 +12,13 @@ a convex combination of deterministic successes).
 from __future__ import annotations
 
 import itertools
-import os
 import random
-from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .engine import (EnumerationLimitError, NlbInstance, PartyProgram, Action,
-                     Strategy, DEFAULT_MAX_SEED_BITS, enumerate_seeds,
-                     execute, sample_seed)
+from .engine import (Lane, LaneBranch, NlbInstance, PartyProgram, Action, Seed,
+                     Strategy, DEFAULT_MAX_SEED_BITS, enumerate_seeds, execute,
+                     require_enumerable, sample_seed, seed_at, seed_lanes)
 from .games import (Game, is_winning, promised_inputs, sample_promised_input,
                     winning_outcomes)
 
@@ -40,13 +37,6 @@ class SearchSpaceError(AnalysisError):
     pass
 
 
-def max_threads_from_env() -> int:
-    try:
-        return max(1, int(os.environ.get("NLB_MAX_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 # --- seed policies -----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -58,6 +48,74 @@ class Exhaustive:
 class Sample:
     k: int
     rng_seed: int
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise AnalysisError(f"sample count must be at least 1, got {self.k}")
+
+
+# --- the exhaustive sweep ----------------------------------------------------
+
+def _split_outcome(outcome, full: int):
+    """Split the seeds of one lane run by the outcome each seed produced.
+
+    Returns (outcome of plain values, seed mask) pairs with non-empty,
+    disjoint masks, ordered by each mask's lowest seed: the order in which a
+    seed-by-seed sweep first meets the outcomes. A lane nested inside an
+    output value raises LaneBranch here, when the value is hashed."""
+    groups = [((), full)]
+    for v in (v for part in outcome for v in part):
+        if type(v) is Lane:
+            ones, zeros = v.mask, v.mask ^ full
+            groups = [(bits + (b,), m) for bits, mask in groups
+                      for b, m in ((0, mask & zeros), (1, mask & ones)) if m]
+        else:
+            hash(v)
+            groups = [(bits + (v,), mask) for bits, mask in groups]
+    groups.sort(key=lambda g: g[1] & -g[1])
+    ends = list(itertools.accumulate(len(part) for part in outcome))
+    return [(tuple(bits[end - len(part):end] for part, end in zip(outcome, ends)),
+             mask) for bits, mask in groups]
+
+
+def _lane_sweep(strategy: Strategy, inputs):
+    """One execute per (input, shared index) with every NLB free bit a lane
+    over all 2**#NLBs seeds. Returns the (input position, shared index) of
+    the first run that raised LaneBranch, or None when every run finished."""
+    lanes = seed_lanes(len(strategy.nlbs))
+    full = lanes[0].full
+    for xi, x in enumerate(inputs):
+        for s in range(len(strategy.shared_domain)):
+            try:
+                outcome, _ = execute(strategy, x, Seed(lanes, s), record=False)
+                groups = _split_outcome(outcome, full)
+            except LaneBranch:
+                return xi, s
+            for split, mask in groups:
+                yield x, s, split, mask
+    return None
+
+
+def _sweep(strategy: Strategy, inputs, max_seed_bits: int):
+    """The exhaustive (input x seed) grid, grouped by outcome.
+
+    Yields (x, shared_index, outcome, seed_mask), where bit i of seed_mask
+    stands for the i-th seed of shared_index in enumerate_seeds' order, in
+    the order a seed-by-seed sweep meets them. Runs on lanes while the
+    strategy's programs allow it; from the first LaneBranch on, and for
+    strategies without NLBs, it executes seed by seed with one-bit masks."""
+    require_enumerable(strategy, max_seed_bits)
+    stop = (yield from _lane_sweep(strategy, inputs)) if strategy.nlbs else (0, 0)
+    if stop is None:
+        return
+    x0, s0 = stop
+    block = (1 << len(strategy.nlbs)) - 1
+    for xi in range(x0, len(inputs)):
+        x = inputs[xi]
+        for k, seed in enumerate(enumerate_seeds(strategy, max_seed_bits)):
+            if xi > x0 or seed.shared_index >= s0:
+                outcome, _ = execute(strategy, x, seed, record=False)
+                yield x, seed.shared_index, outcome, 1 << (k & block)
 
 
 # --- exact distributions -----------------------------------------------------
@@ -99,39 +157,19 @@ def _jsonable(x):
     return x
 
 
-def _distribution_for_input(strategy, x, max_seed_bits):
-    counts = Counter()
-    for seed in enumerate_seeds(strategy, max_seed_bits):
-        outcome, _ = execute(strategy, x, seed, record=False)
-        counts[outcome] += 1
-    total = strategy.seed_count()
-    return {o: Fraction(c, total) for o, c in counts.items()}
-
-
 def exact_distribution(strategy: Strategy, game: Game,
-                       max_seed_bits: int = DEFAULT_MAX_SEED_BITS,
-                       max_threads: int | None = None) -> ExactDistribution:
-    """Full seed enumeration for every promised input. Inputs may be
-    processed by a small thread pool (NLB_MAX_THREADS); results are merged
-    by input index so the output is identical either way."""
+                       max_seed_bits: int = DEFAULT_MAX_SEED_BITS) -> ExactDistribution:
+    """Full seed enumeration for every promised input."""
     if strategy.n_parties != game.n_parties:
         raise AnalysisError(f"{strategy.name} has wrong party count for {game.name}")
-    total = strategy.seed_count()
-    if total > 2 ** max_seed_bits:
-        raise EnumerationLimitError(
-            f"seed space of {strategy.name} has {total} points "
-            f"(limit 2**{max_seed_bits})")
     inputs = promised_inputs(game)
-    threads = max_threads if max_threads is not None else max_threads_from_env()
-    if threads > 1 and len(inputs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            dists = list(pool.map(
-                lambda x: _distribution_for_input(strategy, x, max_seed_bits),
-                inputs))
-    else:
-        dists = [_distribution_for_input(strategy, x, max_seed_bits)
-                 for x in inputs]
-    per_input = dict(zip(inputs, dists))
+    counts = {x: {} for x in inputs}
+    for x, _, outcome, mask in _sweep(strategy, inputs, max_seed_bits):
+        c = counts[x]
+        c[outcome] = c.get(outcome, 0) + mask.bit_count()
+    total = strategy.seed_count()
+    per_input = {x: {o: Fraction(n, total) for o, n in c.items()}
+                 for x, c in counts.items()}
     return ExactDistribution(strategy.name, game.name, total, per_input)
 
 
@@ -167,29 +205,30 @@ def verify_winning(strategy: Strategy, game: Game, policy,
                    max_seed_bits: int = DEFAULT_MAX_SEED_BITS) -> VerifyResult:
     """Check the win relation on every (input, seed) of the policy's grid.
 
-    Exhaustive mode enumerates the full promise x seed grid. Sampled mode
-    draws (input, seed) pairs from the given rng seed; each run is still an
-    exact deterministic execution."""
+    Exhaustive mode sweeps the full promise x seed grid, deciding each
+    distinct outcome once; the counterexample is the first losing point in
+    enumerate_seeds' order. Sampled mode draws (input, seed) pairs from the
+    given rng seed; each run is still an exact deterministic execution."""
     if strategy.n_parties != game.n_parties:
         raise AnalysisError(f"{strategy.name} has wrong party count for {game.name}")
     checked = wins = 0
     counterexample = None
 
-    def record(x, seed, outcome, won):
+    def record(x, make_seed, outcome, won, weight=1):
         nonlocal checked, wins, counterexample
-        checked += 1
+        checked += weight
         if won:
-            wins += 1
+            wins += weight
         elif counterexample is None:
-            counterexample = {"input": _jsonable(x), "seed": seed.to_json(),
+            counterexample = {"input": _jsonable(x), "seed": make_seed().to_json(),
                               "outcome": [list(p) for p in outcome]}
 
     if isinstance(policy, Exhaustive):
-        inputs = promised_inputs(game)
-        for x in inputs:
-            for seed in enumerate_seeds(strategy, max_seed_bits):
-                outcome, _ = execute(strategy, x, seed, record=False)
-                record(x, seed, outcome, is_winning(game, x, outcome))
+        nb = len(strategy.nlbs)
+        for x, s, outcome, mask in _sweep(strategy, promised_inputs(game),
+                                          max_seed_bits):
+            record(x, lambda: seed_at(nb, (mask & -mask).bit_length() - 1, s),
+                   outcome, is_winning(game, x, outcome), mask.bit_count())
         mode = "exhaustive"
     elif isinstance(policy, Sample):
         rng = random.Random(policy.rng_seed)
@@ -197,7 +236,7 @@ def verify_winning(strategy: Strategy, game: Game, policy,
             x = sample_promised_input(game, rng)
             seed = sample_seed(strategy, rng)
             outcome, _ = execute(strategy, x, seed, record=False)
-            record(x, seed, outcome, is_winning(game, x, outcome))
+            record(x, lambda: seed, outcome, is_winning(game, x, outcome))
         mode = f"sample:{policy.k}"
     else:
         raise AnalysisError(f"unknown seed policy {policy!r}")
@@ -369,8 +408,14 @@ def impossibility_search(game: Game, pair: tuple | None = None, budget: int = 1,
     _require_parity_game(game)
     if budget not in (0, 1):
         raise SearchSpaceError("supported budgets: 0 or 1 NLBs")
-    promise = promised_inputs(game)
     n = game.n_parties
+    if pair is not None:
+        p, q = pair
+        if not (0 <= p < n and 0 <= q < n) or p == q:
+            raise AnalysisError(
+                f"pair {p},{q} must name two distinct parties of {game.name} "
+                f"(0..{n - 1})")
+    promise = promised_inputs(game)
     targets = [game.parity_target(x) for x in promise]
     funcs1 = list(itertools.product((0, 1), repeat=2))   # bit -> bit tables
     funcs2 = list(itertools.product((0, 1), repeat=4))   # (bit, bit) -> bit

@@ -4,7 +4,9 @@ A non-local box (NLB) is a two-port resource: each port receives one input
 bit from its party, and the two output bits XOR to the AND of the inputs.
 Which of the two solutions is realised is decided by one free bit, so a run
 is fully determined by (strategy, input, seed) and exact output statistics
-can be obtained by enumerating the finite seed space.
+can be obtained by enumerating the finite seed space. A seed's free bits may
+also be Lanes, one bit per seed, so that one run decides a whole block of
+seeds at once (see seed_lanes).
 
 Locality is structural: a party program is only ever handed its own input,
 the shared-randomness component, and resource outputs delivered to its own
@@ -45,6 +47,12 @@ class MissingOutputError(ProtocolError):
 class EnumerationLimitError(Exception):
     """An exact enumeration would exceed the configured limit; callers may
     fall back to sampled mode."""
+
+
+class LaneBranch(Exception):
+    """A party program used a lane as anything but a bit under ``^ & |``:
+    it branched on it, compared, hashed, indexed or did arithmetic with it,
+    or combined it with a non-bit. Callers rerun such programs per seed."""
 
 
 def nlb_evaluate(a: int, b: int, r: int) -> tuple[int, int]:
@@ -104,6 +112,86 @@ TRIVIAL_SHARED = SharedDomain("trivial", (None,))
 
 def bit_domain(k: int, label: str = "shared-bits") -> SharedDomain:
     return SharedDomain(label, tuple(itertools.product((0, 1), repeat=k)))
+
+
+def _refuse(op: str):
+    def refuse(self, *args):
+        raise LaneBranch(f"party program applied {op} to a box output lane")
+    refuse.__name__ = f"__{op}__"
+    return refuse
+
+
+class Lane:
+    """One bit across a block of seeds (bitslicing): bit i of ``mask`` is
+    its value under seed i, and ``full`` has one bit set per seed.
+
+    ``^ & |`` against other lanes of the block and against the ints 0 and 1
+    act on every seed at once. Every other use raises LaneBranch, so a
+    program that runs to the end on lanes computed exactly what it would
+    compute seed by seed."""
+
+    __slots__ = ("mask", "full")
+
+    def __init__(self, mask: int, full: int):
+        self.mask = mask
+        self.full = full
+
+    def _operand(self, other) -> int:
+        if type(other) is Lane:
+            return other.mask
+        if isinstance(other, int):
+            if other == 0:
+                return 0
+            if other == 1:
+                return self.full
+        raise LaneBranch(f"party program combined a box output lane with {other!r}")
+
+    def __xor__(self, other):
+        return Lane(self.mask ^ self._operand(other), self.full)
+
+    def __and__(self, other):
+        return Lane(self.mask & self._operand(other), self.full)
+
+    def __or__(self, other):
+        return Lane(self.mask | self._operand(other), self.full)
+
+    __rxor__ = __xor__
+    __rand__ = __and__
+    __ror__ = __or__
+
+    def __repr__(self):
+        return f"Lane({self.mask:#b}, seeds={self.full.bit_length()})"
+
+
+for _op in ("bool", "index", "int", "float", "complex", "hash", "eq", "ne",
+            "lt", "le", "gt", "ge", "add", "radd", "sub", "rsub", "mul", "rmul",
+            "truediv", "rtruediv", "floordiv", "rfloordiv", "mod", "rmod",
+            "divmod", "rdivmod", "pow", "rpow", "lshift", "rlshift", "rshift",
+            "rrshift", "neg", "pos", "abs", "invert", "round", "trunc", "floor",
+            "ceil", "format", "str"):
+    setattr(Lane, f"__{_op}__", _refuse(_op))
+del _op
+
+
+def seed_lanes(n_nlbs: int) -> tuple[Lane, ...]:
+    """The free bits of all 2**n_nlbs seeds of one shared index, as lanes.
+
+    Seed i is the i-th of ``enumerate_seeds``' order, so NLB j's free bit is
+    bit ``n_nlbs - 1 - j`` of i: its lane alternates runs of 2**(n_nlbs-1-j)
+    zeros and ones. Each lane is one run pair doubled up to full width, a few
+    shifts rather than a loop over seeds."""
+    width = 1 << n_nlbs
+    full = (1 << width) - 1
+    lanes = []
+    for j in range(n_nlbs):
+        run = 1 << (n_nlbs - 1 - j)
+        mask = ((1 << run) - 1) << run
+        span = 2 * run
+        while span < width:
+            mask |= mask << span
+            span *= 2
+        lanes.append(Lane(mask, full))
+    return tuple(lanes)
 
 
 @dataclass(frozen=True)
@@ -366,18 +454,30 @@ def execute(strategy: Strategy, input_tuple: tuple, seed: Seed,
     return tuple(outputs), Transcript(tuple(firings), tuple(sends), tuple(outputs))
 
 
-def enumerate_seeds(strategy: Strategy, max_seed_bits: int = DEFAULT_MAX_SEED_BITS):
-    """Yield every seed exactly once; raises EnumerationLimitError when the
-    cardinality 2^(#NLBs) * |shared domain| exceeds 2**max_seed_bits."""
+def require_enumerable(strategy: Strategy, max_seed_bits: int) -> None:
+    """Raise EnumerationLimitError when the seed-space cardinality
+    2^(#NLBs) * |shared domain| exceeds 2**max_seed_bits."""
     total = strategy.seed_count()
     if total > 2 ** max_seed_bits:
         raise EnumerationLimitError(
             f"seed space of {strategy.name} has {total} points "
             f"(limit 2**{max_seed_bits}); use sampled mode")
+
+
+def enumerate_seeds(strategy: Strategy, max_seed_bits: int = DEFAULT_MAX_SEED_BITS):
+    """Yield every seed exactly once, shared index outermost and the NLB
+    bits in ``itertools.product`` order; see require_enumerable."""
+    require_enumerable(strategy, max_seed_bits)
     nb = len(strategy.nlbs)
     for shared_index in range(len(strategy.shared_domain)):
         for bits in itertools.product((0, 1), repeat=nb):
             yield Seed(bits, shared_index)
+
+
+def seed_at(n_nlbs: int, index: int, shared_index: int) -> Seed:
+    """The index-th seed of one shared index in enumerate_seeds' order."""
+    return Seed(tuple((index >> (n_nlbs - 1 - j)) & 1 for j in range(n_nlbs)),
+                shared_index)
 
 
 def sample_seed(strategy: Strategy, rng) -> Seed:

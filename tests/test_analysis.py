@@ -89,14 +89,6 @@ def test_distribution_seed_space_guard():
         exact_distribution(get_strategy("bmaj-nlb:3"), get_game("bmaj:3"))
 
 
-def test_distribution_thread_pool_is_deterministic():
-    s = get_strategy("mermin-nlb-sim")
-    g = get_game("mermin")
-    serial = exact_distribution(s, g, max_threads=1)
-    pooled = exact_distribution(s, g, max_threads=4)
-    assert serial.per_input == pooled.per_input
-
-
 # --- verification ---------------------------------------------------------------
 
 def test_verify_reports_counterexample():
@@ -198,3 +190,13 @@ def test_winning_wirings_leave_at_most_one_party_isolated():
                 "bmaj-nlb:2", "bmaj-nlb:3", "bmaj-nlb:4", "bmaj-nlb:5",
                 "mermin-nlb"]:
         assert len(nlb_isolated_parties(get_strategy(sid))) <= 1, sid
+
+
+def test_malformed_requests_are_analysis_errors():
+    for k in (0, -3):
+        with pytest.raises(AnalysisError):
+            Sample(k, 1)
+    game = get_game("multi-mermin:4")
+    for pair in ((0, 4), (-1, 2), (1, 1)):
+        with pytest.raises(AnalysisError):
+            impossibility_search(game, pair=pair)

@@ -55,6 +55,26 @@ def test_sample_requires_rng_seed(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_sample_count_below_one_exits_1(count, capsys):
+    code = main(["verify", "--game", "multi-mermin:5", "--strategy",
+                 "multi-mermin-nlb:5", "--seeds", f"sample:{count}",
+                 "--rng-seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: sample count must be at least 1")
+
+
+@pytest.mark.parametrize("pair", ["0,5", "1,1", "-1,2", "2,2"])
+def test_search_bad_pair_exits_1(pair, capsys):
+    code = main(["search", "--game", "multi-mermin:4", f"--pair={pair}"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: pair ")
+
+
 def test_value_magic_square(capsys):
     code, out = run(["value", "--game", "magic-square"], capsys)
     assert code == 0
