@@ -9,10 +9,11 @@ also be Lanes, one bit per seed, so that one run decides a whole block of
 seeds at once (see seed_lanes).
 
 Locality is structural: a party program is only ever handed its own input,
-the shared-randomness component, and resource outputs delivered to its own
-NLB ports and channel endpoints. Execution is bulk-synchronous: each round
-collects every party's resource requests, then resolves NLBs whose two ports
-are both fed and delivers channel bits, all visible from the next round on.
+the shared-randomness component, resource outputs delivered to its own
+NLB ports and channel endpoints, and the memo its own previous round left.
+Execution is bulk-synchronous: each round collects every party's resource
+requests, then resolves NLBs whose two ports are both fed and delivers
+channel bits, all visible from the next round on.
 """
 
 from __future__ import annotations
@@ -42,6 +43,10 @@ class DeadlockError(ProtocolError):
 
 class MissingOutputError(ProtocolError):
     pass
+
+
+class NonBitError(ProtocolError):
+    """A party fed, sent or output a value other than the int 0 or 1."""
 
 
 class EnumerationLimitError(Exception):
@@ -215,27 +220,35 @@ class View:
 
     ``nlb`` maps instance id -> the output bit delivered to this party's
     port, cumulatively over all previous rounds; ``received`` likewise for
-    channel bits. Programs must treat views as read-only.
+    channel bits. ``memo`` is the memo of this party's previous Action (None
+    in its first round). Programs must treat views as read-only.
     """
 
-    __slots__ = ("party", "own_input", "shared", "nlb", "received")
+    __slots__ = ("party", "own_input", "shared", "nlb", "received", "memo")
 
-    def __init__(self, party, own_input, shared, nlb, received):
+    def __init__(self, party, own_input, shared, nlb, received, memo=None):
         self.party = party
         self.own_input = own_input
         self.shared = shared
         self.nlb = nlb
         self.received = received
+        self.memo = memo
 
 
 @dataclass(slots=True)
 class Action:
     """One round's requests: NLB inputs to submit, channel bits to send,
-    and (in a program's final round) the party's output bit-string."""
+    and (in a program's final round) the party's output bit-string.
+
+    ``memo`` is handed back, uninspected, as ``View.memo`` of the same
+    party's next round and to no one else; it never enters the transcript.
+    Since it can only be computed from the party's own earlier views, it
+    adds no information, only saves recomputing it round after round."""
 
     nlb_inputs: dict | None = None
     sends: dict | None = None
     output: tuple | None = None
+    memo: object = None
 
 
 RoundFn = Callable[[View], Action]
@@ -263,8 +276,7 @@ class ChannelSend(NamedTuple):
     bit: int
 
 
-@dataclass(frozen=True)
-class Transcript:
+class Transcript(NamedTuple):
     """Complete ledger of one run; a pure function of (strategy, input, seed)."""
 
     firings: tuple[NlbFiring, ...]
@@ -326,7 +338,8 @@ class Strategy:
             if not (0 <= c.src < self.n_parties and 0 <= c.dst < self.n_parties):
                 raise ValueError(f"channel {c.id!r} wired to an unknown party")
         object.__setattr__(self, "_nlb_index",
-                           {x.id: (k, x) for k, x in enumerate(self.nlbs)})
+                           {x.id: (k, x.id, x.port0_party, x.port1_party)
+                            for k, x in enumerate(self.nlbs)})
         object.__setattr__(self, "_channel_index",
                            {c.id: c for c in self.channels})
         object.__setattr__(self, "_max_rounds",
@@ -337,6 +350,18 @@ class Strategy:
 
     def trivial_seed(self) -> Seed:
         return Seed((0,) * len(self.nlbs), 0)
+
+
+def _not_a_bit(party: int, what: str, value):
+    """The slow path of execute's inline bit check: raise NonBitError, unless
+    value is an output element that is a tuple whose leaves are bits (the
+    lane sweep accepts such nested outputs and hashes them)."""
+    if what == "output" and type(value) is tuple:
+        for v in value:
+            if (type(v) is not int or v < 0 or v > 1) and type(v) is not Lane:
+                _not_a_bit(party, what, v)
+        return
+    raise NonBitError(f"party {party} {what} {value!r}, which is not a bit")
 
 
 def execute(strategy: Strategy, input_tuple: tuple, seed: Seed,
@@ -353,32 +378,33 @@ def execute(strategy: Strategy, input_tuple: tuple, seed: Seed,
         raise ValueError(f"expected {n} inputs, got {len(input_tuple)}")
     if len(seed.nlb_bits) != len(strategy.nlbs):
         raise ValueError("seed has wrong number of NLB bits")
-    shared = strategy.shared_domain[seed.shared_index]
+    shared = strategy.shared_domain.values[seed.shared_index]
 
     nlb_index = strategy._nlb_index
     channel_index = strategy._channel_index
     n_nlbs = len(strategy.nlbs)
     pend0: list = [None] * n_nlbs
     pend1: list = [None] * n_nlbs
-    fired = [False] * n_nlbs
-    nlb_out: list[dict] = [{} for _ in range(n)]
-    received: list[dict] = [{} for _ in range(n)]
     used_channels: set[str] = set()
     outputs: list = [None] * n
     firings: list[NlbFiring] = []
     sends: list[ChannelSend] = []
     programs = strategy.programs
     nlb_bits = seed.nlb_bits
+    # one view per party for the whole run: its nlb and received dicts are
+    # cumulative, and only the memo changes from round to round
+    views = [View(i, x, shared, {}, {}) for i, x in enumerate(input_tuple)]
 
     for rnd in range(strategy._max_rounds):
-        to_fire: list[int] = []
+        to_fire: list[tuple] = []
         deliveries: list[tuple[int, str, int]] = []
         for i in range(n):
             rounds = programs[i].rounds
             if rnd >= len(rounds) or outputs[i] is not None:
                 continue
-            action = rounds[rnd](View(i, input_tuple[i], shared,
-                                      nlb_out[i], received[i]))
+            view = views[i]
+            action = rounds[rnd](view)
+            view.memo = action.memo
 
             feeds = action.nlb_inputs
             if feeds:
@@ -387,22 +413,27 @@ def execute(strategy: Strategy, input_tuple: tuple, seed: Seed,
                     if entry is None:
                         raise UndeclaredResourceError(
                             f"party {i} fed undeclared NLB {nid!r}")
-                    idx, inst = entry
-                    if i == inst.port0_party:
-                        if fired[idx] or pend0[idx] is not None:
+                    # a bit is the int 0 or 1 or a Lane; the type goes
+                    # first, since comparing a Lane raises LaneBranch
+                    if ((type(bit) is not int or bit < 0 or bit > 1)
+                            and type(bit) is not Lane):
+                        _not_a_bit(i, f"fed NLB {nid!r}", bit)
+                    idx, _, port0, port1 = entry
+                    if i == port0:
+                        if pend0[idx] is not None:
                             raise ResourceReuseError(
                                 f"NLB {nid!r} fed more than once")
-                        pend0[idx] = bit & 1
-                    elif i == inst.port1_party:
-                        if fired[idx] or pend1[idx] is not None:
+                        pend0[idx] = bit
+                    elif i == port1:
+                        if pend1[idx] is not None:
                             raise ResourceReuseError(
                                 f"NLB {nid!r} fed more than once")
-                        pend1[idx] = bit & 1
+                        pend1[idx] = bit
                     else:
                         raise UndeclaredResourceError(
                             f"party {i} holds no port of NLB {nid!r}")
                     if pend0[idx] is not None and pend1[idx] is not None:
-                        to_fire.append(idx)
+                        to_fire.append(entry)
 
             if action.sends:
                 for cid, bit in action.sends.items():
@@ -415,43 +446,54 @@ def execute(strategy: Strategy, input_tuple: tuple, seed: Seed,
                             f"party {i} is not the source of channel {cid!r}")
                     if cid in used_channels:
                         raise ResourceReuseError(f"channel {cid!r} used twice")
+                    if ((type(bit) is not int or bit < 0 or bit > 1)
+                            and type(bit) is not Lane):
+                        _not_a_bit(i, f"sent on channel {cid!r}", bit)
                     used_channels.add(cid)
-                    deliveries.append((chan.dst, cid, bit & 1))
+                    deliveries.append((chan.dst, cid, bit))
                     if record:
-                        sends.append(ChannelSend(cid, rnd, chan.src, chan.dst,
-                                                 bit & 1))
+                        sends.append(ChannelSend(cid, rnd, chan.src, chan.dst, bit))
 
-            if action.output is not None:
-                outputs[i] = tuple(action.output)
+            out = action.output
+            if out is not None:
+                try:
+                    out = tuple(out)
+                except TypeError:
+                    _not_a_bit(i, "output", out)
+                for v in out:
+                    if (type(v) is not int or v < 0 or v > 1) and type(v) is not Lane:
+                        _not_a_bit(i, "output", v)
+                outputs[i] = out
 
         # bulk-synchronous resolution: nothing submitted this round is
         # visible before the next one
-        for idx in to_fire:
+        for idx, nid, port0, port1 in to_fire:
             a = pend0[idx]
             b = pend1[idx]
-            inst = strategy.nlbs[idx]
             # inlined nlb_evaluate; tests pin the two paths to each other
             r = nlb_bits[idx]
             z1 = r ^ (a & b)
-            fired[idx] = True
-            nlb_out[inst.port0_party][inst.id] = r
-            nlb_out[inst.port1_party][inst.id] = z1
+            views[port0].nlb[nid] = r
+            views[port1].nlb[nid] = z1
             if record:
-                firings.append(NlbFiring(inst.id, rnd, (a, b), (r, z1)))
+                firings.append(NlbFiring(nid, rnd, (a, b), (r, z1)))
         for dst, cid, bit in deliveries:
-            received[dst][cid] = bit
+            views[dst].received[cid] = bit
 
-    for i, out in enumerate(outputs):
-        if out is None:
-            raise MissingOutputError(f"party {i} ended without an output")
+    if None in outputs:
+        raise MissingOutputError(
+            f"party {outputs.index(None)} ended without an output")
+    # a box fires in the round its second port is fed, and a fed port stays
+    # fed, so a box fed on one port only is the only kind left unfired
     for idx in range(n_nlbs):
-        if not fired[idx] and (pend0[idx] is not None or pend1[idx] is not None):
+        if (pend0[idx] is None) != (pend1[idx] is None):
             raise DeadlockError(
                 f"NLB {strategy.nlbs[idx].id!r} fed on one port only")
 
+    outcome = tuple(outputs)
     if not record:
-        return tuple(outputs), Transcript((), (), tuple(outputs))
-    return tuple(outputs), Transcript(tuple(firings), tuple(sends), tuple(outputs))
+        return outcome, Transcript((), (), outcome)
+    return outcome, Transcript(tuple(firings), tuple(sends), outcome)
 
 
 def require_enumerable(strategy: Strategy, max_seed_bits: int) -> None:

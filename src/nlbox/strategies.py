@@ -377,44 +377,42 @@ def dj_nlb(n: int) -> Strategy:
     n_rounds = n - (n.bit_length() - 1)
     final_len = 2 ** (n.bit_length() - 1)
 
-    nlbs = []
+    rounds = []          # per round: the (a, b) box ids of each gadget
     size = length
     for t in range(n_rounds):
-        for j in range(size // 2):
-            nlbs.append(NlbInstance(f"r{t}g{j}a", 0, 1))
-            nlbs.append(NlbInstance(f"r{t}g{j}b", 0, 1))
+        rounds.append(tuple((f"r{t}g{j}a", f"r{t}g{j}b") for j in range(size // 2)))
         size //= 2
-
-    def current_string(view, party, rounds_done):
-        if party == 0:
-            s = tuple(b ^ 1 for b in view.own_input)
-        else:
-            s = tuple(view.own_input)
-        for t in range(rounds_done):
-            nxt = []
-            for j in range(len(s) // 2):
-                local = s[2 * j] & s[2 * j + 1]
-                nxt.append(local ^ view.nlb[f"r{t}g{j}a"] ^ view.nlb[f"r{t}g{j}b"])
-            s = tuple(nxt)
-        return s
+    nlbs = tuple(NlbInstance(nid, 0, 1)
+                 for gadgets in rounds for pair in gadgets for nid in pair)
 
     def make_program(party):
+        def string_at(view, t):
+            # the string fed in round t: the input, or round t-1's string
+            # (the memo) halved with round t-1's box outputs
+            if t == 0:
+                if party == 0:
+                    return tuple(b ^ 1 for b in view.own_input)
+                return tuple(view.own_input)
+            s = view.memo
+            nlb = view.nlb
+            return tuple((s[2 * j] & s[2 * j + 1]) ^ nlb[a] ^ nlb[b]
+                         for j, (a, b) in enumerate(rounds[t - 1]))
+
         def submit_round(t):
+            gadgets = rounds[t]
+            first = 0 if party == 0 else 1   # party 1 feeds the pair crosswise
+
             def fn(view):
-                s = current_string(view, party, t)
+                s = string_at(view, t)
                 feeds = {}
-                for j in range(len(s) // 2):
-                    if party == 0:
-                        feeds[f"r{t}g{j}a"] = s[2 * j]
-                        feeds[f"r{t}g{j}b"] = s[2 * j + 1]
-                    else:
-                        feeds[f"r{t}g{j}a"] = s[2 * j + 1]
-                        feeds[f"r{t}g{j}b"] = s[2 * j]
-                return Action(nlb_inputs=feeds)
+                for j, (a, b) in enumerate(gadgets):
+                    feeds[a] = s[2 * j + first]
+                    feeds[b] = s[2 * j + 1 - first]
+                return Action(nlb_inputs=feeds, memo=s)
             return fn
 
         def final(view):
-            s = current_string(view, party, n_rounds)
+            s = string_at(view, n_rounds)
             if party == 0:
                 padded = s + (1,) * (n - final_len)
                 return Action(output=tuple(b ^ 1 for b in padded))
@@ -425,7 +423,7 @@ def dj_nlb(n: int) -> Strategy:
     zeros = (0,) * length
     return Strategy(name=f"dj-nlb:{n}", n_parties=2,
                     programs=(make_program(0), make_program(1)),
-                    nlbs=tuple(nlbs), dry_run_input=(zeros, zeros),
+                    nlbs=nlbs, dry_run_input=(zeros, zeros),
                     game_id=f"dj:{n}")
 
 
@@ -440,7 +438,8 @@ def bmaj_nlb(n: int, max_n: int = BMAJ_DEFAULT_LIMIT) -> Strategy:
     party pair: party i feeds its left-operand share, party j its
     right-operand share, and each party's new share is its local conjunction
     XOR everything it received. The total output parity equals the majority
-    bit for every seed."""
+    bit for every seed. Each party carries its open gate shares from round
+    to round in its memo, so a round costs the same at every gate."""
     if n < 2:
         raise StrategyError("bmaj-nlb needs n >= 2")
     if n > max_n:
@@ -450,53 +449,70 @@ def bmaj_nlb(n: int, max_n: int = BMAJ_DEFAULT_LIMIT) -> Strategy:
     n_gates = len(gates)
     pairs = cross_pairs(n)
 
-    nlbs = tuple(NlbInstance(f"g{k}:{i}-{j}", i, j)
-                 for k in range(n_gates) for (i, j) in pairs)
-    # per (gate, party): the box ids whose outputs enter that party's share
-    gate_ids = [[tuple(f"g{k}:{i}-{j}" for (i, j) in pairs if p in (i, j))
-                 for p in range(n)] for k in range(n_gates)]
+    box_ids = [[f"g{k}:{i}-{j}" for (i, j) in pairs] for k in range(n_gates)]
+    nlbs = tuple(NlbInstance(nid, i, j)
+                 for ids in box_ids for nid, (i, j) in zip(ids, pairs))
 
-    def shares_pass(view, party, gates_done):
-        shares = []
-        for node in flat:
-            kind = node[0]
-            if kind == "leaf":
-                shares.append(view.own_input if node[1] == party else 0)
-            elif kind == "const":
-                shares.append(node[1] if party == 0 else 0)
-            elif kind == "not":
-                c = shares[node[1]]
-                shares.append(None if c is None else
-                              (c ^ 1 if party == 0 else c))
-            else:
-                _, l, r, k = node
-                if k >= gates_done or shares[l] is None or shares[r] is None:
-                    shares.append(None)
-                    continue
-                acc = shares[l] & shares[r]
-                for nid in gate_ids[k][party]:
-                    acc ^= view.nlb[nid]
-                shares.append(acc)
-        return shares
+    def operand(pos, party):
+        # (source, flip): the party's share of flat node pos is flip XOR
+        # source, which is "gate" (the top of the memo stack), "input" (its
+        # own input bit) or "zero"; only party 0 applies NOTs and constants
+        node = flat[pos]
+        if node[0] == "not":
+            source, flip = operand(node[1], party)
+            return source, flip ^ (1 if party == 0 else 0)
+        if node[0] == "and":
+            return "gate", 0
+        if node[0] == "leaf":
+            return ("input" if node[1] == party else "zero"), 0
+        return "zero", node[1] if party == 0 else 0
+
+    def take(view, stack, source, flip):
+        if source == "gate":
+            return stack[-1] ^ flip, stack[:-1]
+        if source == "input":
+            return view.own_input ^ flip, stack
+        return flip, stack
 
     def make_program(party):
+        # per gate: (box id, feeds the left operand) for each of the gate's
+        # boxes with a port at this party, in cross_pairs order
+        plans = [tuple((nid, i == party)
+                       for nid, (i, j) in zip(ids, pairs) if party in (i, j))
+                 for ids in box_ids]
+
+        def closed(view, k):
+            # The memo is a stack of the shares of gates whose parent gate
+            # has not run yet (post-order keeps them in stack order); on top
+            # sits gate k-1's local conjunction, which its box outputs close.
+            if k == 0:
+                return ()
+            stack = view.memo
+            share = stack[-1]
+            for nid, _ in plans[k - 1]:
+                share ^= view.nlb[nid]
+            return stack[:-1] + (share,)
+
         def gate_round(k):
             _, l, r, _ = gates[k]
+            left_op, right_op = operand(l, party), operand(r, party)
+            plan = plans[k]
 
             def fn(view):
-                shares = shares_pass(view, party, k)
-                feeds = {}
-                for i, j in pairs:
-                    if i == party:
-                        feeds[f"g{k}:{i}-{j}"] = shares[l]
-                    elif j == party:
-                        feeds[f"g{k}:{i}-{j}"] = shares[r]
-                return Action(nlb_inputs=feeds)
+                stack = closed(view, k)
+                # post-order: the right operand's gate closed last, so it
+                # is on top of the left one's
+                right, stack = take(view, stack, *right_op)
+                left, stack = take(view, stack, *left_op)
+                feeds = {nid: left if is_left else right for nid, is_left in plan}
+                return Action(nlb_inputs=feeds, memo=stack + (left & right,))
             return fn
 
+        root_op = operand(len(flat) - 1, party)
+
         def final(view):
-            shares = shares_pass(view, party, n_gates)
-            return Action(output=(shares[-1],))
+            share, _ = take(view, closed(view, n_gates), *root_op)
+            return Action(output=(share,))
 
         return PartyProgram(tuple(gate_round(k) for k in range(n_gates)) + (final,))
 

@@ -5,10 +5,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nlbox.engine import (Action, Channel, DeadlockError, EnumerationLimitError,
-                          MissingOutputError, NlbInstance, PartyProgram,
-                          ResourceReuseError, Seed, Strategy,
-                          UndeclaredResourceError, enumerate_seeds, execute,
-                          nlb_evaluate, sample_seed)
+                          Lane, MissingOutputError, NlbInstance, NonBitError,
+                          PartyProgram, ProtocolError, ResourceReuseError, Seed,
+                          Strategy, UndeclaredResourceError, enumerate_seeds,
+                          execute, nlb_evaluate, sample_seed, seed_lanes)
 from nlbox.strategies import get_strategy
 
 
@@ -281,3 +281,166 @@ def test_structural_locality_disconnected_pairs():
                            PartyProgram((feed, answer)), lonely, lonely),
                  nlbs=(box,), dry_run_input=(0, 0, 0, 0))
     _assert_structural_locality(s, ((0, 1),) * 4)
+
+
+# --- round memos -----------------------------------------------------------------
+
+def _memo_probe(log, n_rounds):
+    """Two parties that log the memo each round sees and leave a memo naming
+    the party and round; party 1 ends one round earlier."""
+    def make(party):
+        def rnd(k):
+            def fn(view):
+                log.append((party, k, view.memo))
+                if k == n_rounds[party] - 1:
+                    return Action(output=(0,), memo=("last", party))
+                return Action(memo=(party, k))
+            return fn
+        return PartyProgram(tuple(rnd(k) for k in range(n_rounds[party])))
+    return Strategy(name="memo-probe", n_parties=2, programs=(make(0), make(1)),
+                    dry_run_input=(0, 0))
+
+
+def test_memo_starts_empty_and_carries_the_previous_action():
+    log = []
+    s = _memo_probe(log, (4, 3))
+    for _ in range(2):   # a second run starts from empty memos again
+        log.clear()
+        execute(s, (0, 0), s.trivial_seed())
+        for party, k, memo in log:
+            assert memo == (None if k == 0 else (party, k - 1))
+        assert sorted((p, k) for p, k, _ in log) == \
+            [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2)]
+
+
+def test_memo_stays_with_its_party_and_out_of_the_transcript():
+    box = NlbInstance("box", 0, 1)
+    chan = Channel("c", 0, 1)
+
+    def program(memo_of):
+        def feed(view):
+            return Action(nlb_inputs={"box": view.own_input},
+                          sends={"c": view.own_input} if view.party == 0 else None,
+                          memo=memo_of(view))
+
+        def answer(view):
+            assert view.memo == memo_of(view)
+            return Action(output=(view.nlb["box"],), memo=memo_of(view))
+        return PartyProgram((feed, answer))
+
+    def build(memo_of):
+        prog = program(memo_of)
+        return Strategy(name="memo", n_parties=2, programs=(prog, prog),
+                        nlbs=(box,), channels=(chan,), dry_run_input=(0, 0))
+
+    with_memo = build(lambda view: {"secret of": view.party})
+    without = build(lambda view: None)
+    for x in itertools.product((0, 1), repeat=2):
+        for seed in enumerate_seeds(with_memo):
+            assert execute(with_memo, x, seed) == execute(without, x, seed)
+
+
+# --- non-bit values --------------------------------------------------------------
+
+def _one_box(feed_bit, output, send_bit=None):
+    box = NlbInstance("box", 0, 1)
+    chan = Channel("c", 0, 1)
+
+    def feed(view):
+        return Action(nlb_inputs={"box": feed_bit},
+                      sends=None if send_bit is None or view.party
+                      else {"c": send_bit})
+
+    def answer(view):
+        return Action(output=output)
+    prog = PartyProgram((feed, answer))
+    return Strategy(name="one-box", n_parties=2, programs=(prog, prog),
+                    nlbs=(box,), channels=(chan,), dry_run_input=(0, 0))
+
+
+def test_non_bit_feed_and_output_rejected():
+    # fed 2 and output (7,): once recorded as inputs=(0, 0) and ((7,), (7,))
+    assert issubclass(NonBitError, ProtocolError)
+    cases = [(2, (7,), None), (2, (0,), None), (1, (7,), None),
+             (-1, (0,), None), (True, (0,), None), (None, (0,), None),
+             (1, (0, 2), None), (1, (0.0,), None), (1, (False,), None),
+             (1, 7, None), (1, ((0, 3),), None), (1, (0,), 2), (1, (0,), True)]
+    for feed_bit, output, send_bit in cases:
+        s = _one_box(feed_bit, output, send_bit)
+        for seed in enumerate_seeds(s):
+            with pytest.raises(NonBitError):
+                execute(s, (0, 0), seed)
+            with pytest.raises(NonBitError):
+                execute(s, (0, 0), seed, record=False)
+
+
+def test_bits_and_lanes_pass_unchanged():
+    s = _one_box(1, (1, (0, 1)), send_bit=0)
+    out, transcript = execute(s, (0, 0), Seed((1,)))
+    assert out == ((1, (0, 1)), (1, (0, 1)))
+    assert transcript.firings[0].inputs == (1, 1)
+    assert transcript.sends[0].bit == 0
+    # box outputs are lanes on the lane path, and may be fed, sent and output
+    box, relay = NlbInstance("box", 0, 1), NlbInstance("relay", 0, 1)
+    chan = Channel("c", 0, 1)
+
+    def feed(view):
+        return Action(nlb_inputs={"box": view.own_input})
+
+    def relay_feed(view):
+        return Action(nlb_inputs={"relay": view.nlb["box"]},
+                      sends={"c": view.nlb["box"]} if view.party == 0 else None)
+
+    def answer(view):
+        return Action(output=(view.nlb["relay"], view.nlb["box"]))
+    prog = PartyProgram((feed, relay_feed, answer))
+    s = Strategy(name="relay", n_parties=2, programs=(prog, prog),
+                 nlbs=(box, relay), channels=(chan,), dry_run_input=(0, 0))
+    lanes = seed_lanes(2)
+    out, transcript = execute(s, (1, 1), Seed(lanes))
+    assert all(type(v) is Lane for part in out for v in part)
+    assert type(transcript.sends[0].bit) is Lane
+    for i, seed in enumerate(enumerate_seeds(s)):
+        scalar, _ = execute(s, (1, 1), seed)
+        assert scalar == tuple(tuple(v.mask >> i & 1 for v in part) for part in out)
+
+
+VALUES = st.sampled_from([0, 1, 2, -1, True, False, None, 0.0, "1", (0,), (1, 2)])
+FEEDS = st.none() | st.dictionaries(st.sampled_from(["box", "ghost"]), VALUES,
+                                    max_size=2)
+SENDS = st.none() | st.dictionaries(st.sampled_from(["c", "ghost"]), VALUES,
+                                    max_size=2)
+OUTPUTS = (st.none() | st.tuples() | st.tuples(VALUES) | st.tuples(VALUES, VALUES)
+           | VALUES)
+ACTIONS = st.builds(Action, nlb_inputs=FEEDS, sends=SENDS, output=OUTPUTS,
+                    memo=VALUES)
+
+
+def _leaves(value):
+    if type(value) is tuple:
+        for v in value:
+            yield from _leaves(v)
+    else:
+        yield value
+
+
+@given(st.lists(ACTIONS, min_size=1, max_size=3),
+       st.lists(ACTIONS, min_size=1, max_size=3), st.integers(0, 1))
+def test_malformed_actions_end_in_protocol_errors(actions0, actions1, r):
+    # undeclared ids, party 1 sending on party 0's channel, double feeds,
+    # non-bits and missing outputs, in every mix
+    def program(actions):
+        return PartyProgram(tuple((lambda view, a=a: a) for a in actions))
+    s = Strategy(name="malformed", n_parties=2,
+                 programs=(program(actions0), program(actions1)),
+                 nlbs=(NlbInstance("box", 0, 1),), channels=(Channel("c", 0, 1),),
+                 dry_run_input=(0, 0))
+    try:
+        out, transcript = execute(s, (0, 1), Seed((r,)))
+    except ProtocolError:
+        return
+    leaves = list(_leaves(out))
+    assert all(type(v) is int and v in (0, 1) for v in leaves)
+    for f in transcript.firings:
+        assert all(type(v) is int and v in (0, 1) for v in f.inputs + f.outputs)
+    assert all(type(c.bit) is int and c.bit in (0, 1) for c in transcript.sends)

@@ -240,6 +240,39 @@ def test_lane_nested_in_an_output_falls_back(execute_calls):
                                       ((1, (1,)), (1, (1,))): Fraction(1, 2)}
 
 
+def test_lanes_kept_in_a_memo_match_the_scalar_oracle(execute_calls):
+    # a three-round relay that carries a running box-output parity in its
+    # memo, so lanes cross rounds inside memos rather than view.nlb
+    boxes = (NlbInstance("a", 0, 1), NlbInstance("b", 1, 0))
+
+    def feed(view):
+        return Action(nlb_inputs={"a": view.own_input}, memo=view.own_input)
+
+    def relay(view):
+        acc = view.memo & view.nlb["a"]
+        return Action(nlb_inputs={"b": acc ^ view.own_input},
+                      memo=(acc, view.nlb["a"]))
+
+    def answer(view):
+        acc, za = view.memo
+        return Action(output=(acc ^ za ^ view.nlb["b"],))
+
+    prog = PartyProgram((feed, relay, answer))
+    strategy = Strategy(name="memo-relay", n_parties=2, programs=(prog, prog),
+                        nlbs=boxes, dry_run_input=(0, 0), game_id="chsh")
+    game = get_game("chsh")
+    per_input, checked, wins, counterexample = scalar_oracle(strategy, game)
+    execute_calls.clear()
+    dist = exact_distribution(strategy, game)
+    assert len(execute_calls) == len(per_input)
+    assert dist.per_input == per_input
+    for x in per_input:
+        assert list(dist.per_input[x]) == list(per_input[x])
+    result = verify_winning(strategy, game, Exhaustive())
+    assert (result.checked, result.wins, result.counterexample) == \
+        (checked, wins, counterexample)
+
+
 def test_seven_party_sweep_is_exact_and_non_signaling():
     # 2^21 seeds x 64 inputs: out of reach seed by seed, seconds on lanes
     strategy, game = get_strategy("multi-mermin-nlb:7"), get_game("multi-mermin:7")

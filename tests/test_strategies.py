@@ -7,8 +7,9 @@ import pytest
 
 from nlbox.analysis import (Exhaustive, Sample, exact_distribution,
                             resource_count, uniformity_verdict, verify_winning)
+from nlbox.distbit import dist_eval, dist_init, majority_formula
 from nlbox.engine import Seed, enumerate_seeds, execute, nlb_evaluate, sample_seed
-from nlbox.games import get_game, hamming, is_winning, promised_inputs
+from nlbox.games import bmaj, get_game, hamming, is_winning, promised_inputs
 from nlbox.strategies import (MagicSquareQuadruple, REF_ALICE, REF_BOB0,
                               REF_BOB1, StrategyError, all_alice_matrices,
                               all_bob_matrices, alice_valid, bob_valid,
@@ -374,6 +375,23 @@ def test_bmaj_nlb_three_parties_cases():
                 parity ^= part[0]
             assert parity == want
             assert transcript.nlb_uses == 30
+
+
+def test_bmaj_nlb_shares_match_dist_eval():
+    # each party's output is its share of the formula under the same free
+    # bits: box k*n(n-1)+m is the m-th cross pair of AND gate k
+    for n in range(2, 7):
+        s = get_strategy(f"bmaj-nlb:{n}")
+        formula = majority_formula(n)
+        rng = random.Random(n)
+        for _ in range(8):
+            x = tuple(rng.randrange(2) for _ in range(n))
+            seed = sample_seed(s, rng)
+            out, _ = execute(s, x, seed, record=False)
+            want = dist_eval(formula, [dist_init(i, b, n) for i, b in enumerate(x)],
+                             seed.nlb_bits)
+            assert tuple(part[0] for part in out) == want.shares
+            assert want.plaintext() == bmaj(x)
 
 
 def test_bmaj_nlb_limit():
