@@ -59,10 +59,9 @@ class Sample:
 def _split_outcome(outcome, full: int):
     """Split the seeds of one lane run by the outcome each seed produced.
 
-    Returns (outcome of plain values, seed mask) pairs with non-empty,
-    disjoint masks, ordered by each mask's lowest seed: the order in which a
-    seed-by-seed sweep first meets the outcomes. A lane nested inside an
-    output value raises LaneBranch here, when the value is hashed."""
+    Returns (outcome of bits, seed mask) pairs with non-empty, disjoint
+    masks, ordered by each mask's lowest seed: the order in which a
+    seed-by-seed sweep first meets the outcomes."""
     groups = [((), full)]
     for v in (v for part in outcome for v in part):
         if type(v) is Lane:
@@ -70,7 +69,6 @@ def _split_outcome(outcome, full: int):
             groups = [(bits + (b,), m) for bits, mask in groups
                       for b, m in ((0, mask & zeros), (1, mask & ones)) if m]
         else:
-            hash(v)
             groups = [(bits + (v,), mask) for bits, mask in groups]
     groups.sort(key=lambda g: g[1] & -g[1])
     ends = list(itertools.accumulate(len(part) for part in outcome))
@@ -360,11 +358,13 @@ def strategy_from_tables(game: Game, pairing, pair_tables, other_tables) -> Stra
     """Materialise a searched deterministic strategy as an executable
     Strategy so the reported witness re-verifies under the engine."""
     n = game.n_parties
+    nlbs = ()
+    pair_progs = {}
     if pairing is not None:
         p, q = pairing
         gp, hp = pair_tables[0]
         gq, hq = pair_tables[1]
-        box = NlbInstance("box", p, q)
+        nlbs = (NlbInstance("box", p, q),)
 
         def make_pair(g, h):
             def feed(view):
@@ -375,8 +375,6 @@ def strategy_from_tables(game: Game, pairing, pair_tables, other_tables) -> Stra
             return PartyProgram((feed, answer))
 
         pair_progs = {p: make_pair(gp, hp), q: make_pair(gq, hq)}
-    else:
-        pair_progs = {}
 
     def make_other(f):
         def answer(view):
@@ -392,8 +390,7 @@ def strategy_from_tables(game: Game, pairing, pair_tables, other_tables) -> Stra
             programs.append(make_other(other_tables[oi]))
             oi += 1
     return Strategy(name="search-witness", n_parties=n, programs=tuple(programs),
-                    nlbs=(NlbInstance("box", *pairing),) if pairing else (),
-                    dry_run_input=promised_inputs(game)[0], game_id=game.name)
+                    nlbs=nlbs, game_id=game.name)
 
 
 def impossibility_search(game: Game, pair: tuple | None = None, budget: int = 1,
@@ -452,8 +449,6 @@ def impossibility_search(game: Game, pair: tuple | None = None, budget: int = 1,
         list(itertools.combinations(range(n), 2))
     grid = [(x, s, t) for x, t in zip(promise, targets) for s in (0, 1)]
     grid_size = len(grid)
-    if grid_size > 63:
-        raise SearchSpaceError("promise too large for the mask-based search")
     full_mask = (1 << grid_size) - 1
 
     per_pairing = (4 * 16) ** 2 * 4 ** (n - 2)
@@ -509,11 +504,9 @@ def impossibility_search(game: Game, pair: tuple | None = None, budget: int = 1,
 # --- resource accounting -----------------------------------------------------
 
 def resource_count(strategy: Strategy) -> tuple[int, int]:
-    """(NLB uses, communication bits) from a dry-run transcript; input-
-    independent for all built-in strategies."""
-    _, transcript = execute(strategy, strategy.dry_run_input,
-                            strategy.trivial_seed())
-    return transcript.nlb_uses, transcript.comm_bits
+    """(NLB uses, communication bits) of every run: the declared counts,
+    since execute rejects a run that leaves a declared resource unused."""
+    return len(strategy.nlbs), len(strategy.channels)
 
 
 def nlb_isolated_parties(strategy: Strategy) -> list[int]:

@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="simulate and exhaustively verify non-local-box protocols")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, game=False, strategy=False, seeds=False, search=False):
+    def common(p, game=False, strategy=False, seeds=False, sweep=False, search=False):
         p.add_argument("--format", choices=("json", "md"), default="json")
         if game:
             p.add_argument("--game", required=True)
@@ -201,12 +201,13 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seeds", default="exhaustive",
                            help="exhaustive | sample:<K>")
             p.add_argument("--rng-seed", type=int, default=None)
-        p.add_argument("--max-seed-bits", type=int, default=DEFAULT_MAX_SEED_BITS)
+        if sweep:
+            p.add_argument("--max-seed-bits", type=int, default=DEFAULT_MAX_SEED_BITS)
         if search:
             p.add_argument("--max-search", type=int, default=analysis.DEFAULT_MAX_SEARCH)
 
     p = sub.add_parser("verify", help="check a strategy against a game")
-    common(p, game=True, strategy=True, seeds=True)
+    common(p, game=True, strategy=True, seeds=True, sweep=True)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("value", help="classical game value by brute force")
@@ -214,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_value)
 
     p = sub.add_parser("dist", help="exact outcome distribution per input")
-    common(p, game=True, strategy=True)
+    common(p, game=True, strategy=True, sweep=True)
     p.set_defaults(fn=cmd_dist)
 
     p = sub.add_parser("search", help="exhaust single-NLB deterministic strategies")

@@ -13,7 +13,8 @@ the shared-randomness component, resource outputs delivered to its own
 NLB ports and channel endpoints, and the memo its own previous round left.
 Execution is bulk-synchronous: each round collects every party's resource
 requests, then resolves NLBs whose two ports are both fed and delivers
-channel bits, all visible from the next round on.
+channel bits, all visible from the next round on. A run must use every
+declared NLB and channel exactly once.
 """
 
 from __future__ import annotations
@@ -47,6 +48,14 @@ class MissingOutputError(ProtocolError):
 
 class NonBitError(ProtocolError):
     """A party fed, sent or output a value other than the int 0 or 1."""
+
+
+class UnusedResourceError(ProtocolError):
+    """A run ended with a declared NLB unfed or a declared channel unused."""
+
+
+class MalformedActionError(ProtocolError):
+    """A round returned a non-Action, or non-dict nlb_inputs or sends."""
 
 
 class EnumerationLimitError(Exception):
@@ -104,9 +113,6 @@ class SharedDomain:
 
     def __len__(self):
         return len(self.values)
-
-    def __getitem__(self, i):
-        return self.values[i]
 
     def describe(self) -> dict:
         return {"label": self.label, "size": len(self.values)}
@@ -311,8 +317,8 @@ class Transcript(NamedTuple):
 class Strategy:
     """An executable protocol: programs plus the declared resource wiring.
 
-    ``game_id`` names the game the strategy is built for (registry id), and
-    ``dry_run_input`` is a canonical input used for resource accounting.
+    ``game_id`` names the game the strategy is built for (registry id). Every
+    run uses each declared resource once, so the declaration is the count.
     """
 
     name: str
@@ -321,7 +327,6 @@ class Strategy:
     nlbs: tuple[NlbInstance, ...] = ()
     channels: tuple[Channel, ...] = ()
     shared_domain: SharedDomain = TRIVIAL_SHARED
-    dry_run_input: tuple = ()
     game_id: str = ""
 
     def __post_init__(self):
@@ -348,19 +353,8 @@ class Strategy:
     def seed_count(self) -> int:
         return (2 ** len(self.nlbs)) * len(self.shared_domain)
 
-    def trivial_seed(self) -> Seed:
-        return Seed((0,) * len(self.nlbs), 0)
-
 
 def _not_a_bit(party: int, what: str, value):
-    """The slow path of execute's inline bit check: raise NonBitError, unless
-    value is an output element that is a tuple whose leaves are bits (the
-    lane sweep accepts such nested outputs and hashes them)."""
-    if what == "output" and type(value) is tuple:
-        for v in value:
-            if (type(v) is not int or v < 0 or v > 1) and type(v) is not Lane:
-                _not_a_bit(party, what, v)
-        return
     raise NonBitError(f"party {party} {what} {value!r}, which is not a bit")
 
 
@@ -385,6 +379,7 @@ def execute(strategy: Strategy, input_tuple: tuple, seed: Seed,
     n_nlbs = len(strategy.nlbs)
     pend0: list = [None] * n_nlbs
     pend1: list = [None] * n_nlbs
+    unfired = n_nlbs
     used_channels: set[str] = set()
     outputs: list = [None] * n
     firings: list[NlbFiring] = []
@@ -404,10 +399,16 @@ def execute(strategy: Strategy, input_tuple: tuple, seed: Seed,
                 continue
             view = views[i]
             action = rounds[rnd](view)
+            if type(action) is not Action:
+                raise MalformedActionError(
+                    f"party {i} round {rnd} returned {action!r}, not an Action")
             view.memo = action.memo
 
             feeds = action.nlb_inputs
-            if feeds:
+            if feeds is not None:
+                if type(feeds) is not dict:
+                    raise MalformedActionError(
+                        f"party {i} nlb_inputs {feeds!r} is not a dict")
                 for nid, bit in feeds.items():
                     entry = nlb_index.get(nid)
                     if entry is None:
@@ -435,8 +436,12 @@ def execute(strategy: Strategy, input_tuple: tuple, seed: Seed,
                     if pend0[idx] is not None and pend1[idx] is not None:
                         to_fire.append(entry)
 
-            if action.sends:
-                for cid, bit in action.sends.items():
+            chan_bits = action.sends
+            if chan_bits is not None:
+                if type(chan_bits) is not dict:
+                    raise MalformedActionError(
+                        f"party {i} sends {chan_bits!r} is not a dict")
+                for cid, bit in chan_bits.items():
                     chan = channel_index.get(cid)
                     if chan is None:
                         raise UndeclaredResourceError(
@@ -465,6 +470,7 @@ def execute(strategy: Strategy, input_tuple: tuple, seed: Seed,
                         _not_a_bit(i, "output", v)
                 outputs[i] = out
 
+        unfired -= len(to_fire)
         # bulk-synchronous resolution: nothing submitted this round is
         # visible before the next one
         for idx, nid, port0, port1 in to_fire:
@@ -484,11 +490,16 @@ def execute(strategy: Strategy, input_tuple: tuple, seed: Seed,
         raise MissingOutputError(
             f"party {outputs.index(None)} ended without an output")
     # a box fires in the round its second port is fed, and a fed port stays
-    # fed, so a box fed on one port only is the only kind left unfired
-    for idx in range(n_nlbs):
-        if (pend0[idx] is None) != (pend1[idx] is None):
-            raise DeadlockError(
-                f"NLB {strategy.nlbs[idx].id!r} fed on one port only")
+    # fed, so an unfired box is fed on one port (a deadlock) or on none
+    if unfired:
+        for idx, x in enumerate(strategy.nlbs):
+            if (pend0[idx] is None) != (pend1[idx] is None):
+                raise DeadlockError(f"NLB {x.id!r} fed on one port only")
+        unfed = next(x.id for x, p in zip(strategy.nlbs, pend0) if p is None)
+        raise UnusedResourceError(f"NLB {unfed!r} was never fed")
+    if len(used_channels) != len(strategy.channels):
+        unused = next(c.id for c in strategy.channels if c.id not in used_channels)
+        raise UnusedResourceError(f"channel {unused!r} carried no bit")
 
     outcome = tuple(outputs)
     if not record:

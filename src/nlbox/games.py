@@ -17,7 +17,7 @@ from typing import Callable
 
 from .engine import EnumerationLimitError
 
-DEFAULT_MAX_OUTCOMES = 2 ** 20
+MAX_OUTCOMES = 2 ** 20
 
 
 class GameError(Exception):
@@ -85,14 +85,13 @@ def outcome_space(game: Game):
     return itertools.product(*parts)
 
 
-def winning_outcomes(game: Game, input_tuple: tuple,
-                     max_outcomes: int = DEFAULT_MAX_OUTCOMES) -> set:
+def winning_outcomes(game: Game, input_tuple: tuple) -> set:
     """All outcomes satisfying the win relation for one promised input,
     enumerated from the full outcome space."""
     total = 2 ** sum(game.output_lengths)
-    if total > max_outcomes:
+    if total > MAX_OUTCOMES:
         raise EnumerationLimitError(
-            f"outcome space of {game.name} has {total} points (limit {max_outcomes})")
+            f"outcome space of {game.name} has {total} points (limit {MAX_OUTCOMES})")
     return {o for o in outcome_space(game) if is_winning(game, input_tuple, o)}
 
 

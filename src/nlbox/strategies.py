@@ -140,7 +140,7 @@ def chsh_nlb() -> Strategy:
 
     prog = PartyProgram((feed, answer))
     return Strategy(name="chsh-nlb", n_parties=2, programs=(prog, prog),
-                    nlbs=(box,), dry_run_input=(0, 0), game_id="chsh")
+                    nlbs=(box,), game_id="chsh")
 
 
 def _check_comm_pairs(s0, s1):
@@ -192,8 +192,7 @@ def magic_square_comm(s0=None, s1=None) -> Strategy:
     fixed = (a, b0, b1)
     programs = _ms_comm_programs(lambda view: fixed)
     return Strategy(name="ms-comm", n_parties=2, programs=programs,
-                    channels=(Channel("row-is-3", 0, 1),),
-                    dry_run_input=(1, 1), game_id="magic-square")
+                    channels=(Channel("row-is-3", 0, 1),), game_id="magic-square")
 
 
 def magic_square_comm_sim() -> Strategy:
@@ -204,7 +203,7 @@ def magic_square_comm_sim() -> Strategy:
     programs = _ms_comm_programs(lambda view: view.shared)
     return Strategy(name="ms-comm-sim", n_parties=2, programs=programs,
                     channels=(Channel("row-is-3", 0, 1),), shared_domain=dom,
-                    dry_run_input=(1, 1), game_id="magic-square")
+                    game_id="magic-square")
 
 
 def _ms_nlb_programs(pick):
@@ -235,8 +234,7 @@ def magic_square_nlb(quadruple: MagicSquareQuadruple | None = None) -> Strategy:
     q = quadruple if quadruple is not None else default_quadruple()
     programs = _ms_nlb_programs(lambda view: q)
     return Strategy(name="ms-nlb", n_parties=2, programs=programs,
-                    nlbs=(NlbInstance("pick", 0, 1),),
-                    dry_run_input=(1, 1), game_id="magic-square")
+                    nlbs=(NlbInstance("pick", 0, 1),), game_id="magic-square")
 
 
 def magic_square_nlb_sim() -> Strategy:
@@ -246,7 +244,7 @@ def magic_square_nlb_sim() -> Strategy:
     programs = _ms_nlb_programs(lambda view: view.shared)
     return Strategy(name="ms-nlb-sim", n_parties=2, programs=programs,
                     nlbs=(NlbInstance("pick", 0, 1),), shared_domain=dom,
-                    dry_run_input=(1, 1), game_id="magic-square")
+                    game_id="magic-square")
 
 
 # --- Mermin-GHZ strategies ---------------------------------------------------
@@ -275,7 +273,7 @@ def _mermin_comm_strategy(name, shared_domain, constants):
         programs=(PartyProgram((alice_wait, alice_answer)),
                   PartyProgram((bob_round,)), PartyProgram((charlie_round,))),
         channels=(Channel("x-bob", 1, 0),), shared_domain=shared_domain,
-        dry_run_input=(0, 0, 0), game_id="mermin")
+        game_id="mermin")
 
 
 def mermin_comm() -> Strategy:
@@ -312,7 +310,7 @@ def _mermin_nlb_strategy(name, shared_domain, flip):
                   PartyProgram((feed, bob_answer)),
                   PartyProgram((charlie_round,))),
         nlbs=(NlbInstance("or-box", 0, 1),), shared_domain=shared_domain,
-        dry_run_input=(0, 0, 0), game_id="mermin")
+        game_id="mermin")
 
 
 def mermin_nlb() -> Strategy:
@@ -356,8 +354,7 @@ def multi_mermin_pairwise(n: int) -> Strategy:
 
     return Strategy(name=f"multi-mermin-nlb:{n}", n_parties=n,
                     programs=tuple(make_program(p) for p in range(n)),
-                    nlbs=nlbs, dry_run_input=(0,) * n,
-                    game_id=f"multi-mermin:{n}")
+                    nlbs=nlbs, game_id=f"multi-mermin:{n}")
 
 
 # --- distributed Deutsch-Jozsa -----------------------------------------------
@@ -420,19 +417,17 @@ def dj_nlb(n: int) -> Strategy:
 
         return PartyProgram(tuple(submit_round(t) for t in range(n_rounds)) + (final,))
 
-    zeros = (0,) * length
     return Strategy(name=f"dj-nlb:{n}", n_parties=2,
                     programs=(make_program(0), make_program(1)),
-                    nlbs=nlbs, dry_run_input=(zeros, zeros),
-                    game_id=f"dj:{n}")
+                    nlbs=nlbs, game_id=f"dj:{n}")
 
 
 # --- biased majority ---------------------------------------------------------
 
-BMAJ_DEFAULT_LIMIT = 6
+BMAJ_MAX_N = 6
 
 
-def bmaj_nlb(n: int, max_n: int = BMAJ_DEFAULT_LIMIT) -> Strategy:
+def bmaj_nlb(n: int) -> Strategy:
     """Evaluates the biased majority as a NOT/AND formula over XOR-shared
     bits, one engine round per AND gate. Gate k consumes one NLB per ordered
     party pair: party i feeds its left-operand share, party j its
@@ -442,8 +437,8 @@ def bmaj_nlb(n: int, max_n: int = BMAJ_DEFAULT_LIMIT) -> Strategy:
     to round in its memo, so a round costs the same at every gate."""
     if n < 2:
         raise StrategyError("bmaj-nlb needs n >= 2")
-    if n > max_n:
-        raise StrategyError(f"bmaj-nlb limited to n <= {max_n}")
+    if n > BMAJ_MAX_N:
+        raise StrategyError(f"bmaj-nlb limited to n <= {BMAJ_MAX_N}")
     flat = flatten(majority_formula(n))
     gates = [node for node in flat if node[0] == "and"]
     n_gates = len(gates)
@@ -518,7 +513,7 @@ def bmaj_nlb(n: int, max_n: int = BMAJ_DEFAULT_LIMIT) -> Strategy:
 
     return Strategy(name=f"bmaj-nlb:{n}", n_parties=n,
                     programs=tuple(make_program(p) for p in range(n)),
-                    nlbs=nlbs, dry_run_input=(0,) * n, game_id=f"bmaj:{n}")
+                    nlbs=nlbs, game_id=f"bmaj:{n}")
 
 
 # --- NLB from one bit of communication ----------------------------------------
@@ -544,7 +539,7 @@ def nlb_via_comm() -> Strategy:
                     programs=(PartyProgram((alice,)),
                               PartyProgram((bob_wait, bob_answer))),
                     channels=(Channel("reveal", 0, 1),), shared_domain=dom,
-                    dry_run_input=(0, 0), game_id="chsh")
+                    game_id="chsh")
 
 
 # --- registry ----------------------------------------------------------------

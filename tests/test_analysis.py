@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -5,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from nlbox import analysis, engine
 from nlbox.analysis import (AnalysisError, CommunicationUsedError, Exhaustive,
                             Sample, SearchSpaceError, classical_value,
                             exact_distribution, impossibility_search,
@@ -12,7 +14,7 @@ from nlbox.analysis import (AnalysisError, CommunicationUsedError, Exhaustive,
                             resource_count, verify_winning)
 from nlbox.engine import EnumerationLimitError
 from nlbox.games import get_game, winning_outcomes
-from nlbox.strategies import get_strategy
+from nlbox.strategies import STRATEGY_FAMILIES, get_strategy
 
 
 # --- classical values (frozen from the brute-force oracle) --------------------
@@ -162,6 +164,29 @@ def test_search_chsh_zero_budget():
     assert report.candidates == 16
 
 
+def test_search_zero_budget_witness():
+    # no registered game is won without boxes; x0 XOR x1 is, by each party
+    # answering its own input
+    xor = dataclasses.replace(get_game("chsh"), name="xor",
+                              win=lambda x, y: y[0][0] ^ y[1][0] == x[0] ^ x[1],
+                              parity_target=lambda x: x[0] ^ x[1])
+    report = impossibility_search(xor, budget=0)
+    assert report.perfect and report.best_fraction == 1
+    assert report.witness == {"pairing": None, "outputs": [[0, 1], [0, 1]]}
+    assert json.loads(json.dumps(report.to_json()))["witness"] == report.witness
+    assert report.witness_strategy.nlbs == ()
+    assert verify_winning(report.witness_strategy, xor, Exhaustive()).passed
+
+
+def test_search_grid_is_not_capped():
+    # 32 promised inputs x 2 free-bit values: 64 grid points, past one
+    # machine word; the candidate budget is the only limit
+    report = impossibility_search(get_game("multi-mermin:6"), pair=(0, 1))
+    assert report.grid_size == 64
+    assert report.candidates == 64 ** 2 * 4 ** 4
+    assert not report.perfect and report.best_fraction == Fraction(5, 8)
+
+
 def test_search_rejects_unsuitable_games():
     with pytest.raises(SearchSpaceError):
         impossibility_search(get_game("magic-square"))
@@ -183,6 +208,23 @@ def test_resource_count_examples():
     assert resource_count(get_strategy("multi-mermin-nlb:5")) == (10, 0)
     assert resource_count(get_strategy("dj-nlb:3")) == (12, 0)
     assert resource_count(get_strategy("ms-comm")) == (0, 1)
+
+
+def test_resource_count_is_the_declaration(monkeypatch):
+    calls = []
+    real = engine.execute
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "execute", counting)
+    monkeypatch.setattr(engine, "execute", counting)
+    for base, (_, param) in STRATEGY_FAMILIES.items():
+        strategy = get_strategy(base if param is None else f"{base}:3")
+        assert resource_count(strategy) == (len(strategy.nlbs),
+                                            len(strategy.channels))
+    assert calls == []
 
 
 def test_winning_wirings_leave_at_most_one_party_isolated():

@@ -118,6 +118,17 @@ def test_search_reports(capsys):
     assert report["perfect"] is False and report["best"] == {"num": 3, "den": 4}
 
 
+def test_max_seed_bits_only_where_a_sweep_runs(capsys):
+    assert main(["dist", "--game", "chsh", "--strategy", "chsh-nlb",
+                 "--max-seed-bits", "1"]) == 0
+    # dj-nlb:2 has 2^4 seeds
+    assert main(["verify", "--game", "dj:2", "--strategy", "dj-nlb:2",
+                 "--max-seed-bits", "3"]) == 1
+    for argv in (["value", "--game", "chsh"], ["search", "--game", "chsh"],
+                 ["resources", "--strategy", "chsh-nlb"], ["list"]):
+        assert main(argv + ["--max-seed-bits", "30"]) == 1, argv
+
+
 def test_resources(capsys):
     code, out = run(["resources", "--strategy", "multi-mermin-nlb:5"], capsys)
     assert code == 0

@@ -5,10 +5,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nlbox.engine import (Action, Channel, DeadlockError, EnumerationLimitError,
-                          Lane, MissingOutputError, NlbInstance, NonBitError,
-                          PartyProgram, ProtocolError, ResourceReuseError, Seed,
-                          Strategy, UndeclaredResourceError, enumerate_seeds,
-                          execute, nlb_evaluate, sample_seed, seed_lanes)
+                          Lane, MalformedActionError, MissingOutputError,
+                          NlbInstance, NonBitError, PartyProgram, ProtocolError,
+                          ResourceReuseError, Seed, Strategy,
+                          UndeclaredResourceError, UnusedResourceError,
+                          enumerate_seeds, execute, nlb_evaluate, sample_seed,
+                          seed_lanes)
 from nlbox.strategies import get_strategy
 
 
@@ -36,9 +38,8 @@ def _output_own_input():
 
 def test_empty_resource_strategy():
     s = Strategy(name="echo", n_parties=2,
-                 programs=(_output_own_input(), _output_own_input()),
-                 dry_run_input=(0, 0))
-    out, transcript = execute(s, (1, 0), s.trivial_seed())
+                 programs=(_output_own_input(), _output_own_input()))
+    out, transcript = execute(s, (1, 0), Seed(()))
     assert out == ((1,), (0,))
     assert transcript.nlb_uses == 0 and transcript.comm_bits == 0
     assert list(enumerate_seeds(s)) == [Seed(())]
@@ -75,10 +76,9 @@ def test_undeclared_nlb_rejected():
     def fn(view):
         return Action(nlb_inputs={"ghost": 0}, output=(0,))
     s = Strategy(name="bad", n_parties=2,
-                 programs=(PartyProgram((fn,)), _output_own_input()),
-                 dry_run_input=(0, 0))
+                 programs=(PartyProgram((fn,)), _output_own_input()))
     with pytest.raises(UndeclaredResourceError):
-        execute(s, (0, 0), s.trivial_seed())
+        execute(s, (0, 0), Seed(()))
 
 
 def test_foreign_port_rejected():
@@ -89,7 +89,7 @@ def test_foreign_port_rejected():
     s = Strategy(name="bad", n_parties=3,
                  programs=(_output_own_input(), _output_own_input(),
                            PartyProgram((intruder,))),
-                 nlbs=(box,), dry_run_input=(0, 0, 0))
+                 nlbs=(box,))
     with pytest.raises(UndeclaredResourceError):
         execute(s, (0, 0, 0), Seed((0,)))
 
@@ -105,7 +105,7 @@ def test_nlb_reuse_rejected():
     s = Strategy(name="bad", n_parties=2,
                  programs=(PartyProgram((feed, feed_again)),
                            PartyProgram((feed, lambda v: Action(output=(0,))))),
-                 nlbs=(box,), dry_run_input=(0, 0))
+                 nlbs=(box,))
     with pytest.raises(ResourceReuseError):
         execute(s, (0, 0), Seed((0,)))
 
@@ -117,15 +117,49 @@ def test_half_fed_nlb_deadlocks():
         return Action(nlb_inputs={"box": view.own_input}, output=(0,))
     s = Strategy(name="bad", n_parties=2,
                  programs=(PartyProgram((feed,)), _output_own_input()),
-                 nlbs=(box,), dry_run_input=(0, 0))
+                 nlbs=(box,))
     with pytest.raises(DeadlockError):
+        execute(s, (0, 0), Seed((0,)))
+
+
+def test_unused_declared_resources_rejected():
+    # every declared box fires and every declared channel carries a bit in
+    # every run; the declaration is the resource count
+    assert issubclass(UnusedResourceError, ProtocolError)
+    box, spare = NlbInstance("box", 0, 1), NlbInstance("spare", 1, 0)
+    chan = Channel("c", 0, 1)
+
+    def feed(view):
+        return Action(nlb_inputs={"box": view.own_input})
+
+    def answer(view):
+        return Action(output=(view.nlb["box"],))
+    prog = PartyProgram((feed, answer))
+    for nlbs, channels, unused in [((box, spare), (), "NLB 'spare'"),
+                                   ((box,), (chan,), "channel 'c'")]:
+        s = Strategy(name="idle", n_parties=2, programs=(prog, prog),
+                     nlbs=nlbs, channels=channels)
+        for seed in enumerate_seeds(s):
+            for record in (True, False):
+                with pytest.raises(UnusedResourceError, match=unused):
+                    execute(s, (1, 1), seed, record=record)
+
+    # a resource used on some inputs only is caught on the others
+    def feed_if_one(view):
+        return Action(nlb_inputs={"box": 1} if view.own_input else None)
+
+    def answer_zero(view):
+        return Action(output=(0,))
+    prog = PartyProgram((feed_if_one, answer_zero))
+    s = Strategy(name="sometimes", n_parties=2, programs=(prog, prog), nlbs=(box,))
+    execute(s, (1, 1), Seed((0,)))
+    with pytest.raises(UnusedResourceError):
         execute(s, (0, 0), Seed((0,)))
 
 
 def test_missing_output_rejected():
     s = Strategy(name="bad", n_parties=1,
-                 programs=(PartyProgram((lambda v: Action(),)),),
-                 dry_run_input=(0,))
+                 programs=(PartyProgram((lambda v: Action(),)),))
     with pytest.raises(MissingOutputError):
         execute(s, (0,), Seed(()))
 
@@ -141,7 +175,7 @@ def test_channel_discipline():
     s = Strategy(name="bad", n_parties=2,
                  programs=(PartyProgram((send_twice, send_twice, done)),
                            PartyProgram((done,))),
-                 channels=(chan,), dry_run_input=(0, 0))
+                 channels=(chan,))
     with pytest.raises(ResourceReuseError):
         execute(s, (0, 0), Seed(()))
 
@@ -149,7 +183,7 @@ def test_channel_discipline():
         return Action(sends={"c": 1}, output=(0,))
     s = Strategy(name="bad2", n_parties=2,
                  programs=(PartyProgram((done,)), PartyProgram((wrong_src,))),
-                 channels=(chan,), dry_run_input=(0, 0))
+                 channels=(chan,))
     with pytest.raises(UndeclaredResourceError):
         execute(s, (0, 0), Seed(()))
 
@@ -162,7 +196,7 @@ def test_same_round_nlb_output_not_visible():
         return Action(nlb_inputs={"box": 0}, output=(view.nlb["box"],))
     s = Strategy(name="bad", n_parties=2,
                  programs=(PartyProgram((greedy,)), PartyProgram((greedy,))),
-                 nlbs=(box,), dry_run_input=(0, 0))
+                 nlbs=(box,))
     with pytest.raises(KeyError):
         execute(s, (0, 0), Seed((0,)))
 
@@ -173,13 +207,11 @@ def test_strategy_validation():
     with pytest.raises(ValueError):
         Channel("c", 2, 2)
     with pytest.raises(ValueError):
-        Strategy(name="bad", n_parties=2, programs=(_output_own_input(),),
-                 dry_run_input=(0, 0))
+        Strategy(name="bad", n_parties=2, programs=(_output_own_input(),))
     with pytest.raises(ValueError):
         Strategy(name="bad", n_parties=2,
                  programs=(_output_own_input(), _output_own_input()),
-                 nlbs=(NlbInstance("x", 0, 1), NlbInstance("x", 1, 0)),
-                 dry_run_input=(0, 0))
+                 nlbs=(NlbInstance("x", 0, 1), NlbInstance("x", 1, 0)))
 
 
 def test_enumerate_seeds_counts():
@@ -279,7 +311,7 @@ def test_structural_locality_disconnected_pairs():
     s = Strategy(name="toy", n_parties=4,
                  programs=(PartyProgram((feed, answer)),
                            PartyProgram((feed, answer)), lonely, lonely),
-                 nlbs=(box,), dry_run_input=(0, 0, 0, 0))
+                 nlbs=(box,))
     _assert_structural_locality(s, ((0, 1),) * 4)
 
 
@@ -297,8 +329,7 @@ def _memo_probe(log, n_rounds):
                 return Action(memo=(party, k))
             return fn
         return PartyProgram(tuple(rnd(k) for k in range(n_rounds[party])))
-    return Strategy(name="memo-probe", n_parties=2, programs=(make(0), make(1)),
-                    dry_run_input=(0, 0))
+    return Strategy(name="memo-probe", n_parties=2, programs=(make(0), make(1)))
 
 
 def test_memo_starts_empty_and_carries_the_previous_action():
@@ -306,7 +337,7 @@ def test_memo_starts_empty_and_carries_the_previous_action():
     s = _memo_probe(log, (4, 3))
     for _ in range(2):   # a second run starts from empty memos again
         log.clear()
-        execute(s, (0, 0), s.trivial_seed())
+        execute(s, (0, 0), Seed(()))
         for party, k, memo in log:
             assert memo == (None if k == 0 else (party, k - 1))
         assert sorted((p, k) for p, k, _ in log) == \
@@ -331,7 +362,7 @@ def test_memo_stays_with_its_party_and_out_of_the_transcript():
     def build(memo_of):
         prog = program(memo_of)
         return Strategy(name="memo", n_parties=2, programs=(prog, prog),
-                        nlbs=(box,), channels=(chan,), dry_run_input=(0, 0))
+                        nlbs=(box,), channels=(chan,))
 
     with_memo = build(lambda view: {"secret of": view.party})
     without = build(lambda view: None)
@@ -355,7 +386,7 @@ def _one_box(feed_bit, output, send_bit=None):
         return Action(output=output)
     prog = PartyProgram((feed, answer))
     return Strategy(name="one-box", n_parties=2, programs=(prog, prog),
-                    nlbs=(box,), channels=(chan,), dry_run_input=(0, 0))
+                    nlbs=(box,), channels=(chan,))
 
 
 def test_non_bit_feed_and_output_rejected():
@@ -375,9 +406,9 @@ def test_non_bit_feed_and_output_rejected():
 
 
 def test_bits_and_lanes_pass_unchanged():
-    s = _one_box(1, (1, (0, 1)), send_bit=0)
+    s = _one_box(1, (1, 0, 1), send_bit=0)
     out, transcript = execute(s, (0, 0), Seed((1,)))
-    assert out == ((1, (0, 1)), (1, (0, 1)))
+    assert out == ((1, 0, 1), (1, 0, 1))
     assert transcript.firings[0].inputs == (1, 1)
     assert transcript.sends[0].bit == 0
     # box outputs are lanes on the lane path, and may be fed, sent and output
@@ -395,7 +426,7 @@ def test_bits_and_lanes_pass_unchanged():
         return Action(output=(view.nlb["relay"], view.nlb["box"]))
     prog = PartyProgram((feed, relay_feed, answer))
     s = Strategy(name="relay", n_parties=2, programs=(prog, prog),
-                 nlbs=(box, relay), channels=(chan,), dry_run_input=(0, 0))
+                 nlbs=(box, relay), channels=(chan,))
     lanes = seed_lanes(2)
     out, transcript = execute(s, (1, 1), Seed(lanes))
     assert all(type(v) is Lane for part in out for v in part)
@@ -405,42 +436,59 @@ def test_bits_and_lanes_pass_unchanged():
         assert scalar == tuple(tuple(v.mask >> i & 1 for v in part) for part in out)
 
 
+def test_malformed_actions_rejected():
+    # once a bare AttributeError each, except the empty tuple of feeds, which
+    # was taken for no feeds
+    box, chan = NlbInstance("box", 0, 1), Channel("c", 0, 1)
+    for fn in (lambda v: None, lambda v: {"output": (0,)},
+               lambda v: Action(nlb_inputs=[("box", 1)]),
+               lambda v: Action(sends=[("c", 1)], output=(0,)),
+               lambda v: Action(nlb_inputs=(), output=(0,))):
+        s = Strategy(name="malformed", n_parties=2,
+                     programs=(PartyProgram((fn,)), _output_own_input()),
+                     nlbs=(box,), channels=(chan,))
+        with pytest.raises(MalformedActionError):
+            execute(s, (0, 0), Seed((0,)))
+    s = Strategy(name="malformed", n_parties=1,
+                 programs=(PartyProgram((lambda v: None,)),))
+    with pytest.raises(MalformedActionError):
+        execute(s, (0,), Seed(()))
+
+
 VALUES = st.sampled_from([0, 1, 2, -1, True, False, None, 0.0, "1", (0,), (1, 2)])
-FEEDS = st.none() | st.dictionaries(st.sampled_from(["box", "ghost"]), VALUES,
-                                    max_size=2)
-SENDS = st.none() | st.dictionaries(st.sampled_from(["c", "ghost"]), VALUES,
-                                    max_size=2)
+
+
+def _resource_requests(ids):
+    pairs = st.tuples(st.sampled_from(ids), VALUES)
+    return (st.none() | st.dictionaries(st.sampled_from(ids), VALUES, max_size=2)
+            | st.lists(pairs, max_size=2) | VALUES)
+
+
 OUTPUTS = (st.none() | st.tuples() | st.tuples(VALUES) | st.tuples(VALUES, VALUES)
            | VALUES)
-ACTIONS = st.builds(Action, nlb_inputs=FEEDS, sends=SENDS, output=OUTPUTS,
+ACTIONS = st.builds(Action, nlb_inputs=_resource_requests(["box", "ghost"]),
+                    sends=_resource_requests(["c", "ghost"]), output=OUTPUTS,
                     memo=VALUES)
+ROUND_RESULTS = ACTIONS | VALUES | st.fixed_dictionaries({"output": OUTPUTS})
 
 
-def _leaves(value):
-    if type(value) is tuple:
-        for v in value:
-            yield from _leaves(v)
-    else:
-        yield value
-
-
-@given(st.lists(ACTIONS, min_size=1, max_size=3),
-       st.lists(ACTIONS, min_size=1, max_size=3), st.integers(0, 1))
+@given(st.lists(ROUND_RESULTS, min_size=1, max_size=3),
+       st.lists(ROUND_RESULTS, min_size=1, max_size=3), st.integers(0, 1))
 def test_malformed_actions_end_in_protocol_errors(actions0, actions1, r):
     # undeclared ids, party 1 sending on party 0's channel, double feeds,
-    # non-bits and missing outputs, in every mix
+    # non-bits, missing outputs, unused resources, non-Action round results
+    # and non-dict feeds and sends, in every mix
     def program(actions):
         return PartyProgram(tuple((lambda view, a=a: a) for a in actions))
     s = Strategy(name="malformed", n_parties=2,
                  programs=(program(actions0), program(actions1)),
-                 nlbs=(NlbInstance("box", 0, 1),), channels=(Channel("c", 0, 1),),
-                 dry_run_input=(0, 0))
+                 nlbs=(NlbInstance("box", 0, 1),), channels=(Channel("c", 0, 1),))
     try:
         out, transcript = execute(s, (0, 1), Seed((r,)))
     except ProtocolError:
         return
-    leaves = list(_leaves(out))
-    assert all(type(v) is int and v in (0, 1) for v in leaves)
+    assert all(type(v) is int and v in (0, 1) for part in out for v in part)
+    assert len(transcript.firings) == len(transcript.sends) == 1
     for f in transcript.firings:
         assert all(type(v) is int and v in (0, 1) for v in f.inputs + f.outputs)
     assert all(type(c.bit) is int and c.bit in (0, 1) for c in transcript.sends)

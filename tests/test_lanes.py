@@ -17,9 +17,10 @@ from hypothesis import given, settings, strategies as st
 from nlbox import analysis
 from nlbox.analysis import (Exhaustive, exact_distribution, impossibility_search,
                             strategy_from_tables, verify_winning)
-from nlbox.engine import (DEFAULT_MAX_SEED_BITS, Action, Lane, LaneBranch,
-                          NlbInstance, PartyProgram, Strategy, bit_domain,
-                          enumerate_seeds, execute, seed_at, seed_lanes)
+from nlbox.engine import (DEFAULT_MAX_SEED_BITS, Action, Channel, Lane, LaneBranch,
+                          NlbInstance, NonBitError, PartyProgram, Strategy,
+                          UnusedResourceError, bit_domain, enumerate_seeds,
+                          execute, seed_at, seed_lanes)
 from nlbox.games import get_game, is_winning, promised_inputs
 from nlbox.strategies import get_strategy
 
@@ -104,8 +105,7 @@ def late_branch():
 
     prog = PartyProgram((feed, answer))
     return Strategy(name="late-branch", n_parties=2, programs=(prog, prog),
-                    nlbs=boxes, shared_domain=bit_domain(1), dry_run_input=(0, 0),
-                    game_id="chsh")
+                    nlbs=boxes, shared_domain=bit_domain(1), game_id="chsh")
 
 
 CASES = ([(sid, gid) for sid, gid in NO_COMM_ENUMERABLE + CHANNEL
@@ -217,7 +217,8 @@ def test_late_branch_resumes_where_the_lanes_stopped(execute_calls):
     assert scalar_points == (1 + 2 * 2) * 4
 
 
-def test_lane_nested_in_an_output_falls_back(execute_calls):
+def test_lane_nested_in_an_output_is_rejected(execute_calls):
+    # an output element is 0, 1 or a lane, on either path
     box = NlbInstance("box", 0, 1)
 
     def feed(view):
@@ -228,16 +229,46 @@ def test_lane_nested_in_an_output_falls_back(execute_calls):
 
     prog = PartyProgram((feed, answer))
     strategy = Strategy(name="nested", n_parties=2, programs=(prog, prog),
-                        nlbs=(box,), dry_run_input=(0, 0), game_id="chsh")
+                        nlbs=(box,), game_id="chsh")
+    for seed in enumerate_seeds(strategy):
+        with pytest.raises(NonBitError):
+            execute(strategy, (0, 0), seed)
+    execute_calls.clear()
+    with pytest.raises(NonBitError):
+        exact_distribution(strategy, get_game("chsh"))
+    assert len(execute_calls) == 1 and isinstance(execute_calls[0].nlb_bits[0], Lane)
+
+
+def test_unused_resources_end_an_exhaustive_verify_on_lanes(execute_calls):
+    # a box fed only by parties whose input is 1, which a run on (1, 1) alone
+    # would count as used, and a channel that never carries a bit: the first
+    # lane run that leaves either unused ends the verify
+    boxes = (NlbInstance("box", 0, 1), NlbInstance("late", 0, 1))
+
+    def feed(view):
+        feeds = {"box": view.own_input}
+        if view.own_input:
+            feeds["late"] = 1
+        return Action(nlb_inputs=feeds)
+
+    def answer(view):
+        return Action(output=(view.nlb["box"],))
+
+    prog = PartyProgram((feed, answer))
     game = get_game("chsh")
-    dist = exact_distribution(strategy, game)
-    assert len(execute_calls) == 1 + 4 * 2
-    for x, probs in dist.per_input.items():
-        runs = Counter(execute(strategy, x, seed, record=False)[0]
-                       for seed in enumerate_seeds(strategy))
-        assert probs == {o: Fraction(n, 2) for o, n in runs.items()}
-    assert dist.per_input[(0, 0)] == {((0, (0,)), (0, (0,))): Fraction(1, 2),
-                                      ((1, (1,)), (1, (1,))): Fraction(1, 2)}
+    strategy = Strategy(name="late-box", n_parties=2, programs=(prog, prog),
+                        nlbs=boxes, game_id="chsh")
+    with pytest.raises(UnusedResourceError, match="'late'"):
+        verify_winning(strategy, game, Exhaustive())
+    assert len(execute_calls) == 1 and isinstance(execute_calls[0].nlb_bits[0], Lane)
+
+    execute_calls.clear()
+    strategy = Strategy(name="mute", n_parties=2, programs=(prog, prog),
+                        nlbs=boxes[:1], channels=(Channel("c", 0, 1),),
+                        game_id="chsh")
+    with pytest.raises(UnusedResourceError, match="'c'"):
+        verify_winning(strategy, game, Exhaustive())
+    assert len(execute_calls) == 1 and isinstance(execute_calls[0].nlb_bits[0], Lane)
 
 
 def test_lanes_kept_in_a_memo_match_the_scalar_oracle(execute_calls):
@@ -259,7 +290,7 @@ def test_lanes_kept_in_a_memo_match_the_scalar_oracle(execute_calls):
 
     prog = PartyProgram((feed, relay, answer))
     strategy = Strategy(name="memo-relay", n_parties=2, programs=(prog, prog),
-                        nlbs=boxes, dry_run_input=(0, 0), game_id="chsh")
+                        nlbs=boxes, game_id="chsh")
     game = get_game("chsh")
     per_input, checked, wins, counterexample = scalar_oracle(strategy, game)
     execute_calls.clear()
