@@ -16,9 +16,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .engine import (Lane, LaneBranch, NlbInstance, PartyProgram, Action, Seed,
-                     Strategy, DEFAULT_MAX_SEED_BITS, enumerate_seeds, execute,
-                     require_enumerable, sample_seed, seed_at, seed_lanes)
+# enumerate_seeds stays importable as analysis.enumerate_seeds, a name the
+# benchmark's tracer (bench/tracer.py) rebinds
+from .engine import (Lane, LaneBranch, LaneSeed, NlbInstance, PartyProgram,
+                     Action, Strategy, DEFAULT_MAX_SEED_BITS, enumerate_seeds,
+                     execute, require_enumerable, sample_seed, seed_space)
 from .games import (Game, is_winning, promised_inputs, sample_promised_input,
                     winning_outcomes)
 
@@ -56,64 +58,96 @@ class Sample:
 
 # --- the exhaustive sweep ----------------------------------------------------
 
+def _lowest_bit(group):
+    return group[1] & -group[1]
+
+
 def _split_outcome(outcome, full: int):
     """Split the seeds of one lane run by the outcome each seed produced.
 
     Returns (outcome of bits, seed mask) pairs with non-empty, disjoint
     masks, ordered by each mask's lowest seed: the order in which a
-    seed-by-seed sweep first meets the outcomes."""
+    seed-by-seed sweep first meets the outcomes. Each party's part is split
+    on its own lanes first, then intersected with the groups so far."""
     groups = [((), full)]
-    for v in (v for part in outcome for v in part):
-        if type(v) is Lane:
-            ones, zeros = v.mask, v.mask ^ full
-            groups = [(bits + (b,), m) for bits, mask in groups
-                      for b, m in ((0, mask & zeros), (1, mask & ones)) if m]
+    for part in outcome:
+        pieces = [((), full)]
+        for v in part:
+            if type(v) is Lane:
+                ones, zeros = v.mask, v.mask ^ full
+                pieces = [(bits + (b,), m) for bits, mask in pieces
+                          for b, m in ((0, mask & zeros), (1, mask & ones)) if m]
+            else:
+                pieces = [(bits + (v,), mask) for bits, mask in pieces]
+        if len(pieces) == 1:
+            bits = pieces[0][0]
+            groups = [(head + (bits,), mask) for head, mask in groups]
         else:
-            groups = [(bits + (v,), mask) for bits, mask in groups]
-    groups.sort(key=lambda g: g[1] & -g[1])
-    ends = list(itertools.accumulate(len(part) for part in outcome))
-    return [(tuple(bits[end - len(part):end] for part, end in zip(outcome, ends)),
-             mask) for bits, mask in groups]
+            groups = [(head + (bits,), m) for head, mask in groups
+                      for bits, piece in pieces if (m := mask & piece)]
+    groups.sort(key=_lowest_bit)
+    return groups
 
 
-def _lane_sweep(strategy: Strategy, inputs):
-    """One execute per (input, shared index) with every NLB free bit a lane
-    over all 2**#NLBs seeds. Returns the (input position, shared index) of
-    the first run that raised LaneBranch, or None when every run finished."""
-    lanes = seed_lanes(len(strategy.nlbs))
-    full = lanes[0].full
-    for xi, x in enumerate(inputs):
-        for s in range(len(strategy.shared_domain)):
-            try:
-                outcome, _ = execute(strategy, x, Seed(lanes, s), record=False)
-                groups = _split_outcome(outcome, full)
-            except LaneBranch:
-                return xi, s
-            for split, mask in groups:
-                yield x, s, split, mask
-    return None
+def _set_bits(mask: int):
+    """The positions of mask's set bits, in ascending order."""
+    return (i for i, c in enumerate(reversed(bin(mask))) if c == "1")
+
+
+def _first_seed(entry):
+    _, offset, mask = entry
+    return offset + (mask & -mask).bit_length() - 1
 
 
 def _sweep(strategy: Strategy, inputs, max_seed_bits: int):
     """The exhaustive (input x seed) grid, grouped by outcome.
 
-    Yields (x, shared_index, outcome, seed_mask), where bit i of seed_mask
-    stands for the i-th seed of shared_index in enumerate_seeds' order, in
-    the order a seed-by-seed sweep meets them. Runs on lanes while the
-    strategy's programs allow it; from the first LaneBranch on, and for
-    strategies without NLBs, it executes seed by seed with one-bit masks."""
+    Yields (x, outcome, offset, seed_mask), where bit i of seed_mask stands
+    for seed offset + i of enumerate_seeds' order, with each input's entries
+    ordered by their lowest seed: the first entry of an outcome holds the
+    seed where a seed-by-seed sweep first meets it. Each input runs once
+    per block of a partition of the seed space (see SeedSpace). A run that
+    raises LaneBranch with a mask is replaced by runs of the two blocks on
+    which that lane is constant; without a mask the block runs seed by seed
+    on scalar seeds, as a one-seed block does. The next input starts from
+    the partition this one ended with, so a program costs one failed run
+    per split over the whole sweep."""
     require_enumerable(strategy, max_seed_bits)
-    stop = (yield from _lane_sweep(strategy, inputs)) if strategy.nlbs else (0, 0)
-    if stop is None:
-        return
-    x0, s0 = stop
-    block = (1 << len(strategy.nlbs)) - 1
-    for xi in range(x0, len(inputs)):
-        x = inputs[xi]
-        for k, seed in enumerate(enumerate_seeds(strategy, max_seed_bits)):
-            if xi > x0 or seed.shared_index >= s0:
-                outcome, _ = execute(strategy, x, seed, record=False)
-                yield x, seed.shared_index, outcome, 1 << (k & block)
+    space = seed_space(strategy)
+    partition = space.start
+    for x in inputs:
+        entries = []
+        runs = partition[::-1]
+        partition = []
+        while runs:
+            offset, block, seed = runs.pop()
+            if seed is not None:
+                try:
+                    outcome, _ = execute(strategy, x, seed, record=False)
+                except LaneBranch as branch:
+                    runs += space.split(offset, block, branch.mask)
+                    continue
+                if type(seed) is LaneSeed:
+                    entries += [(split, offset, mask)
+                                for split, mask in _split_outcome(outcome, block)]
+                else:
+                    entries.append((outcome, offset, 1))
+            else:
+                points = ((execute(strategy, x, space.seed(offset + i),
+                                   record=False)[0], offset + i, 1)
+                          for i in _set_bits(block))
+                if runs or entries:
+                    entries += points
+                else:
+                    # the input's only run left: its seeds come in order
+                    for outcome, k, mask in points:
+                        yield x, outcome, k, mask
+            partition.append((offset, block, seed))
+        # one run's entries are in order already; several runs' interleave
+        if len(partition) > 1:
+            entries.sort(key=_first_seed)
+        for outcome, offset, mask in entries:
+            yield x, outcome, offset, mask
 
 
 # --- exact distributions -----------------------------------------------------
@@ -162,7 +196,7 @@ def exact_distribution(strategy: Strategy, game: Game,
         raise AnalysisError(f"{strategy.name} has wrong party count for {game.name}")
     inputs = promised_inputs(game)
     counts = {x: {} for x in inputs}
-    for x, _, outcome, mask in _sweep(strategy, inputs, max_seed_bits):
+    for x, outcome, _, mask in _sweep(strategy, inputs, max_seed_bits):
         c = counts[x]
         c[outcome] = c.get(outcome, 0) + mask.bit_count()
     total = strategy.seed_count()
@@ -222,10 +256,10 @@ def verify_winning(strategy: Strategy, game: Game, policy,
                               "outcome": [list(p) for p in outcome]}
 
     if isinstance(policy, Exhaustive):
-        nb = len(strategy.nlbs)
-        for x, s, outcome, mask in _sweep(strategy, promised_inputs(game),
-                                          max_seed_bits):
-            record(x, lambda: seed_at(nb, (mask & -mask).bit_length() - 1, s),
+        for x, outcome, offset, mask in _sweep(strategy, promised_inputs(game),
+                                               max_seed_bits):
+            record(x, lambda: seed_space(strategy).seed(
+                       offset + (mask & -mask).bit_length() - 1),
                    outcome, is_winning(game, x, outcome), mask.bit_count())
         mode = "exhaustive"
     elif isinstance(policy, Sample):

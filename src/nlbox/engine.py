@@ -4,9 +4,9 @@ A non-local box (NLB) is a two-port resource: each port receives one input
 bit from its party, and the two output bits XOR to the AND of the inputs.
 Which of the two solutions is realised is decided by one free bit, so a run
 is fully determined by (strategy, input, seed) and exact output statistics
-can be obtained by enumerating the finite seed space. A seed's free bits may
-also be Lanes, one bit per seed, so that one run decides a whole block of
-seeds at once (see seed_lanes).
+can be obtained by enumerating the finite seed space. A seed's free bits and
+shared value may also hold Lanes, one bit per seed, so that one run decides
+a whole block of seeds at once (see SeedSpace).
 
 Locality is structural: a party program is only ever handed its own input,
 the shared-randomness component, resource outputs delivered to its own
@@ -19,6 +19,7 @@ declared NLB and channel exactly once.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -64,9 +65,17 @@ class EnumerationLimitError(Exception):
 
 
 class LaneBranch(Exception):
-    """A party program used a lane as anything but a bit under ``^ & |``:
-    it branched on it, compared, hashed, indexed or did arithmetic with it,
-    or combined it with a non-bit. Callers rerun such programs per seed."""
+    """A party program used a lane as anything but a bit under ``^ & |``.
+
+    When it branched on or indexed with a lane that differs between the
+    seeds of its block, ``mask`` is that lane: the seeds where it is 1 and
+    those where it is 0 form two blocks on which it is constant. Any other
+    use (comparison, hashing, arithmetic, a non-bit operand) leaves ``mask``
+    None, and callers rerun the block seed by seed."""
+
+    def __init__(self, message: str, mask: int | None = None):
+        super().__init__(message)
+        self.mask = mask
 
 
 def nlb_evaluate(a: int, b: int, r: int) -> tuple[int, int]:
@@ -127,19 +136,22 @@ def bit_domain(k: int, label: str = "shared-bits") -> SharedDomain:
 
 def _refuse(op: str):
     def refuse(self, *args):
-        raise LaneBranch(f"party program applied {op} to a box output lane")
+        raise LaneBranch(f"party program applied {op} to a lane")
     refuse.__name__ = f"__{op}__"
     return refuse
 
 
 class Lane:
-    """One bit across a block of seeds (bitslicing): bit i of ``mask`` is
-    its value under seed i, and ``full`` has one bit set per seed.
+    """One bit across a block of seeds (bitslicing): bit k of ``mask`` is
+    its value under seed k, and ``full`` has one bit set per seed of the
+    block (``mask`` has no bit outside it).
 
     ``^ & |`` against other lanes of the block and against the ints 0 and 1
-    act on every seed at once. Every other use raises LaneBranch, so a
-    program that runs to the end on lanes computed exactly what it would
-    compute seed by seed."""
+    act on every seed at once. ``bool`` and ``index`` give the lane's value
+    where it is the same for every seed of the block and raise LaneBranch
+    with the mask where it is not; every other use raises LaneBranch
+    without one. So a program that runs to the end on lanes computed
+    exactly what it would compute seed by seed."""
 
     __slots__ = ("mask", "full")
 
@@ -155,7 +167,7 @@ class Lane:
                 return 0
             if other == 1:
                 return self.full
-        raise LaneBranch(f"party program combined a box output lane with {other!r}")
+        raise LaneBranch(f"party program combined a lane with {other!r}")
 
     def __xor__(self, other):
         return Lane(self.mask ^ self._operand(other), self.full)
@@ -170,11 +182,22 @@ class Lane:
     __rand__ = __and__
     __ror__ = __or__
 
+    def __bool__(self):
+        if self.mask == 0:
+            return False
+        if self.mask == self.full:
+            return True
+        raise LaneBranch("party program branched on a lane that differs "
+                         "between seeds", self.mask)
+
+    def __index__(self):
+        return 1 if self.__bool__() else 0
+
     def __repr__(self):
-        return f"Lane({self.mask:#b}, seeds={self.full.bit_length()})"
+        return f"Lane({self.mask:#b}, seeds={self.full.bit_count()})"
 
 
-for _op in ("bool", "index", "int", "float", "complex", "hash", "eq", "ne",
+for _op in ("int", "float", "complex", "hash", "eq", "ne",
             "lt", "le", "gt", "ge", "add", "radd", "sub", "rsub", "mul", "rmul",
             "truediv", "rtruediv", "floordiv", "rfloordiv", "mod", "rmod",
             "divmod", "rdivmod", "pow", "rpow", "lshift", "rlshift", "rshift",
@@ -184,14 +207,15 @@ for _op in ("bool", "index", "int", "float", "complex", "hash", "eq", "ne",
 del _op
 
 
-def seed_lanes(n_nlbs: int) -> tuple[Lane, ...]:
-    """The free bits of all 2**n_nlbs seeds of one shared index, as lanes.
+def seed_lanes(n_nlbs: int, n_shared: int = 1) -> tuple[Lane, ...]:
+    """The free bits of all n_shared * 2**n_nlbs seeds, as lanes.
 
-    Seed i is the i-th of ``enumerate_seeds``' order, so NLB j's free bit is
-    bit ``n_nlbs - 1 - j`` of i: its lane alternates runs of 2**(n_nlbs-1-j)
-    zeros and ones. Each lane is one run pair doubled up to full width, a few
-    shifts rather than a loop over seeds."""
-    width = 1 << n_nlbs
+    Seed k is the k-th of ``enumerate_seeds``' order: shared index
+    k >> n_nlbs, and NLB j's free bit is bit ``n_nlbs - 1 - j`` of k, so its
+    lane alternates runs of 2**(n_nlbs-1-j) zeros and ones. Each lane is one
+    run pair doubled up to full width, a few shifts rather than a loop over
+    seeds."""
+    width = n_shared << n_nlbs
     full = (1 << width) - 1
     lanes = []
     for j in range(n_nlbs):
@@ -201,8 +225,20 @@ def seed_lanes(n_nlbs: int) -> tuple[Lane, ...]:
         while span < width:
             mask |= mask << span
             span *= 2
-        lanes.append(Lane(mask, full))
+        lanes.append(Lane(mask & full, full))
     return tuple(lanes)
+
+
+class LaneSeed(NamedTuple):
+    """A block of seeds run at once: bit i of ``block`` stands for seed
+    ``offset + i`` (see SeedSpace). Each free bit and each leaf of the
+    shared value is a Lane over ``block``, or the int it equals on every
+    seed of the block."""
+
+    nlb_bits: tuple
+    shared: object
+    offset: int
+    block: int
 
 
 @dataclass(frozen=True)
@@ -358,21 +394,25 @@ def _not_a_bit(party: int, what: str, value):
     raise NonBitError(f"party {party} {what} {value!r}, which is not a bit")
 
 
-def execute(strategy: Strategy, input_tuple: tuple, seed: Seed,
+def execute(strategy: Strategy, input_tuple: tuple, seed: "Seed | LaneSeed",
             record: bool = True) -> tuple[tuple[tuple[int, ...], ...], Transcript]:
     """Run the strategy on one input under one seed.
 
     Returns (outcome, transcript) where outcome is the tuple of per-party
-    output bit-strings. Deterministic: identical arguments give identical
-    transcripts. With ``record=False`` the transcript carries only outputs
-    (a fast path for bulk seed enumeration); all validity checks still run.
+    output bit-strings; a LaneSeed runs a block of seeds at once.
+    Deterministic: identical arguments give identical transcripts. With
+    ``record=False`` the transcript carries only outputs (a fast path for
+    bulk seed enumeration); all validity checks still run.
     """
     n = strategy.n_parties
     if len(input_tuple) != n:
         raise ValueError(f"expected {n} inputs, got {len(input_tuple)}")
     if len(seed.nlb_bits) != len(strategy.nlbs):
         raise ValueError("seed has wrong number of NLB bits")
-    shared = strategy.shared_domain.values[seed.shared_index]
+    if type(seed) is LaneSeed:
+        shared = seed.shared
+    else:
+        shared = strategy.shared_domain.values[seed.shared_index]
 
     nlb_index = strategy._nlb_index
     channel_index = strategy._channel_index
@@ -461,10 +501,11 @@ def execute(strategy: Strategy, input_tuple: tuple, seed: Seed,
 
             out = action.output
             if out is not None:
-                try:
+                if type(out) is list:
                     out = tuple(out)
-                except TypeError:
-                    _not_a_bit(i, "output", out)
+                elif type(out) is not tuple:
+                    raise NonBitError(f"party {i} output {out!r}, which is "
+                                      f"not a tuple or list of bits")
                 for v in out:
                     if (type(v) is not int or v < 0 or v > 1) and type(v) is not Lane:
                         _not_a_bit(i, "output", v)
@@ -537,3 +578,128 @@ def sample_seed(strategy: Strategy, rng) -> Seed:
     """Draw one uniform seed from the strategy's randomness space."""
     bits = tuple(rng.randrange(2) for _ in strategy.nlbs)
     return Seed(bits, rng.randrange(len(strategy.shared_domain)))
+
+
+# --- the seed space as blocks --------------------------------------------------
+
+def _bit_shape(value, leaves: list):
+    """The nesting of plain tuples and frozen dataclasses around ``value``'s
+    leaves, which are appended to ``leaves``; None when a leaf is not the
+    int 0 or 1."""
+    kind = type(value)
+    if kind is int:
+        leaves.append(value)
+        return "bit" if value == 0 or value == 1 else None
+    if kind is tuple:
+        items = value
+    elif dataclasses.is_dataclass(kind) and kind.__dataclass_params__.frozen:
+        items = [getattr(value, f.name) for f in dataclasses.fields(kind)]
+    else:
+        return None
+    parts = tuple(_bit_shape(v, leaves) for v in items)
+    return None if None in parts else (kind, parts)
+
+
+def _build(shape, leaves):
+    """A value of the given shape whose leaves are taken from ``leaves``;
+    dataclasses are built field by field, without their __init__."""
+    if shape == "bit":
+        return next(leaves)
+    kind, parts = shape
+    items = [_build(part, leaves) for part in parts]
+    if kind is tuple:
+        return tuple(items)
+    obj = object.__new__(kind)
+    for f, v in zip(dataclasses.fields(kind), items):
+        object.__setattr__(obj, f.name, v)
+    return obj
+
+
+def _on_block(mask: int, block: int):
+    """A lane restricted to ``block``, or the int it equals on every seed."""
+    mask &= block
+    if mask == 0:
+        return 0
+    return 1 if mask == block else Lane(mask, block)
+
+
+class SeedSpace:
+    """A strategy's seeds numbered in ``enumerate_seeds``' order: seed k has
+    shared index k >> #NLBs. A block is a set of seeds given as (offset,
+    mask): bit i of mask stands for seed offset + i, and bit 0 is set.
+
+    When every shared value is a plain tuple or frozen dataclass of the
+    same shape with leaves 0 and 1, the shared value is lane-valued too,
+    leaf by leaf, and the whole space is one block; otherwise each shared
+    index is one block."""
+
+    def __init__(self, strategy: Strategy):
+        nb = len(strategy.nlbs)
+        values = strategy.shared_domain.values
+        self.n_nlbs = nb
+        self.values = values
+        self.shape = None
+        if len(values) > 1:
+            flat = [[] for _ in values]
+            shapes = {_bit_shape(v, leaves) for v, leaves in zip(values, flat)}
+            if len(shapes) == 1 and None not in shapes:
+                # a leaf's lane repeats each shared value's bit 2**nb times
+                ones, zeros = "1" * (1 << nb), "0" * (1 << nb)
+                (self.shape,) = shapes
+                self.shared_masks = [
+                    int("".join([ones if b else zeros for b in reversed(col)]), 2)
+                    for col in zip(*flat)]
+        self.per_index = self.shape is None and len(values) > 1
+        if self.per_index:
+            # a free bit's lane repeats every 2**nb seeds and no block spans
+            # two shared indices, so one period of it serves every block
+            self.nlb_masks = tuple(lane.mask for lane in seed_lanes(nb))
+            blocks = [(s << nb, (1 << (1 << nb)) - 1) for s in range(len(values))]
+        else:
+            self.nlb_masks = tuple(lane.mask for lane in seed_lanes(nb, len(values)))
+            blocks = [(0, (1 << (len(values) << nb)) - 1)]
+        # the partition every sweep starts from
+        self.start = [(offset, block, self.run_seed(offset, block))
+                      for offset, block in blocks]
+
+    def seed(self, k: int) -> Seed:
+        """Seed k of the space."""
+        return seed_at(self.n_nlbs, k & ((1 << self.n_nlbs) - 1), k >> self.n_nlbs)
+
+    def run_seed(self, offset: int, block: int) -> LaneSeed | Seed:
+        """The seed that runs a block: a LaneSeed, or the Seed of a one-seed
+        block."""
+        if block == 1:
+            return self.seed(offset)
+        shift = offset & ((1 << self.n_nlbs) - 1) if self.per_index else offset
+        bits = tuple(_on_block(m >> shift, block) for m in self.nlb_masks)
+        if self.shape is None:
+            shared = self.values[offset >> self.n_nlbs]
+        else:
+            shared = _build(self.shape, iter(
+                [_on_block(m >> offset, block) for m in self.shared_masks]))
+        return LaneSeed(bits, shared, offset, block)
+
+    def split(self, offset: int, block: int, mask: int | None) -> list[tuple]:
+        """The (offset, block, seed) runs that replace a block after a
+        LaneBranch: the two blocks on which the lane ``mask`` is constant,
+        or, without a mask, the block with seed None: run seed by seed."""
+        inside = block & mask if mask is not None else 0
+        if inside == 0 or inside == block:
+            return [(offset, block, None)]
+        runs = []
+        for part in (inside, block ^ inside):
+            low = (part & -part).bit_length() - 1
+            runs.append((offset + low, part >> low,
+                         self.run_seed(offset + low, part >> low)))
+        return runs
+
+
+def seed_space(strategy: Strategy) -> SeedSpace:
+    """The strategy's SeedSpace, built on first use and kept on the
+    strategy; see require_enumerable before asking for one."""
+    space = strategy.__dict__.get("_seed_space")
+    if space is None:
+        space = SeedSpace(strategy)
+        object.__setattr__(strategy, "_seed_space", space)
+    return space

@@ -71,9 +71,13 @@ def sample_promised_input(game: Game, rng) -> tuple:
     return game.sample_input(rng)
 
 
-def is_winning(game: Game, input_tuple: tuple, outcome: tuple) -> bool:
+def _require_promise(game: Game, input_tuple: tuple) -> None:
     if not game.on_promise(input_tuple):
         raise PromiseError(f"{input_tuple} is outside the promise of {game.name}")
+
+
+def is_winning(game: Game, input_tuple: tuple, outcome: tuple) -> bool:
+    _require_promise(game, input_tuple)
     if len(outcome) != game.n_parties or any(
             len(outcome[i]) != game.output_lengths[i] for i in range(game.n_parties)):
         raise GameError(f"outcome arity does not match {game.name}")
@@ -87,12 +91,15 @@ def outcome_space(game: Game):
 
 def winning_outcomes(game: Game, input_tuple: tuple) -> set:
     """All outcomes satisfying the win relation for one promised input,
-    enumerated from the full outcome space."""
+    enumerated from the full outcome space. The promise is checked once;
+    every outcome of the space has the game's arity by construction."""
     total = 2 ** sum(game.output_lengths)
     if total > MAX_OUTCOMES:
         raise EnumerationLimitError(
             f"outcome space of {game.name} has {total} points (limit {MAX_OUTCOMES})")
-    return {o for o in outcome_space(game) if is_winning(game, input_tuple, o)}
+    _require_promise(game, input_tuple)
+    win = game.win
+    return {o for o in outcome_space(game) if win(input_tuple, o)}
 
 
 # --- constructors -----------------------------------------------------------

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from nlbox.engine import (Action, Channel, DeadlockError, EnumerationLimitError,
@@ -405,6 +405,20 @@ def test_non_bit_feed_and_output_rejected():
                 execute(s, (0, 0), seed, record=False)
 
 
+NON_SEQUENCE_OUTPUTS = [lambda: {1: "x", 0: "y"}, lambda: {1, 0},
+                        lambda: iter([1]), lambda: (b for b in (1,))]
+
+
+def test_outputs_other_than_tuples_and_lists_rejected():
+    # once taken for the dict's keys, the set's items and the iterators' items
+    for make in NON_SEQUENCE_OUTPUTS:
+        s = _one_box(1, make(), send_bit=0)
+        with pytest.raises(NonBitError, match="not a tuple or list"):
+            execute(s, (0, 0), Seed((0,)))
+    out, _ = execute(_one_box(1, [1, 0], send_bit=0), (0, 0), Seed((0,)))
+    assert out == ((1, 0), (1, 0))
+
+
 def test_bits_and_lanes_pass_unchanged():
     s = _one_box(1, (1, 0, 1), send_bit=0)
     out, transcript = execute(s, (0, 0), Seed((1,)))
@@ -465,7 +479,8 @@ def _resource_requests(ids):
 
 
 OUTPUTS = (st.none() | st.tuples() | st.tuples(VALUES) | st.tuples(VALUES, VALUES)
-           | VALUES)
+           | VALUES | st.lists(VALUES, max_size=2)
+           | st.sampled_from(NON_SEQUENCE_OUTPUTS).map(lambda make: make()))
 ACTIONS = st.builds(Action, nlb_inputs=_resource_requests(["box", "ghost"]),
                     sends=_resource_requests(["c", "ghost"]), output=OUTPUTS,
                     memo=VALUES)
@@ -474,6 +489,9 @@ ROUND_RESULTS = ACTIONS | VALUES | st.fixed_dictionaries({"output": OUTPUTS})
 
 @given(st.lists(ROUND_RESULTS, min_size=1, max_size=3),
        st.lists(ROUND_RESULTS, min_size=1, max_size=3), st.integers(0, 1))
+# a run that is clean but for a dict output, which was taken for its keys
+@example([Action(nlb_inputs={"box": 1}, sends={"c": 0}, output={1: "x"})],
+         [Action(nlb_inputs={"box": 0}, output=(0,))], 0)
 def test_malformed_actions_end_in_protocol_errors(actions0, actions1, r):
     # undeclared ids, party 1 sending on party 0's channel, double feeds,
     # non-bits, missing outputs, unused resources, non-Action round results
@@ -488,6 +506,10 @@ def test_malformed_actions_end_in_protocol_errors(actions0, actions1, r):
     except ProtocolError:
         return
     assert all(type(v) is int and v in (0, 1) for part in out for v in part)
+    # each party's output came from its first Action with one, a tuple or list
+    for actions in (actions0, actions1):
+        output = next(a.output for a in actions if a.output is not None)
+        assert type(output) in (tuple, list)
     assert len(transcript.firings) == len(transcript.sends) == 1
     for f in transcript.firings:
         assert all(type(v) is int and v in (0, 1) for v in f.inputs + f.outputs)

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from nlbox.engine import EnumerationLimitError
 from nlbox.games import (GameError, PromiseError, bmaj, get_game, hamming,
-                         is_winning, promised_inputs, sample_promised_input,
-                         winning_outcomes)
+                         is_winning, outcome_space, promised_inputs,
+                         sample_promised_input, winning_outcomes)
 
 
 def test_mermin_promise():
@@ -88,6 +88,19 @@ def test_winning_outcome_counts_input_independent():
     g = get_game("chsh")
     for x in promised_inputs(g):
         assert len(winning_outcomes(g, x)) == 2
+
+
+@pytest.mark.parametrize("gid", ["chsh", "magic-square", "mermin", "multi-mermin:3",
+                                 "multi-mermin:4", "multi-mermin:5", "dj:2",
+                                 "bmaj:2", "bmaj:3", "bmaj:4"])
+def test_winning_outcomes_filter_the_outcome_space(gid):
+    g = get_game(gid)
+    for x in promised_inputs(g):
+        assert winning_outcomes(g, x) == \
+            {o for o in outcome_space(g) if is_winning(g, x, o)}
+    off_promise = {"magic-square": (0, 1), "dj:2": ((0,) * 4, (1,) * 4)}
+    with pytest.raises(PromiseError):
+        winning_outcomes(g, off_promise.get(gid, (2,) * g.n_parties))
 
 
 def test_dj_winning_outcomes():
