@@ -7,26 +7,20 @@ and the corners must be cross-coordinated. The count printed here (128) is
 frozen into tests/test_strategies.py; the packaged enumerator builds the
 family from the 64x64 pair space instead, so this is an independent route.
 
-Short-circuiting keeps the 16.7M-candidate sweep around a second; --pruned
-skips whole inner blocks after a failed first pair (same count).
+Run it from anywhere: python scripts/quadruple_census.py (about a second).
 """
 
-import argparse
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from nlbox.strategies import (REF_ALICE, all_alice_matrices, all_bob_matrices,
                               pair_wins_off_corner)
 
 
 def main():
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--pruned", action="store_true",
-                        help="skip the inner loops after a failed first pair")
-    args = parser.parse_args()
-
     alices = all_alice_matrices()
     bobs = all_bob_matrices()
     wins = {(a, b): pair_wins_off_corner(a, b) for a in alices for b in bobs}
@@ -38,9 +32,6 @@ def main():
     for a0 in alices:
         for b0 in bobs:
             first_ok = wins[(a0, b0)]
-            if args.pruned and not first_ok:
-                scanned += 64 * 64
-                continue
             for a1 in alices:
                 for b1 in bobs:
                     scanned += 1

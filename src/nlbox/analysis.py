@@ -11,7 +11,9 @@ a convex combination of deterministic successes).
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -435,102 +437,93 @@ def impossibility_search(game: Game, pair: tuple | None = None, budget: int = 1,
     With budget 1, a pair party's strategy is an (input -> box input)
     function plus an (input, box output) -> output function; every other
     party maps its input straight to an output. The report covers the given
-    pairing or, by default, the union over all party pairs."""
+    pairing or, by default, the union over all party pairs. Budget 0 is the
+    same search with no pairing: every party is an "other" party."""
     _require_parity_game(game)
     if budget not in (0, 1):
         raise SearchSpaceError("supported budgets: 0 or 1 NLBs")
     n = game.n_parties
     if pair is not None:
         p, q = pair
+        if budget == 0:
+            raise AnalysisError(f"pair {p},{q} needs budget 1; budget 0 places no box")
         if not (0 <= p < n and 0 <= q < n) or p == q:
             raise AnalysisError(
                 f"pair {p},{q} must name two distinct parties of {game.name} "
                 f"(0..{n - 1})")
-    promise = promised_inputs(game)
-    targets = [game.parity_target(x) for x in promise]
+    pairings = [None] if budget == 0 else [tuple(pair)] if pair is not None \
+        else list(itertools.combinations(range(n), 2))
+    candidates = 64 ** (2 * budget) * 4 ** (n - 2 * budget) * len(pairings)
+    if candidates > max_candidates:
+        raise SearchSpaceError(
+            f"{candidates} deterministic strategies exceed the limit {max_candidates}")
+
+    # one point per (promised input, free-bit value s), s ranging over 2^budget
+    grid = [(x, s) for x in promised_inputs(game) for s in range(2 ** budget)]
+    grid_size = len(grid)
+
+    def mask(bit) -> int:
+        """The grid mask with bit i set iff bit(x, s) is 1 at point i."""
+        return sum(bit(x, s) << i for i, (x, s) in enumerate(grid))
+
+    target = mask(lambda x, s: game.parity_target(x))
     funcs1 = list(itertools.product((0, 1), repeat=2))   # bit -> bit tables
     funcs2 = list(itertools.product((0, 1), repeat=4))   # (bit, bit) -> bit
 
-    if budget == 0:
-        grid_size = len(promise)
-        candidates = 4 ** n
-        if candidates > max_candidates:
-            raise SearchSpaceError("strategy space exceeds the limit")
-        best = -1
-        perfect_combo = None
-        for combo in itertools.product(funcs1, repeat=n):
-            w = 0
-            for x, t in zip(promise, targets):
-                par = 0
-                for i in range(n):
-                    par ^= combo[i][x[i]]
-                if par == t:
-                    w += 1
-            best = max(best, w)
-            if w == grid_size and perfect_combo is None:
-                perfect_combo = combo
-        witness = None
-        witness_strategy = None
-        if perfect_combo is not None:
-            witness_strategy = strategy_from_tables(game, None, None, perfect_combo)
-            witness = {"pairing": None,
-                       "outputs": [list(f) for f in perfect_combo]}
-        return SearchReport(game.name, "0nlb", (), candidates, grid_size,
-                            best, perfect_combo is not None, witness,
-                            witness_strategy)
+    def other_combos(parties):
+        """(output parity mask, tables) per combination, in product order."""
+        per_party = [[(mask(lambda x, s, r=r, f=f: f[x[r]]), f) for f in funcs1]
+                     for r in parties]
+        for choice in itertools.product(*per_party):
+            yield (functools.reduce(operator.xor, (m for m, _ in choice), 0),
+                   tuple(f for _, f in choice))
 
-    pairings = [tuple(pair)] if pair is not None else \
-        list(itertools.combinations(range(n), 2))
-    grid = [(x, s, t) for x, t in zip(promise, targets) for s in (0, 1)]
-    grid_size = len(grid)
-    full_mask = (1 << grid_size) - 1
-
-    per_pairing = (4 * 16) ** 2 * 4 ** (n - 2)
-    candidates = per_pairing * len(pairings)
-    if candidates > max_candidates:
-        raise SearchSpaceError("strategy space exceeds the limit")
+    def pair_candidates(p, q):
+        """(target ^ pair output parity mask, tables) per (gp, hp, gq, hq), in
+        product order; p's box port reads s, q's reads s ^ (gp & gq)."""
+        hp_masks = {hp: mask(lambda x, s, hp=hp: hp[2 * x[p] + s]) for hp in funcs2}
+        hq_masks = {
+            (gp, gq, hq): mask(lambda x, s, gp=gp, gq=gq, hq=hq:
+                               hq[2 * x[q] + (s ^ (gp[x[p]] & gq[x[q]]))])
+            for gp, gq, hq in itertools.product(funcs1, funcs1, funcs2)}
+        for gp, hp, gq, hq in itertools.product(funcs1, funcs2, funcs1, funcs2):
+            yield (target ^ hp_masks[hp] ^ hq_masks[gp, gq, hq],
+                   ((gp, hp), (gq, hq)))
 
     best = -1
     perfect_found = None
-    for p, q in pairings:
-        others = [r for r in range(n) if r not in (p, q)]
-        # masks of the other parties' joint output parity over the grid
-        others_masks = []
-        for combo in itertools.product(funcs1, repeat=len(others)):
-            mask = 0
-            for gi, (x, _, _) in enumerate(grid):
-                par = 0
-                for oi, r in enumerate(others):
-                    par ^= combo[oi][x[r]]
-                mask |= par << gi
-            others_masks.append((mask, combo))
-
-        for gp, hp, gq, hq in itertools.product(funcs1, funcs2, funcs1, funcs2):
-            cmask = 0
-            for gi, (x, s, t) in enumerate(grid):
-                zq = s ^ (gp[x[p]] & gq[x[q]])
-                bit = hp[2 * x[p] + s] ^ hq[2 * x[q] + zq] ^ t
-                cmask |= bit << gi
-            for omask, combo in others_masks:
-                wins = grid_size - ((cmask ^ omask) & full_mask).bit_count()
+    for pairing in pairings:
+        combos = other_combos([r for r in range(n) if r not in (pairing or ())])
+        cands = [(target, None)]
+        if pairing is not None:
+            # walked once per pair candidate; the candidate cap bounds it
+            combos, cands = list(combos), pair_candidates(*pairing)
+        for cmask, pair_tables in cands:
+            for omask, combo in combos:
+                wins = grid_size - (cmask ^ omask).bit_count()
                 if wins > best:
                     best = wins
                 if wins == grid_size and perfect_found is None:
-                    perfect_found = ((p, q), (gp, hp), (gq, hq), combo)
+                    perfect_found = (pairing, pair_tables, combo)
 
     witness = None
     witness_strategy = None
     if perfect_found is not None:
-        pairing, sp, sq, combo = perfect_found
-        witness_strategy = strategy_from_tables(game, pairing, (sp, sq), combo)
+        pairing, pair_tables, combo = perfect_found
+        witness_strategy = strategy_from_tables(game, pairing, pair_tables, combo)
         check = verify_winning(witness_strategy, game, Exhaustive())
         if not check.passed:
             raise AnalysisError("search witness failed re-verification")
-        witness = {"pairing": list(pairing),
-                   "box_inputs": [list(sp[0]), list(sq[0])],
-                   "pair_outputs": [list(sp[1]), list(sq[1])],
-                   "other_outputs": [list(f) for f in combo]}
-    return SearchReport(game.name, "1nlb", tuple(pairings), candidates,
+        if pairing is None:
+            witness = {"pairing": None, "outputs": [list(f) for f in combo]}
+        else:
+            sp, sq = pair_tables
+            witness = {"pairing": list(pairing),
+                       "box_inputs": [list(sp[0]), list(sq[0])],
+                       "pair_outputs": [list(sp[1]), list(sq[1])],
+                       "other_outputs": [list(f) for f in combo]}
+    return SearchReport(game.name, f"{budget}nlb",
+                        tuple(p for p in pairings if p is not None), candidates,
                         grid_size, best, perfect_found is not None, witness,
                         witness_strategy)
 

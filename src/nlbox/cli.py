@@ -29,6 +29,8 @@ def _frac(f: Fraction) -> dict:
 
 def parse_seed_policy(spec: str, rng_seed):
     if spec == "exhaustive":
+        if rng_seed is not None:
+            raise UsageError("--rng-seed applies only to --seeds sample:<K>")
         return analysis.Exhaustive()
     if spec.startswith("sample:"):
         try:

@@ -89,6 +89,12 @@ class MagicSquareQuadruple:
             raise StrategyError("corner entries must be cross-coordinated")
 
 
+# ms-nlb's quadruple: the first of enumerate_quadruples() with a0 == REF_ALICE
+REF_QUADRUPLE = MagicSquareQuadruple(
+    a0=REF_ALICE, a1=((0, 0, 0), (0, 0, 0), (1, 1, 0)),
+    b0=REF_BOB0, b1=((0, 0, 0), (0, 0, 0), (1, 1, 1)))
+
+
 def enumerate_quadruples() -> tuple[MagicSquareQuadruple, ...]:
     """Every quadruple satisfying the invariants, filtered from the 64x64
     matrix space, in a fixed lexicographic order."""
@@ -100,13 +106,6 @@ def enumerate_quadruples() -> tuple[MagicSquareQuadruple, ...]:
             if a0[2][2] == b1[2][2] and a1[2][2] == b0[2][2]:
                 quads.append(MagicSquareQuadruple(a0, a1, b0, b1))
     return tuple(quads)
-
-
-def default_quadruple() -> MagicSquareQuadruple:
-    for q in enumerate_quadruples():
-        if q.a0 == REF_ALICE:
-            return q
-    raise StrategyError("no quadruple extends the reference matrices")
 
 
 def comm_strategy_pairs() -> tuple:
@@ -231,7 +230,7 @@ def magic_square_nlb(quadruple: MagicSquareQuadruple | None = None) -> Strategy:
     """Both parties feed "my input is 3" into one NLB and play the matrix the
     output selects. The outputs match unless both inputs are 3, where the
     mismatched pairs still agree on the corner; wins all 9 inputs, 1 NLB."""
-    q = quadruple if quadruple is not None else default_quadruple()
+    q = quadruple if quadruple is not None else REF_QUADRUPLE
     programs = _ms_nlb_programs(lambda view: q)
     return Strategy(name="ms-nlb", n_parties=2, programs=programs,
                     nlbs=(NlbInstance("pick", 0, 1),), game_id="magic-square")

@@ -8,12 +8,12 @@ import pytest
 
 from nlbox import analysis, engine
 from nlbox.analysis import (AnalysisError, CommunicationUsedError, Exhaustive,
-                            Sample, SearchSpaceError, classical_value,
-                            exact_distribution, impossibility_search,
-                            nlb_isolated_parties, no_signaling_check,
-                            resource_count, verify_winning)
+                            Sample, SearchReport, SearchSpaceError,
+                            classical_value, exact_distribution,
+                            impossibility_search, nlb_isolated_parties,
+                            no_signaling_check, resource_count, verify_winning)
 from nlbox.engine import EnumerationLimitError
-from nlbox.games import get_game, winning_outcomes
+from nlbox.games import get_game, promised_inputs, winning_outcomes
 from nlbox.strategies import STRATEGY_FAMILIES, get_strategy
 
 
@@ -167,9 +167,7 @@ def test_search_chsh_zero_budget():
 def test_search_zero_budget_witness():
     # no registered game is won without boxes; x0 XOR x1 is, by each party
     # answering its own input
-    xor = dataclasses.replace(get_game("chsh"), name="xor",
-                              win=lambda x, y: y[0][0] ^ y[1][0] == x[0] ^ x[1],
-                              parity_target=lambda x: x[0] ^ x[1])
+    xor = _xor_game()
     report = impossibility_search(xor, budget=0)
     assert report.perfect and report.best_fraction == 1
     assert report.witness == {"pairing": None, "outputs": [[0, 1], [0, 1]]}
@@ -200,6 +198,157 @@ def test_search_report_json():
     parsed = json.loads(blob)
     assert parsed["perfect"] is True
     assert parsed["best"] == {"num": 1, "den": 1}
+
+
+def test_search_pair_needs_budget_one():
+    with pytest.raises(AnalysisError, match="needs budget 1"):
+        impossibility_search(get_game("chsh"), pair=(0, 1), budget=0)
+
+
+def test_search_limit_message_states_count_and_limit():
+    with pytest.raises(SearchSpaceError,
+                       match="^49152 deterministic strategies exceed the limit 1000$"):
+        impossibility_search(get_game("multi-mermin:3"), max_candidates=1000)
+    with pytest.raises(SearchSpaceError,
+                       match="^16 deterministic strategies exceed the limit 15$"):
+        impossibility_search(get_game("chsh"), budget=0, max_candidates=15)
+
+
+def _xor_game(base="chsh"):
+    """base's promise with the target x0 ^ ... ^ x(n-1), which every party
+    wins without boxes by answering its own input."""
+    parity = lambda bits: sum(bits) % 2
+    return dataclasses.replace(
+        get_game(base), name="xor" if base == "chsh" else f"xor-{base}",
+        win=lambda x, y: parity(b for b, in y) == parity(x), parity_target=parity)
+
+
+@pytest.mark.parametrize("game, budget", [(_xor_game(), 0),
+                                          (get_game("multi-mermin:3"), 1)],
+                         ids=["xor-0nlb", "multi-mermin:3-1nlb"])
+def test_search_witness_is_reverified(game, budget, monkeypatch):
+    verified = []
+    real_verify = analysis.verify_winning
+
+    def spy(strategy, g, policy, *args):
+        verified.append((strategy.name, g.name, policy))
+        return real_verify(strategy, g, policy, *args)
+
+    monkeypatch.setattr(analysis, "verify_winning", spy)
+    report = impossibility_search(game, budget=budget)
+    assert report.perfect
+    assert verified == [("search-witness", game.name, Exhaustive())]
+
+    # a witness that loses somewhere is refused, not reported
+    real_tables = analysis.strategy_from_tables
+
+    def broken(g, pairing, pair_tables, other_tables):
+        flipped = [tuple(1 - b for b in other_tables[0]), *other_tables[1:]]
+        return real_tables(g, pairing, pair_tables, flipped)
+
+    monkeypatch.setattr(analysis, "strategy_from_tables", broken)
+    with pytest.raises(AnalysisError, match="failed re-verification"):
+        impossibility_search(game, budget=budget)
+
+
+# --- the search against a point-by-point brute force --------------------------------
+
+FUNCS1 = list(itertools.product((0, 1), repeat=2))   # bit -> bit tables
+FUNCS2 = list(itertools.product((0, 1), repeat=4))   # (bit, bit) -> bit
+
+
+def oracle_search(game, pairings, budget):
+    """Score every candidate point by point over the grid, with the first
+    perfect candidate in product order as the witness."""
+    n = game.n_parties
+    promise = promised_inputs(game)
+    targets = [game.parity_target(x) for x in promise]
+    if budget == 0:
+        best = -1
+        found = None
+        for combo in itertools.product(FUNCS1, repeat=n):
+            w = 0
+            for x, t in zip(promise, targets):
+                par = 0
+                for i in range(n):
+                    par ^= combo[i][x[i]]
+                if par == t:
+                    w += 1
+            best = max(best, w)
+            if w == len(promise) and found is None:
+                found = combo
+        witness = found and {"pairing": None, "outputs": [list(f) for f in found]}
+        return SearchReport(game.name, "0nlb", (), 4 ** n, len(promise), best,
+                            found is not None, witness, None)
+
+    grid = [(x, s, t) for x, t in zip(promise, targets) for s in (0, 1)]
+    best = -1
+    found = None
+    for p, q in pairings:
+        others = [r for r in range(n) if r not in (p, q)]
+        others_masks = []
+        for combo in itertools.product(FUNCS1, repeat=len(others)):
+            mask = 0
+            for gi, (x, _, _) in enumerate(grid):
+                par = 0
+                for oi, r in enumerate(others):
+                    par ^= combo[oi][x[r]]
+                mask |= par << gi
+            others_masks.append((mask, combo))
+        for gp, hp, gq, hq in itertools.product(FUNCS1, FUNCS2, FUNCS1, FUNCS2):
+            cmask = 0
+            for gi, (x, s, t) in enumerate(grid):
+                zq = s ^ (gp[x[p]] & gq[x[q]])
+                cmask |= (hp[2 * x[p] + s] ^ hq[2 * x[q] + zq] ^ t) << gi
+            for omask, combo in others_masks:
+                wins = len(grid) - (cmask ^ omask).bit_count()
+                best = max(best, wins)
+                if wins == len(grid) and found is None:
+                    found = ((p, q), (gp, hp), (gq, hq), combo)
+    witness = found and {"pairing": list(found[0]),
+                         "box_inputs": [list(found[1][0]), list(found[2][0])],
+                         "pair_outputs": [list(found[1][1]), list(found[2][1])],
+                         "other_outputs": [list(f) for f in found[3]]}
+    return SearchReport(game.name, "1nlb", tuple(pairings),
+                        64 ** 2 * 4 ** (n - 2) * len(pairings), len(grid), best,
+                        found is not None, witness, None)
+
+
+@pytest.mark.parametrize("gid, budget", [
+    (gid, budget) for gid in ("chsh", "mermin", "multi-mermin:3", "multi-mermin:4",
+                              "bmaj:2", "bmaj:3", "bmaj:4", "xor")
+    for budget in (0, 1)] + [("multi-mermin:5", 0), ("xor-bmaj:4", 0)])
+def test_search_matches_brute_force_oracle(gid, budget):
+    # the xor games have perfect witnesses among several equal masks, so
+    # they pin which candidate is first
+    game = _xor_game(gid[4:] or "chsh") if gid.startswith("xor") else get_game(gid)
+    if budget == 0:
+        expected = {None: oracle_search(game, None, 0)}
+    else:
+        pairings = list(itertools.combinations(range(game.n_parties), 2))
+        expected = {pair: oracle_search(game, [pair], 1) for pair in pairings}
+        # the default search is one oracle run over all pairings: the best
+        # of them, and the witness of the first pairing that has one
+        reports = list(expected.values())
+        expected[None] = dataclasses.replace(
+            reports[0], pairings=tuple(pairings),
+            candidates=sum(r.candidates for r in reports),
+            best_wins=max(r.best_wins for r in reports),
+            perfect=any(r.perfect for r in reports),
+            witness=next((r.witness for r in reports if r.perfect), None))
+    for pair, oracle in expected.items():
+        report = impossibility_search(game, pair=pair, budget=budget)
+        assert report.to_json() == oracle.to_json(), (gid, budget, pair)
+        assert report.perfect == (report.witness_strategy is not None)
+
+
+@pytest.mark.parametrize("gid", ["chsh", "mermin", "multi-mermin:4",
+                                 "multi-mermin:5", "bmaj:2", "bmaj:3", "bmaj:4"])
+def test_budget_zero_best_is_the_classical_value(gid):
+    # two independent routes to the same number: the generic win relation
+    # over every strategy, and the parity masks over the grid
+    game = get_game(gid)
+    assert classical_value(game) == impossibility_search(game, budget=0).best_fraction
 
 
 # --- resources and wiring ---------------------------------------------------------

@@ -75,6 +75,22 @@ def test_search_bad_pair_exits_1(pair, capsys):
     assert captured.err.startswith("error: pair ")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["search", "--game", "chsh", "--budget", "0nlb", "--pair", "0,1"],
+     "error: pair 0,1 needs budget 1"),
+    (["verify", "--game", "chsh", "--strategy", "chsh-nlb", "--seeds",
+      "exhaustive", "--rng-seed", "3"],
+     "error: --rng-seed applies only to --seeds sample:<K>"),
+])
+def test_flags_that_would_be_ignored_exit_1(argv, message, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(message)
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_value_magic_square(capsys):
     code, out = run(["value", "--game", "magic-square"], capsys)
     assert code == 0

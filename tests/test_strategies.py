@@ -1,7 +1,10 @@
 import itertools
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,9 +14,9 @@ from nlbox.distbit import dist_eval, dist_init, majority_formula
 from nlbox.engine import Seed, enumerate_seeds, execute, nlb_evaluate, sample_seed
 from nlbox.games import bmaj, get_game, hamming, is_winning, promised_inputs
 from nlbox.strategies import (MagicSquareQuadruple, REF_ALICE, REF_BOB0,
-                              REF_BOB1, StrategyError, all_alice_matrices,
-                              all_bob_matrices, alice_valid, bob_valid,
-                              comm_strategy_pairs, default_quadruple,
+                              REF_BOB1, REF_QUADRUPLE, StrategyError,
+                              all_alice_matrices, all_bob_matrices, alice_valid,
+                              bob_valid, comm_strategy_pairs,
                               enumerate_quadruples, get_strategy,
                               magic_square_comm, magic_square_nlb,
                               pair_wins_off_corner)
@@ -154,6 +157,20 @@ def test_quadruple_family_against_oracles():
     assert 2 * corner0 * (16 - corner0) == QUADRUPLE_FAMILY_SIZE
 
 
+def test_census_script_prints_the_frozen_counts():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "quadruple_census.py"
+    out = subprocess.run([sys.executable, str(script)], capture_output=True,
+                         text=True, check=True).stdout
+    assert f"valid quadruples:   {QUADRUPLE_FAMILY_SIZE}\n" in out
+    assert "with the reference row matrix as a0: 8\n" in out
+
+
+def test_ref_quadruple_is_the_first_with_the_reference_row_matrix():
+    quads = enumerate_quadruples()
+    assert REF_QUADRUPLE == next(q for q in quads if q.a0 == REF_ALICE)
+    assert sum(q.a0 == REF_ALICE for q in quads) == 8
+
+
 def test_quadruple_members_well_formed():
     quads = enumerate_quadruples()
     assert any(q.a0 == REF_ALICE for q in quads)
@@ -174,7 +191,7 @@ def test_invalid_quadruple_rejected():
 
 def test_ms_nlb_seed_cases_at_double_three():
     s = get_strategy("ms-nlb")
-    q = default_quadruple()
+    q = REF_QUADRUPLE
     out0, t0 = execute(s, (3, 3), Seed((0,)))
     assert t0.firings[0].inputs == (1, 1) and t0.firings[0].outputs == (0, 1)
     assert out0 == (q.a0[2], tuple(q.b1[i][2] for i in range(3)))
@@ -187,7 +204,7 @@ def test_ms_nlb_seed_cases_at_double_three():
 
 def test_ms_nlb_matched_pair_off_double_three():
     s = get_strategy("ms-nlb")
-    q = default_quadruple()
+    q = REF_QUADRUPLE
     out, t = execute(s, (1, 2), Seed((0,)))
     assert t.firings[0].outputs == (0, 0)
     assert out == (q.a0[0], tuple(q.b0[i][1] for i in range(3)))
