@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import random
 from dataclasses import dataclass
@@ -101,7 +102,7 @@ def _first_seed(entry):
     return offset + (mask & -mask).bit_length() - 1
 
 
-def _sweep(strategy: Strategy, inputs, max_seed_bits: int):
+def _sweep(strategy: Strategy, inputs):
     """The exhaustive (input x seed) grid, grouped by outcome.
 
     Yields (x, outcome, offset, seed_mask), where bit i of seed_mask stands
@@ -113,8 +114,8 @@ def _sweep(strategy: Strategy, inputs, max_seed_bits: int):
     which that lane is constant; without a mask the block runs seed by seed
     on scalar seeds, as a one-seed block does. The next input starts from
     the partition this one ended with, so a program costs one failed run
-    per split over the whole sweep."""
-    require_enumerable(strategy, max_seed_bits)
+    per split over the whole sweep. Callers check require_enumerable
+    before they build the inputs."""
     space = seed_space(strategy)
     partition = space.start
     for x in inputs:
@@ -196,9 +197,10 @@ def exact_distribution(strategy: Strategy, game: Game,
     """Full seed enumeration for every promised input."""
     if strategy.n_parties != game.n_parties:
         raise AnalysisError(f"{strategy.name} has wrong party count for {game.name}")
+    require_enumerable(strategy, max_seed_bits)
     inputs = promised_inputs(game)
     counts = {x: {} for x in inputs}
-    for x, outcome, _, mask in _sweep(strategy, inputs, max_seed_bits):
+    for x, outcome, _, mask in _sweep(strategy, inputs):
         c = counts[x]
         c[outcome] = c.get(outcome, 0) + mask.bit_count()
     total = strategy.seed_count()
@@ -258,8 +260,8 @@ def verify_winning(strategy: Strategy, game: Game, policy,
                               "outcome": [list(p) for p in outcome]}
 
     if isinstance(policy, Exhaustive):
-        for x, outcome, offset, mask in _sweep(strategy, promised_inputs(game),
-                                               max_seed_bits):
+        require_enumerable(strategy, max_seed_bits)
+        for x, outcome, offset, mask in _sweep(strategy, promised_inputs(game)):
             record(x, lambda: seed_space(strategy).seed(
                        offset + (mask & -mask).bit_length() - 1),
                    outcome, is_winning(game, x, outcome), mask.bit_count())
@@ -305,44 +307,100 @@ def no_signaling_check(strategy: Strategy, game: Game,
     return marginals_non_signaling(dist, game.n_parties)
 
 
-# --- classical value ---------------------------------------------------------
+# --- deterministic-strategy search -------------------------------------------
+
+def _deterministic_search(game: Game, pairings: list, budget: int,
+                          max_candidates: int):
+    """Score every deterministic strategy of a parity game on the grid of
+    (promised input, free-bit value s), s ranging over 2^budget. A party
+    outside the pairing has one index into party_outputs[r] per input, in
+    party_inputs[r] order. The count is checked before the promise is read.
+    Returns (candidates, grid size, best wins, the first perfect (pairing,
+    pair tables, other tables) in product order or None)."""
+    if budget not in (0, 1):
+        raise SearchSpaceError("supported budgets: 0 or 1 NLBs")
+    if budget and (game.parity is None or any(w != 1 for w in game.output_lengths)):
+        raise SearchSpaceError(
+            f"search supports single-bit parity games; {game.name} is not one")
+    if game.party_inputs is None:
+        raise SearchSpaceError(f"{game.name} has no enumerable per-party inputs")
+    if budget and any(d != (0, 1) for d in game.party_inputs):
+        raise SearchSpaceError(
+            f"search needs binary per-party inputs, which {game.name} lacks")
+    if game.parity is None:
+        raise SearchSpaceError(f"{game.name} is not a parity game")
+    n = game.n_parties
+    outputs, domains = game.party_outputs, game.party_inputs
+    candidates = 4096 ** budget * len(pairings) * math.prod(
+        len(outputs[r]) ** len(domains[r])
+        for r in range(n) if r not in (pairings[0] or ()))
+    if candidates > max_candidates:
+        raise SearchSpaceError(
+            f"{candidates} deterministic strategies exceed the limit {max_candidates}")
+
+    grid = [(x, s) for x in promised_inputs(game) for s in range(2 ** budget)]
+    grid_size = len(grid)
+    target, answer = game.parity
+
+    def mask(bit) -> int:
+        """The grid mask with bit i set iff bit(x, s) is 1 at point i."""
+        return sum(bit(x, s) << i for i, (x, s) in enumerate(grid))
+
+    target_mask = mask(lambda x, s: target(x))
+
+    def other_combos(parties):
+        """(answer parity mask, tables) per combination, in product order. A
+        combination's mask is the XOR of one mask per (party, input): the
+        points with that input where the table's output answers 1."""
+        rows = [[mask(lambda x, s, r=r, v=v, out=out: x[r] == v and answer(r, x, out))
+                 for out in outputs[r]] for r in parties for v in domains[r]]
+        tables = [itertools.product(range(len(outputs[r])), repeat=len(domains[r]))
+                  for r in parties]
+        return zip(map(functools.reduce, itertools.repeat(operator.xor),
+                       itertools.product(*rows), itertools.repeat(0)),
+                   itertools.product(*tables))
+
+    funcs1 = list(itertools.product((0, 1), repeat=2))   # bit -> bit tables
+    funcs2 = list(itertools.product((0, 1), repeat=4))   # (bit, bit) -> bit
+
+    def pair_candidates(p, q):
+        """(target ^ pair answer parity mask, tables) per (gp, hp, gq, hq), in
+        product order; p's box port reads s, q's reads s ^ (gp & gq)."""
+        hp_masks = {hp: mask(lambda x, s, hp=hp: answer(p, x, (hp[2 * x[p] + s],)))
+                    for hp in funcs2}
+        hq_masks = {
+            (gp, gq, hq): mask(lambda x, s, gp=gp, gq=gq, hq=hq: answer(
+                q, x, (hq[2 * x[q] + (s ^ (gp[x[p]] & gq[x[q]]))],)))
+            for gp, gq, hq in itertools.product(funcs1, funcs1, funcs2)}
+        for gp, hp, gq, hq in itertools.product(funcs1, funcs2, funcs1, funcs2):
+            yield (target_mask ^ hp_masks[hp] ^ hq_masks[gp, gq, hq],
+                   ((gp, hp), (gq, hq)))
+
+    best = -1
+    for pairing in pairings:
+        combos = other_combos([r for r in range(n) if r not in (pairing or ())])
+        cands = [(target_mask, None)]
+        if pairing is not None:
+            # walked once per pair candidate; the candidate cap bounds it
+            combos, cands = list(combos), pair_candidates(*pairing)
+        for cmask, pair_tables in cands:
+            for omask, combo in combos:
+                wins = grid_size - (cmask ^ omask).bit_count()
+                if wins > best:
+                    best = wins
+                    if wins == grid_size:
+                        return candidates, grid_size, best, (pairing, pair_tables,
+                                                             combo)
+    return candidates, grid_size, best, None
+
 
 def classical_value(game: Game, max_candidates: int = DEFAULT_MAX_SEARCH) -> Fraction:
     """Maximum fraction of promised inputs won by any deterministic
-    no-communication strategy, inputs weighted uniformly. Shared randomness
-    cannot beat this maximum, so it is the classical game value."""
-    if game.party_inputs is None:
-        raise SearchSpaceError(f"{game.name} has no enumerable per-party inputs")
-    promise = promised_inputs(game)
-    domains = game.party_inputs
-    tables_per_party = []
-    total = 1
-    for i in range(game.n_parties):
-        outs = game.party_outputs[i]
-        total *= len(outs) ** len(domains[i])
-        tables_per_party.append(
-            list(itertools.product(outs, repeat=len(domains[i]))))
-    if total > max_candidates:
-        raise SearchSpaceError(
-            f"{total} deterministic strategies exceed the limit {max_candidates}")
-
-    index = [{v: k for k, v in enumerate(domains[i])}
-             for i in range(game.n_parties)]
-    indexed = [tuple(index[i][x[i]] for i in range(game.n_parties))
-               for x in promise]
-    win = game.win
-    best = 0
-    for combo in itertools.product(*tables_per_party):
-        w = 0
-        for x, xi in zip(promise, indexed):
-            outcome = tuple(combo[i][xi[i]] for i in range(game.n_parties))
-            if win(x, outcome):
-                w += 1
-        if w > best:
-            best = w
-            if best == len(promise):
-                break
-    return Fraction(best, len(promise))
+    no-communication strategy, inputs weighted uniformly: the best of the
+    budget-0 search. Shared randomness cannot beat this maximum, so it is
+    the classical game value."""
+    _, grid_size, best, _ = _deterministic_search(game, [None], 0, max_candidates)
+    return Fraction(best, grid_size)
 
 
 # --- impossibility search ----------------------------------------------------
@@ -381,15 +439,6 @@ class SearchReport:
         }
 
 
-def _require_parity_game(game: Game):
-    if game.parity_target is None or any(w != 1 for w in game.output_lengths):
-        raise SearchSpaceError(
-            f"search supports single-bit parity games; {game.name} is not one")
-    if game.party_inputs is None or any(d != (0, 1) for d in game.party_inputs):
-        raise SearchSpaceError(
-            f"search needs binary per-party inputs, which {game.name} lacks")
-
-
 def strategy_from_tables(game: Game, pairing, pair_tables, other_tables) -> Strategy:
     """Materialise a searched deterministic strategy as an executable
     Strategy so the reported witness re-verifies under the engine."""
@@ -412,20 +461,17 @@ def strategy_from_tables(game: Game, pairing, pair_tables, other_tables) -> Stra
 
         pair_progs = {p: make_pair(gp, hp), q: make_pair(gq, hq)}
 
-    def make_other(f):
+    def make_other(r, f):
+        table = {v: game.party_outputs[r][k] for v, k in zip(game.party_inputs[r], f)}
+
         def answer(view):
-            return Action(output=(f[view.own_input],))
+            return Action(output=table[view.own_input])
         return PartyProgram((answer,))
 
-    programs = []
-    oi = 0
-    for r in range(n):
-        if r in pair_progs:
-            programs.append(pair_progs[r])
-        else:
-            programs.append(make_other(other_tables[oi]))
-            oi += 1
-    return Strategy(name="search-witness", n_parties=n, programs=tuple(programs),
+    others = iter(other_tables)
+    programs = tuple(pair_progs[r] if r in pair_progs else make_other(r, next(others))
+                     for r in range(n))
+    return Strategy(name="search-witness", n_parties=n, programs=programs,
                     nlbs=nlbs, game_id=game.name)
 
 
@@ -438,10 +484,8 @@ def impossibility_search(game: Game, pair: tuple | None = None, budget: int = 1,
     function plus an (input, box output) -> output function; every other
     party maps its input straight to an output. The report covers the given
     pairing or, by default, the union over all party pairs. Budget 0 is the
-    same search with no pairing: every party is an "other" party."""
-    _require_parity_game(game)
-    if budget not in (0, 1):
-        raise SearchSpaceError("supported budgets: 0 or 1 NLBs")
+    same search with no pairing: every party is an "other" party, and the
+    best is the classical value."""
     n = game.n_parties
     if pair is not None:
         p, q = pair
@@ -453,63 +497,13 @@ def impossibility_search(game: Game, pair: tuple | None = None, budget: int = 1,
                 f"(0..{n - 1})")
     pairings = [None] if budget == 0 else [tuple(pair)] if pair is not None \
         else list(itertools.combinations(range(n), 2))
-    candidates = 64 ** (2 * budget) * 4 ** (n - 2 * budget) * len(pairings)
-    if candidates > max_candidates:
-        raise SearchSpaceError(
-            f"{candidates} deterministic strategies exceed the limit {max_candidates}")
-
-    # one point per (promised input, free-bit value s), s ranging over 2^budget
-    grid = [(x, s) for x in promised_inputs(game) for s in range(2 ** budget)]
-    grid_size = len(grid)
-
-    def mask(bit) -> int:
-        """The grid mask with bit i set iff bit(x, s) is 1 at point i."""
-        return sum(bit(x, s) << i for i, (x, s) in enumerate(grid))
-
-    target = mask(lambda x, s: game.parity_target(x))
-    funcs1 = list(itertools.product((0, 1), repeat=2))   # bit -> bit tables
-    funcs2 = list(itertools.product((0, 1), repeat=4))   # (bit, bit) -> bit
-
-    def other_combos(parties):
-        """(output parity mask, tables) per combination, in product order."""
-        per_party = [[(mask(lambda x, s, r=r, f=f: f[x[r]]), f) for f in funcs1]
-                     for r in parties]
-        for choice in itertools.product(*per_party):
-            yield (functools.reduce(operator.xor, (m for m, _ in choice), 0),
-                   tuple(f for _, f in choice))
-
-    def pair_candidates(p, q):
-        """(target ^ pair output parity mask, tables) per (gp, hp, gq, hq), in
-        product order; p's box port reads s, q's reads s ^ (gp & gq)."""
-        hp_masks = {hp: mask(lambda x, s, hp=hp: hp[2 * x[p] + s]) for hp in funcs2}
-        hq_masks = {
-            (gp, gq, hq): mask(lambda x, s, gp=gp, gq=gq, hq=hq:
-                               hq[2 * x[q] + (s ^ (gp[x[p]] & gq[x[q]]))])
-            for gp, gq, hq in itertools.product(funcs1, funcs1, funcs2)}
-        for gp, hp, gq, hq in itertools.product(funcs1, funcs2, funcs1, funcs2):
-            yield (target ^ hp_masks[hp] ^ hq_masks[gp, gq, hq],
-                   ((gp, hp), (gq, hq)))
-
-    best = -1
-    perfect_found = None
-    for pairing in pairings:
-        combos = other_combos([r for r in range(n) if r not in (pairing or ())])
-        cands = [(target, None)]
-        if pairing is not None:
-            # walked once per pair candidate; the candidate cap bounds it
-            combos, cands = list(combos), pair_candidates(*pairing)
-        for cmask, pair_tables in cands:
-            for omask, combo in combos:
-                wins = grid_size - (cmask ^ omask).bit_count()
-                if wins > best:
-                    best = wins
-                if wins == grid_size and perfect_found is None:
-                    perfect_found = (pairing, pair_tables, combo)
+    candidates, grid_size, best, found = _deterministic_search(
+        game, pairings, budget, max_candidates)
 
     witness = None
     witness_strategy = None
-    if perfect_found is not None:
-        pairing, pair_tables, combo = perfect_found
+    if found is not None:
+        pairing, pair_tables, combo = found
         witness_strategy = strategy_from_tables(game, pairing, pair_tables, combo)
         check = verify_winning(witness_strategy, game, Exhaustive())
         if not check.passed:
@@ -524,7 +518,7 @@ def impossibility_search(game: Game, pair: tuple | None = None, budget: int = 1,
                        "other_outputs": [list(f) for f in combo]}
     return SearchReport(game.name, f"{budget}nlb",
                         tuple(p for p in pairings if p is not None), candidates,
-                        grid_size, best, perfect_found is not None, witness,
+                        grid_size, best, found is not None, witness,
                         witness_strategy)
 
 

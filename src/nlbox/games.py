@@ -11,9 +11,10 @@ interface; matrices are indexed 0-based internally.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 from .engine import EnumerationLimitError
 
@@ -35,6 +36,23 @@ def bmaj(x) -> int:
     return 1 if sum(x) > len(x) // 2 else 0
 
 
+class Parity(NamedTuple):
+    """A win relation stated as a parity: outcome y wins on input x iff the
+    XOR over parties r of answer(r, x, y[r]) equals target(x)."""
+
+    target: Callable[[tuple], int]
+    answer: Callable[[int, tuple, tuple], int]
+
+    def win(self, x, y) -> bool:
+        answers = map(self.answer, range(len(y)), itertools.repeat(x), y)
+        return sum(answers) % 2 == self.target(x)
+
+
+def own_bit(r, x, out) -> int:
+    """The answer bit of a party whose output is the bit itself."""
+    return out[0]
+
+
 @dataclass(frozen=True)
 class Game:
     """A promise game: who plays, what inputs are promised, who wins.
@@ -44,8 +62,8 @@ class Game:
     lists candidate per-party outputs for strategy searches; where the win
     relation imposes a purely local constraint (magic square parities) the
     candidates are restricted to locally-valid outputs, which cannot lower
-    the optimum. ``parity_target`` is set for games whose relation is
-    "XOR of all output bits equals target(input)". ``uniform_target`` marks
+    the optimum. ``parity`` is set for games whose relation, on the outputs
+    in ``party_outputs``, is a parity (see Parity). ``uniform_target`` marks
     games whose reference correlation is uniform over winning outcomes.
     """
 
@@ -58,7 +76,7 @@ class Game:
     win: Callable[[tuple, tuple], bool]
     party_inputs: tuple | None
     party_outputs: tuple
-    parity_target: Callable[[tuple], int] | None
+    parity: Parity | None
     uniform_target: bool
 
 
@@ -108,23 +126,15 @@ def _scalar_bits(n):
     return tuple(((0,), (1,)) for _ in range(n))
 
 
-def chsh_game() -> Game:
-    inputs = list(itertools.product((0, 1), repeat=2))
+def _lazy(build):
+    """A promise() that builds its list on the first call, then copies it."""
+    cached = functools.cache(build)
+    return lambda: list(cached())
 
-    def win(x, y):
-        return (y[0][0] ^ y[1][0]) == (x[0] & x[1])
 
-    return Game(
-        name="chsh", n_parties=2, output_lengths=(1, 1),
-        promise=lambda: list(inputs),
-        sample_input=lambda rng: inputs[rng.randrange(4)],
-        on_promise=lambda x: x in inputs,
-        win=win,
-        party_inputs=((0, 1), (0, 1)),
-        party_outputs=_scalar_bits(2),
-        parity_target=lambda x: x[0] & x[1],
-        uniform_target=True,
-    )
+def _bits(k: int, n: int) -> tuple:
+    """The k-th n-tuple of bits in itertools.product order."""
+    return tuple([(k >> i) & 1 for i in range(n - 1, -1, -1)])
 
 
 EVEN_TRIPLES = tuple(r for r in itertools.product((0, 1), repeat=3) if sum(r) % 2 == 0)
@@ -148,7 +158,9 @@ def magic_square_game() -> Game:
         win=win,
         party_inputs=((1, 2, 3), (1, 2, 3)),
         party_outputs=(EVEN_TRIPLES, ODD_TRIPLES),
-        parity_target=None,
+        # with the parities fixed by party_outputs, the row's entry at the
+        # column input must equal the column's entry at the row input
+        parity=Parity(lambda x: 0, lambda r, x, out: out[x[1 - r] - 1]),
         uniform_target=True,
     )
 
@@ -156,28 +168,25 @@ def magic_square_game() -> Game:
 def multi_mermin_game(n: int, name: str | None = None) -> Game:
     if n < 3:
         raise GameError("multi-mermin needs n >= 3")
-    inputs = [x for x in itertools.product((0, 1), repeat=n) if sum(x) % 2 == 0]
+    parity = Parity(lambda x: (sum(x) // 2) % 2, own_bit)
 
-    def target(x):
-        return (sum(x) // 2) % 2
-
-    def win(x, y):
-        par = 0
-        for o in y:
-            par ^= o[0]
-        return par == target(x)
+    def sample_input(rng):
+        # the k-th even-weight tuple is the n - 1 bits of k, then their parity
+        head = _bits(rng.randrange(2 ** (n - 1)), n - 1)
+        return head + (sum(head) % 2,)
 
     return Game(
         name=name or f"multi-mermin:{n}", n_parties=n,
         output_lengths=(1,) * n,
-        promise=lambda: list(inputs),
-        sample_input=lambda rng: inputs[rng.randrange(len(inputs))],
+        promise=_lazy(lambda: [x for x in itertools.product((0, 1), repeat=n)
+                               if sum(x) % 2 == 0]),
+        sample_input=sample_input,
         on_promise=lambda x: len(x) == n and all(b in (0, 1) for b in x)
                               and sum(x) % 2 == 0,
-        win=win,
+        win=parity.win,
         party_inputs=((0, 1),) * n,
         party_outputs=_scalar_bits(n),
-        parity_target=target,
+        parity=parity,
         uniform_target=True,
     )
 
@@ -202,19 +211,14 @@ def dj_game(n: int) -> Game:
         a, b = x
         return len(a) == length and len(b) == length and hamming(a, b) in (0, half)
 
+    # the promise is enumerated only for n <= 2; larger n must use the sampler
+    strings = tuple(itertools.product((0, 1), repeat=length)) if n <= 2 else None
+
     def promise():
-        # exhaustive promise enumeration is only supported for n <= 2;
-        # larger n must use the seeded sampler
-        if n > 2:
+        if strings is None:
             raise EnumerationLimitError(
                 f"dj:{n} promise is enumerated only for n <= 2; use sampling")
-        strings = list(itertools.product((0, 1), repeat=length))
-        out = []
-        for a in strings:
-            for b in strings:
-                if hamming(a, b) in (0, half):
-                    out.append((a, b))
-        return out
+        return [(a, b) for a in strings for b in strings if hamming(a, b) in (0, half)]
 
     def sample_input(rng):
         # both promise classes drawn with probability 1/2
@@ -228,10 +232,6 @@ def dj_game(n: int) -> Game:
     def win(x, y):
         return (y[0] == y[1]) == (x[0] == x[1])
 
-    strings = None
-    if n <= 2:
-        strings = tuple(itertools.product((0, 1), repeat=length))
-
     return Game(
         name=f"dj:{n}", n_parties=2, output_lengths=(n, n),
         promise=promise,
@@ -240,7 +240,8 @@ def dj_game(n: int) -> Game:
         win=win,
         party_inputs=(strings, strings) if strings else None,
         party_outputs=(tuple(itertools.product((0, 1), repeat=n)),) * 2,
-        parity_target=None,
+        # with one output bit each, "equal iff the inputs are equal" is a parity
+        parity=Parity(lambda x: int(x[0] != x[1]), own_bit) if n == 1 else None,
         uniform_target=False,
     )
 
@@ -248,25 +249,25 @@ def dj_game(n: int) -> Game:
 def bmaj_game(n: int) -> Game:
     if n < 2:
         raise GameError("bmaj needs n >= 2")
-    inputs = list(itertools.product((0, 1), repeat=n))
-
-    def win(x, y):
-        par = 0
-        for o in y:
-            par ^= o[0]
-        return par == bmaj(x)
+    parity = Parity(bmaj, own_bit)
 
     return Game(
         name=f"bmaj:{n}", n_parties=n, output_lengths=(1,) * n,
-        promise=lambda: list(inputs),
-        sample_input=lambda rng: inputs[rng.randrange(len(inputs))],
+        promise=_lazy(lambda: list(itertools.product((0, 1), repeat=n))),
+        sample_input=lambda rng: _bits(rng.randrange(2 ** n), n),
         on_promise=lambda x: len(x) == n and all(b in (0, 1) for b in x),
-        win=win,
+        win=parity.win,
         party_inputs=((0, 1),) * n,
         party_outputs=_scalar_bits(n),
-        parity_target=lambda x: bmaj(x),
+        parity=parity,
         uniform_target=False,
     )
+
+
+def chsh_game() -> Game:
+    """CHSH is biased majority on two bits, bmaj(x0, x1) = x0 & x1, with a
+    reference correlation uniform over the winning outcomes."""
+    return replace(bmaj_game(2), name="chsh", uniform_target=True)
 
 
 # --- registry ---------------------------------------------------------------

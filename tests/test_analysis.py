@@ -13,7 +13,8 @@ from nlbox.analysis import (AnalysisError, CommunicationUsedError, Exhaustive,
                             impossibility_search, nlb_isolated_parties,
                             no_signaling_check, resource_count, verify_winning)
 from nlbox.engine import EnumerationLimitError
-from nlbox.games import get_game, promised_inputs, winning_outcomes
+from nlbox.games import (Parity, get_game, own_bit, promised_inputs,
+                         winning_outcomes)
 from nlbox.strategies import STRATEGY_FAMILIES, get_strategy
 
 
@@ -33,6 +34,28 @@ def test_classical_value_space_guard():
         classical_value(get_game("magic-square"), max_candidates=100)
     with pytest.raises(SearchSpaceError):
         classical_value(get_game("dj:3"))
+
+
+def test_dj2_has_no_parity_form_and_refuses():
+    # 4^16 tables per party: counted from lengths, never listed
+    with pytest.raises(SearchSpaceError, match="^dj:2 is not a parity game$"):
+        classical_value(get_game("dj:2"), max_candidates=2 ** 80)
+
+
+def test_limits_are_checked_before_the_promise(monkeypatch):
+    def unreachable(game):
+        raise AssertionError(f"the promise of {game.name} was built")
+
+    monkeypatch.setattr(analysis, "promised_inputs", unreachable)
+    with pytest.raises(SearchSpaceError,
+                       match="^4096 deterministic strategies exceed the limit 100$"):
+        classical_value(get_game("magic-square"), max_candidates=100)
+    with pytest.raises(SearchSpaceError):
+        impossibility_search(get_game("multi-mermin:4"), max_candidates=100)
+    with pytest.raises(EnumerationLimitError):
+        exact_distribution(get_strategy("bmaj-nlb:3"), get_game("bmaj:3"))
+    with pytest.raises(EnumerationLimitError):
+        verify_winning(get_strategy("bmaj-nlb:3"), get_game("bmaj:3"), Exhaustive())
 
 
 def test_mixed_strategies_never_beat_deterministic_max():
@@ -185,6 +208,34 @@ def test_search_grid_is_not_capped():
     assert not report.perfect and report.best_fraction == Fraction(5, 8)
 
 
+def test_search_magic_square_zero_budget():
+    report = impossibility_search(get_game("magic-square"), budget=0)
+    assert (report.candidates, report.grid_size) == (4096, 9)
+    assert report.best_fraction == Fraction(8, 9)
+    assert not report.perfect and report.witness is None
+
+
+def test_search_dj1_zero_budget_witness():
+    # each party answers the parity of its 2-bit string; the witness lists,
+    # per party, an index into party_outputs for each input in party_inputs
+    game = get_game("dj:1")
+    report = impossibility_search(game, budget=0)
+    assert report.perfect and report.candidates == 256 and report.grid_size == 12
+    assert report.witness == {"pairing": None, "outputs": [[0, 1, 1, 0], [0, 1, 1, 0]]}
+    assert verify_winning(report.witness_strategy, game, Exhaustive()).passed
+
+
+def test_searches_never_call_the_win_relation():
+    def refuse(x, y):
+        raise AssertionError("win called")
+
+    for gid in ("magic-square", "multi-mermin:4", "dj:1"):
+        game = dataclasses.replace(get_game(gid), win=refuse)
+        assert classical_value(game) == classical_value(get_game(gid))
+    game = dataclasses.replace(get_game("multi-mermin:4"), win=refuse)
+    assert not impossibility_search(game, budget=1).perfect
+
+
 def test_search_rejects_unsuitable_games():
     with pytest.raises(SearchSpaceError):
         impossibility_search(get_game("magic-square"))
@@ -220,7 +271,8 @@ def _xor_game(base="chsh"):
     parity = lambda bits: sum(bits) % 2
     return dataclasses.replace(
         get_game(base), name="xor" if base == "chsh" else f"xor-{base}",
-        win=lambda x, y: parity(b for b, in y) == parity(x), parity_target=parity)
+        win=lambda x, y: parity(b for b, in y) == parity(x),
+        parity=Parity(parity, own_bit))
 
 
 @pytest.mark.parametrize("game, budget", [(_xor_game(), 0),
@@ -262,7 +314,7 @@ def oracle_search(game, pairings, budget):
     perfect candidate in product order as the witness."""
     n = game.n_parties
     promise = promised_inputs(game)
-    targets = [game.parity_target(x) for x in promise]
+    targets = [game.parity.target(x) for x in promise]
     if budget == 0:
         best = -1
         found = None
@@ -345,10 +397,40 @@ def test_search_matches_brute_force_oracle(gid, budget):
 @pytest.mark.parametrize("gid", ["chsh", "mermin", "multi-mermin:4",
                                  "multi-mermin:5", "bmaj:2", "bmaj:3", "bmaj:4"])
 def test_budget_zero_best_is_the_classical_value(gid):
-    # two independent routes to the same number: the generic win relation
-    # over every strategy, and the parity masks over the grid
+    # both report the best of the same budget-0 search; the independent
+    # route is oracle_classical_value below
     game = get_game(gid)
     assert classical_value(game) == impossibility_search(game, budget=0).best_fraction
+
+
+# --- the classical value against the generic win relation ----------------------
+
+def oracle_classical_value(game):
+    """Score every deterministic strategy on every promised input through
+    game.win: one table of party_outputs per party, inputs weighted
+    uniformly."""
+    promise = promised_inputs(game)
+    n = game.n_parties
+    domains = game.party_inputs
+    tables = [list(itertools.product(game.party_outputs[i], repeat=len(domains[i])))
+              for i in range(n)]
+    index = [{v: k for k, v in enumerate(d)} for d in domains]
+    indexed = [tuple(index[i][x[i]] for i in range(n)) for x in promise]
+    best = 0
+    for combo in itertools.product(*tables):
+        wins = sum(game.win(x, tuple(combo[i][xi[i]] for i in range(n)))
+                   for x, xi in zip(promise, indexed))
+        best = max(best, wins)
+    return Fraction(best, len(promise))
+
+
+@pytest.mark.parametrize("gid", [
+    "chsh", "magic-square", "mermin", "multi-mermin:3", "multi-mermin:4",
+    "multi-mermin:5", "bmaj:2", "bmaj:3", "bmaj:4", "dj:1", "xor", "xor-mermin",
+    "xor-bmaj:4"])
+def test_classical_value_matches_the_win_relation_oracle(gid):
+    game = _xor_game(gid[4:] or "chsh") if gid.startswith("xor") else get_game(gid)
+    assert classical_value(game) == oracle_classical_value(game)
 
 
 # --- resources and wiring ---------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,26 @@ def test_flags_that_would_be_ignored_exit_1(argv, message, capsys):
     assert captured.out == ""
     assert captured.err.startswith(message)
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["value", "--game", "multi-mermin:40"],
+    ["value", "--game", "bmaj:40"],
+    ["search", "--game", "multi-mermin:40", "--budget", "0nlb"],
+    ["search", "--game", "bmaj:40", "--budget", "0nlb"],
+    ["dist", "--game", "multi-mermin:30", "--strategy", "multi-mermin-nlb:30"],
+    ["value", "--game", "dj:2"],
+], ids=" ".join)
+def test_limits_refuse_before_any_promise_is_built(argv, capsys):
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+    assert elapsed < 1.0
 
 
 def test_value_magic_square(capsys):

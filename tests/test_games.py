@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -127,7 +128,7 @@ def test_bmaj_two_bits_is_and():
 def test_bmaj_three_bits_matches_mermin_target_on_promise():
     mermin = get_game("mermin")
     for x in promised_inputs(mermin):
-        assert bmaj(x) == mermin.parity_target(x)
+        assert bmaj(x) == mermin.parity.target(x)
 
 
 @given(st.integers(2, 7), st.data())
@@ -149,3 +150,57 @@ def test_registry():
         get_game("multi-mermin:2")
     with pytest.raises(GameError):
         get_game("dj:x")
+
+
+PARITY_GAMES = ["chsh", "magic-square", "mermin", "multi-mermin:3",
+                "multi-mermin:4", "multi-mermin:6", "bmaj:2", "bmaj:3", "bmaj:5",
+                "dj:1"]
+
+
+def test_which_games_have_a_parity_form():
+    ids = ["chsh", "magic-square", "mermin", "multi-mermin:3", "multi-mermin:7",
+           "bmaj:2", "bmaj:6", "dj:1", "dj:2", "dj:3"]
+    assert [gid for gid in ids if get_game(gid).parity is None] == ["dj:2", "dj:3"]
+
+
+@pytest.mark.parametrize("gid", PARITY_GAMES)
+def test_win_is_the_parity_form(gid):
+    # over the outputs a search enumerates: for magic square, party_outputs
+    # holds only rows and columns of the right parity
+    game = get_game(gid)
+    target, answer = game.parity
+    for x in promised_inputs(game):
+        for y in itertools.product(*game.party_outputs):
+            par = 0
+            for r, out in enumerate(y):
+                par ^= answer(r, x, out)
+            assert game.win(x, y) == (par == target(x)), (x, y)
+
+
+@pytest.mark.parametrize("family", ["multi-mermin", "bmaj"])
+def test_samplers_draw_the_promise_entry_by_index(family):
+    # one randrange over the promise size, then the entry at that index
+    for n in range(3, 11):
+        game = get_game(f"{family}:{n}")
+        inputs = promised_inputs(game)
+        for seed in range(20):
+            ours, listed = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                assert (sample_promised_input(game, ours)
+                        == inputs[listed.randrange(len(inputs))])
+
+
+def test_lazy_promise_is_a_fresh_list_each_call():
+    game = get_game("bmaj:3")
+    first = promised_inputs(game)
+    first.clear()
+    assert len(promised_inputs(game)) == 8
+
+
+def test_large_games_build_no_promise_until_asked():
+    for gid in ("multi-mermin:40", "bmaj:40"):
+        start = time.perf_counter()
+        game = get_game(gid)
+        x = sample_promised_input(game, random.Random(1))
+        assert time.perf_counter() - start < 0.1, gid
+        assert len(x) == 40 and game.on_promise(x)

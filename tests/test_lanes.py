@@ -17,8 +17,8 @@ from hypothesis import given, settings, strategies as st
 from nlbox import analysis
 from nlbox.analysis import (Exhaustive, exact_distribution, impossibility_search,
                             strategy_from_tables, verify_winning)
-from nlbox.engine import (DEFAULT_MAX_SEED_BITS, Action, Channel, Lane, LaneBranch,
-                          LaneSeed, NlbInstance, NonBitError, PartyProgram,
+from nlbox.engine import (Action, Channel, Lane, LaneBranch, LaneSeed,
+                          NlbInstance, NonBitError, PartyProgram,
                           SharedDomain, Strategy, TRIVIAL_SHARED,
                           UnusedResourceError, bit_domain, enumerate_seeds,
                           execute, seed_at, seed_lanes, seed_space)
@@ -254,7 +254,7 @@ def test_lane_sweep_matches_scalar_seed_by_seed(sid):
     rng = random.Random(sid)
     inputs = promised_inputs(game)
     groups = {}
-    sweep = analysis._sweep(strategy, inputs, DEFAULT_MAX_SEED_BITS)
+    sweep = analysis._sweep(strategy, inputs)
     for x, outcome, offset, mask in sweep:
         groups.setdefault(x, []).append((outcome, mask << offset))
     assert list(groups) == inputs
