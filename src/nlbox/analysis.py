@@ -61,17 +61,12 @@ class Sample:
 
 # --- the exhaustive sweep ----------------------------------------------------
 
-def _lowest_bit(group):
-    return group[1] & -group[1]
-
-
 def _split_outcome(outcome, full: int):
     """Split the seeds of one lane run by the outcome each seed produced.
 
     Returns (outcome of bits, seed mask) pairs with non-empty, disjoint
-    masks, ordered by each mask's lowest seed: the order in which a
-    seed-by-seed sweep first meets the outcomes. Each party's part is split
-    on its own lanes first, then intersected with the groups so far."""
+    masks. Each party's part is split on its own lanes first, then
+    intersected with the groups so far."""
     groups = [((), full)]
     for part in outcome:
         pieces = [((), full)]
@@ -88,7 +83,6 @@ def _split_outcome(outcome, full: int):
         else:
             groups = [(head + (bits,), m) for head, mask in groups
                       for bits, piece in pieces if (m := mask & piece)]
-    groups.sort(key=_lowest_bit)
     return groups
 
 
@@ -97,29 +91,22 @@ def _set_bits(mask: int):
     return (i for i, c in enumerate(reversed(bin(mask))) if c == "1")
 
 
-def _first_seed(entry):
-    _, offset, mask = entry
-    return offset + (mask & -mask).bit_length() - 1
-
-
 def _sweep(strategy: Strategy, inputs):
     """The exhaustive (input x seed) grid, grouped by outcome.
 
-    Yields (x, outcome, offset, seed_mask), where bit i of seed_mask stands
-    for seed offset + i of enumerate_seeds' order, with each input's entries
-    ordered by their lowest seed: the first entry of an outcome holds the
-    seed where a seed-by-seed sweep first meets it. Each input runs once
-    per block of a partition of the seed space (see SeedSpace). A run that
-    raises LaneBranch with a mask is replaced by runs of the two blocks on
-    which that lane is constant; without a mask the block runs seed by seed
-    on scalar seeds, as a one-seed block does. The next input starts from
-    the partition this one ended with, so a program costs one failed run
-    per split over the whole sweep. Callers check require_enumerable
-    before they build the inputs."""
+    Yields (x, outcome, offset, seed_mask) as soon as the run that decided
+    it finishes, where bit i of seed_mask stands for seed offset + i of
+    enumerate_seeds' order; all of one input's pieces come before the next
+    input's, in no particular seed order. Each input runs once per block of
+    a partition of the seed space (see SeedSpace). A run that raises
+    LaneBranch with a mask is replaced by runs of the two blocks on which
+    that lane is constant; without a mask the block runs seed by seed on
+    scalar seeds, as a one-seed block does. The next input starts from the
+    partition this one ended with, so a program costs one failed run per
+    split over the whole sweep."""
     space = seed_space(strategy)
     partition = space.start
     for x in inputs:
-        entries = []
         runs = partition[::-1]
         partition = []
         while runs:
@@ -131,26 +118,40 @@ def _sweep(strategy: Strategy, inputs):
                     runs += space.split(offset, block, branch.mask)
                     continue
                 if type(seed) is LaneSeed:
-                    entries += [(split, offset, mask)
-                                for split, mask in _split_outcome(outcome, block)]
+                    for split, mask in _split_outcome(outcome, block):
+                        yield x, split, offset, mask
                 else:
-                    entries.append((outcome, offset, 1))
+                    yield x, outcome, offset, 1
             else:
-                points = ((execute(strategy, x, space.seed(offset + i),
-                                   record=False)[0], offset + i, 1)
-                          for i in _set_bits(block))
-                if runs or entries:
-                    entries += points
-                else:
-                    # the input's only run left: its seeds come in order
-                    for outcome, k, mask in points:
-                        yield x, outcome, k, mask
+                for i in _set_bits(block):
+                    outcome, _ = execute(strategy, x, space.seed(offset + i),
+                                         record=False)
+                    yield x, outcome, offset + i, 1
             partition.append((offset, block, seed))
-        # one run's entries are in order already; several runs' interleave
-        if len(partition) > 1:
-            entries.sort(key=_first_seed)
-        for outcome, offset, mask in entries:
-            yield x, outcome, offset, mask
+
+
+def _tally(strategy: Strategy, game: Game, max_seed_bits: int):
+    """Per promised input, in promise order, (x, {outcome: [seed count,
+    lowest seed]}) with the outcomes ordered by their lowest seed: the order
+    in which a seed-by-seed sweep first meets them. Seeds are numbered in
+    enumerate_seeds' order. The seed-space limit is checked before the
+    promise is built."""
+    require_enumerable(strategy, max_seed_bits)
+    pieces = _sweep(strategy, promised_inputs(game))
+    for x, group in itertools.groupby(pieces, key=operator.itemgetter(0)):
+        tally = {}
+        for _, outcome, offset, mask in group:
+            seed = offset + (mask & -mask).bit_length() - 1
+            entry = tally.get(outcome)
+            if entry is None:
+                tally[outcome] = [mask.bit_count(), seed]
+            else:
+                entry[0] += mask.bit_count()
+                if seed < entry[1]:
+                    entry[1] = seed
+        if len(tally) > 1:
+            tally = dict(sorted(tally.items(), key=lambda item: item[1][1]))
+        yield x, tally
 
 
 # --- exact distributions -----------------------------------------------------
@@ -197,15 +198,9 @@ def exact_distribution(strategy: Strategy, game: Game,
     """Full seed enumeration for every promised input."""
     if strategy.n_parties != game.n_parties:
         raise AnalysisError(f"{strategy.name} has wrong party count for {game.name}")
-    require_enumerable(strategy, max_seed_bits)
-    inputs = promised_inputs(game)
-    counts = {x: {} for x in inputs}
-    for x, outcome, _, mask in _sweep(strategy, inputs):
-        c = counts[x]
-        c[outcome] = c.get(outcome, 0) + mask.bit_count()
     total = strategy.seed_count()
-    per_input = {x: {o: Fraction(n, total) for o, n in c.items()}
-                 for x, c in counts.items()}
+    per_input = {x: {o: Fraction(n, total) for o, (n, _) in tally.items()}
+                 for x, tally in _tally(strategy, game, max_seed_bits)}
     return ExactDistribution(strategy.name, game.name, total, per_input)
 
 
@@ -260,11 +255,10 @@ def verify_winning(strategy: Strategy, game: Game, policy,
                               "outcome": [list(p) for p in outcome]}
 
     if isinstance(policy, Exhaustive):
-        require_enumerable(strategy, max_seed_bits)
-        for x, outcome, offset, mask in _sweep(strategy, promised_inputs(game)):
-            record(x, lambda: seed_space(strategy).seed(
-                       offset + (mask & -mask).bit_length() - 1),
-                   outcome, is_winning(game, x, outcome), mask.bit_count())
+        for x, tally in _tally(strategy, game, max_seed_bits):
+            for outcome, (count, seed) in tally.items():
+                record(x, lambda: seed_space(strategy).seed(seed), outcome,
+                       is_winning(game, x, outcome), count)
         mode = "exhaustive"
     elif isinstance(policy, Sample):
         rng = random.Random(policy.rng_seed)

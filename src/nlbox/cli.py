@@ -27,7 +27,7 @@ def _frac(f: Fraction) -> dict:
     return {"num": f.numerator, "den": f.denominator}
 
 
-def parse_seed_policy(spec: str, rng_seed):
+def parse_seed_policy(spec: str, rng_seed, max_seed_bits):
     if spec == "exhaustive":
         if rng_seed is not None:
             raise UsageError("--rng-seed applies only to --seeds sample:<K>")
@@ -39,8 +39,15 @@ def parse_seed_policy(spec: str, rng_seed):
             raise UsageError(f"bad sample count in --seeds {spec!r}") from None
         if rng_seed is None:
             raise UsageError("sampled mode requires --rng-seed for reproducibility")
+        if max_seed_bits is not None:
+            raise UsageError("--max-seed-bits applies only to --seeds exhaustive")
         return analysis.Sample(k, rng_seed)
     raise UsageError(f"--seeds must be 'exhaustive' or 'sample:<K>', got {spec!r}")
+
+
+def _max_seed_bits(args) -> int:
+    """--max-seed-bits, or its default when it was not given."""
+    return DEFAULT_MAX_SEED_BITS if args.max_seed_bits is None else args.max_seed_bits
 
 
 def _compatible(strategy, game) -> bool:
@@ -101,10 +108,10 @@ def cmd_verify(args) -> int:
         raise UsageError(
             f"strategy {args.strategy!r} does not fit game {args.game!r} "
             "(party count / input / output arity mismatch)")
-    policy = parse_seed_policy(args.seeds, args.rng_seed)
+    policy = parse_seed_policy(args.seeds, args.rng_seed, args.max_seed_bits)
     start = time.monotonic()
     result = analysis.verify_winning(strategy, game, policy,
-                                     max_seed_bits=args.max_seed_bits)
+                                     max_seed_bits=_max_seed_bits(args))
     nlb, comm = analysis.resource_count(strategy)
     report = {
         "game": game.name, "strategy": strategy.name, "mode": result.mode,
@@ -140,7 +147,7 @@ def cmd_dist(args) -> int:
             f"strategy {args.strategy!r} does not fit game {args.game!r}")
     start = time.monotonic()
     dist = analysis.exact_distribution(strategy, game,
-                                       max_seed_bits=args.max_seed_bits)
+                                       max_seed_bits=_max_seed_bits(args))
     verdict = analysis.uniformity_verdict(dist, game) if game.uniform_target else None
     report = dist.to_json()
     report["mode"] = "exact-dist"
@@ -204,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="exhaustive | sample:<K>")
             p.add_argument("--rng-seed", type=int, default=None)
         if sweep:
-            p.add_argument("--max-seed-bits", type=int, default=DEFAULT_MAX_SEED_BITS)
+            # None: not given, which sampled verify requires
+            p.add_argument("--max-seed-bits", type=int, default=None)
         if search:
             p.add_argument("--max-search", type=int, default=analysis.DEFAULT_MAX_SEARCH)
 

@@ -60,8 +60,8 @@ class MalformedActionError(ProtocolError):
 
 
 class EnumerationLimitError(Exception):
-    """An exact enumeration would exceed the configured limit; callers may
-    fall back to sampled mode."""
+    """An exact enumeration would exceed the configured limit. Nothing
+    falls back: the caller refuses, and the CLI exits 1."""
 
 
 class LaneBranch(Exception):
@@ -550,9 +550,10 @@ def execute(strategy: Strategy, input_tuple: tuple, seed: "Seed | LaneSeed",
 
 def require_enumerable(strategy: Strategy, max_seed_bits: int) -> None:
     """Raise EnumerationLimitError when the seed-space cardinality
-    2^(#NLBs) * |shared domain| exceeds 2**max_seed_bits."""
+    2^(#NLBs) * |shared domain| exceeds 2**max_seed_bits. Bit lengths are
+    compared, so a huge limit costs nothing to check."""
     total = strategy.seed_count()
-    if total > 2 ** max_seed_bits:
+    if (total - 1).bit_length() > max_seed_bits:
         raise EnumerationLimitError(
             f"seed space of {strategy.name} has {total} points "
             f"(limit 2**{max_seed_bits}); use sampled mode")

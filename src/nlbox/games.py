@@ -19,6 +19,9 @@ from typing import Callable, NamedTuple
 from .engine import EnumerationLimitError
 
 MAX_OUTCOMES = 2 ** 20
+# dj:<n> inputs are 2^n bits and dj-nlb:<n> declares about 2^(n+1) boxes
+# (2,032 at the cap, a few ms per sampled run); both ids refuse a larger n
+DJ_MAX_N = 10
 
 
 class GameError(Exception):
@@ -59,7 +62,8 @@ class Game:
 
     ``party_inputs`` lists each party's possible inputs (None when the
     per-party input space is too large to enumerate). ``party_outputs``
-    lists candidate per-party outputs for strategy searches; where the win
+    lists candidate per-party outputs for strategy searches (None where
+    ``party_inputs`` is None, since no search can use them); where the win
     relation imposes a purely local constraint (magic square parities) the
     candidates are restricted to locally-valid outputs, which cannot lower
     the optimum. ``parity`` is set for games whose relation, on the outputs
@@ -75,7 +79,7 @@ class Game:
     on_promise: Callable[[tuple], bool]
     win: Callable[[tuple, tuple], bool]
     party_inputs: tuple | None
-    party_outputs: tuple
+    party_outputs: tuple | None
     parity: Parity | None
     uniform_target: bool
 
@@ -204,6 +208,8 @@ def dj_game(n: int) -> Game:
     2^(n-1); n-bit outputs equal iff the inputs are equal."""
     if n < 1:
         raise GameError("dj needs n >= 1")
+    if n > DJ_MAX_N:
+        raise GameError(f"dj limited to n <= {DJ_MAX_N}")
     length = 2 ** n
     half = 2 ** (n - 1)
 
@@ -211,8 +217,10 @@ def dj_game(n: int) -> Game:
         a, b = x
         return len(a) == length and len(b) == length and hamming(a, b) in (0, half)
 
-    # the promise is enumerated only for n <= 2; larger n must use the sampler
+    # the promise, the per-party inputs and the per-party outputs are
+    # enumerated only for n <= 2; larger n must use the sampler
     strings = tuple(itertools.product((0, 1), repeat=length)) if n <= 2 else None
+    outputs = tuple(itertools.product((0, 1), repeat=n)) if strings else None
 
     def promise():
         if strings is None:
@@ -239,7 +247,7 @@ def dj_game(n: int) -> Game:
         on_promise=on_promise,
         win=win,
         party_inputs=(strings, strings) if strings else None,
-        party_outputs=(tuple(itertools.product((0, 1), repeat=n)),) * 2,
+        party_outputs=(outputs, outputs) if strings else None,
         # with one output bit each, "equal iff the inputs are equal" is a parity
         parity=Parity(lambda x: int(x[0] != x[1]), own_bit) if n == 1 else None,
         uniform_target=False,

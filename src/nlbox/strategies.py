@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .distbit import cross_pairs, flatten, majority_formula
 from .engine import (Action, Channel, NlbInstance, PartyProgram, SharedDomain,
                      Strategy, TRIVIAL_SHARED, bit_domain)
-from .games import EVEN_TRIPLES, ODD_TRIPLES
+from .games import DJ_MAX_N, EVEN_TRIPLES, ODD_TRIPLES
 
 
 class StrategyError(Exception):
@@ -369,6 +369,8 @@ def dj_nlb(n: int) -> Strategy:
     Uses 2^(n+1) - 2^(floor(lg n)+1) NLBs."""
     if n < 1:
         raise StrategyError("dj-nlb needs n >= 1")
+    if n > DJ_MAX_N:
+        raise StrategyError(f"dj-nlb limited to n <= {DJ_MAX_N}")
     length = 2 ** n
     n_rounds = n - (n.bit_length() - 1)
     final_len = 2 ** (n.bit_length() - 1)

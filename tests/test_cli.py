@@ -82,6 +82,9 @@ def test_search_bad_pair_exits_1(pair, capsys):
     (["verify", "--game", "chsh", "--strategy", "chsh-nlb", "--seeds",
       "exhaustive", "--rng-seed", "3"],
      "error: --rng-seed applies only to --seeds sample:<K>"),
+    (["verify", "--game", "chsh", "--strategy", "chsh-nlb", "--seeds", "sample:3",
+      "--rng-seed", "1", "--max-seed-bits", "0"],
+     "error: --max-seed-bits applies only to --seeds exhaustive"),
 ])
 def test_flags_that_would_be_ignored_exit_1(argv, message, capsys):
     code = main(argv)
@@ -164,6 +167,43 @@ def test_max_seed_bits_only_where_a_sweep_runs(capsys):
     for argv in (["value", "--game", "chsh"], ["search", "--game", "chsh"],
                  ["resources", "--strategy", "chsh-nlb"], ["list"]):
         assert main(argv + ["--max-seed-bits", "30"]) == 1, argv
+
+
+def test_huge_max_seed_bits_is_checked_at_once(capsys):
+    start = time.perf_counter()
+    code, out = run(["dist", "--game", "chsh", "--strategy", "chsh-nlb",
+                     "--max-seed-bits", "1000000000000"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and json.loads(out)["seed_count"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["value", "--game", "dj:11"],
+    ["resources", "--strategy", "dj-nlb:11"],
+    # sizes a build without the cap still completes, so the test fails there
+    ["verify", "--game", "dj:12", "--strategy", "dj-nlb:12", "--seeds", "sample:1",
+     "--rng-seed", "1"],
+    ["verify", "--game", "dj:10", "--strategy", "dj-nlb:11", "--seeds",
+     "sample:1", "--rng-seed", "1"],
+], ids=" ".join)
+def test_dj_past_its_cap_exits_1(argv, capsys):
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: dj")
+    assert "limited to n <= 10" in captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert elapsed < 1.0
+
+
+def test_dj_at_its_cap_runs(capsys):
+    code, out = run(["verify", "--game", "dj:10", "--strategy", "dj-nlb:10",
+                     "--seeds", "sample:2", "--rng-seed", "1"], capsys)
+    assert code == 0
+    assert json.loads(out)["resources"] == {"nlb": 2032, "comm": 0}
 
 
 def test_resources(capsys):

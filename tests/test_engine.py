@@ -9,8 +9,8 @@ from nlbox.engine import (Action, Channel, DeadlockError, EnumerationLimitError,
                           NlbInstance, NonBitError, PartyProgram, ProtocolError,
                           ResourceReuseError, Seed, Strategy,
                           UndeclaredResourceError, UnusedResourceError,
-                          enumerate_seeds, execute, nlb_evaluate, sample_seed,
-                          seed_lanes)
+                          SharedDomain, enumerate_seeds, execute, nlb_evaluate,
+                          require_enumerable, sample_seed, seed_lanes)
 from nlbox.strategies import get_strategy
 
 
@@ -228,6 +228,24 @@ def test_enumerate_seeds_unique_and_limited():
     assert len(set(seeds)) == len(seeds) == s.seed_count()
     with pytest.raises(EnumerationLimitError):
         list(enumerate_seeds(s, max_seed_bits=5))
+
+
+def test_seed_limit_compares_bit_lengths():
+    # 2^6 seeds fit 6 bits; 3 seeds need 2 bits; a huge limit is checked
+    # without building 2**max_seed_bits
+    s = get_strategy("multi-mermin-nlb:4")
+    require_enumerable(s, 6)
+    with pytest.raises(EnumerationLimitError, match=r"limit 2\*\*5\)"):
+        require_enumerable(s, 5)
+    prog = PartyProgram((lambda view: Action(output=(view.shared,)),))
+    three = Strategy(name="three", n_parties=1, programs=(prog,),
+                     shared_domain=SharedDomain("three", (0, 1, 2)))
+    require_enumerable(three, 2)
+    with pytest.raises(EnumerationLimitError):
+        require_enumerable(three, 1)
+    require_enumerable(s, 10 ** 12)
+    with pytest.raises(EnumerationLimitError):
+        require_enumerable(s, -1)
 
 
 def test_seed_json_roundtrip():

@@ -45,6 +45,16 @@ def test_dj_promise_symmetric():
         assert g3.on_promise((b, a))
 
 
+def test_dj_lists_per_party_outputs_only_with_per_party_inputs():
+    # dj:2 can be searched (and refused as no parity game); dj:n for n >= 3
+    # has no per-party inputs, so its 2^n outputs would serve nothing
+    assert get_game("dj:2").party_outputs == (
+        tuple(itertools.product((0, 1), repeat=2)),) * 2
+    for n in (3, 10):
+        game = get_game(f"dj:{n}")
+        assert game.party_inputs is None and game.party_outputs is None
+
+
 def test_dj3_promise_needs_sampling():
     g = get_game("dj:3")
     with pytest.raises(EnumerationLimitError):

@@ -6,10 +6,14 @@ match it exactly, including the order in which outcomes first appear and
 the seed of the first counterexample.
 """
 
+import dataclasses
 import itertools
 import random
+import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -322,6 +326,96 @@ def test_branching_programs_split_once(sid, gid, execute_calls):
         (0, (1 << strategy.seed_count()) - 1)
     lane_runs = sum(type(seed) is LaneSeed for seed in execute_calls)
     assert lane_runs == (19 if sid == "ms-nlb-sim" else 1)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_runs_table():
+    """(strategy cell, seeds, inputs, runs, seed-by-seed runs) per row of
+    README's "Runs per exact distribution" table."""
+    text = README.read_text().split("Runs per exact distribution", 1)[1]
+    rows = []
+    for line in text.split("\n\n", 2)[1].splitlines()[2:]:
+        cell, size, runs = (c.strip() for c in line.strip("|").split("|"))
+        seeds, inputs = (int(v.replace(",", "")) for v in size.split(" x "))
+        m = re.fullmatch(r"([\d,]+) \(([\d,]+)\)", runs)
+        rows.append((cell, seeds, inputs, int(m[1].replace(",", "")),
+                     int(m[2].replace(",", ""))))
+    return rows
+
+
+def readme_row_strategies(cell):
+    """(strategy, game) per id a row names; "`g` search witness" is the
+    witness impossibility_search finds for game g."""
+    ids = re.findall(r"`([^`]+)`", cell)
+    if cell.endswith("search witness"):
+        game = get_game(ids[0])
+        return [(impossibility_search(game).witness_strategy, game)]
+    return [(s, get_game(s.game_id)) for s in map(get_strategy, ids)]
+
+
+def test_readme_runs_table_has_rows():
+    assert len(readme_runs_table()) >= 7
+
+
+@pytest.mark.parametrize("row", readme_runs_table(), ids=lambda row: row[0])
+def test_readme_runs_table_matches_counted_executes(row, execute_calls):
+    cell, seeds, inputs, runs, scalar_runs = row
+    for strategy, game in readme_row_strategies(cell):
+        execute_calls.clear()      # building the search witness re-verifies it
+        exact_distribution(strategy, game)
+        assert (strategy.seed_count(), len(promised_inputs(game))) == (seeds, inputs)
+        assert len(execute_calls) == runs
+        assert seeds * inputs == scalar_runs
+
+
+@pytest.mark.parametrize("sid,gid", [("split-then-arithmetic", "chsh"),
+                                     ("ms-nlb", "magic-square")])
+def test_exhaustive_verify_decides_each_distinct_outcome_once(sid, gid, monkeypatch):
+    strategy, game = build(sid), get_game(gid)
+    dist = exact_distribution(strategy, game)
+    calls = []
+    real = analysis.is_winning
+
+    def counting(game, x, outcome):
+        calls.append((x, outcome))
+        return real(game, x, outcome)
+
+    monkeypatch.setattr(analysis, "is_winning", counting)
+    verify_winning(strategy, game, Exhaustive())
+    assert calls == [(x, o) for x, probs in dist.per_input.items() for o in probs]
+
+
+def many_box_split_then_arithmetic(n_boxes):
+    """split_then_arithmetic with n_boxes - 2 more boxes fed and left unread:
+    b's 1-half, 2^(n_boxes - 1) seeds, runs seed by seed."""
+    base = split_then_arithmetic()
+    nlbs = base.nlbs + tuple(NlbInstance(f"z{k}", 0, 1) for k in range(n_boxes - 2))
+
+    def feed(view):
+        return Action(nlb_inputs={box.id: view.own_input for box in nlbs})
+
+    prog = PartyProgram((feed, base.programs[0].rounds[1]))
+    return dataclasses.replace(base, name="many-box-split", programs=(prog, prog),
+                               nlbs=nlbs)
+
+
+def test_fallback_half_keeps_no_per_seed_list():
+    # 14 boxes: 8,192 scalar runs per input in b's 1-half. One input is
+    # enough, since the sweep finishes an input before it starts the next;
+    # a list of one entry per fallback seed, outcome tuples included, peaks
+    # at about 5 MB here
+    strategy = many_box_split_then_arithmetic(14)
+    game = dataclasses.replace(get_game("chsh"), promise=lambda: [(1, 1)])
+    tracemalloc.start()
+    try:
+        result = verify_winning(strategy, game, Exhaustive())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.checked == 1 << 14
+    assert peak < 1 << 20
 
 
 def test_late_branch_resumes_where_the_lanes_stopped(execute_calls):
