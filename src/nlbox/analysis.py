@@ -21,9 +21,9 @@ from fractions import Fraction
 
 # enumerate_seeds stays importable as analysis.enumerate_seeds, a name the
 # benchmark's tracer (bench/tracer.py) rebinds
-from .engine import (Lane, LaneBranch, LaneSeed, NlbInstance, PartyProgram,
+from .engine import (Lane, LaneBranch, NlbInstance, PartyProgram, PointGrid,
                      Action, Strategy, DEFAULT_MAX_SEED_BITS, enumerate_seeds,
-                     execute, require_enumerable, sample_seed, seed_space)
+                     execute, require_enumerable, seed_space)
 from .games import (Game, is_winning, promised_inputs, sample_promised_input,
                     winning_outcomes)
 
@@ -59,6 +59,77 @@ class Sample:
             raise AnalysisError(f"sample count must be at least 1, got {self.k}")
 
 
+# --- the block loop ------------------------------------------------------------
+
+# points per lane block of sampled verify: a chunk of dj-nlb:10's 2,032 free
+# bits is 2 MB, and every sample of at most this many points is one chunk
+SAMPLE_CHUNK = 1024
+
+
+def _set_bits(mask: int):
+    """The positions of mask's set bits, in ascending order."""
+    return (i for i, c in enumerate(reversed(bin(mask))) if c == "1")
+
+
+def _halves(offset: int, block: int, mask, args) -> list[tuple]:
+    """The runs that replace a block after a LaneBranch: the two blocks on
+    which the lane ``mask`` is constant, each with args(offset, block), or,
+    without a mask, the block with input and seed None: run point by point."""
+    inside = block & mask if mask is not None else 0
+    if inside == 0 or inside == block:
+        return [(offset, block, None, None)]
+    runs = []
+    for part in (inside, block ^ inside):
+        low = (part & -part).bit_length() - 1
+        runs.append((offset + low, part >> low, *args(offset + low, part >> low)))
+    return runs
+
+
+def _run_blocks(strategy: Strategy, runs: list, args, point, done: list):
+    """Run each (offset, block, x, seed) of ``runs`` in order and yield (x,
+    outcome, offset, block) as it finishes; bit i of block stands for point
+    offset + i, and x, seed and the outcome hold a lane wherever the block's
+    points differ. A run that raises LaneBranch with a mask is replaced by
+    the runs of the two blocks on which that lane is constant, args(offset,
+    block) giving a block's (x, seed); without a mask, or with seed None,
+    the block runs point by point on point(k) = (x, seed) of point k, as
+    one-point blocks of its own. Each run that finished is appended to done."""
+    runs = runs[::-1]
+    while runs:
+        run = runs.pop()
+        offset, block, x, seed = run
+        if seed is None:
+            for i in _set_bits(block):
+                x, seed = point(offset + i)
+                outcome, _ = execute(strategy, x, seed, record=False)
+                yield x, outcome, offset + i, 1
+        else:
+            try:
+                outcome, _ = execute(strategy, x, seed, record=False)
+            except LaneBranch as branch:
+                runs += _halves(offset, block, branch.mask, args)
+                continue
+            yield x, outcome, offset, block
+        done.append(run)
+
+
+_BIT = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _point_outcomes(outcome, block: int):
+    """(i, outcome of point offset + i) for each bit i of a run's block,
+    read off the run's lanes point by point."""
+    width = block.bit_length()
+    parts = []
+    for part in outcome:
+        # a leaf's column: byte i is its bit at point offset + i
+        columns = [format(v.mask, f"0{width}b")[::-1].encode().translate(_BIT)
+                   if type(v) is Lane else bytes([v]) * width for v in part]
+        parts.append(list(zip(*columns)) if columns else [()] * width)
+    points = list(zip(*parts))
+    return ((i, points[i]) for i in _set_bits(block))
+
+
 # --- the exhaustive sweep ----------------------------------------------------
 
 def _split_outcome(outcome, full: int):
@@ -86,11 +157,6 @@ def _split_outcome(outcome, full: int):
     return groups
 
 
-def _set_bits(mask: int):
-    """The positions of mask's set bits, in ascending order."""
-    return (i for i, c in enumerate(reversed(bin(mask))) if c == "1")
-
-
 def _sweep(strategy: Strategy, inputs):
     """The exhaustive (input x seed) grid, grouped by outcome.
 
@@ -98,36 +164,22 @@ def _sweep(strategy: Strategy, inputs):
     it finishes, where bit i of seed_mask stands for seed offset + i of
     enumerate_seeds' order; all of one input's pieces come before the next
     input's, in no particular seed order. Each input runs once per block of
-    a partition of the seed space (see SeedSpace). A run that raises
-    LaneBranch with a mask is replaced by runs of the two blocks on which
-    that lane is constant; without a mask the block runs seed by seed on
-    scalar seeds, as a one-seed block does. The next input starts from the
-    partition this one ended with, so a program costs one failed run per
-    split over the whole sweep."""
+    a partition of the seed space (see SeedSpace and _run_blocks). The next
+    input starts from the partition this one ended with, so a program costs
+    one failed run per split over the whole sweep."""
     space = seed_space(strategy)
-    partition = space.start
+    partition = [(offset, block, None, seed) for offset, block, seed in space.start]
     for x in inputs:
-        runs = partition[::-1]
+        runs = [(offset, block, x, seed) for offset, block, _, seed in partition]
         partition = []
-        while runs:
-            offset, block, seed = runs.pop()
-            if seed is not None:
-                try:
-                    outcome, _ = execute(strategy, x, seed, record=False)
-                except LaneBranch as branch:
-                    runs += space.split(offset, block, branch.mask)
-                    continue
-                if type(seed) is LaneSeed:
-                    for split, mask in _split_outcome(outcome, block):
-                        yield x, split, offset, mask
-                else:
-                    yield x, outcome, offset, 1
+        for _, outcome, offset, block in _run_blocks(
+                strategy, runs, lambda o, b, x=x: (x, space.run_seed(o, b)),
+                lambda k, x=x: (x, space.seed(k)), partition):
+            if block == 1:
+                yield x, outcome, offset, 1
             else:
-                for i in _set_bits(block):
-                    outcome, _ = execute(strategy, x, space.seed(offset + i),
-                                         record=False)
-                    yield x, outcome, offset + i, 1
-            partition.append((offset, block, seed))
+                for split, mask in _split_outcome(outcome, block):
+                    yield x, split, offset, mask
 
 
 def _tally(strategy: Strategy, game: Game, max_seed_bits: int):
@@ -232,6 +284,29 @@ class VerifyResult:
         return Fraction(self.wins, self.checked)
 
 
+def _counterexample(x, seed, outcome) -> dict:
+    return {"input": _jsonable(x), "seed": seed.to_json(),
+            "outcome": [list(p) for p in outcome]}
+
+
+def _sample_chunk(strategy: Strategy, game: Game, rng: random.Random, k: int):
+    """Draw k points and run them as lane blocks. Returns (wins, the
+    counterexample of the first losing point or None); the win relation
+    runs on each point."""
+    grid = PointGrid(strategy, functools.partial(sample_promised_input, game), rng, k)
+    outcomes = [None] * k
+    for _, outcome, offset, block in _run_blocks(strategy, grid.start, grid.run,
+                                                 grid.point, []):
+        for i, point_outcome in _point_outcomes(outcome, block):
+            outcomes[offset + i] = point_outcome
+    won = list(map(bool, map(is_winning, itertools.repeat(game), grid.inputs,
+                             outcomes)))
+    if False not in won:
+        return k, None
+    i = won.index(False)
+    return sum(won), _counterexample(grid.inputs[i], grid.point(i)[1], outcomes[i])
+
+
 def verify_winning(strategy: Strategy, game: Game, policy,
                    max_seed_bits: int = DEFAULT_MAX_SEED_BITS) -> VerifyResult:
     """Check the win relation on every (input, seed) of the policy's grid.
@@ -244,29 +319,24 @@ def verify_winning(strategy: Strategy, game: Game, policy,
         raise AnalysisError(f"{strategy.name} has wrong party count for {game.name}")
     checked = wins = 0
     counterexample = None
-
-    def record(x, make_seed, outcome, won, weight=1):
-        nonlocal checked, wins, counterexample
-        checked += weight
-        if won:
-            wins += weight
-        elif counterexample is None:
-            counterexample = {"input": _jsonable(x), "seed": make_seed().to_json(),
-                              "outcome": [list(p) for p in outcome]}
-
     if isinstance(policy, Exhaustive):
         for x, tally in _tally(strategy, game, max_seed_bits):
             for outcome, (count, seed) in tally.items():
-                record(x, lambda: seed_space(strategy).seed(seed), outcome,
-                       is_winning(game, x, outcome), count)
+                checked += count
+                if is_winning(game, x, outcome):
+                    wins += count
+                elif counterexample is None:
+                    counterexample = _counterexample(
+                        x, seed_space(strategy).seed(seed), outcome)
         mode = "exhaustive"
     elif isinstance(policy, Sample):
         rng = random.Random(policy.rng_seed)
-        for _ in range(policy.k):
-            x = sample_promised_input(game, rng)
-            seed = sample_seed(strategy, rng)
-            outcome, _ = execute(strategy, x, seed, record=False)
-            record(x, lambda: seed, outcome, is_winning(game, x, outcome))
+        for start in range(0, policy.k, SAMPLE_CHUNK):
+            size = min(SAMPLE_CHUNK, policy.k - start)
+            chunk_wins, lost = _sample_chunk(strategy, game, rng, size)
+            checked += size
+            wins += chunk_wins
+            counterexample = counterexample or lost
         mode = f"sample:{policy.k}"
     else:
         raise AnalysisError(f"unknown seed policy {policy!r}")

@@ -110,8 +110,12 @@ def cmd_verify(args) -> int:
             "(party count / input / output arity mismatch)")
     policy = parse_seed_policy(args.seeds, args.rng_seed, args.max_seed_bits)
     start = time.monotonic()
-    result = analysis.verify_winning(strategy, game, policy,
-                                     max_seed_bits=_max_seed_bits(args))
+    try:
+        result = analysis.verify_winning(strategy, game, policy,
+                                         max_seed_bits=_max_seed_bits(args))
+    except EnumerationLimitError as exc:
+        # only verify can sample instead
+        raise EnumerationLimitError(f"{exc}; use --seeds sample:<K>") from None
     nlb, comm = analysis.resource_count(strategy)
     report = {
         "game": game.name, "strategy": strategy.name, "mode": result.mode,

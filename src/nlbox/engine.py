@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import random
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -556,7 +557,7 @@ def require_enumerable(strategy: Strategy, max_seed_bits: int) -> None:
     if (total - 1).bit_length() > max_seed_bits:
         raise EnumerationLimitError(
             f"seed space of {strategy.name} has {total} points "
-            f"(limit 2**{max_seed_bits}); use sampled mode")
+            f"(limit 2**{max_seed_bits})")
 
 
 def enumerate_seeds(strategy: Strategy, max_seed_bits: int = DEFAULT_MAX_SEED_BITS):
@@ -575,30 +576,77 @@ def seed_at(n_nlbs: int, index: int, shared_index: int) -> Seed:
                 shared_index)
 
 
-def sample_seed(strategy: Strategy, rng) -> Seed:
-    """Draw one uniform seed from the strategy's randomness space."""
-    bits = tuple(rng.randrange(2) for _ in strategy.nlbs)
+# randrange(2) takes one 32-bit Mersenne Twister word per try: the try is
+# accepted when the word's top bit is 0, and its result is bit 30
+_TRY_BIT = bytes((b >> 6) & 1 for b in range(256))
+_REJECTED = bytes(range(128, 256))
+
+
+def draw_bits(rng: random.Random, n: int) -> bytes:
+    """n draws of rng.randrange(2), as bytes of 0 and 1, leaving rng where
+    those draws would. getrandbits(32 * m) is the next m words, least
+    significant first, so each pass draws one word per bit still needed and
+    keeps the accepted ones; no word is drawn that randrange would not."""
+    out = b""
+    while n:
+        words = rng.getrandbits(32 * n).to_bytes(4 * n, "little")
+        got = words[3::4].translate(_TRY_BIT, _REJECTED)
+        out += got
+        n -= len(got)
+    return out
+
+
+def sample_seed(strategy: Strategy, rng: random.Random) -> Seed:
+    """Draw one uniform seed from the strategy's randomness space: one
+    randrange(2) per NLB, then the shared index."""
+    bits = tuple(draw_bits(rng, len(strategy.nlbs)))
     return Seed(bits, rng.randrange(len(strategy.shared_domain)))
 
 
 # --- the seed space as blocks --------------------------------------------------
 
-def _bit_shape(value, leaves: list):
-    """The nesting of plain tuples and frozen dataclasses around ``value``'s
-    leaves, which are appended to ``leaves``; None when a leaf is not the
-    int 0 or 1."""
-    kind = type(value)
+def _columns(values, leaves: list):
+    """The nesting of plain tuples and frozen dataclasses shared by every
+    value in ``values`` (a sequence), or None when they differ in it or a
+    leaf is not the int 0 or 1. Each leaf's column, its value in every
+    value as bytes of 0 and 1, is appended to ``leaves`` in _build's order."""
+    kinds = set(map(type, values))
+    if len(kinds) != 1:
+        return None
+    (kind,) = kinds
     if kind is int:
-        leaves.append(value)
-        return "bit" if value == 0 or value == 1 else None
+        try:
+            column = bytes(values)
+        except ValueError:
+            return None
+        if column.translate(None, b"\x00\x01"):
+            return None
+        leaves.append(column)
+        return "bit"
     if kind is tuple:
-        items = value
+        if len(set(map(len, values))) != 1:
+            return None
+        parts = list(zip(*values))
     elif dataclasses.is_dataclass(kind) and kind.__dataclass_params__.frozen:
-        items = [getattr(value, f.name) for f in dataclasses.fields(kind)]
+        parts = [[getattr(v, f.name) for v in values]
+                 for f in dataclasses.fields(kind)]
     else:
         return None
-    parts = tuple(_bit_shape(v, leaves) for v in items)
-    return None if None in parts else (kind, parts)
+    shapes = []
+    for part in parts:
+        shape = _columns(part, leaves)
+        if shape is None:
+            return None
+        shapes.append(shape)
+    return kind, tuple(shapes)
+
+
+_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _lane_mask(column: bytes) -> int:
+    """The mask whose bit i is column[i], for non-empty bytes of 0 and 1."""
+    return int(column[::-1].translate(_DIGIT), 2)
 
 
 def _build(shape, leaves):
@@ -641,15 +689,14 @@ class SeedSpace:
         self.values = values
         self.shape = None
         if len(values) > 1:
-            flat = [[] for _ in values]
-            shapes = {_bit_shape(v, leaves) for v, leaves in zip(values, flat)}
-            if len(shapes) == 1 and None not in shapes:
+            columns = []
+            self.shape = _columns(values, columns)
+            if self.shape is not None:
                 # a leaf's lane repeats each shared value's bit 2**nb times
                 ones, zeros = "1" * (1 << nb), "0" * (1 << nb)
-                (self.shape,) = shapes
                 self.shared_masks = [
                     int("".join([ones if b else zeros for b in reversed(col)]), 2)
-                    for col in zip(*flat)]
+                    for col in columns]
         self.per_index = self.shape is None and len(values) > 1
         if self.per_index:
             # a free bit's lane repeats every 2**nb seeds and no block spans
@@ -681,20 +728,6 @@ class SeedSpace:
                 [_on_block(m >> offset, block) for m in self.shared_masks]))
         return LaneSeed(bits, shared, offset, block)
 
-    def split(self, offset: int, block: int, mask: int | None) -> list[tuple]:
-        """The (offset, block, seed) runs that replace a block after a
-        LaneBranch: the two blocks on which the lane ``mask`` is constant,
-        or, without a mask, the block with seed None: run seed by seed."""
-        inside = block & mask if mask is not None else 0
-        if inside == 0 or inside == block:
-            return [(offset, block, None)]
-        runs = []
-        for part in (inside, block ^ inside):
-            low = (part & -part).bit_length() - 1
-            runs.append((offset + low, part >> low,
-                         self.run_seed(offset + low, part >> low)))
-        return runs
-
 
 def seed_space(strategy: Strategy) -> SeedSpace:
     """The strategy's SeedSpace, built on first use and kept on the
@@ -704,3 +737,64 @@ def seed_space(strategy: Strategy) -> SeedSpace:
         space = SeedSpace(strategy)
         object.__setattr__(strategy, "_seed_space", space)
     return space
+
+
+class PointGrid:
+    """k (input, seed) points drawn from rng in the order k rounds of
+    ``sample_input(rng)`` then ``sample_seed`` draw them, numbered in draw
+    order. A block is (offset, mask) as in SeedSpace, bit i of mask standing
+    for point offset + i.
+
+    Free bits are lanes over the points. So are the inputs, leaf by leaf,
+    when every drawn input has one bit shape (see _columns), and likewise
+    the drawn shared values; otherwise the points with one input, or one
+    shared index, form one block."""
+
+    def __init__(self, strategy: Strategy, sample_input, rng: random.Random, k: int):
+        nb, values = len(strategy.nlbs), strategy.shared_domain.values
+        inputs, bits, shared = [], [], []
+        for _ in range(k):
+            inputs.append(sample_input(rng))
+            bits.append(draw_bits(rng, nb))
+            shared.append(rng.randrange(len(values)))
+        self.n_nlbs, self.values = nb, values
+        self.inputs, self.bits, self.shared = inputs, b"".join(bits), shared
+        self.nlb_masks = [_lane_mask(self.bits[j::nb]) for j in range(nb)]
+        input_columns, shared_columns = [], []
+        self.input_shape = _columns(inputs, input_columns)
+        self.shared_shape = _columns([values[s] for s in shared], shared_columns)
+        self.input_masks = [_lane_mask(c) for c in input_columns]
+        self.shared_masks = [_lane_mask(c) for c in shared_columns]
+        keys = zip(inputs if self.input_shape is None else [None] * k,
+                   shared if self.shared_shape is None else [None] * k)
+        groups = {}
+        for i, key in enumerate(keys):
+            groups[key] = groups.get(key, 0) | 1 << i
+        self.start = []
+        for mask in groups.values():
+            low = (mask & -mask).bit_length() - 1
+            self.start.append((low, mask >> low, *self.run(low, mask >> low)))
+
+    def point(self, k: int) -> tuple:
+        """(input, Seed) of point k."""
+        nb = self.n_nlbs
+        return self.inputs[k], Seed(tuple(self.bits[k * nb:(k + 1) * nb]),
+                                    self.shared[k])
+
+    def run(self, offset: int, block: int) -> tuple:
+        """The (input, seed) that runs a block: lane-valued, or the point
+        of a one-point block."""
+        if block == 1:
+            return self.point(offset)
+        if self.input_shape is None:
+            x = self.inputs[offset]
+        else:
+            x = _build(self.input_shape, iter(
+                [_on_block(m >> offset, block) for m in self.input_masks]))
+        bits = tuple([_on_block(m >> offset, block) for m in self.nlb_masks])
+        if self.shared_shape is None:
+            shared = self.values[self.shared[offset]]
+        else:
+            shared = _build(self.shared_shape, iter(
+                [_on_block(m >> offset, block) for m in self.shared_masks]))
+        return x, LaneSeed(bits, shared, offset, block)

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
-from .engine import EnumerationLimitError
+from .engine import EnumerationLimitError, draw_bits
 
 MAX_OUTCOMES = 2 ** 20
 # dj:<n> inputs are 2^n bits and dj-nlb:<n> declares about 2^(n+1) boxes
@@ -200,7 +201,7 @@ def mermin_game() -> Game:
 
 
 def hamming(a, b) -> int:
-    return sum(x != y for x, y in zip(a, b))
+    return sum(map(operator.ne, a, b))
 
 
 def dj_game(n: int) -> Game:
@@ -225,17 +226,19 @@ def dj_game(n: int) -> Game:
     def promise():
         if strings is None:
             raise EnumerationLimitError(
-                f"dj:{n} promise is enumerated only for n <= 2; use sampling")
+                f"dj:{n} promise is enumerated only for n <= 2")
         return [(a, b) for a in strings for b in strings if hamming(a, b) in (0, half)]
 
     def sample_input(rng):
-        # both promise classes drawn with probability 1/2
-        a = tuple(rng.randrange(2) for _ in range(length))
+        # both promise classes drawn with probability 1/2; a is length
+        # draws of rng.randrange(2), drawn in bulk
+        a = tuple(draw_bits(rng, length))
         if rng.randrange(2) == 0:
             return (a, a)
-        flips = set(rng.sample(range(length), half))
-        b = tuple(bit ^ 1 if i in flips else bit for i, bit in enumerate(a))
-        return (a, b)
+        b = list(a)
+        for i in rng.sample(range(length), half):
+            b[i] ^= 1
+        return (a, tuple(b))
 
     def win(x, y):
         return (y[0] == y[1]) == (x[0] == x[1])

@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import itertools
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,10 +14,11 @@ from nlbox.analysis import (AnalysisError, CommunicationUsedError, Exhaustive,
                             classical_value, exact_distribution,
                             impossibility_search, nlb_isolated_parties,
                             no_signaling_check, resource_count, verify_winning)
-from nlbox.engine import EnumerationLimitError
-from nlbox.games import (Parity, get_game, own_bit, promised_inputs,
-                         winning_outcomes)
+from nlbox.engine import EnumerationLimitError, Seed, execute
+from nlbox.games import (Parity, get_game, is_winning, own_bit, promised_inputs,
+                         sample_promised_input, winning_outcomes)
 from nlbox.strategies import STRATEGY_FAMILIES, get_strategy
+from test_lanes import CUSTOM
 
 
 # --- classical values (frozen from the brute-force oracle) --------------------
@@ -137,6 +140,98 @@ def test_verify_sample_mode_reproducible():
 def test_verify_party_count_guard():
     with pytest.raises(AnalysisError):
         verify_winning(get_strategy("chsh-nlb"), get_game("mermin"), Exhaustive())
+
+
+# --- sampled verification against the per-draw loop ------------------------------
+
+def oracle_sampled_verify(strategy, game, k, rng_seed):
+    """Draw input i, then seed i (one randrange(2) per box, then the shared
+    index), for i = 0..k-1, with one scalar execute and one win check per
+    draw; the first losing draw is the counterexample."""
+    rng = random.Random(rng_seed)
+    wins = 0
+    counterexample = None
+    for _ in range(k):
+        x = sample_promised_input(game, rng)
+        seed = Seed(tuple(rng.randrange(2) for _ in strategy.nlbs),
+                    rng.randrange(len(strategy.shared_domain)))
+        outcome, _ = execute(strategy, x, seed, record=False)
+        if is_winning(game, x, outcome):
+            wins += 1
+        elif counterexample is None:
+            counterexample = {"input": analysis._jsonable(x), "seed": seed.to_json(),
+                              "outcome": [list(p) for p in outcome]}
+    return analysis.VerifyResult(counterexample is None, f"sample:{k}", k, wins,
+                                 counterexample)
+
+
+SIZED = {"multi-mermin-nlb": (3, 4, 7), "dj-nlb": (1, 2, 3, 5), "bmaj-nlb": (2, 3, 5)}
+OWN_GAME = [f"{base}:{n}" if wants_n else base
+            for base, (_, wants_n) in STRATEGY_FAMILIES.items()
+            for n in (SIZED[base] if wants_n else (None,))]
+LOSING = [("bmaj-nlb:4", "multi-mermin:4"), ("multi-mermin-nlb:5", "bmaj:5")]
+# split-then-arithmetic splits on a box, then runs one half point by point;
+# split-loser loses inside a split; the ragged and bool shared domains are not
+# bit-shaped, so each drawn shared index is a block of its own
+SAMPLED_CUSTOM = [(sid, "chsh") for sid in ("split-then-arithmetic", "split-loser",
+                                            "ragged-domain", "bool-domain")]
+
+
+def _sampled_case(sid, gid):
+    strategy = CUSTOM[sid]() if sid in CUSTOM else get_strategy(sid)
+    return strategy, get_game(gid or strategy.game_id)
+
+
+@pytest.mark.parametrize("sid,gid", [(sid, None) for sid in OWN_GAME] + LOSING
+                         + SAMPLED_CUSTOM)
+@pytest.mark.parametrize("chunk", [analysis.SAMPLE_CHUNK, 5])
+def test_sampled_verify_matches_the_per_draw_loop(sid, gid, chunk, monkeypatch):
+    # a chunk of 5 points puts most draws past the first chunk
+    monkeypatch.setattr(analysis, "SAMPLE_CHUNK", chunk)
+    strategy, game = _sampled_case(sid, gid)
+    for rng_seed in range(20):
+        k = 1 + 3 * (rng_seed % 7)
+        assert (verify_winning(strategy, game, Sample(k, rng_seed))
+                == oracle_sampled_verify(strategy, game, k, rng_seed)), rng_seed
+
+
+@pytest.mark.parametrize("sid,gid", LOSING + [("split-loser", "chsh")])
+def test_sampled_losing_pairings_find_counterexamples(sid, gid):
+    strategy, game = _sampled_case(sid, gid)
+    results = [verify_winning(strategy, game, Sample(16, s)) for s in range(20)]
+    assert sum(r.counterexample is not None for r in results) >= 10
+
+
+@pytest.mark.parametrize("sid", ["bmaj-nlb:4", "dj-nlb:4", "multi-mermin-nlb:10"])
+def test_sampled_verify_of_a_deep_job_is_one_run(sid, monkeypatch):
+    calls = []
+    real = analysis.execute
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "execute", counting)
+    strategy = get_strategy(sid)
+    result = verify_winning(strategy, get_game(strategy.game_id), Sample(512, 3))
+    assert (result.passed, result.checked, result.wins) == (True, 512, 512)
+    assert len(calls) == 1 and calls[0].block == (1 << 512) - 1
+
+
+def test_sampled_verify_memory_does_not_grow_with_k():
+    strategy = get_strategy("multi-mermin-nlb:6")
+    game = get_game(strategy.game_id)
+    peaks = []
+    for k in (analysis.SAMPLE_CHUNK, 8 * analysis.SAMPLE_CHUNK):
+        gc.collect()   # empties the free lists, which tracemalloc counts
+        tracemalloc.start()
+        try:
+            assert verify_winning(strategy, game, Sample(k, 1)).checked == k
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # one chunk at a time: drawing all 8 chunks at once peaks about 7x higher
+    assert peaks[1] < 1.1 * peaks[0]
 
 
 # --- non-signaling ---------------------------------------------------------------

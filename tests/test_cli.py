@@ -169,6 +169,24 @@ def test_max_seed_bits_only_where_a_sweep_runs(capsys):
         assert main(argv + ["--max-seed-bits", "30"]) == 1, argv
 
 
+@pytest.mark.parametrize("command,hint", [("dist", False), ("verify", True)])
+def test_seed_limit_refusal_names_sampling_only_where_it_exists(command, hint, capsys):
+    # dj-nlb:2 has 2^4 seeds; only verify takes --seeds sample:<K>
+    code = main([command, "--game", "dj:2", "--strategy", "dj-nlb:2",
+                 "--max-seed-bits", "3"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == ("error: seed space of dj-nlb:2 has 16 points (limit 2**3)"
+                            + ("; use --seeds sample:<K>" if hint else "") + "\n")
+
+
+def test_dj_promise_refusal_names_sampling_only_where_it_exists(capsys):
+    assert main(["dist", "--game", "dj:3", "--strategy", "dj-nlb:3"]) == 1
+    assert "sampl" not in capsys.readouterr().err
+    assert main(["verify", "--game", "dj:3", "--strategy", "dj-nlb:3"]) == 1
+    assert capsys.readouterr().err.endswith("; use --seeds sample:<K>\n")
+
+
 def test_huge_max_seed_bits_is_checked_at_once(capsys):
     start = time.perf_counter()
     code, out = run(["dist", "--game", "chsh", "--strategy", "chsh-nlb",

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import example, given
@@ -9,7 +10,8 @@ from nlbox.engine import (Action, Channel, DeadlockError, EnumerationLimitError,
                           NlbInstance, NonBitError, PartyProgram, ProtocolError,
                           ResourceReuseError, Seed, Strategy,
                           UndeclaredResourceError, UnusedResourceError,
-                          SharedDomain, enumerate_seeds, execute, nlb_evaluate,
+                          SharedDomain, draw_bits, enumerate_seeds, execute,
+                          nlb_evaluate,
                           require_enumerable, sample_seed, seed_lanes)
 from nlbox.strategies import get_strategy
 
@@ -271,6 +273,29 @@ def test_sampled_seed_is_valid(a, b):
     seed = sample_seed(s, rng)
     assert len(seed.nlb_bits) == 1
     assert 0 <= seed.shared_index < len(s.shared_domain)
+
+
+@pytest.mark.parametrize("length", [0, 1, 7, 45, 1770])
+def test_bulk_draws_are_the_randrange_stream(length):
+    for seed in range(60):
+        bulk, scalar = random.Random(seed), random.Random(seed)
+        for _ in range(2):
+            assert draw_bits(bulk, length) == bytes(
+                [scalar.randrange(2) for _ in range(length)])
+            # the generators are in step after each draw
+            assert bulk.getrandbits(32) == scalar.getrandbits(32)
+
+
+@pytest.mark.parametrize("sid", ["mermin-nlb-sim", "multi-mermin-nlb:5"])
+def test_sampled_seed_is_the_randrange_stream(sid):
+    # one randrange(2) per box in declaration order, then the shared index
+    strategy = get_strategy(sid)
+    for seed in range(20):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        bits = tuple(theirs.randrange(2) for _ in strategy.nlbs)
+        shared = theirs.randrange(len(strategy.shared_domain))
+        assert sample_seed(strategy, ours) == Seed(bits, shared)
+        assert ours.getrandbits(32) == theirs.getrandbits(32)
 
 
 def _components(strategy):

@@ -200,6 +200,23 @@ def test_samplers_draw_the_promise_entry_by_index(family):
                         == inputs[listed.randrange(len(inputs))])
 
 
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
+def test_dj_sampler_keeps_the_randrange_stream(n):
+    # the string's bits are drawn in bulk; the draws are those of one
+    # randrange(2) per bit, then the class and the flipped positions
+    game, length = get_game(f"dj:{n}"), 2 ** n
+    for seed in range(30):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        a = tuple(theirs.randrange(2) for _ in range(length))
+        if theirs.randrange(2):
+            flips = set(theirs.sample(range(length), length // 2))
+            want = (a, tuple(bit ^ (i in flips) for i, bit in enumerate(a)))
+        else:
+            want = (a, a)
+        assert sample_promised_input(game, ours) == want
+        assert ours.getrandbits(32) == theirs.getrandbits(32)
+
+
 def test_lazy_promise_is_a_fresh_list_each_call():
     game = get_game("bmaj:3")
     first = promised_inputs(game)
