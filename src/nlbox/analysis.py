@@ -22,8 +22,9 @@ from fractions import Fraction
 # enumerate_seeds stays importable as analysis.enumerate_seeds, a name the
 # benchmark's tracer (bench/tracer.py) rebinds
 from .engine import (Lane, LaneBranch, NlbInstance, PartyProgram, PointGrid,
-                     Action, Strategy, DEFAULT_MAX_SEED_BITS, enumerate_seeds,
-                     execute, require_enumerable, seed_space)
+                     Action, Strategy, DEFAULT_MAX_SEED_BITS, _build, _columns,
+                     _on_block, _spread, enumerate_seeds, execute,
+                     require_enumerable, seed_space)
 from .games import (Game, is_winning, promised_inputs, sample_promised_input,
                     winning_outcomes)
 
@@ -64,6 +65,13 @@ class Sample:
 # points per lane block of sampled verify: a chunk of dj-nlb:10's 2,032 free
 # bits is 2 MB, and every sample of at most this many points is one chunk
 SAMPLE_CHUNK = 1024
+# points per lane block of the exhaustive sweep, which holds as many whole
+# inputs as fit, or one. A lane over this many points is 2 kB, enough to
+# spread a run's fixed cost; wider blocks gain nothing, since their lanes
+# must be cut at input boundaries again (multi-mermin-nlb:6's 32 inputs of
+# 2**15 seeds as one block took 18 ms, one input per block 12 ms), and a
+# lane over the 7-party grid's 2**27 points would be 16 MB
+SWEEP_WIDTH = 1 << 14
 
 
 def _set_bits(mask: int):
@@ -71,29 +79,64 @@ def _set_bits(mask: int):
     return (i for i, c in enumerate(reversed(bin(mask))) if c == "1")
 
 
-def _halves(offset: int, block: int, mask, args) -> list[tuple]:
-    """The runs that replace a block after a LaneBranch: the two blocks on
-    which the lane ``mask`` is constant, each with args(offset, block), or,
-    without a mask, the block with input and seed None: run point by point."""
+def _cut(mask: int, size: int, count: int) -> list[int]:
+    """mask in count slices of size bits, lowest first. It is cut into whole
+    bytes at C speed, each holding the same number of slices."""
+    group = 8 // math.gcd(size, 8)
+    step = size * group // 8
+    raw = mask.to_bytes(-(-size * count // 8), "little")
+    chunks = [int.from_bytes(raw[at:at + step], "little")
+              for at in range(0, len(raw), step)]
+    if group == 1:
+        return chunks
+    low = (1 << size) - 1
+    return [chunk >> (size * j) & low for chunk in chunks for j in range(group)][:count]
+
+
+def _by_input(offset: int, masks: list, size: int) -> list[tuple]:
+    """Cut masks over the points from offset on at input boundaries, size
+    points to an input: (input, first, cut masks) per input that the first
+    mask, a block, meets. Bit s of a cut mask stands for seed first + s of
+    that input."""
+    i, first = divmod(offset, size)
+    count = (first + masks[0].bit_length() - 1) // size + 1
+    if count == 1:
+        return [(i, first, masks)]
+    cuts = [_cut(mask << first, size, count) for mask in masks]
+    return [(i + j, 0, parts) for j, parts in enumerate(zip(*cuts)) if parts[0]]
+
+
+def _halves(offset: int, block: int, mask, args, size: int) -> list[tuple]:
+    """The runs that replace a block after a LaneBranch, each with
+    args(offset, block): the two blocks on which the lane ``mask`` is
+    constant; without a mask, one block per input (size points each) when
+    the block spans several, else the block with input and seed None: run
+    point by point."""
     inside = block & mask if mask is not None else 0
-    if inside == 0 or inside == block:
-        return [(offset, block, None, None)]
+    if inside and inside != block:
+        parts = [(offset, inside), (offset, block ^ inside)]
+    else:
+        # reversed, so that the inputs run in order
+        parts = [(i * size + first, seeds)
+                 for i, first, (seeds,) in _by_input(offset, [block], size)][::-1]
+        if len(parts) == 1:
+            return [(offset, block, None, None)]
     runs = []
-    for part in (inside, block ^ inside):
+    for start, part in parts:
         low = (part & -part).bit_length() - 1
-        runs.append((offset + low, part >> low, *args(offset + low, part >> low)))
+        runs.append((start + low, part >> low, *args(start + low, part >> low)))
     return runs
 
 
-def _run_blocks(strategy: Strategy, runs: list, args, point, done: list):
-    """Run each (offset, block, x, seed) of ``runs`` in order and yield (x,
-    outcome, offset, block) as it finishes; bit i of block stands for point
+def _run_blocks(strategy: Strategy, runs: list, args, point, done: list, size: int):
+    """Run each (offset, block, x, seed) of ``runs`` in order and yield
+    (outcome, offset, block) as it finishes; bit i of block stands for point
     offset + i, and x, seed and the outcome hold a lane wherever the block's
-    points differ. A run that raises LaneBranch with a mask is replaced by
-    the runs of the two blocks on which that lane is constant, args(offset,
-    block) giving a block's (x, seed); without a mask, or with seed None,
-    the block runs point by point on point(k) = (x, seed) of point k, as
-    one-point blocks of its own. Each run that finished is appended to done."""
+    points differ. A run that raises LaneBranch is replaced by the runs
+    _halves gives, args(offset, block) giving a block's (x, seed) and size
+    the points of one input; a run with seed None goes point by point on
+    point(k) = (x, seed) of point k, as one-point blocks of its own. Each run
+    that finished is appended to done."""
     runs = runs[::-1]
     while runs:
         run = runs.pop()
@@ -102,14 +145,14 @@ def _run_blocks(strategy: Strategy, runs: list, args, point, done: list):
             for i in _set_bits(block):
                 x, seed = point(offset + i)
                 outcome, _ = execute(strategy, x, seed, record=False)
-                yield x, outcome, offset + i, 1
+                yield outcome, offset + i, 1
         else:
             try:
                 outcome, _ = execute(strategy, x, seed, record=False)
             except LaneBranch as branch:
-                runs += _halves(offset, block, branch.mask, args)
+                runs += _halves(offset, block, branch.mask, args, size)
                 continue
-            yield x, outcome, offset, block
+            yield outcome, offset, block
         done.append(run)
 
 
@@ -132,75 +175,123 @@ def _point_outcomes(outcome, block: int):
 
 # --- the exhaustive sweep ----------------------------------------------------
 
-def _split_outcome(outcome, full: int):
-    """Split the seeds of one lane run by the outcome each seed produced.
+def _split_outcome(masks: list, lengths: list) -> list[tuple]:
+    """Split the seeds of one run by the outcome each seed produced, given
+    the run's block, then each output bit as the mask of seeds where it is
+    1, party by party, and each party's number of output bits.
 
-    Returns (outcome of bits, seed mask) pairs with non-empty, disjoint
-    masks. Each party's part is split on its own lanes first, then
-    intersected with the groups so far."""
+    Returns (outcome, seed mask) pairs with non-empty, disjoint masks. Each
+    party's part is split on its own bits first, then intersected with the
+    groups so far."""
+    bits = iter(masks)
+    full = next(bits)
     groups = [((), full)]
-    for part in outcome:
+    for length in lengths:
         pieces = [((), full)]
-        for v in part:
-            if type(v) is Lane:
-                ones, zeros = v.mask, v.mask ^ full
-                pieces = [(bits + (b,), m) for bits, mask in pieces
-                          for b, m in ((0, mask & zeros), (1, mask & ones)) if m]
+        for leaf in itertools.islice(bits, length):
+            if leaf == 0 or leaf == full:
+                bit = (1 if leaf else 0,)
+                pieces = [(head + bit, mask) for head, mask in pieces]
             else:
-                pieces = [(bits + (v,), mask) for bits, mask in pieces]
+                zeros = full ^ leaf
+                pieces = [(head + (b,), m) for head, mask in pieces
+                          for b, m in ((0, mask & zeros), (1, mask & leaf)) if m]
         if len(pieces) == 1:
-            bits = pieces[0][0]
-            groups = [(head + (bits,), mask) for head, mask in groups]
+            part = pieces[0][0]
+            groups = [(head + (part,), mask) for head, mask in groups]
         else:
-            groups = [(head + (bits,), m) for head, mask in groups
-                      for bits, piece in pieces if (m := mask & piece)]
+            groups = [(head + (part,), m) for head, mask in groups
+                      for part, piece in pieces if (m := mask & piece)]
     return groups
 
 
 def _sweep(strategy: Strategy, inputs):
-    """The exhaustive (input x seed) grid, grouped by outcome.
+    """The exhaustive (input x seed) grid, run by run.
 
-    Yields (x, outcome, offset, seed_mask) as soon as the run that decided
-    it finishes, where bit i of seed_mask stands for seed offset + i of
-    enumerate_seeds' order; all of one input's pieces come before the next
-    input's, in no particular seed order. Each input runs once per block of
-    a partition of the seed space (see SeedSpace and _run_blocks). The next
-    input starts from the partition this one ended with, so a program costs
-    one failed run per split over the whole sweep."""
-    space = seed_space(strategy)
-    partition = [(offset, block, None, seed) for offset, block, seed in space.start]
-    for x in inputs:
-        runs = [(offset, block, x, seed) for offset, block, _, seed in partition]
+    Point i * S + s is input i under seed s, S the seed count and seeds in
+    enumerate_seeds' order. Yields (outcome, offset, block) as each run
+    finishes (see _run_blocks), in no particular point order. When every
+    input has one bit shape (see engine._columns) and the shared value is
+    no per-index block (see SeedSpace), a block holds as many whole inputs
+    as fit in SWEEP_WIDTH points, and the input is a lane too, leaf by leaf;
+    otherwise it holds one input. Each group of inputs starts from the
+    partition the previous one ended with, so a program costs one failed
+    run per split of a group over the whole sweep."""
+    size = strategy.seed_count()
+    copies = max(1, min(len(inputs), SWEEP_WIDTH // size))
+    columns = []
+    shape = None
+    if copies > 1 and not seed_space(strategy).per_index:
+        shape = _columns(inputs, columns)
+    space = seed_space(strategy, copies if shape else 1)
+    width, total = space.width, len(inputs) * size
+    # each group starts from the partition the previous one ended with, one
+    # group on and cut to the points that are left; the first from the space's
+    partition = [(offset - width, block, None, seed)
+                 for offset, block, seed in space.start]
+    for base in range(0, total, width):
+        masks = [_spread(column[base // size:(base + width) // size], size)
+                 for column in columns]
+
+        def input_of(offset, block, base=base, masks=masks):
+            if shape is None:
+                return inputs[offset // size]
+            return _build(shape, iter([_on_block(m >> offset - base, block)
+                                       for m in masks]))
+
+        def args(offset, block, input_of=input_of):
+            return input_of(offset, block), space.run_seed(offset, block)
+
+        runs = []
+        for offset, block, _, seed in partition:
+            offset += width
+            if offset + block.bit_length() <= total:
+                # a seed is the same one group on; None runs point by point
+                runs.append((offset, block, seed and input_of(offset, block), seed))
+            elif offset < total:
+                block &= (1 << total - offset) - 1
+                runs.append((offset, block, *args(offset, block)))
         partition = []
-        for _, outcome, offset, block in _run_blocks(
-                strategy, runs, lambda o, b, x=x: (x, space.run_seed(o, b)),
-                lambda k, x=x: (x, space.seed(k)), partition):
-            if block == 1:
-                yield x, outcome, offset, 1
-            else:
-                for split, mask in _split_outcome(outcome, block):
-                    yield x, split, offset, mask
+        yield from _run_blocks(strategy, runs, args,
+                               lambda k: (inputs[k // size], space.seed(k)),
+                               partition, size)
 
 
 def _tally(strategy: Strategy, game: Game, max_seed_bits: int):
     """Per promised input, in promise order, (x, {outcome: [seed count,
     lowest seed]}) with the outcomes ordered by their lowest seed: the order
     in which a seed-by-seed sweep first meets them. Seeds are numbered in
-    enumerate_seeds' order. The seed-space limit is checked before the
-    promise is built."""
+    enumerate_seeds' order. Each run's outcome is cut at input boundaries
+    and split by outcome; an input's pieces may come from any runs, in any
+    order. The seed-space limit is checked before the promise is built."""
     require_enumerable(strategy, max_seed_bits)
-    pieces = _sweep(strategy, promised_inputs(game))
-    for x, group in itertools.groupby(pieces, key=operator.itemgetter(0)):
-        tally = {}
-        for _, outcome, offset, mask in group:
-            seed = offset + (mask & -mask).bit_length() - 1
-            entry = tally.get(outcome)
-            if entry is None:
-                tally[outcome] = [mask.bit_count(), seed]
-            else:
-                entry[0] += mask.bit_count()
-                if seed < entry[1]:
-                    entry[1] = seed
+    inputs = promised_inputs(game)
+    size = strategy.seed_count()
+    tallies = [{} for _ in inputs]
+
+    def add(tally, outcome, count, seed):
+        entry = tally.get(outcome)
+        if entry is None:
+            tally[outcome] = [count, seed]
+        else:
+            entry[0] += count
+            if seed < entry[1]:
+                entry[1] = seed
+
+    for outcome, offset, block in _sweep(strategy, inputs):
+        if block == 1:
+            i, seed = divmod(offset, size)
+            add(tallies[i], outcome, 1, seed)
+            continue
+        lengths = list(map(len, outcome))
+        leaves = [v.mask if type(v) is Lane else block if v else 0
+                  for part in outcome for v in part]
+        for i, first, masks in _by_input(offset, [block, *leaves], size):
+            # split when the input is reached, so that only its pieces live
+            for split, mask in _split_outcome(masks, lengths):
+                add(tallies[i], split, mask.bit_count(),
+                    first + (mask & -mask).bit_length() - 1)
+    for x, tally in zip(inputs, tallies):
         if len(tally) > 1:
             tally = dict(sorted(tally.items(), key=lambda item: item[1][1]))
         yield x, tally
@@ -295,8 +386,8 @@ def _sample_chunk(strategy: Strategy, game: Game, rng: random.Random, k: int):
     runs on each point."""
     grid = PointGrid(strategy, functools.partial(sample_promised_input, game), rng, k)
     outcomes = [None] * k
-    for _, outcome, offset, block in _run_blocks(strategy, grid.start, grid.run,
-                                                 grid.point, []):
+    for outcome, offset, block in _run_blocks(strategy, grid.start, grid.run,
+                                              grid.point, [], k):
         for i, point_outcome in _point_outcomes(outcome, block):
             outcomes[offset + i] = point_outcome
     won = list(map(bool, map(is_winning, itertools.repeat(game), grid.inputs,
@@ -347,14 +438,18 @@ def verify_winning(strategy: Strategy, game: Game, policy,
 
 def marginals_non_signaling(dist: ExactDistribution, n_parties: int) -> bool:
     """True iff each party's marginal is identical across all inputs that
-    agree on that party's coordinate."""
-    inputs = list(dist.per_input)
+    agree on that party's coordinate. Marginals are compared as seed
+    counts: every probability is a count over seed_count."""
+    total = dist.seed_count
+    counts = {x: [(o, p.numerator * (total // p.denominator)) for o, p in probs.items()]
+              for x, probs in dist.per_input.items()}
     for party in range(n_parties):
-        buckets: dict = {}
-        for x in inputs:
-            buckets.setdefault(x[party], []).append(dist.marginal(x, party))
-        for margs in buckets.values():
-            if any(m != margs[0] for m in margs[1:]):
+        first: dict = {}
+        for x, pairs in counts.items():
+            marginal: dict = {}
+            for o, n in pairs:
+                marginal[o[party]] = marginal.get(o[party], 0) + n
+            if first.setdefault(x[party], marginal) != marginal:
                 return False
     return True
 

@@ -4,9 +4,10 @@ A non-local box (NLB) is a two-port resource: each port receives one input
 bit from its party, and the two output bits XOR to the AND of the inputs.
 Which of the two solutions is realised is decided by one free bit, so a run
 is fully determined by (strategy, input, seed) and exact output statistics
-can be obtained by enumerating the finite seed space. A seed's free bits and
-shared value may also hold Lanes, one bit per seed, so that one run decides
-a whole block of seeds at once (see SeedSpace).
+can be obtained by enumerating the finite seed space. A run's input, free
+bits and shared value may also hold Lanes, one bit per (input, seed) point,
+so that one run decides a whole block of points at once (see SeedSpace and
+PointGrid).
 
 Locality is structural: a party program is only ever handed its own input,
 the shared-randomness component, resource outputs delivered to its own
@@ -69,10 +70,10 @@ class LaneBranch(Exception):
     """A party program used a lane as anything but a bit under ``^ & |``.
 
     When it branched on or indexed with a lane that differs between the
-    seeds of its block, ``mask`` is that lane: the seeds where it is 1 and
+    points of its block, ``mask`` is that lane: the points where it is 1 and
     those where it is 0 form two blocks on which it is constant. Any other
     use (comparison, hashing, arithmetic, a non-bit operand) leaves ``mask``
-    None, and callers rerun the block seed by seed."""
+    None, and callers rerun the block input by input, or point by point."""
 
     def __init__(self, message: str, mask: int | None = None):
         super().__init__(message)
@@ -143,16 +144,16 @@ def _refuse(op: str):
 
 
 class Lane:
-    """One bit across a block of seeds (bitslicing): bit k of ``mask`` is
-    its value under seed k, and ``full`` has one bit set per seed of the
+    """One bit across a block of points (bitslicing): bit k of ``mask`` is
+    its value at point k, and ``full`` has one bit set per point of the
     block (``mask`` has no bit outside it).
 
     ``^ & |`` against other lanes of the block and against the ints 0 and 1
-    act on every seed at once. ``bool`` and ``index`` give the lane's value
-    where it is the same for every seed of the block and raise LaneBranch
+    act on every point at once. ``bool`` and ``index`` give the lane's value
+    where it is the same for every point of the block and raise LaneBranch
     with the mask where it is not; every other use raises LaneBranch
     without one. So a program that runs to the end on lanes computed
-    exactly what it would compute seed by seed."""
+    exactly what it would compute point by point."""
 
     __slots__ = ("mask", "full")
 
@@ -231,10 +232,10 @@ def seed_lanes(n_nlbs: int, n_shared: int = 1) -> tuple[Lane, ...]:
 
 
 class LaneSeed(NamedTuple):
-    """A block of seeds run at once: bit i of ``block`` stands for seed
-    ``offset + i`` (see SeedSpace). Each free bit and each leaf of the
-    shared value is a Lane over ``block``, or the int it equals on every
-    seed of the block."""
+    """A block of points run at once: bit i of ``block`` stands for point
+    ``offset + i`` (see SeedSpace and PointGrid). Each free bit and each
+    leaf of the shared value is a Lane over ``block``, or the int it equals
+    on every point of the block."""
 
     nlb_bits: tuple
     shared: object
@@ -672,31 +673,37 @@ def _on_block(mask: int, block: int):
     return 1 if mask == block else Lane(mask, block)
 
 
+def _spread(column: bytes, run: int) -> int:
+    """The mask whose bits i * run to (i + 1) * run - 1 all equal column[i],
+    for non-empty bytes of 0 and 1: a leaf's lane over points that take
+    each value run times in a row. Whole bytes are joined at C speed."""
+    if run % 8:
+        ones, zeros = b"\x01" * run, bytes(run)
+        return _lane_mask(b"".join([ones if b else zeros for b in column]))
+    ones, zeros = b"\xff" * (run // 8), bytes(run // 8)
+    return int.from_bytes(b"".join([ones if b else zeros for b in column]), "little")
+
+
 class SeedSpace:
-    """A strategy's seeds numbered in ``enumerate_seeds``' order: seed k has
-    shared index k >> #NLBs. A block is a set of seeds given as (offset,
-    mask): bit i of mask stands for seed offset + i, and bit 0 is set.
+    """A strategy's seeds numbered in ``enumerate_seeds``' order, laid end
+    to end ``copies`` times: point k is seed k % S of copy k // S, S the
+    seed count, and seed s has shared index s >> #NLBs. A block is a set of
+    points given as (offset, mask): bit i of mask stands for point
+    offset + i, and bit 0 is set. The exhaustive sweep gives each copy an
+    input, and reads the points past the copies as point k % ``width``.
 
     When every shared value is a plain tuple or frozen dataclass of the
     same shape with leaves 0 and 1, the shared value is lane-valued too,
-    leaf by leaf, and the whole space is one block; otherwise each shared
-    index is one block."""
+    leaf by leaf, and all copies are one block; otherwise each shared index
+    is one block, and the sweep asks for one copy."""
 
-    def __init__(self, strategy: Strategy):
+    def __init__(self, strategy: Strategy, copies: int = 1):
         nb = len(strategy.nlbs)
         values = strategy.shared_domain.values
-        self.n_nlbs = nb
-        self.values = values
-        self.shape = None
-        if len(values) > 1:
-            columns = []
-            self.shape = _columns(values, columns)
-            if self.shape is not None:
-                # a leaf's lane repeats each shared value's bit 2**nb times
-                ones, zeros = "1" * (1 << nb), "0" * (1 << nb)
-                self.shared_masks = [
-                    int("".join([ones if b else zeros for b in reversed(col)]), 2)
-                    for col in columns]
+        self.n_nlbs, self.values, self.size = nb, values, len(values) << nb
+        self.width = copies * self.size
+        columns = []
+        self.shape = _columns(values, columns) if len(values) > 1 else None
         self.per_index = self.shape is None and len(values) > 1
         if self.per_index:
             # a free bit's lane repeats every 2**nb seeds and no block spans
@@ -704,38 +711,47 @@ class SeedSpace:
             self.nlb_masks = tuple(lane.mask for lane in seed_lanes(nb))
             blocks = [(s << nb, (1 << (1 << nb)) - 1) for s in range(len(values))]
         else:
-            self.nlb_masks = tuple(lane.mask for lane in seed_lanes(nb, len(values)))
-            blocks = [(0, (1 << (len(values) << nb)) - 1)]
+            self.nlb_masks = tuple(lane.mask for lane in
+                                   seed_lanes(nb, len(values) * copies))
+            # a leaf's lane repeats each shared value's bit 2**nb times
+            self.shared_masks = [_spread(col * copies, 1 << nb) for col in columns]
+            blocks = [(0, (1 << self.width) - 1)]
         # the partition every sweep starts from
         self.start = [(offset, block, self.run_seed(offset, block))
                       for offset, block in blocks]
 
     def seed(self, k: int) -> Seed:
-        """Seed k of the space."""
-        return seed_at(self.n_nlbs, k & ((1 << self.n_nlbs) - 1), k >> self.n_nlbs)
+        """The seed of point k."""
+        nb = self.n_nlbs
+        return seed_at(nb, k & ((1 << nb) - 1), k % self.size >> nb)
 
     def run_seed(self, offset: int, block: int) -> LaneSeed | Seed:
-        """The seed that runs a block: a LaneSeed, or the Seed of a one-seed
+        """The seed that runs a block: a LaneSeed, whose offset is counted
+        from the start of the copies it lies in, or the Seed of a one-point
         block."""
         if block == 1:
             return self.seed(offset)
+        offset %= self.width
         shift = offset & ((1 << self.n_nlbs) - 1) if self.per_index else offset
         bits = tuple(_on_block(m >> shift, block) for m in self.nlb_masks)
         if self.shape is None:
-            shared = self.values[offset >> self.n_nlbs]
+            shared = self.values[offset % self.size >> self.n_nlbs]
         else:
             shared = _build(self.shape, iter(
                 [_on_block(m >> offset, block) for m in self.shared_masks]))
         return LaneSeed(bits, shared, offset, block)
 
 
-def seed_space(strategy: Strategy) -> SeedSpace:
-    """The strategy's SeedSpace, built on first use and kept on the
-    strategy; see require_enumerable before asking for one."""
-    space = strategy.__dict__.get("_seed_space")
+def seed_space(strategy: Strategy, copies: int = 1) -> SeedSpace:
+    """The strategy's SeedSpace of ``copies`` copies, built on first use and
+    kept on the strategy; see require_enumerable before asking for one."""
+    spaces = strategy.__dict__.get("_seed_spaces")
+    if spaces is None:
+        spaces = {}
+        object.__setattr__(strategy, "_seed_spaces", spaces)
+    space = spaces.get(copies)
     if space is None:
-        space = SeedSpace(strategy)
-        object.__setattr__(strategy, "_seed_space", space)
+        space = spaces[copies] = SeedSpace(strategy, copies)
     return space
 
 

@@ -101,8 +101,10 @@ def _require_promise(game: Game, input_tuple: tuple) -> None:
 
 def is_winning(game: Game, input_tuple: tuple, outcome: tuple) -> bool:
     _require_promise(game, input_tuple)
-    if len(outcome) != game.n_parties or any(
-            len(outcome[i]) != game.output_lengths[i] for i in range(game.n_parties)):
+    # part lengths are compared lazily and stop at the first mismatch, so a
+    # later part that has no length is never asked for one
+    if len(outcome) != game.n_parties or not all(
+            map(operator.eq, map(len, outcome), game.output_lengths)):
         raise GameError(f"outcome arity does not match {game.name}")
     return game.win(input_tuple, outcome)
 
@@ -126,6 +128,12 @@ def winning_outcomes(game: Game, input_tuple: tuple) -> set:
 
 
 # --- constructors -----------------------------------------------------------
+
+def _all_bits(x) -> bool:
+    """True iff every entry of x is ``in (0, 1)``, as 0, 1, False, True and
+    1.0 are: the same test, made in C."""
+    return all(map(operator.contains, itertools.repeat((0, 1)), x))
+
 
 def _scalar_bits(n):
     return tuple(((0,), (1,)) for _ in range(n))
@@ -186,8 +194,7 @@ def multi_mermin_game(n: int, name: str | None = None) -> Game:
         promise=_lazy(lambda: [x for x in itertools.product((0, 1), repeat=n)
                                if sum(x) % 2 == 0]),
         sample_input=sample_input,
-        on_promise=lambda x: len(x) == n and all(b in (0, 1) for b in x)
-                              and sum(x) % 2 == 0,
+        on_promise=lambda x: len(x) == n and _all_bits(x) and sum(x) % 2 == 0,
         win=parity.win,
         party_inputs=((0, 1),) * n,
         party_outputs=_scalar_bits(n),
@@ -266,7 +273,7 @@ def bmaj_game(n: int) -> Game:
         name=f"bmaj:{n}", n_parties=n, output_lengths=(1,) * n,
         promise=_lazy(lambda: list(itertools.product((0, 1), repeat=n))),
         sample_input=lambda rng: _bits(rng.randrange(2 ** n), n),
-        on_promise=lambda x: len(x) == n and all(b in (0, 1) for b in x),
+        on_promise=lambda x: len(x) == n and _all_bits(x),
         win=parity.win,
         party_inputs=((0, 1),) * n,
         party_outputs=_scalar_bits(n),

@@ -18,7 +18,7 @@ from nlbox.engine import EnumerationLimitError, Seed, execute
 from nlbox.games import (Parity, get_game, is_winning, own_bit, promised_inputs,
                          sample_promised_input, winning_outcomes)
 from nlbox.strategies import STRATEGY_FAMILIES, get_strategy
-from test_lanes import CUSTOM
+from test_lanes import CUSTOM, NO_COMM_ENUMERABLE
 
 
 # --- classical values (frozen from the brute-force oracle) --------------------
@@ -247,6 +247,51 @@ def test_no_signaling_inapplicable_with_channels():
         no_signaling_check(get_strategy("mermin-comm"), get_game("mermin"))
 
 
+def oracle_marginals_non_signaling(dist, n_parties):
+    """The non-signaling check on Fraction marginals: each party's marginal,
+    summed in rationals, compared across the inputs that agree on that
+    party's coordinate."""
+    inputs = list(dist.per_input)
+    for party in range(n_parties):
+        buckets: dict = {}
+        for x in inputs:
+            buckets.setdefault(x[party], []).append(dist.marginal(x, party))
+        for margs in buckets.values():
+            if any(m != margs[0] for m in margs[1:]):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("sid,gid", NO_COMM_ENUMERABLE)
+def test_integer_marginals_match_the_fraction_oracle(sid, gid):
+    dist = exact_distribution(get_strategy(sid), get_game(gid))
+    n = get_game(gid).n_parties
+    assert analysis.marginals_non_signaling(dist, n) is True
+    assert oracle_marginals_non_signaling(dist, n) is True
+
+
+def _three_party(party2):
+    """A mermin-promise distribution over 4 seeds: party 0 answers 0 with
+    probability 3/4, party 1 always 0, party 2 as party2(x, answer of 0)."""
+    per_input = {x: {((0,), (0,), (party2(x, 0),)): Fraction(3, 4),
+                     ((1,), (0,), (party2(x, 1),)): Fraction(1, 4)}
+                 for x in promised_inputs(get_game("mermin"))}
+    return analysis.ExactDistribution("synthetic", "mermin", 4, per_input)
+
+
+@pytest.mark.parametrize("party2,signals", [
+    (lambda x, a: x[2] ^ a, False),     # depends on its own input only
+    (lambda x, a: x[0], True),          # announces party 0's input
+    (lambda x, a: a ^ (x[0] & x[1]), True),
+])
+def test_integer_marginals_find_one_signaling_party(party2, signals):
+    dist = _three_party(party2)
+    assert analysis.marginals_non_signaling(dist, 3) is not signals
+    assert oracle_marginals_non_signaling(dist, 3) is not signals
+    # parties 0 and 1 never signal: the check of them alone passes
+    assert analysis.marginals_non_signaling(dist, 2) is True
+
+
 def test_marginal_logic_detects_signaling():
     # box-only strategies cannot signal structurally, so exercise the
     # marginal comparison on a handmade signaling distribution: party 1
@@ -258,9 +303,11 @@ def test_marginal_logic_detects_signaling():
         (1, 0): point(((0,), (1,))), (1, 1): point(((0,), (1,))),
     })
     assert not marginals_non_signaling(signaling, 2)
+    assert not oracle_marginals_non_signaling(signaling, 2)
     honest = ExactDistribution("synthetic", "chsh", 1, {
         x: point(((0,), (0,))) for x in itertools.product((0, 1), repeat=2)})
     assert marginals_non_signaling(honest, 2)
+    assert oracle_marginals_non_signaling(honest, 2)
 
 
 # --- impossibility search --------------------------------------------------------

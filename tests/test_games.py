@@ -85,6 +85,60 @@ def test_mermin_winning_examples():
         is_winning(g, (0, 0, 0), ((0, 0), (0,), (0,)))
 
 
+# per family: a promised input, an outcome of the right arity, inputs off
+# the promise, and outcomes of the wrong arity. An entry is a bit when it is
+# `in (0, 1)`, so False, True and 1.0 are bits, and 2, -1 and None are not
+ARITY_CASES = {
+    "chsh": ((1, 0), ((0,), (1,)),
+             [(0, 2), (0, -1), (None, 0), (0, 0, 0), (0,), ()],
+             [((0,),), ((0,), (1,), (0,)), ((0, 1), (1,)), ((0,), ()), (),
+              ((0, 0), 5)]),
+    "magic-square": ((2, 3), ((0, 1, 1), (0, 0, 1)),
+                     [(0, 1), (4, 1), (1, 2, 3), (1,), (None, 1)],
+                     [((0, 1, 1),), ((0, 1), (0, 0, 1)), ((0, 1, 1), (0, 0, 1, 0))]),
+    "mermin": ((1, 1, 0), ((0,), (1,), (1,)),
+               [(1, 0, 0), (1, 1, 1), (2, 0, 0), (1, 1), (1, 1, 0, 0)],
+               [((0,), (1,)), ((0,), (1,), (1, 0)), ((), (1,), (1,))]),
+    "multi-mermin:4": ((1, 1, 1, 1), ((0,),) * 4,
+                       [(1, 0, 0, 0), (2, 0, 0, 0), (-1, 1, 0, 0), (1, 1),
+                        (0, 0, 0, 0, 0)],
+                       [((0,),) * 3, ((0,),) * 5, ((0,), (0,), (0,), (0, 0))]),
+    "dj:2": (((0, 1, 1, 0), (1, 1, 0, 0)), ((0, 1), (1, 1)),
+             [((0, 0, 0, 0), (1, 1, 1, 0)), ((0, 0, 0, 0), (1, 1, 1, 1)),
+              ((0, 0, 0), (0, 0, 0))],
+             [((0, 1),), ((0, 1), (1,)), ((0, 1, 0), (1, 1))]),
+    "bmaj:3": ((1, 0, 1), ((1,),) * 3,
+               [(1, 0, 2), (1, None, 1), (1, 0), (1, 0, 1, 1), (0.5, 0, 1)],
+               [((1,),) * 2, ((1,), (1,), (1, 1)), ((1,),) * 4]),
+}
+
+
+@pytest.mark.parametrize("gid", sorted(ARITY_CASES))
+def test_is_winning_rejects_off_promise_inputs_and_wrong_arity(gid):
+    g = get_game(gid)
+    x, outcome, off_promise, wrong_arity = ARITY_CASES[gid]
+    assert is_winning(g, x, outcome) in (True, False)
+    for bad in off_promise:
+        with pytest.raises(PromiseError):
+            is_winning(g, bad, outcome)
+    for bad in wrong_arity:
+        with pytest.raises(GameError) as raised:
+            is_winning(g, x, bad)
+        assert type(raised.value) is GameError
+    # the promise is checked before the arity
+    with pytest.raises(PromiseError):
+        is_winning(g, off_promise[0], wrong_arity[0])
+
+
+@pytest.mark.parametrize("gid", ["chsh", "mermin", "multi-mermin:4", "bmaj:3"])
+def test_bools_and_float_bits_stay_on_the_promise(gid):
+    g = get_game(gid)
+    x, outcome, _, _ = ARITY_CASES[gid]
+    for alias in ({0: False, 1: True}, {0: 0.0, 1: 1.0}):
+        same = tuple(alias[b] for b in x)
+        assert is_winning(g, same, outcome) == is_winning(g, x, outcome)
+
+
 def test_winning_outcome_counts_input_independent():
     g = get_game("magic-square")
     for x in promised_inputs(g):

@@ -193,6 +193,40 @@ def split_loser():
     return _two_box_chsh("split-loser", answer, bit_domain(1))
 
 
+def input_branch():
+    """Branches on its own input, a lane over the whole grid: the block
+    splits by input, and each half runs on box lanes."""
+    return _two_box_chsh(
+        "input-branch",
+        lambda v: v.nlb["a"] if v.own_input else v.nlb["a"] ^ v.nlb["b"] ^ v.nlb["b"])
+
+
+def input_compare():
+    """Compares its own input with ==, which no lane allows: the grid block
+    reruns as one block per input, each still on box lanes."""
+    return _two_box_chsh("input-compare",
+                         lambda v: v.nlb["a"] ^ (1 if v.own_input == 1 else 0) ^ 1)
+
+
+def later_input_loser():
+    """Loses only on input (1, 0) under shared value 1: box b's outputs XOR
+    to x0 & (1 - x1), and each party adds its b output where the shared bit
+    is 1. The first counterexample is seed 4 of the grid block's third
+    input."""
+    boxes = (NlbInstance("a", 0, 1), NlbInstance("b", 0, 1))
+
+    def feed(view):
+        bit = view.own_input if view.party == 0 else 1 ^ view.own_input
+        return Action(nlb_inputs={"a": view.own_input, "b": bit})
+
+    def answer(view):
+        return Action(output=(view.nlb["a"] ^ (view.nlb["b"] & view.shared[0]),))
+
+    prog = PartyProgram((feed, answer))
+    return Strategy(name="later-input-loser", n_parties=2, programs=(prog, prog),
+                    nlbs=boxes, shared_domain=bit_domain(1), game_id="chsh")
+
+
 CASES = ([(sid, gid) for sid, gid in NO_COMM_ENUMERABLE + CHANNEL
           if sid not in SAMPLED_ORACLE]
          + [("multi-mermin-nlb:4", "bmaj:4"), ("search-witness", "multi-mermin:3"),
@@ -200,13 +234,16 @@ CASES = ([(sid, gid) for sid, gid in NO_COMM_ENUMERABLE + CHANNEL
             ("table-index", "chsh"), ("nested-branch", "chsh"),
             ("split-then-arithmetic", "chsh"), ("ragged-domain", "chsh"),
             ("non-bit-domain", "chsh"), ("bool-domain", "chsh"),
-            ("split-loser", "chsh")])
+            ("split-loser", "chsh"), ("input-branch", "chsh"),
+            ("input-compare", "chsh"), ("later-input-loser", "chsh")])
 CUSTOM = {"search-witness": search_witness, "losing-witness": losing_witness,
           "late-branch": late_branch, "table-index": table_index,
           "nested-branch": nested_branch,
           "split-then-arithmetic": split_then_arithmetic,
           "ragged-domain": ragged_domain, "non-bit-domain": non_bit_domain,
-          "bool-domain": bool_domain, "split-loser": split_loser}
+          "bool-domain": bool_domain, "split-loser": split_loser,
+          "input-branch": input_branch, "input-compare": input_compare,
+          "later-input-loser": later_input_loser}
 
 
 def build(sid):
@@ -237,6 +274,13 @@ def test_losing_cases_have_counterexamples():
     # where box a's free bit is 1, whose lowest seed it is
     result = verify_winning(split_loser(), get_game("chsh"), Exhaustive())
     assert result.counterexample["seed"] == {"nlb_bits": [1, 0], "shared_index": 0}
+    # all four chsh inputs are one block; the losing points are seeds 4 to 7
+    # of its third input
+    result = verify_winning(later_input_loser(), get_game("chsh"), Exhaustive())
+    assert (result.checked, result.wins) == (32, 28)
+    assert result.counterexample == {
+        "input": [1, 0], "seed": {"nlb_bits": [0, 0], "shared_index": 1},
+        "outcome": [[0], [1]]}
 
 
 @pytest.mark.parametrize("sid", ["ragged-domain", "non-bit-domain", "bool-domain"])
@@ -257,24 +301,23 @@ def test_lane_sweep_matches_scalar_seed_by_seed(sid):
     nb = len(strategy.nlbs)
     rng = random.Random(sid)
     inputs = promised_inputs(game)
-    groups = {}
-    sweep = analysis._sweep(strategy, inputs)
-    for x, outcome, offset, mask in sweep:
-        groups.setdefault(x, []).append((outcome, mask << offset))
-    assert list(groups) == inputs
-    full = (1 << strategy.seed_count()) - 1
-    for x, parts in groups.items():
-        masks = [m for _, m in parts]
-        assert sum(m.bit_count() for m in masks) == full.bit_count()
-        union = 0
-        for m in masks:
-            assert union & m == 0
-            union |= m
-        assert union == full
+    size = strategy.seed_count()
+    runs = list(analysis._sweep(strategy, inputs))
+    # the runs' blocks partition the (input x seed) grid
+    union = 0
+    for _, offset, block in runs:
+        assert union & block << offset == 0
+        union |= block << offset
+    assert union == (1 << len(inputs) * size) - 1
+    for k, x in enumerate(inputs):
         for s in range(len(strategy.shared_domain)):
             for i in rng.sample(range(1 << nb), 32):
+                point = k * size + (s << nb | i)
                 want, _ = execute(strategy, x, seed_at(nb, i, s), record=False)
-                got = [o for o, m in parts if m >> (s << nb | i) & 1]
+                got = [tuple(tuple(_lane_bit(v, point - offset) for v in part)
+                             for part in outcome)
+                       for outcome, offset, block in runs
+                       if offset <= point and block >> point - offset & 1]
                 assert got == [want]
     result = verify_winning(strategy, game, Exhaustive())
     assert result.passed and result.checked == len(inputs) << nb
@@ -296,21 +339,30 @@ def execute_calls(monkeypatch):
 
 @pytest.mark.parametrize("sid", BRANCH_FREE)
 def test_branch_free_builtins_take_the_lane_path(sid, execute_calls):
-    # one run per input: mermin-nlb-sim's shared flip bit is a lane too
+    # one run over the whole (input x seed) grid: the inputs are lanes too,
+    # and so is mermin-nlb-sim's shared flip bit. multi-mermin-nlb:6 has
+    # 2**15 seeds per input, more than SWEEP_WIDTH, so each of its 32 blocks
+    # holds one input
     strategy = get_strategy(sid)
     game = get_game(strategy.game_id)
     exact_distribution(strategy, game)
-    assert len(execute_calls) == len(promised_inputs(game))
-    whole = (1 << strategy.seed_count()) - 1
+    inputs = 1 if sid == "multi-mermin-nlb:6" else len(promised_inputs(game))
+    assert len(execute_calls) == len(promised_inputs(game)) // inputs
+    whole = (1 << inputs * strategy.seed_count()) - 1
     assert all(type(seed) is LaneSeed and (seed.offset, seed.block) == (0, whole)
                for seed in execute_calls)
     assert all(isinstance(seed.nlb_bits[0], Lane) for seed in execute_calls)
 
 
-# one run on the whole space, then one run per half (ms-nlb's halves are
-# single seeds) for every input; the search witness does arithmetic with its
-# box output, so its first run falls back to one scalar run per seed
-SPLIT_ONCE = {"ms-nlb": 1 + 9 * 2, "ms-nlb-sim": 1 + 9 * 2, "search-witness": 1 + 4 * 2}
+# (runs, lane runs). Magic-square inputs are not bits, so each input is a
+# block of its own: one run on the whole seed space, then one run per half
+# (ms-nlb's halves are single seeds) for every input. The search witness's
+# inputs are bits, and its grid block holds all four: the block splits on
+# each pair party's input (it indexes a table with it), 1 + 2 runs; each of
+# the four one-input blocks then fails on arithmetic with its box output and
+# runs seed by seed, 4 + 4 * 2
+SPLIT_ONCE = {"ms-nlb": (1 + 9 * 2, 1), "ms-nlb-sim": (1 + 9 * 2, 19),
+              "search-witness": (1 + 2 + 4 + 4 * 2, 7)}
 
 
 @pytest.mark.parametrize("sid,gid", [("ms-nlb", "magic-square"),
@@ -320,12 +372,51 @@ def test_branching_programs_split_once(sid, gid, execute_calls):
     strategy, game = build(sid), get_game(gid)
     execute_calls.clear()      # building the search witness re-verifies it
     exact_distribution(strategy, game)
-    assert len(execute_calls) == SPLIT_ONCE[sid]
+    runs, lane_runs = SPLIT_ONCE[sid]
+    assert len(execute_calls) == runs
     assert type(execute_calls[0]) is LaneSeed
+    inputs = len(promised_inputs(game)) if sid == "search-witness" else 1
     assert (execute_calls[0].offset, execute_calls[0].block) == \
-        (0, (1 << strategy.seed_count()) - 1)
-    lane_runs = sum(type(seed) is LaneSeed for seed in execute_calls)
-    assert lane_runs == (19 if sid == "ms-nlb-sim" else 1)
+        (0, (1 << inputs * strategy.seed_count()) - 1)
+    assert sum(type(seed) is LaneSeed for seed in execute_calls) == lane_runs
+
+
+def test_input_compare_reruns_the_grid_block_per_input(execute_calls):
+    # == on the input lane raises LaneBranch without a mask: the grid block
+    # reruns as one block per input, which compares plain ints and stays on
+    # box lanes, instead of going point by point
+    strategy = input_compare()
+    exact_distribution(strategy, get_game("chsh"))
+    assert [(seed.offset, seed.block) for seed in execute_calls] == \
+        [(0, 0xffff), (0, 0xf), (4, 0xf), (8, 0xf), (12, 0xf)]
+    assert all(isinstance(seed.nlb_bits[0], Lane) for seed in execute_calls)
+
+
+WIDTH_CASES = [("dj-nlb:2", "dj:2"), ("multi-mermin-nlb:4", "bmaj:4"),
+               ("mermin-nlb-sim", "mermin"), ("search-witness", "multi-mermin:3"),
+               ("late-branch", "chsh"), ("split-loser", "chsh"),
+               ("input-branch", "chsh"), ("input-compare", "chsh"),
+               ("later-input-loser", "chsh")]
+
+
+@pytest.mark.parametrize("sid,gid", WIDTH_CASES)
+def test_results_do_not_depend_on_the_block_width(sid, gid, monkeypatch):
+    # widths below one input's seeds give one input per block; three inputs
+    # per block end the last block mid-promise, since no promise here is a
+    # multiple of three, and later blocks start from a cut partition
+    strategy, game = build(sid), get_game(gid)
+    per_input, checked, wins, counterexample = scalar_oracle(strategy, game)
+    size = strategy.seed_count()
+    assert len(promised_inputs(game)) % 3
+    for width in (max(1, size // 2), size, 3 * size):
+        monkeypatch.setattr(analysis, "SWEEP_WIDTH", width)
+        dist = exact_distribution(strategy, game)
+        assert dist.per_input == per_input
+        for x in per_input:
+            assert list(dist.per_input[x]) == list(per_input[x])
+        result = verify_winning(strategy, game, Exhaustive())
+        assert (result.checked, result.wins, result.counterexample) == \
+            (checked, wins, counterexample)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -418,7 +509,10 @@ def test_fallback_half_keeps_no_per_seed_list():
     assert peak < 1 << 20
 
 
-def test_late_branch_resumes_where_the_lanes_stopped(execute_calls):
+def test_late_branch_resumes_where_the_lanes_stopped(execute_calls, monkeypatch):
+    # blocks of one input (8 seeds) each, so each input starts from the
+    # partition the previous one ended with
+    monkeypatch.setattr(analysis, "SWEEP_WIDTH", 8)
     strategy, game = late_branch(), get_game("chsh")
     exact_distribution(strategy, game)
     # (0,0): the whole space splits on the shared bit, 1 + 2 runs; (0,1):
@@ -493,9 +587,12 @@ def test_unused_resources_end_an_exhaustive_verify_on_lanes(execute_calls):
     game = get_game("chsh")
     strategy = Strategy(name="late-box", n_parties=2, programs=(prog, prog),
                         nlbs=boxes, game_id="chsh")
+    # the grid block splits on party 0's input, then its x0 = 0 half on
+    # party 1's; the run on input (0, 0) is the first to finish
     with pytest.raises(UnusedResourceError, match="'late'"):
         verify_winning(strategy, game, Exhaustive())
-    assert len(execute_calls) == 1 and isinstance(execute_calls[0].nlb_bits[0], Lane)
+    assert len(execute_calls) == 3 and isinstance(execute_calls[0].nlb_bits[0], Lane)
+    assert [seed.block for seed in execute_calls] == [(1 << 16) - 1, 0xff, 0xf]
 
     execute_calls.clear()
     strategy = Strategy(name="mute", n_parties=2, programs=(prog, prog),
@@ -503,7 +600,7 @@ def test_unused_resources_end_an_exhaustive_verify_on_lanes(execute_calls):
                         game_id="chsh")
     with pytest.raises(UnusedResourceError, match="'c'"):
         verify_winning(strategy, game, Exhaustive())
-    assert len(execute_calls) == 1 and isinstance(execute_calls[0].nlb_bits[0], Lane)
+    assert len(execute_calls) == 3 and isinstance(execute_calls[0].nlb_bits[0], Lane)
 
 
 def test_lanes_kept_in_a_memo_match_the_scalar_oracle(execute_calls):
@@ -530,7 +627,7 @@ def test_lanes_kept_in_a_memo_match_the_scalar_oracle(execute_calls):
     per_input, checked, wins, counterexample = scalar_oracle(strategy, game)
     execute_calls.clear()
     dist = exact_distribution(strategy, game)
-    assert len(execute_calls) == len(per_input)
+    assert len(execute_calls) == 1     # the inputs are lanes too
     assert dist.per_input == per_input
     for x in per_input:
         assert list(dist.per_input[x]) == list(per_input[x])
