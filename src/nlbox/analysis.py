@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +26,7 @@ from .engine import (Lane, LaneBranch, NlbInstance, PartyProgram, PointGrid,
                      require_enumerable, seed_space)
 from .games import (Game, is_winning, promised_inputs, sample_promised_input,
                     winning_outcomes)
+from .search import score_strategies
 
 DEFAULT_MAX_SEARCH = 2 ** 28
 
@@ -470,12 +470,11 @@ def no_signaling_check(strategy: Strategy, game: Game,
 
 def _deterministic_search(game: Game, pairings: list, budget: int,
                           max_candidates: int):
-    """Score every deterministic strategy of a parity game on the grid of
-    (promised input, free-bit value s), s ranging over 2^budget. A party
-    outside the pairing has one index into party_outputs[r] per input, in
-    party_inputs[r] order. The count is checked before the promise is read.
-    Returns (candidates, grid size, best wins, the first perfect (pairing,
-    pair tables, other tables) in product order or None)."""
+    """Check that a search of the game fits the limit, then score its
+    deterministic strategies with search.score_strategies. The count is
+    checked before the promise is read. Returns (candidates, grid size, best
+    wins, the first perfect (pairing, pair tables, other tables) in product
+    order or None)."""
     if budget not in (0, 1):
         raise SearchSpaceError("supported budgets: 0 or 1 NLBs")
     if budget and (game.parity is None or any(w != 1 for w in game.output_lengths)):
@@ -496,61 +495,8 @@ def _deterministic_search(game: Game, pairings: list, budget: int,
     if candidates > max_candidates:
         raise SearchSpaceError(
             f"{candidates} deterministic strategies exceed the limit {max_candidates}")
-
-    grid = [(x, s) for x in promised_inputs(game) for s in range(2 ** budget)]
-    grid_size = len(grid)
-    target, answer = game.parity
-
-    def mask(bit) -> int:
-        """The grid mask with bit i set iff bit(x, s) is 1 at point i."""
-        return sum(bit(x, s) << i for i, (x, s) in enumerate(grid))
-
-    target_mask = mask(lambda x, s: target(x))
-
-    def other_combos(parties):
-        """(answer parity mask, tables) per combination, in product order. A
-        combination's mask is the XOR of one mask per (party, input): the
-        points with that input where the table's output answers 1."""
-        rows = [[mask(lambda x, s, r=r, v=v, out=out: x[r] == v and answer(r, x, out))
-                 for out in outputs[r]] for r in parties for v in domains[r]]
-        tables = [itertools.product(range(len(outputs[r])), repeat=len(domains[r]))
-                  for r in parties]
-        return zip(map(functools.reduce, itertools.repeat(operator.xor),
-                       itertools.product(*rows), itertools.repeat(0)),
-                   itertools.product(*tables))
-
-    funcs1 = list(itertools.product((0, 1), repeat=2))   # bit -> bit tables
-    funcs2 = list(itertools.product((0, 1), repeat=4))   # (bit, bit) -> bit
-
-    def pair_candidates(p, q):
-        """(target ^ pair answer parity mask, tables) per (gp, hp, gq, hq), in
-        product order; p's box port reads s, q's reads s ^ (gp & gq)."""
-        hp_masks = {hp: mask(lambda x, s, hp=hp: answer(p, x, (hp[2 * x[p] + s],)))
-                    for hp in funcs2}
-        hq_masks = {
-            (gp, gq, hq): mask(lambda x, s, gp=gp, gq=gq, hq=hq: answer(
-                q, x, (hq[2 * x[q] + (s ^ (gp[x[p]] & gq[x[q]]))],)))
-            for gp, gq, hq in itertools.product(funcs1, funcs1, funcs2)}
-        for gp, hp, gq, hq in itertools.product(funcs1, funcs2, funcs1, funcs2):
-            yield (target_mask ^ hp_masks[hp] ^ hq_masks[gp, gq, hq],
-                   ((gp, hp), (gq, hq)))
-
-    best = -1
-    for pairing in pairings:
-        combos = other_combos([r for r in range(n) if r not in (pairing or ())])
-        cands = [(target_mask, None)]
-        if pairing is not None:
-            # walked once per pair candidate; the candidate cap bounds it
-            combos, cands = list(combos), pair_candidates(*pairing)
-        for cmask, pair_tables in cands:
-            for omask, combo in combos:
-                wins = grid_size - (cmask ^ omask).bit_count()
-                if wins > best:
-                    best = wins
-                    if wins == grid_size:
-                        return candidates, grid_size, best, (pairing, pair_tables,
-                                                             combo)
-    return candidates, grid_size, best, None
+    return (candidates,
+            *score_strategies(game, promised_inputs(game), pairings, budget))
 
 
 def classical_value(game: Game, max_candidates: int = DEFAULT_MAX_SEARCH) -> Fraction:

@@ -222,6 +222,8 @@ def dj_game(n: int) -> Game:
     half = 2 ** (n - 1)
 
     def on_promise(x):
+        if len(x) != 2:
+            return False
         a, b = x
         return len(a) == length and len(b) == length and hamming(a, b) in (0, half)
 

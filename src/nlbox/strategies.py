@@ -48,6 +48,11 @@ def all_bob_matrices():
     return out
 
 
+def _off_corner(m) -> tuple:
+    """A matrix's cells but the bottom-right corner, row by row."""
+    return (*m[0], *m[1], *m[2][:2])
+
+
 def pair_wins_off_corner(a, b) -> bool:
     """True when the (row, column) pair answers correctly on every input
     except possibly (3,3): the matrices agree on all cells but the corner."""
@@ -98,8 +103,11 @@ REF_QUADRUPLE = MagicSquareQuadruple(
 def enumerate_quadruples() -> tuple[MagicSquareQuadruple, ...]:
     """Every quadruple satisfying the invariants, filtered from the 64x64
     matrix space, in a fixed lexicographic order."""
-    pairs = [(a, b) for a in all_alice_matrices() for b in all_bob_matrices()
-             if pair_wins_off_corner(a, b)]
+    # a pair wins off the corner iff its matrices share those eight cells
+    bobs = {}
+    for b in all_bob_matrices():
+        bobs.setdefault(_off_corner(b), []).append(b)
+    pairs = [(a, b) for a in all_alice_matrices() for b in bobs.get(_off_corner(a), ())]
     quads = []
     for a0, b0 in pairs:
         for a1, b1 in pairs:

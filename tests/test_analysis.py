@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import itertools
 import json
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -508,16 +509,25 @@ def oracle_search(game, pairings, budget):
                         found is not None, witness, None)
 
 
-@pytest.mark.parametrize("gid, budget", [
-    (gid, budget) for gid in ("chsh", "mermin", "multi-mermin:3", "multi-mermin:4",
-                              "bmaj:2", "bmaj:3", "bmaj:4", "xor")
-    for budget in (0, 1)] + [("multi-mermin:5", 0), ("xor-bmaj:4", 0)])
-def test_search_matches_brute_force_oracle(gid, budget):
+ORACLE_CASES = [
+    (gid, budget, None) for gid in ("chsh", "mermin", "multi-mermin:3", "multi-mermin:4",
+                                    "bmaj:2", "bmaj:3", "bmaj:4", "xor")
+    for budget in (0, 1)] + [("multi-mermin:5", 0, None), ("xor-bmaj:4", 0, None),
+                             ("multi-mermin:5", 1, None), ("multi-mermin:6", 1, (0, 1))]
+
+
+@pytest.mark.parametrize("gid, budget, only", ORACLE_CASES, ids=[
+    f"{gid}-{budget}" + (f"-pair{only[0]},{only[1]}" if only else "")
+    for gid, budget, only in ORACLE_CASES])
+def test_search_matches_brute_force_oracle(gid, budget, only):
     # the xor games have perfect witnesses among several equal masks, so
-    # they pin which candidate is first
+    # they pin which candidate is first; with ``only``, the one pairing
+    # searched is that pair
     game = _xor_game(gid[4:] or "chsh") if gid.startswith("xor") else get_game(gid)
     if budget == 0:
         expected = {None: oracle_search(game, None, 0)}
+    elif only is not None:
+        expected = {only: oracle_search(game, [only], 1)}
     else:
         pairings = list(itertools.combinations(range(game.n_parties), 2))
         expected = {pair: oracle_search(game, [pair], 1) for pair in pairings}
@@ -536,6 +546,34 @@ def test_search_matches_brute_force_oracle(gid, budget):
         assert report.perfect == (report.witness_strategy is not None)
 
 
+def _own_bit_game(name, target, keep=lambda x: True):
+    """bmaj:3's inputs that keep accepts, won when the XOR of the three
+    output bits equals target(x)."""
+    promise = [x for x in promised_inputs(get_game("bmaj:3")) if keep(x)]
+    return dataclasses.replace(
+        get_game("bmaj:3"), name=name, promise=lambda: list(promise),
+        on_promise=lambda x: x in promise,
+        win=lambda x, y: sum(b for b, in y) % 2 == target(x),
+        parity=Parity(target, own_bit))
+
+
+@pytest.mark.parametrize("game", [
+    # the best 1nlb strategy, 7/8 of the grid, has party 2 answer its input;
+    # with party 2 answering a constant the best is 5/8
+    _own_bit_game("and3-xor-x2", lambda x: (x[0] & x[1] & x[2]) ^ x[2]),
+    # party 2's input is 0 on the whole promise, so its tables (0, 0) and
+    # (0, 1) have one mask, as have (1, 0) and (1, 1): the witness names the
+    # first of each
+    _own_bit_game("xor-x2-is-0", lambda x: sum(x) % 2, keep=lambda x: x[2] == 0)],
+    ids=lambda game: game.name)
+def test_search_matches_the_oracle_on_own_bit_games(game):
+    assert (impossibility_search(game, budget=0).to_json()
+            == oracle_search(game, None, 0).to_json())
+    for pair in itertools.combinations(range(3), 2):
+        assert (impossibility_search(game, pair=pair).to_json()
+                == oracle_search(game, [pair], 1).to_json()), pair
+
+
 @pytest.mark.parametrize("gid", ["chsh", "mermin", "multi-mermin:4",
                                  "multi-mermin:5", "bmaj:2", "bmaj:3", "bmaj:4"])
 def test_budget_zero_best_is_the_classical_value(gid):
@@ -543,6 +581,15 @@ def test_budget_zero_best_is_the_classical_value(gid):
     # route is oracle_classical_value below
     game = get_game(gid)
     assert classical_value(game) == impossibility_search(game, budget=0).best_fraction
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_mermin_ghz_classical_value_has_its_closed_form(n):
+    # the n-party Mermin-GHZ game is won classically with probability
+    # 1/2 + 2^-ceil(n/2) (Brassard, Broadbent & Tapp, "Multi-party
+    # pseudo-telepathy", 2003): a value from outside this code
+    assert classical_value(get_game(f"multi-mermin:{n}")) \
+        == Fraction(1, 2) + Fraction(1, 2 ** math.ceil(n / 2))
 
 
 # --- the classical value against the generic win relation ----------------------

@@ -105,7 +105,8 @@ ARITY_CASES = {
                        [((0,),) * 3, ((0,),) * 5, ((0,), (0,), (0,), (0, 0))]),
     "dj:2": (((0, 1, 1, 0), (1, 1, 0, 0)), ((0, 1), (1, 1)),
              [((0, 0, 0, 0), (1, 1, 1, 0)), ((0, 0, 0, 0), (1, 1, 1, 1)),
-              ((0, 0, 0), (0, 0, 0))],
+              ((0, 0, 0), (0, 0, 0)), ((0, 0, 0, 0),),
+              ((0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0))],
              [((0, 1),), ((0, 1), (1,)), ((0, 1, 0), (1, 1))]),
     "bmaj:3": ((1, 0, 1), ((1,),) * 3,
                [(1, 0, 2), (1, None, 1), (1, 0), (1, 0, 1, 1), (0.5, 0, 1)],
