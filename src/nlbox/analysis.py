@@ -24,7 +24,8 @@ from .engine import (Lane, LaneBranch, NlbInstance, PartyProgram, PointGrid,
                      Action, Strategy, DEFAULT_MAX_SEED_BITS, _build, _columns,
                      _on_block, _spread, enumerate_seeds, execute,
                      require_enumerable, seed_space)
-from .games import (Game, is_winning, promised_inputs, sample_promised_input,
+from .games import (Game, GameError, is_winning, outcome_index, outcome_lanes,
+                    promised_inputs, require_promise, sample_promised_input,
                     winning_outcomes)
 from .search import score_strategies
 
@@ -93,17 +94,24 @@ def _cut(mask: int, size: int, count: int) -> list[int]:
     return [chunk >> (size * j) & low for chunk in chunks for j in range(group)][:count]
 
 
-def _by_input(offset: int, masks: list, size: int) -> list[tuple]:
-    """Cut masks over the points from offset on at input boundaries, size
-    points to an input: (input, first, cut masks) per input that the first
-    mask, a block, meets. Bit s of a cut mask stands for seed first + s of
-    that input."""
+def _by_input(offset: int, block: int, parts, size: int) -> list[tuple]:
+    """Cut a block over the points from offset on, and parts (tuples of
+    masks over the same points, party by party) with it, at input
+    boundaries, size points to an input: (input, first, cut block, cut
+    parts) per input that the block meets. Bit s of a cut mask stands for
+    seed first + s of that input."""
     i, first = divmod(offset, size)
-    count = (first + masks[0].bit_length() - 1) // size + 1
+    count = (first + block.bit_length() - 1) // size + 1
     if count == 1:
-        return [(i, first, masks)]
-    cuts = [_cut(mask << first, size, count) for mask in masks]
-    return [(i + j, 0, parts) for j, parts in enumerate(zip(*cuts)) if parts[0]]
+        return [(i, first, block, parts)]
+
+    def cut(mask):
+        return _cut(mask << first, size, count)
+    # input by input, each party's cut masks; a party may have none
+    empty = itertools.repeat(())
+    cut_parts = zip(*[zip(*map(cut, leaves)) if leaves else empty
+                      for leaves in parts]) if parts else empty
+    return [(i + j, 0, b, p) for j, (b, p) in enumerate(zip(cut(block), cut_parts)) if b]
 
 
 def _halves(offset: int, block: int, mask, args, size: int) -> list[tuple]:
@@ -118,7 +126,7 @@ def _halves(offset: int, block: int, mask, args, size: int) -> list[tuple]:
     else:
         # reversed, so that the inputs run in order
         parts = [(i * size + first, seeds)
-                 for i, first, (seeds,) in _by_input(offset, [block], size)][::-1]
+                 for i, first, seeds, _ in _by_input(offset, block, (), size)][::-1]
         if len(parts) == 1:
             return [(offset, block, None, None)]
     runs = []
@@ -175,20 +183,21 @@ def _point_outcomes(outcome, block: int):
 
 # --- the exhaustive sweep ----------------------------------------------------
 
-def _split_outcome(masks: list, lengths: list) -> list[tuple]:
-    """Split the seeds of one run by the outcome each seed produced, given
-    the run's block, then each output bit as the mask of seeds where it is
-    1, party by party, and each party's number of output bits.
+def _split_outcome(full: int, parts) -> list[tuple]:
+    """Split the seeds of a piece by the outcome each seed produced, given
+    the piece's block and, party by party, the masks of seeds where each
+    output bit is 1 (see _pieces).
 
     Returns (outcome, seed mask) pairs with non-empty, disjoint masks. Each
     party's part is split on its own bits first, then intersected with the
     groups so far."""
-    bits = iter(masks)
-    full = next(bits)
+    if full == 1:
+        # one point: its masks are its bits
+        return [(parts, 1)]
     groups = [((), full)]
-    for length in lengths:
+    for leaves in parts:
         pieces = [((), full)]
-        for leaf in itertools.islice(bits, length):
+        for leaf in leaves:
             if leaf == 0 or leaf == full:
                 bit = (1 if leaf else 0,)
                 pieces = [(head + bit, mask) for head, mask in pieces]
@@ -257,40 +266,55 @@ def _sweep(strategy: Strategy, inputs):
                                partition, size)
 
 
+def _require_parties(strategy: Strategy, game: Game) -> None:
+    if strategy.n_parties != game.n_parties:
+        raise AnalysisError(f"{strategy.name} has wrong party count for {game.name}")
+
+
+def _promise(strategy: Strategy, game: Game, max_seed_bits: int) -> list:
+    """The game's promise, once the strategy is known to have the game's
+    party count and a seed space within the limit: both are checked before
+    the promise is built."""
+    _require_parties(strategy, game)
+    require_enumerable(strategy, max_seed_bits)
+    return promised_inputs(game)
+
+
+def _pieces(strategy: Strategy, inputs):
+    """The sweep's runs cut at input boundaries, in no particular order:
+    (i, first, block, parts) per piece, bit s of block standing for seed
+    first + s of inputs[i]. parts holds, party by party, a mask per output
+    bit of the points where that bit is 1. A run of one point is a piece
+    of 1-bit masks: its outcome itself."""
+    size = strategy.seed_count()
+    for outcome, offset, block in _sweep(strategy, inputs):
+        if block == 1:
+            yield (*divmod(offset, size), 1, outcome)
+            continue
+        yield from _by_input(offset, block, tuple(
+            [tuple([v.mask if type(v) is Lane else block if v else 0 for v in part])
+             for part in outcome]), size)
+
+
 def _tally(strategy: Strategy, game: Game, max_seed_bits: int):
     """Per promised input, in promise order, (x, {outcome: [seed count,
     lowest seed]}) with the outcomes ordered by their lowest seed: the order
     in which a seed-by-seed sweep first meets them. Seeds are numbered in
-    enumerate_seeds' order. Each run's outcome is cut at input boundaries
-    and split by outcome; an input's pieces may come from any runs, in any
-    order. The seed-space limit is checked before the promise is built."""
-    require_enumerable(strategy, max_seed_bits)
-    inputs = promised_inputs(game)
-    size = strategy.seed_count()
+    enumerate_seeds' order. Each piece is split by joint outcome; an
+    input's pieces may come from any runs, in any order."""
+    inputs = _promise(strategy, game, max_seed_bits)
     tallies = [{} for _ in inputs]
-
-    def add(tally, outcome, count, seed):
-        entry = tally.get(outcome)
-        if entry is None:
-            tally[outcome] = [count, seed]
-        else:
-            entry[0] += count
-            if seed < entry[1]:
-                entry[1] = seed
-
-    for outcome, offset, block in _sweep(strategy, inputs):
-        if block == 1:
-            i, seed = divmod(offset, size)
-            add(tallies[i], outcome, 1, seed)
-            continue
-        lengths = list(map(len, outcome))
-        leaves = [v.mask if type(v) is Lane else block if v else 0
-                  for part in outcome for v in part]
-        for i, first, masks in _by_input(offset, [block, *leaves], size):
-            # split when the input is reached, so that only its pieces live
-            for split, mask in _split_outcome(masks, lengths):
-                add(tallies[i], split, mask.bit_count(),
-                    first + (mask & -mask).bit_length() - 1)
+    for i, first, block, parts in _pieces(strategy, inputs):
+        tally = tallies[i]
+        for outcome, mask in _split_outcome(block, parts):
+            count, seed = mask.bit_count(), first + (mask & -mask).bit_length() - 1
+            entry = tally.get(outcome)
+            if entry is None:
+                tally[outcome] = [count, seed]
+            else:
+                entry[0] += count
+                if seed < entry[1]:
+                    entry[1] = seed
     for x, tally in zip(inputs, tallies):
         if len(tally) > 1:
             tally = dict(sorted(tally.items(), key=lambda item: item[1][1]))
@@ -339,22 +363,47 @@ def _jsonable(x):
 def exact_distribution(strategy: Strategy, game: Game,
                        max_seed_bits: int = DEFAULT_MAX_SEED_BITS) -> ExactDistribution:
     """Full seed enumeration for every promised input."""
-    if strategy.n_parties != game.n_parties:
-        raise AnalysisError(f"{strategy.name} has wrong party count for {game.name}")
     total = strategy.seed_count()
-    per_input = {x: {o: Fraction(n, total) for o, (n, _) in tally.items()}
+    shares = {}     # one Fraction per distinct seed count; a count is never 0
+    per_input = {x: {o: shares.get(n) or shares.setdefault(n, Fraction(n, total))
+                     for o, (n, _) in tally.items()}
                  for x, tally in _tally(strategy, game, max_seed_bits)}
     return ExactDistribution(strategy.name, game.name, total, per_input)
 
 
+def _won(game: Game, x, outcome, block: int) -> int:
+    """The mask of the points of block at which the outcome, lane-valued
+    over block, wins on x. Raises LaneBranch for a win relation that is
+    not bit algebra on the outputs."""
+    won = game.win(x, outcome)
+    return won.mask if type(won) is Lane else block if won else 0
+
+
 def uniformity_verdict(dist: ExactDistribution, game: Game) -> bool:
     """True iff, for every promised input, the distribution is exactly
-    uniform over that input's winning outcomes and zero elsewhere."""
+    uniform over that input's winning outcomes and zero elsewhere.
+
+    The win relation runs once per input, on lanes over the whole outcome
+    space (see games.outcome_lanes), or once per outcome
+    (winning_outcomes) where it is not bit algebra. Bit k of a mask stands
+    for the k-th outcome of that space."""
+    space = outcome_lanes(game)
+    full = (1 << (1 << sum(game.output_lengths))) - 1
     for x, probs in dist.per_input.items():
-        winners = winning_outcomes(game, x)
-        if set(probs) != winners:
+        require_promise(game, x)
+        try:
+            winners = _won(game, x, space, full)
+        except LaneBranch:
+            winners = sum(1 << outcome_index(game, o) for o in winning_outcomes(game, x))
+        support = 0
+        for o in probs:
+            k = outcome_index(game, o)
+            if k is None:
+                return False
+            support |= 1 << k
+        if support != winners:
             return False
-        share = Fraction(1, len(winners))
+        share = Fraction(1, len(probs))
         if any(p != share for p in probs.values()):
             return False
     return True
@@ -390,37 +439,78 @@ def _sample_chunk(strategy: Strategy, game: Game, rng: random.Random, k: int):
                                               grid.point, [], k):
         for i, point_outcome in _point_outcomes(outcome, block):
             outcomes[offset + i] = point_outcome
-    won = list(map(bool, map(is_winning, itertools.repeat(game), grid.inputs,
-                             outcomes)))
+    won = list(map(is_winning, itertools.repeat(game), grid.inputs, outcomes))
     if False not in won:
         return k, None
     i = won.index(False)
     return sum(won), _counterexample(grid.inputs[i], grid.point(i)[1], outcomes[i])
 
 
+def _verify_exhaustive(strategy: Strategy, game: Game, max_seed_bits: int):
+    """(checked, wins, counterexample or None) over the promise x seed
+    grid. The promise is checked once per input and the arity once per
+    piece. The win relation runs once per piece, on its outcome lanes, or
+    once per distinct outcome of a piece where it is not bit algebra. The
+    counterexample is the lowest losing seed of the first input that has
+    one."""
+    inputs = _promise(strategy, game, max_seed_bits)
+    promised = list(map(game.on_promise, inputs))
+    lengths = tuple(game.output_lengths)
+    checked = wins = 0
+    misfits = set()     # inputs off the promise or with an outcome of wrong arity
+    lost = {}           # input index -> (lowest losing seed, its outcome)
+    for i, first, block, parts in _pieces(strategy, inputs):
+        if not promised[i] or tuple(map(len, parts)) != lengths:
+            misfits.add(i)
+            continue
+        x = inputs[i]
+        checked += block.bit_count()
+        try:
+            # each mask as engine._on_block gives it: 0, 1 or a lane
+            won = _won(game, x, tuple([tuple([1 if m == block else m and Lane(m, block)
+                                              for m in part]) for part in parts]), block)
+        except LaneBranch:
+            won = 0
+            for outcome, mask in _split_outcome(block, parts):
+                if game.win(x, outcome):
+                    won |= mask
+        wins += won.bit_count()
+        losing = block ^ won
+        if losing:
+            low = (losing & -losing).bit_length() - 1
+            if i not in lost or first + low < lost[i][0]:
+                lost[i] = (first + low, tuple([tuple([m >> low & 1 for m in part])
+                                               for part in parts]))
+    if misfits:
+        # as is_winning would report it at the first such input, once the
+        # sweep has run to the end
+        require_promise(game, inputs[min(misfits)])
+        raise GameError(f"outcome arity does not match {game.name}")
+    if not lost:
+        return checked, wins, None
+    i = min(lost)
+    seed, outcome = lost[i]
+    return checked, wins, _counterexample(inputs[i], seed_space(strategy).seed(seed),
+                                          outcome)
+
+
 def verify_winning(strategy: Strategy, game: Game, policy,
                    max_seed_bits: int = DEFAULT_MAX_SEED_BITS) -> VerifyResult:
     """Check the win relation on every (input, seed) of the policy's grid.
 
-    Exhaustive mode sweeps the full promise x seed grid, deciding each
-    distinct outcome once; the counterexample is the first losing point in
-    enumerate_seeds' order. Sampled mode draws (input, seed) pairs from the
-    given rng seed; each run is still an exact deterministic execution."""
-    if strategy.n_parties != game.n_parties:
-        raise AnalysisError(f"{strategy.name} has wrong party count for {game.name}")
-    checked = wins = 0
-    counterexample = None
+    Exhaustive mode sweeps the full promise x seed grid, deciding a whole
+    piece of it per call of the win relation (see _verify_exhaustive); the
+    counterexample is the first losing point in enumerate_seeds' order.
+    Sampled mode draws (input, seed) pairs from the given rng seed; each
+    run is still an exact deterministic execution."""
+    _require_parties(strategy, game)
     if isinstance(policy, Exhaustive):
-        for x, tally in _tally(strategy, game, max_seed_bits):
-            for outcome, (count, seed) in tally.items():
-                checked += count
-                if is_winning(game, x, outcome):
-                    wins += count
-                elif counterexample is None:
-                    counterexample = _counterexample(
-                        x, seed_space(strategy).seed(seed), outcome)
+        checked, wins, counterexample = _verify_exhaustive(strategy, game,
+                                                           max_seed_bits)
         mode = "exhaustive"
     elif isinstance(policy, Sample):
+        checked = wins = 0
+        counterexample = None
         rng = random.Random(policy.rng_seed)
         for start in range(0, policy.k, SAMPLE_CHUNK):
             size = min(SAMPLE_CHUNK, policy.k - start)
@@ -436,20 +526,14 @@ def verify_winning(strategy: Strategy, game: Game, policy,
 
 # --- non-signaling -----------------------------------------------------------
 
-def marginals_non_signaling(dist: ExactDistribution, n_parties: int) -> bool:
+def marginals_non_signaling(inputs: list, counts: list) -> bool:
     """True iff each party's marginal is identical across all inputs that
-    agree on that party's coordinate. Marginals are compared as seed
-    counts: every probability is a count over seed_count."""
-    total = dist.seed_count
-    counts = {x: [(o, p.numerator * (total // p.denominator)) for o, p in probs.items()]
-              for x, probs in dist.per_input.items()}
-    for party in range(n_parties):
+    agree on that party's coordinate. counts[r][i] is party r's marginal at
+    inputs[i], as {own output: positive seed count}."""
+    for r, marginals in enumerate(counts):
         first: dict = {}
-        for x, pairs in counts.items():
-            marginal: dict = {}
-            for o, n in pairs:
-                marginal[o[party]] = marginal.get(o[party], 0) + n
-            if first.setdefault(x[party], marginal) != marginal:
+        for x, marginal in zip(inputs, marginals):
+            if first.setdefault(x[r], marginal) != marginal:
                 return False
     return True
 
@@ -458,12 +542,31 @@ def no_signaling_check(strategy: Strategy, game: Game,
                        max_seed_bits: int = DEFAULT_MAX_SEED_BITS) -> bool:
     """True iff every party's exact output marginal depends only on its own
     input, across all promised inputs. Inapplicable to strategies that use
-    communication channels (those may signal by design)."""
+    communication channels (those may signal by design).
+
+    Each piece of the sweep is split on each party's own output bits only,
+    and the marginals are compared as integer seed counts: every
+    probability is a count over the seed-space size."""
     if strategy.channels:
         raise CommunicationUsedError(
             f"{strategy.name} uses communication; the check does not apply")
-    dist = exact_distribution(strategy, game, max_seed_bits)
-    return marginals_non_signaling(dist, game.n_parties)
+    inputs = _promise(strategy, game, max_seed_bits)
+    counts = [[{} for _ in inputs] for _ in range(game.n_parties)]
+    for i, _, block, parts in _pieces(strategy, inputs):
+        total = block.bit_count()
+        for marginals, leaves in zip(counts, parts):
+            if len(leaves) == 1:
+                # a one-bit part needs no split: one count gives both
+                ones = leaves[0].bit_count()
+                pairs = (((0,), total - ones), ((1,), ones))
+            else:
+                pairs = [(own, mask.bit_count())
+                         for (own,), mask in _split_outcome(block, (leaves,))]
+            marginal = marginals[i]
+            for own, n in pairs:
+                if n:
+                    marginal[own] = marginal.get(own, 0) + n
+    return marginals_non_signaling(inputs, counts)
 
 
 # --- deterministic-strategy search -------------------------------------------

@@ -17,7 +17,7 @@ import operator
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
-from .engine import EnumerationLimitError, draw_bits
+from .engine import EnumerationLimitError, draw_bits, seed_lanes
 
 MAX_OUTCOMES = 2 ** 20
 # dj:<n> inputs are 2^n bits and dj-nlb:<n> declares about 2^(n+1) boxes
@@ -47,9 +47,11 @@ class Parity(NamedTuple):
     target: Callable[[tuple], int]
     answer: Callable[[int, tuple, tuple], int]
 
-    def win(self, x, y) -> bool:
+    def win(self, x, y):
+        """1 where y wins on x, else 0: the XOR of the answers and
+        1 ^ target(x), so it runs on output lanes as on bits."""
         answers = map(self.answer, range(len(y)), itertools.repeat(x), y)
-        return sum(answers) % 2 == self.target(x)
+        return functools.reduce(operator.xor, answers, 1 ^ self.target(x))
 
 
 def own_bit(r, x, out) -> int:
@@ -60,6 +62,15 @@ def own_bit(r, x, out) -> int:
 @dataclass(frozen=True)
 class Game:
     """A promise game: who plays, what inputs are promised, who wins.
+
+    ``win(x, y)`` is the win relation: truthy iff outcome y wins on the
+    promised input x. Written in bit algebra on the outputs (``^``, ``&``,
+    ``|`` and ``1 ^ v``, with no ``sum``, ``==``, ``bool`` or early return
+    on them), it runs unchanged on output lanes (engine.Lane), where it
+    decides a whole block of outcomes in one call; the exhaustive sweeps
+    run it that way. A relation that uses an output lane in any other way
+    raises LaneBranch there, and is then called once per distinct outcome
+    instead.
 
     ``party_inputs`` lists each party's possible inputs (None when the
     per-party input space is too large to enumerate). ``party_outputs``
@@ -94,19 +105,19 @@ def sample_promised_input(game: Game, rng) -> tuple:
     return game.sample_input(rng)
 
 
-def _require_promise(game: Game, input_tuple: tuple) -> None:
+def require_promise(game: Game, input_tuple: tuple) -> None:
     if not game.on_promise(input_tuple):
         raise PromiseError(f"{input_tuple} is outside the promise of {game.name}")
 
 
 def is_winning(game: Game, input_tuple: tuple, outcome: tuple) -> bool:
-    _require_promise(game, input_tuple)
+    require_promise(game, input_tuple)
     # part lengths are compared lazily and stop at the first mismatch, so a
     # later part that has no length is never asked for one
     if len(outcome) != game.n_parties or not all(
             map(operator.eq, map(len, outcome), game.output_lengths)):
         raise GameError(f"outcome arity does not match {game.name}")
-    return game.win(input_tuple, outcome)
+    return bool(game.win(input_tuple, outcome))
 
 
 def outcome_space(game: Game):
@@ -114,15 +125,43 @@ def outcome_space(game: Game):
     return itertools.product(*parts)
 
 
-def winning_outcomes(game: Game, input_tuple: tuple) -> set:
-    """All outcomes satisfying the win relation for one promised input,
-    enumerated from the full outcome space. The promise is checked once;
-    every outcome of the space has the game's arity by construction."""
+def _check_outcome_space(game: Game) -> None:
     total = 2 ** sum(game.output_lengths)
     if total > MAX_OUTCOMES:
         raise EnumerationLimitError(
             f"outcome space of {game.name} has {total} points (limit {MAX_OUTCOMES})")
-    _require_promise(game, input_tuple)
+
+
+def outcome_lanes(game: Game) -> tuple:
+    """The whole outcome space as one outcome of lanes: bit k of each lane
+    is that output bit in the k-th outcome of outcome_space. The space is
+    limited as in winning_outcomes."""
+    _check_outcome_space(game)
+    lanes = iter(seed_lanes(sum(game.output_lengths)))
+    return tuple(tuple(itertools.islice(lanes, w)) for w in game.output_lengths)
+
+
+def outcome_index(game: Game, outcome: tuple) -> int | None:
+    """The position of outcome in outcome_space, or None when it is not
+    one of the space's outcomes."""
+    if tuple(map(len, outcome)) != tuple(game.output_lengths):
+        return None
+    k = 0
+    for part in outcome:
+        for b in part:
+            if b not in (0, 1):
+                return None
+            k = k << 1 | int(b)
+    return k
+
+
+def winning_outcomes(game: Game, input_tuple: tuple) -> set:
+    """All outcomes satisfying the win relation for one promised input,
+    enumerated from the full outcome space, one call of the win relation
+    per outcome. The promise is checked once; every outcome of the space
+    has the game's arity by construction."""
+    _check_outcome_space(game)
+    require_promise(game, input_tuple)
     win = game.win
     return {o for o in outcome_space(game) if win(input_tuple, o)}
 
@@ -158,10 +197,11 @@ def magic_square_game() -> Game:
     inputs = [(r, c) for r in (1, 2, 3) for c in (1, 2, 3)]
 
     def win(x, y):
-        row, col = y
-        if sum(row) % 2 != 0 or sum(col) % 2 != 1:
-            return False
-        return row[x[1] - 1] == col[x[0] - 1]
+        # the row has even parity, the column odd parity, and they agree
+        # on the shared cell
+        (r0, r1, r2), (c0, c1, c2) = y
+        return ((1 ^ r0 ^ r1 ^ r2) & (c0 ^ c1 ^ c2)
+                & (1 ^ y[0][x[1] - 1] ^ y[1][x[0] - 1]))
 
     return Game(
         name="magic-square", n_parties=2, output_lengths=(3, 3),
@@ -181,7 +221,8 @@ def magic_square_game() -> Game:
 def multi_mermin_game(n: int, name: str | None = None) -> Game:
     if n < 3:
         raise GameError("multi-mermin needs n >= 3")
-    parity = Parity(lambda x: (sum(x) // 2) % 2, own_bit)
+    # int(): a promised input may hold 0.0 and 1.0
+    parity = Parity(lambda x: int(sum(x)) // 2 % 2, own_bit)
 
     def sample_input(rng):
         # the k-th even-weight tuple is the n - 1 bits of k, then their parity
@@ -250,7 +291,10 @@ def dj_game(n: int) -> Game:
         return (a, tuple(b))
 
     def win(x, y):
-        return (y[0] == y[1]) == (x[0] == x[1])
+        # the outputs differ iff some bit pair does, which must hold iff the
+        # inputs differ
+        differ = functools.reduce(operator.or_, map(operator.xor, y[0], y[1]))
+        return (x[0] == x[1]) ^ differ
 
     return Game(
         name=f"dj:{n}", n_parties=2, output_lengths=(n, n),

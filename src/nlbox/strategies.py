@@ -120,16 +120,15 @@ def comm_strategy_pairs() -> tuple:
     """All (alice, bob0, bob1) triples usable by the one-bit protocol:
     (alice, bob0) wins off the corner and bob1's bottom row equals alice's,
     so switching on the "row input is 3" flag wins everywhere."""
-    out = []
-    bobs = all_bob_matrices()
-    for a in all_alice_matrices():
-        for b0 in bobs:
-            if not pair_wins_off_corner(a, b0):
-                continue
-            for b1 in bobs:
-                if all(a[2][j] == b1[2][j] for j in range(3)):
-                    out.append((a, b0, b1))
-    return tuple(out)
+    # bob0 shares alice's eight off-corner cells, bob1 her bottom row; each
+    # group keeps the column matrices' order
+    by_cells, by_bottom = {}, {}
+    for b in all_bob_matrices():
+        by_cells.setdefault(_off_corner(b), []).append(b)
+        by_bottom.setdefault(b[2], []).append(b)
+    return tuple((a, b0, b1) for a in all_alice_matrices()
+                 for b0 in by_cells.get(_off_corner(a), ())
+                 for b1 in by_bottom.get(a[2], ()))
 
 
 # --- bipartite strategies ----------------------------------------------------

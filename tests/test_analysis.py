@@ -14,12 +14,15 @@ from nlbox.analysis import (AnalysisError, CommunicationUsedError, Exhaustive,
                             Sample, SearchReport, SearchSpaceError,
                             classical_value, exact_distribution,
                             impossibility_search, nlb_isolated_parties,
-                            no_signaling_check, resource_count, verify_winning)
+                            no_signaling_check, resource_count,
+                            strategy_from_tables, uniformity_verdict,
+                            verify_winning)
 from nlbox.engine import EnumerationLimitError, Seed, execute
-from nlbox.games import (Parity, get_game, is_winning, own_bit, promised_inputs,
-                         sample_promised_input, winning_outcomes)
+from nlbox.games import (GameError, Parity, PromiseError, get_game, is_winning,
+                         own_bit, promised_inputs, sample_promised_input,
+                         winning_outcomes)
 from nlbox.strategies import STRATEGY_FAMILIES, get_strategy
-from test_lanes import CUSTOM, NO_COMM_ENUMERABLE
+from test_lanes import CHANNEL, CUSTOM, NO_COMM_ENUMERABLE
 
 
 # --- classical values (frozen from the brute-force oracle) --------------------
@@ -143,6 +146,122 @@ def test_verify_party_count_guard():
         verify_winning(get_strategy("chsh-nlb"), get_game("mermin"), Exhaustive())
 
 
+# --- exhaustive verification against the tally ------------------------------------
+
+def oracle_tally_verify(strategy, game):
+    """Exhaustive verify decided on the joint tally: is_winning once per
+    distinct (input, outcome); the counterexample is the lowest seed of the
+    first losing outcome, at the first input that has one."""
+    checked = wins = 0
+    counterexample = None
+    for x, tally in analysis._tally(strategy, game, engine.DEFAULT_MAX_SEED_BITS):
+        for outcome, (count, seed) in tally.items():
+            checked += count
+            if is_winning(game, x, outcome):
+                wins += count
+            elif counterexample is None:
+                counterexample = {"input": analysis._jsonable(x),
+                                  "seed": engine.seed_space(strategy).seed(seed).to_json(),
+                                  "outcome": [list(p) for p in outcome]}
+    return analysis.VerifyResult(counterexample is None, "exhaustive", checked, wins,
+                                 counterexample)
+
+
+def scalar_win(game):
+    """The game with its win relation stated through sum and ==, which no
+    lane allows: exhaustive verify calls it once per distinct outcome."""
+    if game.name == "magic-square":
+        def win(x, y):
+            row, col = y
+            if sum(row) % 2 != 0 or sum(col) % 2 != 1:
+                return False
+            return row[x[1] - 1] == col[x[0] - 1]
+    elif game.parity is None:
+        def win(x, y):
+            return (y[0] == y[1]) == (x[0] == x[1])
+    else:
+        target, answer = game.parity
+
+        def win(x, y):
+            return sum(answer(r, x, out) for r, out in enumerate(y)) % 2 == target(x)
+    return dataclasses.replace(game, win=win)
+
+
+def oracle_uniformity(dist, game):
+    """The uniformity verdict from winning_outcomes' sets of outcomes."""
+    for x, probs in dist.per_input.items():
+        winners = winning_outcomes(game, x)
+        if set(probs) != winners or any(p != Fraction(1, len(winners))
+                                         for p in probs.values()):
+            return False
+    return True
+
+
+def random_tables(game, rng):
+    """A deterministic strategy_from_tables strategy of the game with
+    random tables, with a box between two random parties half of the time
+    (never for magic square, whose parties' inputs are not bits)."""
+    n = game.n_parties
+    if game.name == "magic-square" or rng.random() < 0.5:
+        return strategy_from_tables(game, None, None, [
+            [rng.randrange(len(game.party_outputs[r])) for _ in game.party_inputs[r]]
+            for r in range(n)])
+    pairing = tuple(sorted(rng.sample(range(n), 2)))
+    pair_tables = [([rng.randrange(2) for _ in range(2)],
+                    [rng.randrange(2) for _ in range(4)]) for _ in range(2)]
+    return strategy_from_tables(game, pairing, pair_tables,
+                                [[rng.randrange(2) for _ in range(2)]
+                                 for _ in range(n - 2)])
+
+
+@pytest.mark.parametrize("sid,gid", NO_COMM_ENUMERABLE + CHANNEL + [
+    ("multi-mermin-nlb:4", "bmaj:4"), ("multi-mermin-nlb:5", "bmaj:5"),
+    ("mermin-nlb", "bmaj:3"), ("chsh-nlb", "bmaj:2")])
+def test_exhaustive_verify_matches_the_tally(sid, gid):
+    strategy, game = get_strategy(sid), get_game(gid)
+    want = oracle_tally_verify(strategy, game)
+    assert verify_winning(strategy, game, Exhaustive()) == want
+    assert verify_winning(strategy, scalar_win(game), Exhaustive()) == want
+    # the uniformity verdict on lanes over the outcome space, and on the
+    # fallback, against the sets of winning outcomes
+    dist = exact_distribution(strategy, game)
+    verdict = oracle_uniformity(dist, game)
+    assert uniformity_verdict(dist, game) is verdict
+    assert uniformity_verdict(dist, scalar_win(game)) is verdict
+
+
+@pytest.mark.parametrize("gid", ["chsh", "mermin", "multi-mermin:4", "multi-mermin:5",
+                                 "bmaj:3", "magic-square"])
+def test_exhaustive_verify_of_random_tables_matches_the_tally(gid):
+    game = get_game(gid)
+    rng = random.Random(gid)
+    losing = 0
+    for _ in range(12):
+        strategy = random_tables(game, rng)
+        want = oracle_tally_verify(strategy, game)
+        losing += not want.passed
+        assert verify_winning(strategy, game, Exhaustive()) == want
+        assert verify_winning(strategy, scalar_win(game), Exhaustive()) == want
+        dist = exact_distribution(strategy, game)
+        assert no_signaling_check(strategy, game) is oracle_marginals_non_signaling(
+            dist, game.n_parties) is True
+        assert uniformity_verdict(dist, game) is oracle_uniformity(dist, game)
+    assert losing >= 6
+
+
+def test_verify_reports_a_misfit_after_the_sweep():
+    # a 3-bit outcome on a 1-bit game: the arity is checked once the sweep
+    # has run, so an error of the sweep itself comes first
+    with pytest.raises(GameError, match="^outcome arity does not match chsh$"):
+        verify_winning(get_strategy("ms-nlb"), get_game("chsh"), Exhaustive())
+    with pytest.raises(engine.NonBitError):
+        verify_winning(get_strategy("chsh-nlb"), get_game("magic-square"), Exhaustive())
+    # a promise entry off the promise is reported as is_winning reports it
+    game = dataclasses.replace(get_game("chsh"), on_promise=lambda x: x != (1, 0))
+    with pytest.raises(PromiseError, match=r"^\(1, 0\) is outside"):
+        verify_winning(get_strategy("chsh-nlb"), game, Exhaustive())
+
+
 # --- sampled verification against the per-draw loop ------------------------------
 
 def oracle_sampled_verify(strategy, game, k, rng_seed):
@@ -263,12 +382,47 @@ def oracle_marginals_non_signaling(dist, n_parties):
     return True
 
 
+def seed_count_marginals(dist, n_parties):
+    """counts[r][i]: party r's marginal at the i-th input of dist, as seed
+    counts, the form analysis.marginals_non_signaling compares."""
+    total = dist.seed_count
+    return [[{o: int(p * total) for o, p in dist.marginal(x, r).items()}
+             for x in dist.per_input] for r in range(n_parties)]
+
+
 @pytest.mark.parametrize("sid,gid", NO_COMM_ENUMERABLE)
 def test_integer_marginals_match_the_fraction_oracle(sid, gid):
-    dist = exact_distribution(get_strategy(sid), get_game(gid))
-    n = get_game(gid).n_parties
-    assert analysis.marginals_non_signaling(dist, n) is True
-    assert oracle_marginals_non_signaling(dist, n) is True
+    # the check counts each party's own bits on lanes; the oracle sums the
+    # joint distribution's fractions
+    strategy, game = get_strategy(sid), get_game(gid)
+    dist = exact_distribution(strategy, game)
+    assert no_signaling_check(strategy, game) is True
+    assert oracle_marginals_non_signaling(dist, game.n_parties) is True
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_no_signaling_check_finds_a_program_that_leaks_an_input(width):
+    # locality holds only for programs that keep to their views: party 1
+    # reads party 0's input through a closure (party 0 runs first in each
+    # round). Over two shared bits s it answers s0 & (s1 | x0): 1 on one
+    # seed of four where x0 is 0, on two where x0 is 1, the same outputs
+    # with other counts. A 2-bit output takes the split, a 1-bit one the
+    # single count
+    leak = {}
+
+    def answer(view):
+        if view.party == 0:
+            leak["x0"] = view.own_input
+            return engine.Action(output=(0,) * width)
+        s0, s1 = view.shared
+        return engine.Action(output=(s0 & (s1 | leak["x0"]),) + (0,) * (width - 1))
+
+    prog = engine.PartyProgram((answer,))
+    strategy = engine.Strategy(name="leak", n_parties=2, programs=(prog, prog),
+                               shared_domain=engine.bit_domain(2), game_id="chsh")
+    game = dataclasses.replace(get_game("chsh"), output_lengths=(width, width))
+    assert no_signaling_check(strategy, game) is False
+    assert oracle_marginals_non_signaling(exact_distribution(strategy, game), 2) is False
 
 
 def _three_party(party2):
@@ -287,28 +441,38 @@ def _three_party(party2):
 ])
 def test_integer_marginals_find_one_signaling_party(party2, signals):
     dist = _three_party(party2)
-    assert analysis.marginals_non_signaling(dist, 3) is not signals
+    inputs, counts = list(dist.per_input), seed_count_marginals(dist, 3)
+    assert analysis.marginals_non_signaling(inputs, counts) is not signals
     assert oracle_marginals_non_signaling(dist, 3) is not signals
     # parties 0 and 1 never signal: the check of them alone passes
-    assert analysis.marginals_non_signaling(dist, 2) is True
+    assert analysis.marginals_non_signaling(inputs, counts[:2]) is True
 
 
 def test_marginal_logic_detects_signaling():
     # box-only strategies cannot signal structurally, so exercise the
-    # marginal comparison on a handmade signaling distribution: party 1
-    # announces party 0's input
-    from nlbox.analysis import ExactDistribution, marginals_non_signaling
-    point = lambda o: {o: Fraction(1)}
-    signaling = ExactDistribution("synthetic", "chsh", 1, {
-        (0, 0): point(((0,), (0,))), (0, 1): point(((0,), (0,))),
-        (1, 0): point(((0,), (1,))), (1, 1): point(((0,), (1,))),
-    })
-    assert not marginals_non_signaling(signaling, 2)
-    assert not oracle_marginals_non_signaling(signaling, 2)
-    honest = ExactDistribution("synthetic", "chsh", 1, {
-        x: point(((0,), (0,))) for x in itertools.product((0, 1), repeat=2)})
-    assert marginals_non_signaling(honest, 2)
-    assert oracle_marginals_non_signaling(honest, 2)
+    # marginal comparison on handmade seed counts: party 1 announces party
+    # 0's input
+    from nlbox.analysis import marginals_non_signaling
+    inputs = list(itertools.product((0, 1), repeat=2))
+    honest = [[{(0,): 1}] * 4, [{(0,): 1}] * 4]
+    signaling = [[{(0,): 1}] * 4, [{(0,): 1}, {(0,): 1}, {(1,): 1}, {(1,): 1}]]
+    assert marginals_non_signaling(inputs, honest)
+    assert not marginals_non_signaling(inputs, signaling)
+    # the same counts as distributions, for the fraction oracle
+    for counts, verdict in ((honest, True), (signaling, False)):
+        dist = analysis.ExactDistribution("synthetic", "chsh", 1, {
+            x: {(*counts[0][i], *counts[1][i]): Fraction(1)}
+            for i, x in enumerate(inputs)})
+        assert oracle_marginals_non_signaling(dist, 2) is verdict
+        assert seed_count_marginals(dist, 2) == counts
+    # party 0's marginal may differ between its own inputs (it answers 1 on
+    # one seed of two where its input is 0), not between inputs that agree
+    # on its input
+    uneven = [[{(0,): 1, (1,): 1}, {(0,): 1, (1,): 1}, {(0,): 2}, {(0,): 2}],
+              [{(0,): 2}] * 4]
+    assert marginals_non_signaling(inputs, uneven)
+    uneven[0][1] = {(0,): 2}
+    assert not marginals_non_signaling(inputs, uneven)
 
 
 # --- impossibility search --------------------------------------------------------

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nlbox.engine import EnumerationLimitError
+from nlbox.engine import EnumerationLimitError, Lane
 from nlbox.games import (GameError, PromiseError, bmaj, get_game, hamming,
-                         is_winning, outcome_space, promised_inputs,
-                         sample_promised_input, winning_outcomes)
+                         is_winning, outcome_index, outcome_lanes, outcome_space,
+                         promised_inputs, sample_promised_input, winning_outcomes)
 
 
 def test_mermin_promise():
@@ -175,6 +175,38 @@ def test_dj_winning_outcomes():
     assert len(winning_outcomes(g, equal)) == 4
     distant = ((0, 0, 0, 0), (1, 1, 0, 0))
     assert len(winning_outcomes(g, distant)) == 12
+
+
+@pytest.mark.parametrize("gid", ["chsh", "magic-square", "mermin", "multi-mermin:3",
+                                 "multi-mermin:4", "multi-mermin:7", "dj:1", "dj:2",
+                                 "dj:3", "dj:4", "bmaj:2", "bmaj:3", "bmaj:6"])
+def test_win_on_outcome_lanes_matches_winning_outcomes(gid):
+    # one call of the win relation on lanes over the whole outcome space:
+    # bit k of its result says whether the k-th outcome wins
+    g = get_game(gid)
+    space = list(outcome_space(g))
+    full = (1 << len(space)) - 1
+    if gid in ("dj:3", "dj:4"):
+        rng = random.Random(gid)
+        inputs = [sample_promised_input(g, rng) for _ in range(16)]
+    else:
+        inputs = promised_inputs(g)
+    for x in inputs:
+        won = g.win(x, outcome_lanes(g))
+        assert type(won) is Lane and won.full == full
+        assert {o for k, o in enumerate(space) if won.mask >> k & 1} == \
+            winning_outcomes(g, x)
+        assert type(is_winning(g, x, space[0])) is bool
+    assert [outcome_index(g, o) for o in space] == list(range(len(space)))
+    part = space[-1][0]
+    assert outcome_index(g, space[-1][1:]) is None
+    assert outcome_index(g, ((*part[:-1], 2), *space[-1][1:])) is None
+    assert outcome_index(g, ((*part, 0), *space[-1][1:])) is None
+
+
+def test_outcome_lanes_keep_the_outcome_limit():
+    with pytest.raises(EnumerationLimitError, match="multi-mermin:21 has 2097152"):
+        outcome_lanes(get_game("multi-mermin:21"))
 
 
 def test_bmaj_examples():

@@ -193,6 +193,15 @@ def split_loser():
     return _two_box_chsh("split-loser", answer, bit_domain(1))
 
 
+def split_loser_late():
+    """Splits on box b, whose 0-half runs first, and loses where the free
+    bits of boxes a and b differ: seed 2 in the 0-half, then the lower seed
+    1 in the 1-half. The counterexample is seed 1, which comes second."""
+    return _two_box_chsh(
+        "split-loser-late",
+        lambda v: (1 if v.nlb["b"] else 0) if v.party == 0 else v.nlb["a"])
+
+
 def input_branch():
     """Branches on its own input, a lane over the whole grid: the block
     splits by input, and each half runs on box lanes."""
@@ -234,7 +243,8 @@ CASES = ([(sid, gid) for sid, gid in NO_COMM_ENUMERABLE + CHANNEL
             ("table-index", "chsh"), ("nested-branch", "chsh"),
             ("split-then-arithmetic", "chsh"), ("ragged-domain", "chsh"),
             ("non-bit-domain", "chsh"), ("bool-domain", "chsh"),
-            ("split-loser", "chsh"), ("input-branch", "chsh"),
+            ("split-loser", "chsh"), ("split-loser-late", "chsh"),
+            ("input-branch", "chsh"),
             ("input-compare", "chsh"), ("later-input-loser", "chsh")])
 CUSTOM = {"search-witness": search_witness, "losing-witness": losing_witness,
           "late-branch": late_branch, "table-index": table_index,
@@ -242,6 +252,7 @@ CUSTOM = {"search-witness": search_witness, "losing-witness": losing_witness,
           "split-then-arithmetic": split_then_arithmetic,
           "ragged-domain": ragged_domain, "non-bit-domain": non_bit_domain,
           "bool-domain": bool_domain, "split-loser": split_loser,
+          "split-loser-late": split_loser_late,
           "input-branch": input_branch, "input-compare": input_compare,
           "later-input-loser": later_input_loser}
 
@@ -274,6 +285,8 @@ def test_losing_cases_have_counterexamples():
     # where box a's free bit is 1, whose lowest seed it is
     result = verify_winning(split_loser(), get_game("chsh"), Exhaustive())
     assert result.counterexample["seed"] == {"nlb_bits": [1, 0], "shared_index": 0}
+    result = verify_winning(split_loser_late(), get_game("chsh"), Exhaustive())
+    assert result.counterexample["seed"] == {"nlb_bits": [0, 1], "shared_index": 0}
     # all four chsh inputs are one block; the losing points are seeds 4 to 7
     # of its third input
     result = verify_winning(later_input_loser(), get_game("chsh"), Exhaustive())
@@ -462,20 +475,40 @@ def test_readme_runs_table_matches_counted_executes(row, execute_calls):
 
 
 @pytest.mark.parametrize("sid,gid", [("split-then-arithmetic", "chsh"),
-                                     ("ms-nlb", "magic-square")])
-def test_exhaustive_verify_decides_each_distinct_outcome_once(sid, gid, monkeypatch):
+                                     ("ms-nlb", "magic-square"), ("dj-nlb:2", "dj:2")])
+def test_exhaustive_verify_runs_the_win_relation_once_per_piece(sid, gid, monkeypatch):
+    # is_winning is for single outcomes: the sweep calls the game's win
+    # relation once on each piece's lanes, and once per distinct outcome of
+    # a piece where the relation does arithmetic on them
     strategy, game = build(sid), get_game(gid)
-    dist = exact_distribution(strategy, game)
+    pieces = list(analysis._pieces(strategy, promised_inputs(game)))
+    laned = [any(m not in (0, block) for part in parts for m in part)
+             for _, _, block, parts in pieces]
+    distinct = [len(analysis._split_outcome(block, parts))
+                for _, _, block, parts in pieces]
+    monkeypatch.setattr(analysis, "is_winning", None)
     calls = []
-    real = analysis.is_winning
 
-    def counting(game, x, outcome):
-        calls.append((x, outcome))
-        return real(game, x, outcome)
+    def counted(win):
+        def relation(x, y):
+            calls.append(any(type(v) is Lane for part in y for v in part))
+            return win(x, y)
+        return dataclasses.replace(game, win=relation)
 
-    monkeypatch.setattr(analysis, "is_winning", counting)
-    verify_winning(strategy, game, Exhaustive())
-    assert calls == [(x, o) for x, probs in dist.per_input.items() for o in probs]
+    result = verify_winning(strategy, counted(game.win), Exhaustive())
+    assert result == verify_winning(strategy, game, Exhaustive())
+    # one call per piece, with lanes where the piece's outcome has any: ms-nlb
+    # splits down to one seed per block, the others run on lanes
+    assert sorted(calls) == sorted(laned)
+    assert any(laned) is (sid != "ms-nlb")
+
+    # 0 + lane raises LaneBranch: each laned piece falls back
+    calls.clear()
+    assert verify_winning(strategy, counted(lambda x, y: 0 + game.win(x, y)),
+                          Exhaustive()) == result
+    assert calls.count(True) == sum(laned)
+    assert calls.count(False) == sum(n if lane else 1
+                                     for lane, n in zip(laned, distinct))
 
 
 def many_box_split_then_arithmetic(n_boxes):
@@ -636,11 +669,26 @@ def test_lanes_kept_in_a_memo_match_the_scalar_oracle(execute_calls):
         (checked, wins, counterexample)
 
 
+def test_a_party_without_output_bits_is_cut_with_the_others():
+    # all four chsh inputs are one block, cut per input; party 1 outputs ()
+    def answer(view):
+        return Action(output=(view.nlb["a"],) if view.party == 0 else ())
+
+    prog = PartyProgram((lambda v: Action(nlb_inputs={"a": v.own_input}), answer))
+    strategy = Strategy(name="no-bits", n_parties=2, programs=(prog, prog),
+                        nlbs=(NlbInstance("a", 0, 1),), game_id="chsh")
+    game = get_game("chsh")
+    half = Fraction(1, 2)
+    assert exact_distribution(strategy, game).per_input == {
+        x: {((0,), ()): half, ((1,), ()): half} for x in promised_inputs(game)}
+    assert analysis.no_signaling_check(strategy, game)
+
+
 def test_seven_party_sweep_is_exact_and_non_signaling():
     # 2^21 seeds x 64 inputs: out of reach seed by seed, seconds on lanes
     strategy, game = get_strategy("multi-mermin-nlb:7"), get_game("multi-mermin:7")
     dist = exact_distribution(strategy, game)
-    assert analysis.marginals_non_signaling(dist, 7)
+    assert analysis.no_signaling_check(strategy, game)
     assert analysis.uniformity_verdict(dist, game)
 
 

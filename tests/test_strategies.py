@@ -235,6 +235,16 @@ def test_comm_family_size():
     assert len(comm_strategy_pairs()) == COMM_FAMILY_SIZE
 
 
+def test_comm_strategy_pairs_match_their_definition():
+    # every (row, column, column) triple filtered cell by cell, in product
+    # order: the same triples in the same order as the grouped lookup
+    bobs = all_bob_matrices()
+    brute = tuple((a, b0, b1) for a in all_alice_matrices() for b0 in bobs
+                  if pair_wins_off_corner(a, b0)
+                  for b1 in bobs if all(a[2][j] == b1[2][j] for j in range(3)))
+    assert comm_strategy_pairs() == brute
+
+
 def test_ms_nlb_sim_alice_marginal_uniform_over_rows():
     dist = exact_distribution(get_strategy("ms-nlb-sim"), get_game("magic-square"))
     marg = dist.marginal((1, 1), 0)
