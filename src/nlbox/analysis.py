@@ -20,10 +20,9 @@ from fractions import Fraction
 
 # enumerate_seeds stays importable as analysis.enumerate_seeds, a name the
 # benchmark's tracer (bench/tracer.py) rebinds
-from .engine import (Lane, LaneBranch, NlbInstance, PartyProgram, PointGrid,
-                     Action, Strategy, DEFAULT_MAX_SEED_BITS, _build, _columns,
-                     _on_block, _spread, enumerate_seeds, execute,
-                     require_enumerable, seed_space)
+from .engine import (Lane, LaneBranch, LaneGrid, NlbInstance, PartyProgram,
+                     Action, Strategy, DEFAULT_MAX_SEED_BITS, count_text,
+                     enumerate_seeds, execute, lowest_bit, require_enumerable)
 from .games import (Game, GameError, is_winning, outcome_index, outcome_lanes,
                     promised_inputs, require_promise, sample_promised_input,
                     winning_outcomes)
@@ -80,85 +79,28 @@ def _set_bits(mask: int):
     return (i for i, c in enumerate(reversed(bin(mask))) if c == "1")
 
 
-def _cut(mask: int, size: int, count: int) -> list[int]:
-    """mask in count slices of size bits, lowest first. It is cut into whole
-    bytes at C speed, each holding the same number of slices."""
-    group = 8 // math.gcd(size, 8)
-    step = size * group // 8
-    raw = mask.to_bytes(-(-size * count // 8), "little")
-    chunks = [int.from_bytes(raw[at:at + step], "little")
-              for at in range(0, len(raw), step)]
-    if group == 1:
-        return chunks
-    low = (1 << size) - 1
-    return [chunk >> (size * j) & low for chunk in chunks for j in range(group)][:count]
-
-
-def _by_input(offset: int, block: int, parts, size: int) -> list[tuple]:
-    """Cut a block over the points from offset on, and parts (tuples of
-    masks over the same points, party by party) with it, at input
-    boundaries, size points to an input: (input, first, cut block, cut
-    parts) per input that the block meets. Bit s of a cut mask stands for
-    seed first + s of that input."""
-    i, first = divmod(offset, size)
-    count = (first + block.bit_length() - 1) // size + 1
-    if count == 1:
-        return [(i, first, block, parts)]
-
-    def cut(mask):
-        return _cut(mask << first, size, count)
-    # input by input, each party's cut masks; a party may have none
-    empty = itertools.repeat(())
-    cut_parts = zip(*[zip(*map(cut, leaves)) if leaves else empty
-                      for leaves in parts]) if parts else empty
-    return [(i + j, 0, b, p) for j, (b, p) in enumerate(zip(cut(block), cut_parts)) if b]
-
-
-def _halves(offset: int, block: int, mask, args, size: int) -> list[tuple]:
-    """The runs that replace a block after a LaneBranch, each with
-    args(offset, block): the two blocks on which the lane ``mask`` is
-    constant; without a mask, one block per input (size points each) when
-    the block spans several, else the block with input and seed None: run
-    point by point."""
-    inside = block & mask if mask is not None else 0
-    if inside and inside != block:
-        parts = [(offset, inside), (offset, block ^ inside)]
-    else:
-        # reversed, so that the inputs run in order
-        parts = [(i * size + first, seeds)
-                 for i, first, seeds, _ in _by_input(offset, block, (), size)][::-1]
-        if len(parts) == 1:
-            return [(offset, block, None, None)]
-    runs = []
-    for start, part in parts:
-        low = (part & -part).bit_length() - 1
-        runs.append((start + low, part >> low, *args(start + low, part >> low)))
-    return runs
-
-
-def _run_blocks(strategy: Strategy, runs: list, args, point, done: list, size: int):
+def _run_blocks(strategy: Strategy, grid: LaneGrid, runs: list, done: list):
     """Run each (offset, block, x, seed) of ``runs`` in order and yield
     (outcome, offset, block) as it finishes; bit i of block stands for point
-    offset + i, and x, seed and the outcome hold a lane wherever the block's
-    points differ. A run that raises LaneBranch is replaced by the runs
-    _halves gives, args(offset, block) giving a block's (x, seed) and size
-    the points of one input; a run with seed None goes point by point on
-    point(k) = (x, seed) of point k, as one-point blocks of its own. Each run
-    that finished is appended to done."""
+    offset + i of the grid, and x, seed and the outcome hold a lane wherever
+    the block's points differ. A run that raises LaneBranch is replaced by
+    the runs grid.split gives; a run with seed None goes point by point on
+    grid.point, as one-point blocks of its own. Each run that finished is
+    appended to done."""
     runs = runs[::-1]
     while runs:
         run = runs.pop()
         offset, block, x, seed = run
         if seed is None:
             for i in _set_bits(block):
-                x, seed = point(offset + i)
+                x, seed = grid.point(offset + i)
                 outcome, _ = execute(strategy, x, seed, record=False)
                 yield outcome, offset + i, 1
         else:
             try:
                 outcome, _ = execute(strategy, x, seed, record=False)
             except LaneBranch as branch:
-                runs += _halves(offset, block, branch.mask, args, size)
+                runs += grid.split(offset, block, branch.mask)
                 continue
             yield outcome, offset, block
         done.append(run)
@@ -214,56 +156,27 @@ def _split_outcome(full: int, parts) -> list[tuple]:
     return groups
 
 
-def _sweep(strategy: Strategy, inputs):
-    """The exhaustive (input x seed) grid, run by run.
+def _sweep(strategy: Strategy, grid: LaneGrid):
+    """The exhaustive (input x seed) grid, a periodic LaneGrid, run by run.
 
-    Point i * S + s is input i under seed s, S the seed count and seeds in
-    enumerate_seeds' order. Yields (outcome, offset, block) as each run
-    finishes (see _run_blocks), in no particular point order. When every
-    input has one bit shape (see engine._columns) and the shared value is
-    no per-index block (see SeedSpace), a block holds as many whole inputs
-    as fit in SWEEP_WIDTH points, and the input is a lane too, leaf by leaf;
-    otherwise it holds one input. Each group of inputs starts from the
+    Yields (outcome, offset, block) as each run finishes (see _run_blocks),
+    in no particular point order. Group by group, each starts from the
     partition the previous one ended with, so a program costs one failed
     run per split of a group over the whole sweep."""
-    size = strategy.seed_count()
-    copies = max(1, min(len(inputs), SWEEP_WIDTH // size))
-    columns = []
-    shape = None
-    if copies > 1 and not seed_space(strategy).per_index:
-        shape = _columns(inputs, columns)
-    space = seed_space(strategy, copies if shape else 1)
-    width, total = space.width, len(inputs) * size
-    # each group starts from the partition the previous one ended with, one
-    # group on and cut to the points that are left; the first from the space's
-    partition = [(offset - width, block, None, seed)
-                 for offset, block, seed in space.start]
-    for base in range(0, total, width):
-        masks = [_spread(column[base // size:(base + width) // size], size)
-                 for column in columns]
-
-        def input_of(offset, block, base=base, masks=masks):
-            if shape is None:
-                return inputs[offset // size]
-            return _build(shape, iter([_on_block(m >> offset - base, block)
-                                       for m in masks]))
-
-        def args(offset, block, input_of=input_of):
-            return input_of(offset, block), space.run_seed(offset, block)
-
+    total = len(grid.inputs) * grid.size
+    runs = grid.start
+    while runs:
+        done = []
+        yield from _run_blocks(strategy, grid, runs, done)
         runs = []
-        for offset, block, _, seed in partition:
-            offset += width
+        for offset, block, _, seed in done:
+            offset += grid.width
             if offset + block.bit_length() <= total:
                 # a seed is the same one group on; None runs point by point
-                runs.append((offset, block, seed and input_of(offset, block), seed))
+                runs.append((offset, block, seed and grid.input(offset, block), seed))
             elif offset < total:
                 block &= (1 << total - offset) - 1
-                runs.append((offset, block, *args(offset, block)))
-        partition = []
-        yield from _run_blocks(strategy, runs, args,
-                               lambda k: (inputs[k // size], space.seed(k)),
-                               partition, size)
+                runs.append((offset, block, *grid.run(offset, block)))
 
 
 def _require_parties(strategy: Strategy, game: Game) -> None:
@@ -271,29 +184,28 @@ def _require_parties(strategy: Strategy, game: Game) -> None:
         raise AnalysisError(f"{strategy.name} has wrong party count for {game.name}")
 
 
-def _promise(strategy: Strategy, game: Game, max_seed_bits: int) -> list:
-    """The game's promise, once the strategy is known to have the game's
-    party count and a seed space within the limit: both are checked before
-    the promise is built."""
+def _grid(strategy: Strategy, game: Game, max_seed_bits: int) -> LaneGrid:
+    """The game's promise x the strategy's seeds, once the strategy is
+    known to have the game's party count and a seed space within the
+    limit: both are checked before the promise is built."""
     _require_parties(strategy, game)
     require_enumerable(strategy, max_seed_bits)
-    return promised_inputs(game)
+    return LaneGrid.periodic(strategy, promised_inputs(game), SWEEP_WIDTH)
 
 
-def _pieces(strategy: Strategy, inputs):
+def _pieces(strategy: Strategy, grid: LaneGrid):
     """The sweep's runs cut at input boundaries, in no particular order:
     (i, first, block, parts) per piece, bit s of block standing for seed
-    first + s of inputs[i]. parts holds, party by party, a mask per output
-    bit of the points where that bit is 1. A run of one point is a piece
-    of 1-bit masks: its outcome itself."""
-    size = strategy.seed_count()
-    for outcome, offset, block in _sweep(strategy, inputs):
+    first + s of grid.inputs[i]. parts holds, party by party, a mask per
+    output bit of the points where that bit is 1. A run of one point is a
+    piece of 1-bit masks: its outcome itself."""
+    for outcome, offset, block in _sweep(strategy, grid):
         if block == 1:
-            yield (*divmod(offset, size), 1, outcome)
+            yield (*divmod(offset, grid.size), 1, outcome)
             continue
-        yield from _by_input(offset, block, tuple(
+        yield from grid.by_input(offset, block, tuple(
             [tuple([v.mask if type(v) is Lane else block if v else 0 for v in part])
-             for part in outcome]), size)
+             for part in outcome]))
 
 
 def _tally(strategy: Strategy, game: Game, max_seed_bits: int):
@@ -302,12 +214,13 @@ def _tally(strategy: Strategy, game: Game, max_seed_bits: int):
     in which a seed-by-seed sweep first meets them. Seeds are numbered in
     enumerate_seeds' order. Each piece is split by joint outcome; an
     input's pieces may come from any runs, in any order."""
-    inputs = _promise(strategy, game, max_seed_bits)
+    grid = _grid(strategy, game, max_seed_bits)
+    inputs = grid.inputs
     tallies = [{} for _ in inputs]
-    for i, first, block, parts in _pieces(strategy, inputs):
+    for i, first, block, parts in _pieces(strategy, grid):
         tally = tallies[i]
         for outcome, mask in _split_outcome(block, parts):
-            count, seed = mask.bit_count(), first + (mask & -mask).bit_length() - 1
+            count, seed = mask.bit_count(), first + lowest_bit(mask)
             entry = tally.get(outcome)
             if entry is None:
                 tally[outcome] = [count, seed]
@@ -433,17 +346,17 @@ def _sample_chunk(strategy: Strategy, game: Game, rng: random.Random, k: int):
     """Draw k points and run them as lane blocks. Returns (wins, the
     counterexample of the first losing point or None); the win relation
     runs on each point."""
-    grid = PointGrid(strategy, functools.partial(sample_promised_input, game), rng, k)
+    grid = LaneGrid.drawn(strategy, functools.partial(sample_promised_input, game),
+                          rng, k)
     outcomes = [None] * k
-    for outcome, offset, block in _run_blocks(strategy, grid.start, grid.run,
-                                              grid.point, [], k):
+    for outcome, offset, block in _run_blocks(strategy, grid, grid.start, []):
         for i, point_outcome in _point_outcomes(outcome, block):
             outcomes[offset + i] = point_outcome
     won = list(map(is_winning, itertools.repeat(game), grid.inputs, outcomes))
     if False not in won:
         return k, None
     i = won.index(False)
-    return sum(won), _counterexample(grid.inputs[i], grid.point(i)[1], outcomes[i])
+    return sum(won), _counterexample(*grid.point(i), outcomes[i])
 
 
 def _verify_exhaustive(strategy: Strategy, game: Game, max_seed_bits: int):
@@ -453,13 +366,14 @@ def _verify_exhaustive(strategy: Strategy, game: Game, max_seed_bits: int):
     once per distinct outcome of a piece where it is not bit algebra. The
     counterexample is the lowest losing seed of the first input that has
     one."""
-    inputs = _promise(strategy, game, max_seed_bits)
+    grid = _grid(strategy, game, max_seed_bits)
+    inputs = grid.inputs
     promised = list(map(game.on_promise, inputs))
     lengths = tuple(game.output_lengths)
     checked = wins = 0
     misfits = set()     # inputs off the promise or with an outcome of wrong arity
     lost = {}           # input index -> (lowest losing seed, its outcome)
-    for i, first, block, parts in _pieces(strategy, inputs):
+    for i, first, block, parts in _pieces(strategy, grid):
         if not promised[i] or tuple(map(len, parts)) != lengths:
             misfits.add(i)
             continue
@@ -477,7 +391,7 @@ def _verify_exhaustive(strategy: Strategy, game: Game, max_seed_bits: int):
         wins += won.bit_count()
         losing = block ^ won
         if losing:
-            low = (losing & -losing).bit_length() - 1
+            low = lowest_bit(losing)
             if i not in lost or first + low < lost[i][0]:
                 lost[i] = (first + low, tuple([tuple([m >> low & 1 for m in part])
                                                for part in parts]))
@@ -490,8 +404,7 @@ def _verify_exhaustive(strategy: Strategy, game: Game, max_seed_bits: int):
         return checked, wins, None
     i = min(lost)
     seed, outcome = lost[i]
-    return checked, wins, _counterexample(inputs[i], seed_space(strategy).seed(seed),
-                                          outcome)
+    return checked, wins, _counterexample(*grid.point(i * grid.size + seed), outcome)
 
 
 def verify_winning(strategy: Strategy, game: Game, policy,
@@ -550,9 +463,10 @@ def no_signaling_check(strategy: Strategy, game: Game,
     if strategy.channels:
         raise CommunicationUsedError(
             f"{strategy.name} uses communication; the check does not apply")
-    inputs = _promise(strategy, game, max_seed_bits)
+    grid = _grid(strategy, game, max_seed_bits)
+    inputs = grid.inputs
     counts = [[{} for _ in inputs] for _ in range(game.n_parties)]
-    for i, _, block, parts in _pieces(strategy, inputs):
+    for i, _, block, parts in _pieces(strategy, grid):
         total = block.bit_count()
         for marginals, leaves in zip(counts, parts):
             if len(leaves) == 1:
@@ -597,7 +511,8 @@ def _deterministic_search(game: Game, pairings: list, budget: int,
         for r in range(n) if r not in (pairings[0] or ()))
     if candidates > max_candidates:
         raise SearchSpaceError(
-            f"{candidates} deterministic strategies exceed the limit {max_candidates}")
+            f"{count_text(candidates)} deterministic strategies exceed the limit "
+            f"{max_candidates}")
     return (candidates,
             *score_strategies(game, promised_inputs(game), pairings, budget))
 
@@ -736,13 +651,3 @@ def resource_count(strategy: Strategy) -> tuple[int, int]:
     """(NLB uses, communication bits) of every run: the declared counts,
     since execute rejects a run that leaves a declared resource unused."""
     return len(strategy.nlbs), len(strategy.channels)
-
-
-def nlb_isolated_parties(strategy: Strategy) -> list[int]:
-    """Parties that are no endpoint of any declared NLB. A winning strategy
-    for the parity-family games can leave at most one party isolated."""
-    touched = set()
-    for x in strategy.nlbs:
-        touched.add(x.port0_party)
-        touched.add(x.port1_party)
-    return [p for p in range(strategy.n_parties) if p not in touched]

@@ -6,8 +6,7 @@ Which of the two solutions is realised is decided by one free bit, so a run
 is fully determined by (strategy, input, seed) and exact output statistics
 can be obtained by enumerating the finite seed space. A run's input, free
 bits and shared value may also hold Lanes, one bit per (input, seed) point,
-so that one run decides a whole block of points at once (see SeedSpace and
-PointGrid).
+so that one run decides a whole block of points at once (see LaneGrid).
 
 Locality is structural: a party program is only ever handed its own input,
 the shared-randomness component, resource outputs delivered to its own
@@ -22,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -233,9 +233,9 @@ def seed_lanes(n_nlbs: int, n_shared: int = 1) -> tuple[Lane, ...]:
 
 class LaneSeed(NamedTuple):
     """A block of points run at once: bit i of ``block`` stands for point
-    ``offset + i`` (see SeedSpace and PointGrid). Each free bit and each
-    leaf of the shared value is a Lane over ``block``, or the int it equals
-    on every point of the block."""
+    ``offset + i``, counted from the start of its group of a LaneGrid. Each
+    free bit and each leaf of the shared value is a Lane over ``block``, or
+    the int it equals on every point of the block."""
 
     nlb_bits: tuple
     shared: object
@@ -550,6 +550,16 @@ def execute(strategy: Strategy, input_tuple: tuple, seed: "Seed | LaneSeed",
     return outcome, Transcript(tuple(firings), tuple(sends), outcome)
 
 
+def count_text(n: int) -> str:
+    """A count as a message states it: in decimal while it fits in 64 bits,
+    else as a power of two. Python refuses to print an int of more than
+    4,300 digits, and a refusal must name its count all the same."""
+    if n.bit_length() <= 64:
+        return str(n)
+    k = n.bit_length() - 1
+    return f"2**{k}" if n == 1 << k else f"more than 2**{k}"
+
+
 def require_enumerable(strategy: Strategy, max_seed_bits: int) -> None:
     """Raise EnumerationLimitError when the seed-space cardinality
     2^(#NLBs) * |shared domain| exceeds 2**max_seed_bits. Bit lengths are
@@ -557,7 +567,7 @@ def require_enumerable(strategy: Strategy, max_seed_bits: int) -> None:
     total = strategy.seed_count()
     if (total - 1).bit_length() > max_seed_bits:
         raise EnumerationLimitError(
-            f"seed space of {strategy.name} has {total} points "
+            f"seed space of {strategy.name} has {count_text(total)} points "
             f"(limit 2**{max_seed_bits})")
 
 
@@ -604,7 +614,7 @@ def sample_seed(strategy: Strategy, rng: random.Random) -> Seed:
     return Seed(bits, rng.randrange(len(strategy.shared_domain)))
 
 
-# --- the seed space as blocks --------------------------------------------------
+# --- the (input, seed) grid as lane blocks -------------------------------------
 
 def _columns(values, leaves: list):
     """The nesting of plain tuples and frozen dataclasses shared by every
@@ -677,6 +687,8 @@ def _spread(column: bytes, run: int) -> int:
     """The mask whose bits i * run to (i + 1) * run - 1 all equal column[i],
     for non-empty bytes of 0 and 1: a leaf's lane over points that take
     each value run times in a row. Whole bytes are joined at C speed."""
+    if run == 1:
+        return _lane_mask(column)
     if run % 8:
         ones, zeros = b"\x01" * run, bytes(run)
         return _lane_mask(b"".join([ones if b else zeros for b in column]))
@@ -684,133 +696,197 @@ def _spread(column: bytes, run: int) -> int:
     return int.from_bytes(b"".join([ones if b else zeros for b in column]), "little")
 
 
-class SeedSpace:
-    """A strategy's seeds numbered in ``enumerate_seeds``' order, laid end
-    to end ``copies`` times: point k is seed k % S of copy k // S, S the
-    seed count, and seed s has shared index s >> #NLBs. A block is a set of
-    points given as (offset, mask): bit i of mask stands for point
-    offset + i, and bit 0 is set. The exhaustive sweep gives each copy an
-    input, and reads the points past the copies as point k % ``width``.
+def _cut(mask: int, size: int, count: int) -> list[int]:
+    """mask in count slices of size bits, lowest first. It is cut into whole
+    bytes at C speed, each holding the same number of slices."""
+    group = 8 // math.gcd(size, 8)
+    step = size * group // 8
+    raw = mask.to_bytes(-(-size * count // 8), "little")
+    chunks = [int.from_bytes(raw[at:at + step], "little")
+              for at in range(0, len(raw), step)]
+    if group == 1:
+        return chunks
+    low = (1 << size) - 1
+    return [chunk >> (size * j) & low for chunk in chunks for j in range(group)][:count]
 
-    When every shared value is a plain tuple or frozen dataclass of the
-    same shape with leaves 0 and 1, the shared value is lane-valued too,
-    leaf by leaf, and all copies are one block; otherwise each shared index
-    is one block, and the sweep asks for one copy."""
 
-    def __init__(self, strategy: Strategy, copies: int = 1):
-        nb = len(strategy.nlbs)
-        values = strategy.shared_domain.values
-        self.n_nlbs, self.values, self.size = nb, values, len(values) << nb
-        self.width = copies * self.size
+def lowest_bit(mask: int) -> int:
+    """The position of the lowest set bit of mask > 0. The low word is
+    tried first, so the cost does not grow with the mask's length."""
+    word = mask & 0xFFFFFFFFFFFFFFFF
+    if word:
+        return (word & -word).bit_length() - 1
+    return (mask & -mask).bit_length() - 1
+
+
+class LaneGrid:
+    """(input, seed) points numbered 0, 1, ... and held as lane columns, so
+    that a block of them runs at once. Point k is input inputs[k // size]
+    under the seed point(k) gives. A group is the width points from a
+    multiple of width on, and a block is a set of points of one group,
+    (offset, mask) with bit i of mask standing for point offset + i and bit
+    0 set. Each free bit is a lane over a group; so are the input and the
+    shared value, leaf by leaf, when all of them have one bit shape (see
+    _columns), and otherwise no block holds two of them. ``start`` is the
+    first group's partition as runs (offset, block, x, seed). Two fills:
+
+    - ``periodic``: the exhaustive grid. size is the seed count, each
+      input's seeds in enumerate_seeds' order, and every group has the same
+      seed lanes, so a block's seed serves it one group on too.
+    - ``drawn``: k points in one group, point k the k-th draw of
+      ``sample_input(rng)`` then ``sample_seed``; size is 1.
+    """
+
+    def __init__(self, strategy: Strategy, size: int, width: int,
+                 shared_values: list, spread: int):
+        # shared_values: the shared value of each run of spread points
+        self.n_nlbs, self.values = len(strategy.nlbs), strategy.shared_domain.values
+        self.size, self.width = size, width
         columns = []
-        self.shape = _columns(values, columns) if len(values) > 1 else None
-        self.per_index = self.shape is None and len(values) > 1
-        if self.per_index:
-            # a free bit's lane repeats every 2**nb seeds and no block spans
-            # two shared indices, so one period of it serves every block
-            self.nlb_masks = tuple(lane.mask for lane in seed_lanes(nb))
-            blocks = [(s << nb, (1 << (1 << nb)) - 1) for s in range(len(values))]
-        else:
-            self.nlb_masks = tuple(lane.mask for lane in
-                                   seed_lanes(nb, len(values) * copies))
-            # a leaf's lane repeats each shared value's bit 2**nb times
-            self.shared_masks = [_spread(col * copies, 1 << nb) for col in columns]
-            blocks = [(0, (1 << self.width) - 1)]
-        # the partition every sweep starts from
-        self.start = [(offset, block, self.run_seed(offset, block))
-                      for offset, block in blocks]
+        self.shared_shape = _columns(shared_values, columns)
+        self.shared_masks = [_spread(column, spread) for column in columns]
+        self.per_index = self.shared_shape is None and len(self.values) > 1
+        self.inputs, self.input_shape, self.input_columns = None, None, []
+        self.base = None        # the group whose input lanes input() holds
+        self.bits = self.shared = None      # the drawn fill's draws
 
-    def seed(self, k: int) -> Seed:
-        """The seed of point k."""
-        nb = self.n_nlbs
-        return seed_at(nb, k & ((1 << nb) - 1), k % self.size >> nb)
+    @classmethod
+    def periodic(cls, strategy: Strategy, inputs: list, width: int) -> "LaneGrid":
+        """inputs x the strategy's seeds, in groups of as many whole inputs
+        as fit in width points, or one; see require_enumerable first."""
+        size = strategy.seed_count()
+        copies = max(1, min(len(inputs), width // size))
+        columns, shape = [], None
+        if copies > 1 and not _seed_grid(strategy, 1).per_index:
+            shape = _columns(inputs, columns)
+        grid = object.__new__(cls)     # the cached seed side, plus inputs
+        grid.__dict__.update(_seed_grid(strategy, copies if shape else 1).__dict__)
+        grid.inputs, grid.input_shape, grid.input_columns = inputs, shape, columns
+        grid.start = [(offset, block, grid.input(offset, block), seed)
+                      for offset, block, _, seed in grid.start]
+        return grid
 
-    def run_seed(self, offset: int, block: int) -> LaneSeed | Seed:
-        """The seed that runs a block: a LaneSeed, whose offset is counted
-        from the start of the copies it lies in, or the Seed of a one-point
-        block."""
-        if block == 1:
-            return self.seed(offset)
-        offset %= self.width
-        shift = offset & ((1 << self.n_nlbs) - 1) if self.per_index else offset
-        bits = tuple(_on_block(m >> shift, block) for m in self.nlb_masks)
-        if self.shape is None:
-            shared = self.values[offset % self.size >> self.n_nlbs]
-        else:
-            shared = _build(self.shape, iter(
-                [_on_block(m >> offset, block) for m in self.shared_masks]))
-        return LaneSeed(bits, shared, offset, block)
-
-
-def seed_space(strategy: Strategy, copies: int = 1) -> SeedSpace:
-    """The strategy's SeedSpace of ``copies`` copies, built on first use and
-    kept on the strategy; see require_enumerable before asking for one."""
-    spaces = strategy.__dict__.get("_seed_spaces")
-    if spaces is None:
-        spaces = {}
-        object.__setattr__(strategy, "_seed_spaces", spaces)
-    space = spaces.get(copies)
-    if space is None:
-        space = spaces[copies] = SeedSpace(strategy, copies)
-    return space
-
-
-class PointGrid:
-    """k (input, seed) points drawn from rng in the order k rounds of
-    ``sample_input(rng)`` then ``sample_seed`` draw them, numbered in draw
-    order. A block is (offset, mask) as in SeedSpace, bit i of mask standing
-    for point offset + i.
-
-    Free bits are lanes over the points. So are the inputs, leaf by leaf,
-    when every drawn input has one bit shape (see _columns), and likewise
-    the drawn shared values; otherwise the points with one input, or one
-    shared index, form one block."""
-
-    def __init__(self, strategy: Strategy, sample_input, rng: random.Random, k: int):
+    @classmethod
+    def drawn(cls, strategy: Strategy, sample_input, rng: random.Random,
+              k: int) -> "LaneGrid":
+        """k points drawn from rng. They start as one block per input that
+        is not bit-shaped and per shared index that is not."""
         nb, values = len(strategy.nlbs), strategy.shared_domain.values
         inputs, bits, shared = [], [], []
         for _ in range(k):
             inputs.append(sample_input(rng))
             bits.append(draw_bits(rng, nb))
             shared.append(rng.randrange(len(values)))
-        self.n_nlbs, self.values = nb, values
-        self.inputs, self.bits, self.shared = inputs, b"".join(bits), shared
-        self.nlb_masks = [_lane_mask(self.bits[j::nb]) for j in range(nb)]
-        input_columns, shared_columns = [], []
-        self.input_shape = _columns(inputs, input_columns)
-        self.shared_shape = _columns([values[s] for s in shared], shared_columns)
-        self.input_masks = [_lane_mask(c) for c in input_columns]
-        self.shared_masks = [_lane_mask(c) for c in shared_columns]
-        keys = zip(inputs if self.input_shape is None else [None] * k,
-                   shared if self.shared_shape is None else [None] * k)
+        grid = cls(strategy, 1, k, [values[s] for s in shared], 1)
+        grid.bits, grid.shared, grid.period = b"".join(bits), shared, k
+        grid.nlb_masks = [_lane_mask(grid.bits[j::nb]) for j in range(nb)]
+        grid.inputs, grid.input_shape = inputs, _columns(inputs, grid.input_columns)
+        keys = zip(inputs if grid.input_shape is None else [None] * k,
+                   shared if grid.shared_shape is None else [None] * k)
         groups = {}
         for i, key in enumerate(keys):
             groups[key] = groups.get(key, 0) | 1 << i
-        self.start = []
+        grid.start = []
         for mask in groups.values():
-            low = (mask & -mask).bit_length() - 1
-            self.start.append((low, mask >> low, *self.run(low, mask >> low)))
+            low = lowest_bit(mask)
+            grid.start.append((low, mask >> low, *grid.run(low, mask >> low)))
+        return grid
 
     def point(self, k: int) -> tuple:
         """(input, Seed) of point k."""
-        nb = self.n_nlbs
-        return self.inputs[k], Seed(tuple(self.bits[k * nb:(k + 1) * nb]),
-                                    self.shared[k])
+        return self.inputs[k // self.size], self.seed(k, 1)
 
     def run(self, offset: int, block: int) -> tuple:
-        """The (input, seed) that runs a block: lane-valued, or the point
-        of a one-point block."""
+        """The (input, seed) that runs a block: lane-valued where its points
+        differ, or the point of a one-point block."""
         if block == 1:
             return self.point(offset)
+        return self.input(offset, block), self.seed(offset, block)
+
+    def input(self, offset: int, block: int):
+        """The input of a block, a lane wherever its points differ."""
         if self.input_shape is None:
-            x = self.inputs[offset]
-        else:
-            x = _build(self.input_shape, iter(
-                [_on_block(m >> offset, block) for m in self.input_masks]))
-        bits = tuple([_on_block(m >> offset, block) for m in self.nlb_masks])
+            return self.inputs[offset // self.size]
+        at = offset % self.width
+        if offset - at != self.base:
+            self.base = offset - at
+            first, count = self.base // self.size, self.width // self.size
+            self.input_masks = [_spread(column[first:first + count], self.size)
+                                for column in self.input_columns]
+        return _build(self.input_shape, iter(
+            [_on_block(m >> at, block) for m in self.input_masks]))
+
+    def seed(self, offset: int, block: int) -> "LaneSeed | Seed":
+        """The seed of a block: a LaneSeed, its offset counted from the
+        group's start, or the Seed of a one-point block."""
+        nb = self.n_nlbs
+        index = offset % self.size >> nb if self.shared is None else self.shared[offset]
+        if block == 1:
+            if self.bits is None:
+                return seed_at(nb, offset & ((1 << nb) - 1), index)
+            return Seed(tuple(self.bits[offset * nb:(offset + 1) * nb]), index)
+        at = offset % self.width
+        bits = tuple([_on_block(m >> at % self.period, block) for m in self.nlb_masks])
         if self.shared_shape is None:
-            shared = self.values[self.shared[offset]]
+            return LaneSeed(bits, self.values[index], at, block)
+        return LaneSeed(bits, _build(self.shared_shape, iter(
+            [_on_block(m >> at, block) for m in self.shared_masks])), at, block)
+
+    def by_input(self, offset: int, block: int, parts=()) -> list[tuple]:
+        """Cut a block, and parts (tuples of masks over its points, party by
+        party) with it, at input boundaries: (input index, first, cut block,
+        cut parts) per input that the block meets, bit s of a cut mask
+        standing for seed first + s of that input."""
+        i, first = divmod(offset, self.size)
+        count = (first + block.bit_length() - 1) // self.size + 1
+        if count == 1:
+            return [(i, first, block, parts)]
+
+        def cut(mask):
+            return _cut(mask << first, self.size, count)
+        # input by input, each party's cut masks; a party may have none
+        empty = itertools.repeat(())
+        cut_parts = zip(*[zip(*map(cut, leaves)) if leaves else empty
+                          for leaves in parts]) if parts else empty
+        return [(i + j, 0, b, p) for j, (b, p) in enumerate(zip(cut(block), cut_parts)) if b]
+
+    def split(self, offset: int, block: int, mask: int | None) -> list[tuple]:
+        """The runs (offset, block, x, seed) that replace a block whose run
+        raised LaneBranch: the two blocks on which its mask is constant;
+        without one, or one constant on the block, one block per input when
+        the block spans several, else the block with x and seed None, to
+        run point by point. In the drawn fill each point is an input."""
+        inside = block & mask if mask is not None else 0
+        if inside and inside != block:
+            parts = [(offset, inside), (offset, block ^ inside)]
         else:
-            shared = _build(self.shared_shape, iter(
-                [_on_block(m >> offset, block) for m in self.shared_masks]))
-        return x, LaneSeed(bits, shared, offset, block)
+            # reversed, so that the inputs run in order
+            parts = [(i * self.size, b) for i, _, b, _ in self.by_input(offset, block)][::-1]
+            if len(parts) == 1:
+                return [(offset, block, None, None)]
+        runs = []
+        for start, part in parts:
+            low = lowest_bit(part)
+            runs.append((start + low, part >> low, *self.run(start + low, part >> low)))
+        return runs
+
+
+def _seed_grid(strategy: Strategy, copies: int) -> LaneGrid:
+    """The periodic fill's seed side for groups of copies inputs: a LaneGrid
+    without inputs, built on first use and kept on the strategy."""
+    grids = strategy.__dict__.setdefault("_seed_grids", {})
+    grid = grids.get(copies)
+    if grid is None:
+        nb, values = len(strategy.nlbs), strategy.shared_domain.values
+        size = len(values) << nb
+        grid = grids[copies] = LaneGrid(strategy, size, copies * size,
+                                        list(values) * copies, 1 << nb)
+        # free-bit lanes repeat every period points; blocks of one shared
+        # index need only one period of them
+        grid.period = 1 << nb if grid.per_index else grid.width
+        grid.nlb_masks = [lane.mask for lane in seed_lanes(nb, grid.period >> nb)]
+        blocks = ([(s << nb, (1 << (1 << nb)) - 1) for s in range(len(values))]
+                  if grid.per_index else [(0, (1 << grid.width) - 1)])
+        grid.start = [(offset, block, None, grid.seed(offset, block))
+                      for offset, block in blocks]
+    return grid

@@ -17,7 +17,7 @@ import operator
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
-from .engine import EnumerationLimitError, draw_bits, seed_lanes
+from .engine import EnumerationLimitError, count_text, draw_bits, seed_lanes
 
 MAX_OUTCOMES = 2 ** 20
 # dj:<n> inputs are 2^n bits and dj-nlb:<n> declares about 2^(n+1) boxes
@@ -129,7 +129,8 @@ def _check_outcome_space(game: Game) -> None:
     total = 2 ** sum(game.output_lengths)
     if total > MAX_OUTCOMES:
         raise EnumerationLimitError(
-            f"outcome space of {game.name} has {total} points (limit {MAX_OUTCOMES})")
+            f"outcome space of {game.name} has {count_text(total)} points "
+            f"(limit {MAX_OUTCOMES})")
 
 
 def outcome_lanes(game: Game) -> tuple:

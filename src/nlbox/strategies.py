@@ -334,11 +334,19 @@ def mermin_nlb_sim() -> Strategy:
                                 lambda v: v.shared[0])
 
 
+# multi-mermin-nlb:<n> declares C(n, 2) boxes, 780 at the cap: only sampled
+# verify reaches past n = 7, and the seed count 2**C(n, 2) that `resources`
+# prints has 235 digits at the cap (Python prints at most 4,300)
+MULTI_MERMIN_MAX_N = 40
+
+
 def multi_mermin_pairwise(n: int) -> Strategy:
     """Every pair of parties shares one NLB; each party feeds its input bit
     to all its boxes and answers the parity of the bits it receives."""
     if n < 3:
         raise StrategyError("multi-mermin-nlb needs n >= 3")
+    if n > MULTI_MERMIN_MAX_N:
+        raise StrategyError(f"multi-mermin-nlb limited to n <= {MULTI_MERMIN_MAX_N}")
     nlbs = tuple(NlbInstance(f"pair:{i}-{j}", i, j)
                  for i, j in itertools.combinations(range(n), 2))
     my_ids = [[x.id for x in nlbs if p in (x.port0_party, x.port1_party)]

@@ -13,8 +13,8 @@ from nlbox import analysis, engine
 from nlbox.analysis import (AnalysisError, CommunicationUsedError, Exhaustive,
                             Sample, SearchReport, SearchSpaceError,
                             classical_value, exact_distribution,
-                            impossibility_search, nlb_isolated_parties,
-                            no_signaling_check, resource_count,
+                            impossibility_search, no_signaling_check,
+                            resource_count,
                             strategy_from_tables, uniformity_verdict,
                             verify_winning)
 from nlbox.engine import EnumerationLimitError, Seed, execute
@@ -148,6 +148,11 @@ def test_verify_party_count_guard():
 
 # --- exhaustive verification against the tally ------------------------------------
 
+def point_seed(strategy, s):
+    """Seed s of enumerate_seeds' order."""
+    return next(itertools.islice(engine.enumerate_seeds(strategy), s, None))
+
+
 def oracle_tally_verify(strategy, game):
     """Exhaustive verify decided on the joint tally: is_winning once per
     distinct (input, outcome); the counterexample is the lowest seed of the
@@ -161,7 +166,7 @@ def oracle_tally_verify(strategy, game):
                 wins += count
             elif counterexample is None:
                 counterexample = {"input": analysis._jsonable(x),
-                                  "seed": engine.seed_space(strategy).seed(seed).to_json(),
+                                  "seed": point_seed(strategy, seed).to_json(),
                                   "outcome": [list(p) for p in outcome]}
     return analysis.VerifyResult(counterexample is None, "exhaustive", checked, wins,
                                  counterexample)
@@ -815,7 +820,9 @@ def test_winning_wirings_leave_at_most_one_party_isolated():
     for sid in ["multi-mermin-nlb:3", "multi-mermin-nlb:4", "multi-mermin-nlb:5",
                 "bmaj-nlb:2", "bmaj-nlb:3", "bmaj-nlb:4", "bmaj-nlb:5",
                 "mermin-nlb"]:
-        assert len(nlb_isolated_parties(get_strategy(sid))) <= 1, sid
+        strategy = get_strategy(sid)
+        ends = {p for x in strategy.nlbs for p in (x.port0_party, x.port1_party)}
+        assert len(set(range(strategy.n_parties)) - ends) <= 1, sid
 
 
 def test_malformed_requests_are_analysis_errors():

@@ -217,6 +217,45 @@ def test_dj_past_its_cap_exits_1(argv, capsys):
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["value", "--game", "multi-mermin:20000"],
+     "2**40000 deterministic strategies exceed the limit 268435456"),
+    (["value", "--game", "bmaj:99999"],
+     "2**199998 deterministic strategies exceed the limit 268435456"),
+    (["search", "--game", "multi-mermin:99999", "--budget", "0nlb"],
+     "2**199998 deterministic strategies exceed the limit 268435456"),
+    (["verify", "--game", "multi-mermin:40", "--strategy", "multi-mermin-nlb:40"],
+     "seed space of multi-mermin-nlb:40 has 2**780 points (limit 2**24); "
+     "use --seeds sample:<K>"),
+    (["verify", "--game", "multi-mermin:200", "--strategy", "multi-mermin-nlb:200"],
+     "multi-mermin-nlb limited to n <= 40"),
+    (["dist", "--game", "multi-mermin:200", "--strategy", "multi-mermin-nlb:200"],
+     "multi-mermin-nlb limited to n <= 40"),
+    (["resources", "--strategy", "multi-mermin-nlb:200"],
+     "multi-mermin-nlb limited to n <= 40"),
+    (["resources", "--strategy", "multi-mermin-nlb:41"],
+     "multi-mermin-nlb limited to n <= 40"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_huge_counts_end_in_one_error_line(argv, message, capsys):
+    # each printed a count of more than 4,300 digits, which Python refuses
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_multi_mermin_nlb_at_its_cap_runs(capsys):
+    code, out = run(["resources", "--strategy", "multi-mermin-nlb:40"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["resources"] == {"nlb": 780, "comm": 0}
+    assert report["seed_space"] == 2 ** 780
+    code, out = run(["verify", "--game", "multi-mermin:40", "--strategy",
+                     "multi-mermin-nlb:40", "--seeds", "sample:4", "--rng-seed", "1"],
+                    capsys)
+    assert code == 0 and json.loads(out)["checked"] == 4
+
+
 def test_dj_at_its_cap_runs(capsys):
     code, out = run(["verify", "--game", "dj:10", "--strategy", "dj-nlb:10",
                      "--seeds", "sample:2", "--rng-seed", "1"], capsys)

@@ -10,8 +10,8 @@ from nlbox.engine import (Action, Channel, DeadlockError, EnumerationLimitError,
                           NlbInstance, NonBitError, PartyProgram, ProtocolError,
                           ResourceReuseError, Seed, Strategy,
                           UndeclaredResourceError, UnusedResourceError,
-                          SharedDomain, draw_bits, enumerate_seeds, execute,
-                          nlb_evaluate,
+                          SharedDomain, count_text, draw_bits, enumerate_seeds,
+                          execute, lowest_bit, nlb_evaluate,
                           require_enumerable, sample_seed, seed_lanes)
 from nlbox.strategies import get_strategy
 
@@ -557,3 +557,19 @@ def test_malformed_actions_end_in_protocol_errors(actions0, actions1, r):
     for f in transcript.firings:
         assert all(type(v) is int and v in (0, 1) for v in f.inputs + f.outputs)
     assert all(type(c.bit) is int and c.bit in (0, 1) for c in transcript.sends)
+
+
+@pytest.mark.parametrize("low", [0, 5, 63, 64, 65, 1000, 1 << 21])
+def test_lowest_bit_past_the_first_word(low):
+    for high in (0, 1, 64, 1 << 21):
+        mask = 1 << low | 1 << (low + high)
+        assert lowest_bit(mask) == low == (mask & -mask).bit_length() - 1
+
+
+def test_counts_past_64_bits_are_named_as_powers_of_two():
+    assert count_text(16) == "16"
+    assert count_text((1 << 64) - 1) == str((1 << 64) - 1)
+    assert count_text(1 << 64) == "2**64"
+    assert count_text(3 << 100) == "more than 2**101"
+    # past the 4,300 digits Python converts to a string
+    assert count_text(1 << 20000) == "2**20000"

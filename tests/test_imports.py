@@ -56,3 +56,14 @@ def test_analysis_binds_every_name_the_tracer_rebinds():
     assert {"verify_winning", "execute", "winning_outcomes", "enumerate_seeds",
             "strategy_from_tables"} <= names
     assert sorted(n for n in names if not hasattr(analysis, n)) == []
+
+
+def test_only_engine_knows_the_lane_layout():
+    # analysis runs blocks through engine.LaneGrid; building lanes from
+    # columns stays inside engine
+    path = SRC / "analysis.py"
+    names = {alias.name for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.ImportFrom) and node.module == "engine"
+             for alias in node.names}
+    assert "LaneGrid" in names
+    assert names & {"_build", "_columns", "_spread"} == set()

@@ -21,12 +21,12 @@ from hypothesis import given, settings, strategies as st
 from nlbox import analysis
 from nlbox.analysis import (Exhaustive, exact_distribution, impossibility_search,
                             strategy_from_tables, verify_winning)
-from nlbox.engine import (Action, Channel, Lane, LaneBranch, LaneSeed,
+from nlbox.engine import (Action, Channel, Lane, LaneBranch, LaneGrid, LaneSeed,
                           NlbInstance, NonBitError, PartyProgram,
                           SharedDomain, Strategy, TRIVIAL_SHARED,
                           UnusedResourceError, bit_domain, enumerate_seeds,
-                          execute, seed_at, seed_lanes, seed_space)
-from nlbox.games import get_game, is_winning, promised_inputs
+                          execute, sample_seed, seed_at, seed_lanes)
+from nlbox.games import get_game, is_winning, promised_inputs, sample_promised_input
 from nlbox.strategies import get_strategy
 
 NO_COMM_ENUMERABLE = [
@@ -299,12 +299,84 @@ def test_losing_cases_have_counterexamples():
 @pytest.mark.parametrize("sid", ["ragged-domain", "non-bit-domain", "bool-domain"])
 def test_unshaped_domains_keep_one_block_per_shared_index(sid, execute_calls):
     strategy = build(sid)
-    blocks = [(offset, block) for offset, block, _ in seed_space(strategy).start]
+    grid = LaneGrid.periodic(strategy, promised_inputs(get_game("chsh")),
+                             analysis.SWEEP_WIDTH)
+    blocks = [(offset, block) for offset, block, _, _ in grid.start]
     assert blocks == [(0, 0b1111), (4, 0b1111), (8, 0b1111)]
     exact_distribution(strategy, get_game("chsh"))
     first = execute_calls[:3]
     assert [(seed.offset, seed.block) for seed in first] == blocks
     assert [seed.shared for seed in first] == list(strategy.shared_domain.values)
+
+
+def at_point(value, i):
+    """A lane-valued input or shared value at bit i of its block."""
+    if isinstance(value, Lane):
+        return value.mask >> i & 1
+    if type(value) is tuple:
+        return tuple(at_point(v, i) for v in value)
+    if dataclasses.is_dataclass(value):
+        return dataclasses.replace(value, **{f.name: at_point(getattr(value, f.name), i)
+                                             for f in dataclasses.fields(value)})
+    return value
+
+
+FILL_CASES = [("chsh-nlb", "chsh"), ("mermin-nlb-sim", "mermin"),
+              ("ms-nlb-sim", "magic-square"), ("dj-nlb:2", "dj:2"),
+              ("ragged-domain", "chsh"), ("non-bit-domain", "chsh")]
+
+
+@pytest.mark.parametrize("fill", ["periodic", "drawn"])
+@pytest.mark.parametrize("sid,gid", FILL_CASES)
+def test_grid_fills_match_their_definitions(sid, gid, fill):
+    strategy, game = build(sid), get_game(gid)
+    nb, size = len(strategy.nlbs), strategy.seed_count()
+    if fill == "periodic":
+        # three inputs to a group where inputs are bits: dj:2's 112 end
+        # mid-group
+        inputs = promised_inputs(game)
+        grid = LaneGrid.periodic(strategy, inputs, 3 * size)
+        points = [(inputs[k // size], seed_at(nb, k % (1 << nb), k % size >> nb))
+                  for k in range(len(inputs) * size)]
+    else:
+        grid = LaneGrid.drawn(strategy, lambda rng: sample_promised_input(game, rng),
+                              random.Random(sid), 40)
+        rng = random.Random(sid)
+        points = [(sample_promised_input(game, rng), sample_seed(strategy, rng))
+                  for _ in range(40)]
+    for k, point in enumerate(points):
+        assert grid.point(k) == point
+        assert grid.run(k, 1) == point
+    # the start partition, in every group: each block's lanes hold its points,
+    # and a split without a mask leaves one input per block
+    for base in range(0, len(points), grid.width):
+        for offset, block, _, _ in grid.start:
+            offset += base
+            if offset >= len(points):
+                continue
+            block &= (1 << len(points) - offset) - 1
+            if block == 1:
+                continue        # run(k, 1) is point(k), checked above
+            x, seed = grid.run(offset, block)
+            assert (seed.offset, seed.block) == (offset - base, block)
+            for i in range(block.bit_length()):
+                if block >> i & 1:
+                    assert (at_point(x, i), [at_point(b, i) for b in seed.nlb_bits],
+                            at_point(seed.shared, i)) == \
+                        (points[offset + i][0], list(points[offset + i][1].nlb_bits),
+                         strategy.shared_domain.values[points[offset + i][1].shared_index])
+            # the block, and its first two inputs, cut at input boundaries
+            for whole in (block, block & ((1 << 2 * grid.size - offset % grid.size) - 1)):
+                cover = 0
+                for i, first, part, _ in grid.by_input(offset, whole):
+                    assert part >> grid.size - first == 0
+                    cover |= part << i * grid.size + first
+                assert cover == whole << offset
+            cover = 0
+            for start, part, _, _ in grid.split(offset, block, None):
+                assert (start + part.bit_length() - 1) // grid.size == start // grid.size
+                cover |= part << start
+            assert cover == block << offset
 
 
 @pytest.mark.parametrize("sid", sorted(SAMPLED_ORACLE))
@@ -315,7 +387,8 @@ def test_lane_sweep_matches_scalar_seed_by_seed(sid):
     rng = random.Random(sid)
     inputs = promised_inputs(game)
     size = strategy.seed_count()
-    runs = list(analysis._sweep(strategy, inputs))
+    runs = list(analysis._sweep(strategy, LaneGrid.periodic(strategy, inputs,
+                                                            analysis.SWEEP_WIDTH)))
     # the runs' blocks partition the (input x seed) grid
     union = 0
     for _, offset, block in runs:
@@ -481,7 +554,8 @@ def test_exhaustive_verify_runs_the_win_relation_once_per_piece(sid, gid, monkey
     # relation once on each piece's lanes, and once per distinct outcome of
     # a piece where the relation does arithmetic on them
     strategy, game = build(sid), get_game(gid)
-    pieces = list(analysis._pieces(strategy, promised_inputs(game)))
+    pieces = list(analysis._pieces(strategy, analysis._grid(
+        strategy, game, analysis.DEFAULT_MAX_SEED_BITS)))
     laned = [any(m not in (0, block) for part in parts for m in part)
              for _, _, block, parts in pieces]
     distinct = [len(analysis._split_outcome(block, parts))
