@@ -18,8 +18,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-# enumerate_seeds stays importable as analysis.enumerate_seeds, a name the
-# benchmark's tracer (bench/tracer.py) rebinds
+# enumerate_seeds and is_winning stay importable as analysis.enumerate_seeds
+# and analysis.is_winning, names the benchmark's tracer (bench/tracer.py)
+# rebinds
 from .engine import (Lane, LaneBranch, LaneGrid, NlbInstance, PartyProgram,
                      Action, Strategy, DEFAULT_MAX_SEED_BITS, count_text,
                      enumerate_seeds, execute, lowest_bit, require_enumerable)
@@ -106,24 +107,7 @@ def _run_blocks(strategy: Strategy, grid: LaneGrid, runs: list, done: list):
         done.append(run)
 
 
-_BIT = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _point_outcomes(outcome, block: int):
-    """(i, outcome of point offset + i) for each bit i of a run's block,
-    read off the run's lanes point by point."""
-    width = block.bit_length()
-    parts = []
-    for part in outcome:
-        # a leaf's column: byte i is its bit at point offset + i
-        columns = [format(v.mask, f"0{width}b")[::-1].encode().translate(_BIT)
-                   if type(v) is Lane else bytes([v]) * width for v in part]
-        parts.append(list(zip(*columns)) if columns else [()] * width)
-    points = list(zip(*parts))
-    return ((i, points[i]) for i in _set_bits(block))
-
-
-# --- the exhaustive sweep ----------------------------------------------------
+# --- the sweep ---------------------------------------------------------------
 
 def _split_outcome(full: int, parts) -> list[tuple]:
     """Split the seeds of a piece by the outcome each seed produced, given
@@ -157,7 +141,8 @@ def _split_outcome(full: int, parts) -> list[tuple]:
 
 
 def _sweep(strategy: Strategy, grid: LaneGrid):
-    """The exhaustive (input x seed) grid, a periodic LaneGrid, run by run.
+    """A LaneGrid run by run: the exhaustive (input x seed) grid of the
+    periodic fill, or the one group of the drawn fill.
 
     Yields (outcome, offset, block) as each run finishes (see _run_blocks),
     in no particular point order. Group by group, each starts from the
@@ -194,18 +179,24 @@ def _grid(strategy: Strategy, game: Game, max_seed_bits: int) -> LaneGrid:
 
 
 def _pieces(strategy: Strategy, grid: LaneGrid):
-    """The sweep's runs cut at input boundaries, in no particular order:
-    (i, first, block, parts) per piece, bit s of block standing for seed
-    first + s of grid.inputs[i]. parts holds, party by party, a mask per
-    output bit of the points where that bit is 1. A run of one point is a
-    piece of 1-bit masks: its outcome itself."""
+    """The sweep's runs as pieces of one input value each, in no particular
+    order: (i, first, block, parts) per piece, bit s of block standing for
+    point i * grid.size + first + s, whose input equals grid.inputs[i].
+    parts holds, party by party, a mask per output bit of the points where
+    that bit is 1. A run of one point is a piece of 1-bit masks: its
+    outcome itself. Runs are cut at input boundaries where inputs are
+    bit-shaped; otherwise every run holds one input value and is a piece
+    whole, which in the drawn fill may span several draws."""
     for outcome, offset, block in _sweep(strategy, grid):
         if block == 1:
             yield (*divmod(offset, grid.size), 1, outcome)
             continue
-        yield from grid.by_input(offset, block, tuple(
-            [tuple([v.mask if type(v) is Lane else block if v else 0 for v in part])
-             for part in outcome]))
+        parts = tuple([tuple([v.mask if type(v) is Lane else block if v else 0
+                              for v in part]) for part in outcome])
+        if grid.input_shape is None:
+            yield (*divmod(offset, grid.size), block, parts)
+        else:
+            yield from grid.by_input(offset, block, parts)
 
 
 def _tally(strategy: Strategy, game: Game, max_seed_bits: int):
@@ -245,9 +236,6 @@ class ExactDistribution:
     game: str
     seed_count: int
     per_input: dict
-
-    def probabilities(self, input_tuple) -> dict:
-        return self.per_input[input_tuple]
 
     def marginal(self, input_tuple, party: int) -> dict:
         out: dict = {}
@@ -342,37 +330,20 @@ def _counterexample(x, seed, outcome) -> dict:
             "outcome": [list(p) for p in outcome]}
 
 
-def _sample_chunk(strategy: Strategy, game: Game, rng: random.Random, k: int):
-    """Draw k points and run them as lane blocks. Returns (wins, the
-    counterexample of the first losing point or None); the win relation
-    runs on each point."""
-    grid = LaneGrid.drawn(strategy, functools.partial(sample_promised_input, game),
-                          rng, k)
-    outcomes = [None] * k
-    for outcome, offset, block in _run_blocks(strategy, grid, grid.start, []):
-        for i, point_outcome in _point_outcomes(outcome, block):
-            outcomes[offset + i] = point_outcome
-    won = list(map(is_winning, itertools.repeat(game), grid.inputs, outcomes))
-    if False not in won:
-        return k, None
-    i = won.index(False)
-    return sum(won), _counterexample(*grid.point(i), outcomes[i])
-
-
-def _verify_exhaustive(strategy: Strategy, game: Game, max_seed_bits: int):
-    """(checked, wins, counterexample or None) over the promise x seed
-    grid. The promise is checked once per input and the arity once per
-    piece. The win relation runs once per piece, on its outcome lanes, or
-    once per distinct outcome of a piece where it is not bit algebra. The
-    counterexample is the lowest losing seed of the first input that has
-    one."""
-    grid = _grid(strategy, game, max_seed_bits)
+def _verify(strategy: Strategy, game: Game, grid: LaneGrid):
+    """(checked, wins, counterexample or None) over a grid's points. The
+    promise is checked once per input and the arity once per piece. The
+    win relation runs once per piece, on its outcome lanes, or once per
+    distinct outcome of a piece where it is not bit algebra. The
+    counterexample is the grid's lowest losing point: in the periodic fill
+    the lowest seed of the first input that has one, in the drawn fill the
+    first losing draw."""
     inputs = grid.inputs
     promised = list(map(game.on_promise, inputs))
     lengths = tuple(game.output_lengths)
     checked = wins = 0
     misfits = set()     # inputs off the promise or with an outcome of wrong arity
-    lost = {}           # input index -> (lowest losing seed, its outcome)
+    lost = None         # (lowest losing point, its outcome)
     for i, first, block, parts in _pieces(strategy, grid):
         if not promised[i] or tuple(map(len, parts)) != lengths:
             misfits.add(i)
@@ -380,9 +351,11 @@ def _verify_exhaustive(strategy: Strategy, game: Game, max_seed_bits: int):
         x = inputs[i]
         checked += block.bit_count()
         try:
-            # each mask as engine._on_block gives it: 0, 1 or a lane
-            won = _won(game, x, tuple([tuple([1 if m == block else m and Lane(m, block)
-                                              for m in part]) for part in parts]), block)
+            # each mask as engine._on_block gives it: 0, 1 or a lane; the
+            # masks of a one-point piece are its bits
+            won = _won(game, x, parts if block == 1 else tuple(
+                [tuple([1 if m == block else m and Lane(m, block) for m in part])
+                 for part in parts]), block)
         except LaneBranch:
             won = 0
             for outcome, mask in _split_outcome(block, parts):
@@ -392,49 +365,48 @@ def _verify_exhaustive(strategy: Strategy, game: Game, max_seed_bits: int):
         losing = block ^ won
         if losing:
             low = lowest_bit(losing)
-            if i not in lost or first + low < lost[i][0]:
-                lost[i] = (first + low, tuple([tuple([m >> low & 1 for m in part])
-                                               for part in parts]))
+            point = i * grid.size + first + low
+            if lost is None or point < lost[0]:
+                lost = (point, tuple([tuple([m >> low & 1 for m in part])
+                                      for part in parts]))
     if misfits:
         # as is_winning would report it at the first such input, once the
-        # sweep has run to the end
+        # grid has run to the end
         require_promise(game, inputs[min(misfits)])
         raise GameError(f"outcome arity does not match {game.name}")
-    if not lost:
+    if lost is None:
         return checked, wins, None
-    i = min(lost)
-    seed, outcome = lost[i]
-    return checked, wins, _counterexample(*grid.point(i * grid.size + seed), outcome)
+    return checked, wins, _counterexample(*grid.point(lost[0]), lost[1])
 
 
 def verify_winning(strategy: Strategy, game: Game, policy,
                    max_seed_bits: int = DEFAULT_MAX_SEED_BITS) -> VerifyResult:
-    """Check the win relation on every (input, seed) of the policy's grid.
+    """Check the win relation on every (input, seed) of the policy's grid,
+    deciding a whole piece of it per call of the win relation (see
+    _verify).
 
-    Exhaustive mode sweeps the full promise x seed grid, deciding a whole
-    piece of it per call of the win relation (see _verify_exhaustive); the
-    counterexample is the first losing point in enumerate_seeds' order.
-    Sampled mode draws (input, seed) pairs from the given rng seed; each
-    run is still an exact deterministic execution."""
+    Exhaustive mode sweeps the full promise x seed grid; the counterexample
+    is the first losing point in enumerate_seeds' order. Sampled mode draws
+    (input, seed) pairs from the given rng seed, SAMPLE_CHUNK of them per
+    grid; each run is still an exact deterministic execution."""
     _require_parties(strategy, game)
     if isinstance(policy, Exhaustive):
-        checked, wins, counterexample = _verify_exhaustive(strategy, game,
-                                                           max_seed_bits)
+        results = [_verify(strategy, game, _grid(strategy, game, max_seed_bits))]
         mode = "exhaustive"
     elif isinstance(policy, Sample):
-        checked = wins = 0
-        counterexample = None
         rng = random.Random(policy.rng_seed)
-        for start in range(0, policy.k, SAMPLE_CHUNK):
-            size = min(SAMPLE_CHUNK, policy.k - start)
-            chunk_wins, lost = _sample_chunk(strategy, game, rng, size)
-            checked += size
-            wins += chunk_wins
-            counterexample = counterexample or lost
+        sample_input = functools.partial(sample_promised_input, game)
+        # each chunk's grid is released before the next one is drawn
+        results = [_verify(strategy, game, LaneGrid.drawn(
+                       strategy, sample_input, rng, min(SAMPLE_CHUNK, policy.k - start)))
+                   for start in range(0, policy.k, SAMPLE_CHUNK)]
         mode = f"sample:{policy.k}"
     else:
         raise AnalysisError(f"unknown seed policy {policy!r}")
-    return VerifyResult(counterexample is None, mode, checked, wins, counterexample)
+    checked, wins, counterexamples = zip(*results)
+    counterexample = next(filter(None, counterexamples), None)
+    return VerifyResult(counterexample is None, mode, sum(checked), sum(wins),
+                        counterexample)
 
 
 # --- non-signaling -----------------------------------------------------------

@@ -256,6 +256,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
+        for flag in ("max_seed_bits", "max_search"):
+            limit = getattr(args, flag, None)
+            if limit is not None and limit < 0:
+                raise UsageError(f"--{flag.replace('_', '-')} must be at least 0, "
+                                 f"got {limit}")
         return args.fn(args)
     except (UsageError, EnumerationLimitError, games.GameError,
             strategies.StrategyError, analysis.AnalysisError) as exc:

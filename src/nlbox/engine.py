@@ -696,12 +696,19 @@ def _spread(column: bytes, run: int) -> int:
     return int.from_bytes(b"".join([ones if b else zeros for b in column]), "little")
 
 
+# byte b -> its eight bits, lowest first, one per byte
+_BYTE_BITS = [bytes(b >> j & 1 for j in range(8)) for b in range(256)]
+
+
 def _cut(mask: int, size: int, count: int) -> list[int]:
     """mask in count slices of size bits, lowest first. It is cut into whole
-    bytes at C speed, each holding the same number of slices."""
+    bytes at C speed, each holding the same number of slices; one-bit slices
+    are read off a byte table."""
     group = 8 // math.gcd(size, 8)
     step = size * group // 8
     raw = mask.to_bytes(-(-size * count // 8), "little")
+    if size == 1:
+        return list(b"".join(map(_BYTE_BITS.__getitem__, raw))[:count])
     chunks = [int.from_bytes(raw[at:at + step], "little")
               for at in range(0, len(raw), step)]
     if group == 1:

@@ -347,21 +347,31 @@ GAME_FAMILIES = {
 }
 
 
-def get_game(game_id: str) -> Game:
-    """Resolve a registry id like ``mermin`` or ``multi-mermin:4``."""
-    base, sep, param = game_id.partition(":")
-    entry = GAME_FAMILIES.get(base)
+def resolve_id(families: dict, registry_id: str, kind: str, error: type):
+    """Build what a registry id like ``mermin`` or ``multi-mermin:4`` names.
+    families maps a base name to (factory, None) or, for a family that
+    takes n, (factory, hint); n must be written in canonical decimal, so
+    ``:03``, ``:+3``, ``: 3`` and ``:1_0`` are refused, not renamed."""
+    base, sep, param = registry_id.partition(":")
+    entry = families.get(base)
     if entry is None:
-        raise GameError(f"unknown game {game_id!r}")
+        raise error(f"unknown {kind} {registry_id!r}")
     factory, wants_n = entry
     if wants_n is None:
         if sep:
-            raise GameError(f"game {base!r} takes no parameter")
+            raise error(f"{kind} {base!r} takes no parameter")
         return factory()
     if not sep:
-        raise GameError(f"game {base!r} needs a parameter, e.g. {base}:3")
+        raise error(f"{kind} {base!r} needs a parameter, e.g. {base}:3")
     try:
         n = int(param)
     except ValueError:
-        raise GameError(f"bad parameter in {game_id!r}") from None
+        n = None
+    if n is None or str(n) != param:
+        raise error(f"bad parameter in {registry_id!r}")
     return factory(n)
+
+
+def get_game(game_id: str) -> Game:
+    """Resolve a registry id like ``mermin`` or ``multi-mermin:4``."""
+    return resolve_id(GAME_FAMILIES, game_id, "game", GameError)

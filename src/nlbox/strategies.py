@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .distbit import cross_pairs, flatten, majority_formula
 from .engine import (Action, Channel, NlbInstance, PartyProgram, SharedDomain,
                      Strategy, TRIVIAL_SHARED, bit_domain)
-from .games import DJ_MAX_N, EVEN_TRIPLES, ODD_TRIPLES
+from .games import DJ_MAX_N, EVEN_TRIPLES, ODD_TRIPLES, resolve_id
 
 
 class StrategyError(Exception):
@@ -579,19 +579,4 @@ STRATEGY_FAMILIES = {
 
 def get_strategy(strategy_id: str) -> Strategy:
     """Resolve a registry id like ``ms-nlb`` or ``dj-nlb:3``."""
-    base, sep, param = strategy_id.partition(":")
-    entry = STRATEGY_FAMILIES.get(base)
-    if entry is None:
-        raise StrategyError(f"unknown strategy {strategy_id!r}")
-    factory, wants_n = entry
-    if wants_n is None:
-        if sep:
-            raise StrategyError(f"strategy {base!r} takes no parameter")
-        return factory()
-    if not sep:
-        raise StrategyError(f"strategy {base!r} needs a parameter, e.g. {base}:3")
-    try:
-        n = int(param)
-    except ValueError:
-        raise StrategyError(f"bad parameter in {strategy_id!r}") from None
-    return factory(n)
+    return resolve_id(STRATEGY_FAMILIES, strategy_id, "strategy", StrategyError)

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -255,16 +256,29 @@ def test_exhaustive_verify_of_random_tables_matches_the_tally(gid):
 
 
 def test_verify_reports_a_misfit_after_the_sweep():
-    # a 3-bit outcome on a 1-bit game: the arity is checked once the sweep
-    # has run, so an error of the sweep itself comes first
-    with pytest.raises(GameError, match="^outcome arity does not match chsh$"):
-        verify_winning(get_strategy("ms-nlb"), get_game("chsh"), Exhaustive())
-    with pytest.raises(engine.NonBitError):
-        verify_winning(get_strategy("chsh-nlb"), get_game("magic-square"), Exhaustive())
-    # a promise entry off the promise is reported as is_winning reports it
-    game = dataclasses.replace(get_game("chsh"), on_promise=lambda x: x != (1, 0))
-    with pytest.raises(PromiseError, match=r"^\(1, 0\) is outside"):
-        verify_winning(get_strategy("chsh-nlb"), game, Exhaustive())
+    # both seed policies decide their grids alike; 64 draws of chsh meet
+    # every input, (1, 0) included
+    for policy in (Exhaustive(), Sample(64, 1)):
+        # a 3-bit outcome on a 1-bit game: the arity is checked once the grid
+        # has run, so an error of the run itself comes first
+        with pytest.raises(GameError, match="^outcome arity does not match chsh$"):
+            verify_winning(get_strategy("ms-nlb"), get_game("chsh"), policy)
+        with pytest.raises(engine.NonBitError):
+            verify_winning(get_strategy("chsh-nlb"), get_game("magic-square"), policy)
+        # a promise entry off the promise is reported as is_winning reports it
+        game = dataclasses.replace(get_game("chsh"), on_promise=lambda x: x != (1, 0))
+        with pytest.raises(PromiseError, match=r"^\(1, 0\) is outside"):
+            verify_winning(get_strategy("chsh-nlb"), game, policy)
+        # of several inputs off the promise, the grid's first one is reported
+        game = dataclasses.replace(game, on_promise=lambda x: x == (0, 0))
+        strategy = get_strategy("chsh-nlb")
+        with pytest.raises(PromiseError) as want:
+            if policy == Exhaustive():
+                oracle_tally_verify(strategy, game)
+            else:
+                oracle_sampled_verify(strategy, game, policy.k, policy.rng_seed)
+        with pytest.raises(PromiseError, match=f"^{re.escape(str(want.value))}$"):
+            verify_winning(strategy, game, policy)
 
 
 # --- sampled verification against the per-draw loop ------------------------------
@@ -318,6 +332,57 @@ def test_sampled_verify_matches_the_per_draw_loop(sid, gid, chunk, monkeypatch):
         k = 1 + 3 * (rng_seed % 7)
         assert (verify_winning(strategy, game, Sample(k, rng_seed))
                 == oracle_sampled_verify(strategy, game, k, rng_seed)), rng_seed
+
+
+@pytest.mark.parametrize("case", ["ms-nlb-sim", "tables", "multi-mermin-nlb:5"])
+@pytest.mark.parametrize("chunk", [analysis.SAMPLE_CHUNK, 5])
+def test_sampled_verify_of_a_scalar_relation_matches_the_per_draw_loop(case, chunk,
+                                                                       monkeypatch):
+    # the relation restated through sum and == raises LaneBranch on lanes:
+    # ms-nlb-sim's pieces are whole runs of one magic-square input, and take
+    # the per-outcome fallback; random tables on magic square lose inside a
+    # whole-run piece; multi-mermin's bit-shaped inputs make each draw a
+    # piece, losing on bmaj:5
+    monkeypatch.setattr(analysis, "SAMPLE_CHUNK", chunk)
+    if case == "tables":
+        game = get_game("magic-square")
+        rng = random.Random(case)
+        pairings = [(random_tables(game, rng), game) for _ in range(3)]
+    elif case == "ms-nlb-sim":
+        pairings = [(get_strategy(case), get_game("magic-square"))]
+    else:
+        pairings = [(get_strategy(case), get_game("bmaj:5"))]
+    losing = 0
+    for strategy, game in pairings:
+        for rng_seed in range(10):
+            k = 1 + 9 * rng_seed
+            want = oracle_sampled_verify(strategy, game, k, rng_seed)
+            losing += not want.passed
+            assert verify_winning(strategy, scalar_win(game), Sample(k, rng_seed)) == want
+    assert (losing > 0) is (case != "ms-nlb-sim")
+
+
+def test_sampled_verify_runs_the_win_relation_once_per_piece(monkeypatch):
+    # magic square's inputs are not bits, so each run holds draws of one
+    # input and is decided by one call of the win relation, on its lanes
+    strategy, game = get_strategy("ms-nlb-sim"), get_game("magic-square")
+    k, rng_seed = 500, 3
+    grid = engine.LaneGrid.drawn(strategy, lambda rng: sample_promised_input(game, rng),
+                                 random.Random(rng_seed), k)
+    pieces = list(analysis._pieces(strategy, grid))
+    assert sum(block.bit_count() for _, _, block, _ in pieces) == k
+    assert len(pieces) < k // 10
+    monkeypatch.setattr(analysis, "is_winning", None)
+    calls = []
+
+    def relation(x, y):
+        calls.append(x)
+        return game.win(x, y)
+
+    result = verify_winning(strategy, dataclasses.replace(game, win=relation),
+                            Sample(k, rng_seed))
+    assert result == oracle_sampled_verify(strategy, game, k, rng_seed)
+    assert len(calls) == len(pieces)
 
 
 @pytest.mark.parametrize("sid,gid", LOSING + [("split-loser", "chsh")])

@@ -283,6 +283,39 @@ def test_unknown_ids_exit_1(capsys):
     assert main(["resources", "--strategy", "psychic"]) == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["value", "--game", "multi-mermin:+3"], "bad parameter in 'multi-mermin:+3'"),
+    (["value", "--game", "multi-mermin: 3"], "bad parameter in 'multi-mermin: 3'"),
+    (["value", "--game", "multi-mermin:03"], "bad parameter in 'multi-mermin:03'"),
+    (["value", "--game", "multi-mermin:\u0663"], "bad parameter in 'multi-mermin:\u0663'"),
+    (["resources", "--strategy", "dj-nlb:1_0"], "bad parameter in 'dj-nlb:1_0'"),
+    (["resources", "--strategy", "dj-nlb:+1"], "bad parameter in 'dj-nlb:+1'"),
+    (["value", "--game", "chsh:1"], "game 'chsh' takes no parameter"),
+    (["resources", "--strategy", "dj-nlb"],
+     "strategy 'dj-nlb' needs a parameter, e.g. dj-nlb:3"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_registry_ids_take_only_canonical_parameters(argv, message, capsys):
+    # int() would read each of the first six as a number and rename the id
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--game", "chsh", "--strategy", "chsh-nlb", "--max-seed-bits", "-1"],
+    ["dist", "--game", "chsh", "--strategy", "chsh-nlb", "--max-seed-bits", "-5"],
+    ["value", "--game", "chsh", "--max-search", "-1"],
+    ["search", "--game", "chsh", "--max-search", "-1"],
+], ids=" ".join)
+def test_negative_limits_are_usage_errors(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    flag, value = argv[-2:]
+    assert captured.err == f"error: {flag} must be at least 0, got {value}\n"
+
+
 def test_md_format(capsys):
     code, out = run(["dist", "--game", "mermin", "--strategy", "mermin-nlb-sim",
                      "--format", "md"], capsys)
