@@ -178,25 +178,37 @@ def _grid(strategy: Strategy, game: Game, max_seed_bits: int) -> LaneGrid:
     return LaneGrid.periodic(strategy, promised_inputs(game), SWEEP_WIDTH)
 
 
-def _pieces(strategy: Strategy, grid: LaneGrid):
-    """The sweep's runs as pieces of one input value each, in no particular
-    order: (i, first, block, parts) per piece, bit s of block standing for
-    point i * grid.size + first + s, whose input equals grid.inputs[i].
-    parts holds, party by party, a mask per output bit of the points where
-    that bit is 1. A run of one point is a piece of 1-bit masks: its
-    outcome itself. Runs are cut at input boundaries where inputs are
-    bit-shaped; otherwise every run holds one input value and is a piece
-    whole, which in the drawn fill may span several draws."""
+def _runs(strategy: Strategy, grid: LaneGrid):
+    """The sweep's runs as (offset, block, parts), in no particular order:
+    bit s of block stands for point offset + s of the grid, and parts
+    holds, party by party, a mask per output bit of the points where that
+    bit is 1. A run of one point has its outcome itself as parts."""
     for outcome, offset, block in _sweep(strategy, grid):
         if block == 1:
-            yield (*divmod(offset, grid.size), 1, outcome)
-            continue
-        parts = tuple([tuple([v.mask if type(v) is Lane else block if v else 0
-                              for v in part]) for part in outcome])
-        if grid.input_shape is None:
-            yield (*divmod(offset, grid.size), block, parts)
+            yield offset, 1, outcome
         else:
-            yield from grid.by_input(offset, block, parts)
+            yield offset, block, tuple([tuple([
+                v.mask if type(v) is Lane else block if v else 0 for v in part])
+                for part in outcome])
+
+
+def _by_input(grid: LaneGrid, offset: int, block: int, parts) -> list[tuple]:
+    """A run, and parts (tuples of masks over its points) with it, as
+    pieces of one input value each: (i, first, block, parts) per piece,
+    bit s of block standing for point i * grid.size + first + s, whose
+    input equals grid.inputs[i]. Runs are cut at input boundaries where
+    inputs are bit-shaped; otherwise every run holds one input value and is
+    a piece whole, which in the drawn fill may span several draws."""
+    if block == 1 or grid.input_shape is None:
+        return [(*divmod(offset, grid.size), block, parts)]
+    return grid.by_input(offset, block, parts)
+
+
+def _pieces(strategy: Strategy, grid: LaneGrid):
+    """The sweep's runs cut into pieces of one input value each (see _runs
+    and _by_input)."""
+    for run in _runs(strategy, grid):
+        yield from _by_input(grid, *run)
 
 
 def _tally(strategy: Strategy, game: Game, max_seed_bits: int):
@@ -274,10 +286,20 @@ def exact_distribution(strategy: Strategy, game: Game,
 
 def _won(game: Game, x, outcome, block: int) -> int:
     """The mask of the points of block at which the outcome, lane-valued
-    over block, wins on x. Raises LaneBranch for a win relation that is
-    not bit algebra on the outputs."""
+    over block, wins on x, which may be lane-valued over block too. Raises
+    LaneBranch for a win relation that is not bit algebra on them."""
     won = game.win(x, outcome)
     return won.mask if type(won) is Lane else block if won else 0
+
+
+def _lanes(block: int, parts) -> tuple:
+    """The outcome whose output bits have the masks of parts over block,
+    each as engine._on_block gives it: 0, 1 or a lane. The masks of a
+    one-point block are its bits."""
+    if block == 1:
+        return parts
+    return tuple([tuple([1 if m == block else m and Lane(m, block) for m in part])
+                  for part in parts])
 
 
 def uniformity_verdict(dist: ExactDistribution, game: Game) -> bool:
@@ -290,6 +312,7 @@ def uniformity_verdict(dist: ExactDistribution, game: Game) -> bool:
     for the k-th outcome of that space."""
     space = outcome_lanes(game)
     full = (1 << (1 << sum(game.output_lengths))) - 1
+    index = {}      # each distinct outcome's position in the space, or None
     for x, probs in dist.per_input.items():
         require_promise(game, x)
         try:
@@ -298,14 +321,19 @@ def uniformity_verdict(dist: ExactDistribution, game: Game) -> bool:
             winners = sum(1 << outcome_index(game, o) for o in winning_outcomes(game, x))
         support = 0
         for o in probs:
-            k = outcome_index(game, o)
+            if o not in index:
+                index[o] = outcome_index(game, o)
+            k = index[o]
             if k is None:
                 return False
             support |= 1 << k
         if support != winners:
             return False
-        share = Fraction(1, len(probs))
-        if any(p != share for p in probs.values()):
+        # exact_distribution shares one Fraction per seed count, so equal
+        # shares are mostly one object
+        share = next(iter(probs.values()))
+        if share != Fraction(1, len(probs)) or any(
+                p is not share and p != share for p in probs.values()):
             return False
     return True
 
@@ -330,49 +358,79 @@ def _counterexample(x, seed, outcome) -> dict:
             "outcome": [list(p) for p in outcome]}
 
 
+def _decide(game: Game, x, block: int, parts) -> int:
+    """The mask of the points of a piece (block and parts as in _runs)
+    whose outcome wins on x: one call of the win relation on the piece's
+    outcome lanes, or, where that raises LaneBranch, one call per distinct
+    outcome of the piece."""
+    try:
+        return _won(game, x, _lanes(block, parts), block)
+    except LaneBranch:
+        won = 0
+        for outcome, mask in _split_outcome(block, parts):
+            if game.win(x, outcome):
+                won |= mask
+        return won
+
+
+def _decided(strategy: Strategy, game: Game, grid: LaneGrid, misfits: set):
+    """The grid's points decided, as (point, block, parts, won): bit s of
+    block and of won stands for grid point point + s, set in won where that
+    point's outcome wins. A run whose points span several inputs, all
+    promised, with an outcome of the game's arity is tried whole first:
+    one call of the win relation on its input and outcome lanes. A run on
+    which that raises LaneBranch, and every other run, is cut into pieces
+    of one input value each (see _by_input), each decided by _decide; the
+    index of an input off the promise, or met with an outcome of the wrong
+    arity, is added to misfits instead. The promise is checked once per
+    input."""
+    promised = list(map(game.on_promise, grid.inputs))
+    size, lengths = grid.size, tuple(game.output_lengths)
+    for offset, block, parts in _runs(strategy, grid):
+        fits = tuple(map(len, parts)) == lengths
+        i, first = divmod(offset, size)
+        last = i + (first + block.bit_length() - 1) // size
+        if last > i and grid.input_shape is not None and fits \
+                and all(promised[i:last + 1]):
+            try:
+                won = _won(game, grid.input(offset, block), _lanes(block, parts), block)
+            except LaneBranch:
+                pass
+            else:
+                yield offset, block, parts, won
+                continue
+        for i, first, piece, cut in _by_input(grid, offset, block, parts):
+            if promised[i] and fits:
+                yield (i * size + first, piece, cut,
+                       _decide(game, grid.inputs[i], piece, cut))
+            else:
+                misfits.add(i)
+
+
 def _verify(strategy: Strategy, game: Game, grid: LaneGrid):
-    """(checked, wins, counterexample or None) over a grid's points. The
-    promise is checked once per input and the arity once per piece. The
-    win relation runs once per piece, on its outcome lanes, or once per
-    distinct outcome of a piece where it is not bit algebra. The
-    counterexample is the grid's lowest losing point: in the periodic fill
-    the lowest seed of the first input that has one, in the drawn fill the
-    first losing draw."""
-    inputs = grid.inputs
-    promised = list(map(game.on_promise, inputs))
-    lengths = tuple(game.output_lengths)
+    """(checked, wins, counterexample or None) over a grid's points, each
+    run decided whole or piece by piece (see _decided). An input off the
+    promise, or met with an outcome of the wrong arity, is reported once
+    the grid has run. The counterexample is
+    the grid's lowest losing point: in the periodic fill the lowest seed of
+    the first input that has one, in the drawn fill the first losing
+    draw."""
     checked = wins = 0
     misfits = set()     # inputs off the promise or with an outcome of wrong arity
     lost = None         # (lowest losing point, its outcome)
-    for i, first, block, parts in _pieces(strategy, grid):
-        if not promised[i] or tuple(map(len, parts)) != lengths:
-            misfits.add(i)
-            continue
-        x = inputs[i]
+    for point, block, parts, won in _decided(strategy, game, grid, misfits):
         checked += block.bit_count()
-        try:
-            # each mask as engine._on_block gives it: 0, 1 or a lane; the
-            # masks of a one-point piece are its bits
-            won = _won(game, x, parts if block == 1 else tuple(
-                [tuple([1 if m == block else m and Lane(m, block) for m in part])
-                 for part in parts]), block)
-        except LaneBranch:
-            won = 0
-            for outcome, mask in _split_outcome(block, parts):
-                if game.win(x, outcome):
-                    won |= mask
         wins += won.bit_count()
         losing = block ^ won
         if losing:
             low = lowest_bit(losing)
-            point = i * grid.size + first + low
-            if lost is None or point < lost[0]:
-                lost = (point, tuple([tuple([m >> low & 1 for m in part])
-                                      for part in parts]))
+            if lost is None or point + low < lost[0]:
+                lost = (point + low, tuple([tuple([m >> low & 1 for m in part])
+                                            for part in parts]))
     if misfits:
         # as is_winning would report it at the first such input, once the
         # grid has run to the end
-        require_promise(game, inputs[min(misfits)])
+        require_promise(game, grid.inputs[min(misfits)])
         raise GameError(f"outcome arity does not match {game.name}")
     if lost is None:
         return checked, wins, None
@@ -429,29 +487,39 @@ def no_signaling_check(strategy: Strategy, game: Game,
     input, across all promised inputs. Inapplicable to strategies that use
     communication channels (those may signal by design).
 
-    Each piece of the sweep is split on each party's own output bits only,
-    and the marginals are compared as integer seed counts: every
-    probability is a count over the seed-space size."""
+    Each run of the sweep is split on each party's own output bits only,
+    once, then cut per input, and the marginals are compared as integer
+    seed counts: every probability is a count over the seed-space size."""
     if strategy.channels:
         raise CommunicationUsedError(
             f"{strategy.name} uses communication; the check does not apply")
     grid = _grid(strategy, game, max_seed_bits)
     inputs = grid.inputs
     counts = [[{} for _ in inputs] for _ in range(game.n_parties)]
-    for i, _, block, parts in _pieces(strategy, grid):
-        total = block.bit_count()
-        for marginals, leaves in zip(counts, parts):
+    for offset, block, parts in _runs(strategy, grid):
+        # a one-bit part is cut as its ones mask, its zeros being the rest of
+        # a piece; a longer one is split into its own outcomes and their masks
+        owns, masks = [], []
+        for leaves in parts:
             if len(leaves) == 1:
-                # a one-bit part needs no split: one count gives both
-                ones = leaves[0].bit_count()
-                pairs = (((0,), total - ones), ((1,), ones))
+                owns.append(None)
+                masks.append(leaves)
             else:
-                pairs = [(own, mask.bit_count())
-                         for (own,), mask in _split_outcome(block, (leaves,))]
-            marginal = marginals[i]
-            for own, n in pairs:
-                if n:
-                    marginal[own] = marginal.get(own, 0) + n
+                split = _split_outcome(block, (leaves,))
+                owns.append([own for (own,), _ in split])
+                masks.append(tuple([mask for _, mask in split]))
+        for i, _, piece, cut in _by_input(grid, offset, block, tuple(masks)):
+            total = piece.bit_count()
+            for marginals, own, part in zip(counts, owns, cut):
+                if own is None:
+                    ones = part[0].bit_count()
+                    pairs = (((0,), total - ones), ((1,), ones))
+                else:
+                    pairs = zip(own, map(int.bit_count, part))
+                marginal = marginals[i]
+                for o, n in pairs:
+                    if n:
+                        marginal[o] = marginal.get(o, 0) + n
     return marginals_non_signaling(inputs, counts)
 
 

@@ -17,7 +17,7 @@ import operator
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
-from .engine import EnumerationLimitError, count_text, draw_bits, seed_lanes
+from .engine import EnumerationLimitError, Lane, count_text, draw_bits, seed_lanes
 
 MAX_OUTCOMES = 2 ** 20
 # dj:<n> inputs are 2^n bits and dj-nlb:<n> declares about 2^(n+1) boxes
@@ -34,10 +34,43 @@ class PromiseError(GameError):
 
 
 def bmaj(x) -> int:
-    """Majority biased towards 0: 1 iff the Hamming weight exceeds floor(n/2)."""
+    """Majority biased towards 0: 1 iff the Hamming weight exceeds floor(n/2).
+    Where a bit of x is a lane, so is the result: the weight is added up
+    digit by digit and compared with floor(n/2) (see _exceeds)."""
     if len(x) < 2:
         raise ValueError("bmaj needs at least 2 bits")
-    return 1 if sum(x) > len(x) // 2 else 0
+    if Lane not in map(type, x):
+        return 1 if sum(x) > len(x) // 2 else 0
+    return _exceeds(_weight(x), len(x) // 2)
+
+
+def _weight(x) -> list:
+    """The Hamming weight of x, whose bits may be lanes, as its binary
+    digits, lowest first: each bit is added in through a ripple of half
+    adders, and the counter grows a digit when the count needs one."""
+    digits = []
+    for count, carry in enumerate(x, 1):
+        if count.bit_length() > len(digits):
+            digits.append(0)
+        for k, digit in enumerate(digits):
+            digits[k], carry = digit ^ carry, digit & carry
+    return digits
+
+
+def _exceeds(digits: list, t: int):
+    """1 where the number with these binary digits (lowest first, bits or
+    lanes, at least t.bit_length() of them) exceeds the constant t, else 0:
+    from the top digit down, the number pulls ahead where it still equals
+    t's digits above and has a 1 where t has a 0."""
+    above, equal = 0, 1
+    for k in range(len(digits) - 1, -1, -1):
+        digit = digits[k]
+        if t >> k & 1:
+            equal &= digit
+        else:
+            above |= equal & digit
+            equal &= 1 ^ digit
+    return above
 
 
 class Parity(NamedTuple):
@@ -54,6 +87,21 @@ class Parity(NamedTuple):
         return functools.reduce(operator.xor, answers, 1 ^ self.target(x))
 
 
+def mermin_target(x) -> int:
+    """floor(w/2) mod 2 for the Hamming weight w of x. Where a bit of x is a
+    lane, so is the result: floor(w/2) and C(w, 2) agree mod 2, so it is the
+    XOR of all pairwise ANDs, each bit ANDed with the parity of the bits
+    before it."""
+    if Lane not in map(type, x):
+        # int(): a promised input may hold 0.0 and 1.0
+        return int(sum(x)) // 2 % 2
+    pairs = seen = 0
+    for v in x:
+        pairs ^= seen & v
+        seen ^= v
+    return pairs
+
+
 def own_bit(r, x, out) -> int:
     """The answer bit of a party whose output is the bit itself."""
     return out[0]
@@ -67,10 +115,13 @@ class Game:
     promised input x. Written in bit algebra on the outputs (``^``, ``&``,
     ``|`` and ``1 ^ v``, with no ``sum``, ``==``, ``bool`` or early return
     on them), it runs unchanged on output lanes (engine.Lane), where it
-    decides a whole block of outcomes in one call; the exhaustive sweeps
-    run it that way. A relation that uses an output lane in any other way
-    raises LaneBranch there, and is then called once per distinct outcome
-    instead.
+    decides a whole block of outcomes in one call; verify runs it that way.
+    Every built-in relation also runs on input lanes: where a bit of x is a
+    lane it takes a bit-algebra form, so one call decides a block whose
+    points span several bit-shaped inputs, while concrete inputs take the
+    scalar form. A relation that uses a lane in any other way raises
+    LaneBranch there, and is then called once per input, and once per
+    distinct outcome of an input, instead.
 
     ``party_inputs`` lists each party's possible inputs (None when the
     per-party input space is too large to enumerate). ``party_outputs``
@@ -222,8 +273,7 @@ def magic_square_game() -> Game:
 def multi_mermin_game(n: int, name: str | None = None) -> Game:
     if n < 3:
         raise GameError("multi-mermin needs n >= 3")
-    # int(): a promised input may hold 0.0 and 1.0
-    parity = Parity(lambda x: int(sum(x)) // 2 % 2, own_bit)
+    parity = Parity(mermin_target, own_bit)
 
     def sample_input(rng):
         # the k-th even-weight tuple is the n - 1 bits of k, then their parity
@@ -267,13 +317,15 @@ def dj_game(n: int) -> Game:
         if len(x) != 2:
             return False
         a, b = x
-        return len(a) == length and len(b) == length and hamming(a, b) in (0, half)
+        return (len(a) == length and len(b) == length and _all_bits(a)
+                and _all_bits(b) and hamming(a, b) in (0, half))
 
     # the promise, the per-party inputs and the per-party outputs are
     # enumerated only for n <= 2; larger n must use the sampler
     strings = tuple(itertools.product((0, 1), repeat=length)) if n <= 2 else None
     outputs = tuple(itertools.product((0, 1), repeat=n)) if strings else None
 
+    @_lazy
     def promise():
         if strings is None:
             raise EnumerationLimitError(
@@ -295,6 +347,9 @@ def dj_game(n: int) -> Game:
         # the outputs differ iff some bit pair does, which must hold iff the
         # inputs differ
         differ = functools.reduce(operator.or_, map(operator.xor, y[0], y[1]))
+        if Lane in map(type, x[0]) or Lane in map(type, x[1]):
+            # on input lanes "the inputs are equal" is 1 ^ OR(a_i ^ b_i)
+            return 1 ^ functools.reduce(operator.or_, map(operator.xor, *x)) ^ differ
         return (x[0] == x[1]) ^ differ
 
     return Game(

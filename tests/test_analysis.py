@@ -236,6 +236,25 @@ def test_exhaustive_verify_matches_the_tally(sid, gid):
     assert uniformity_verdict(dist, scalar_win(game)) is verdict
 
 
+def test_uniformity_verdict_compares_shares_by_value():
+    # exact_distribution shares one Fraction per seed count; a distribution
+    # built elsewhere may hold equal shares as distinct objects
+    game = get_game("chsh")
+    dist = exact_distribution(get_strategy("chsh-nlb"), game)
+    copied = {x: {o: Fraction(p.numerator, p.denominator) for o, p in probs.items()}
+              for x, probs in dist.per_input.items()}
+    x = next(iter(copied))
+    low, high = list(copied[x])
+    for shares, verdict in (((Fraction(1, 2),) * 2, True),
+                            ((Fraction(1, 4), Fraction(3, 4)), False),
+                            ((Fraction(1, 4),) * 2, False)):
+        # Fraction() makes a new object each time
+        copied[x] = {low: Fraction(shares[0]), high: Fraction(shares[1])}
+        synthetic = analysis.ExactDistribution("synthetic", "chsh", 2, copied)
+        assert uniformity_verdict(synthetic, game) is verdict, shares
+        assert oracle_uniformity(synthetic, game) is verdict
+
+
 @pytest.mark.parametrize("gid", ["chsh", "mermin", "multi-mermin:4", "multi-mermin:5",
                                  "bmaj:3", "magic-square"])
 def test_exhaustive_verify_of_random_tables_matches_the_tally(gid):
@@ -383,6 +402,31 @@ def test_sampled_verify_runs_the_win_relation_once_per_piece(monkeypatch):
                             Sample(k, rng_seed))
     assert result == oracle_sampled_verify(strategy, game, k, rng_seed)
     assert len(calls) == len(pieces)
+
+
+@pytest.mark.parametrize("sid,k", [("multi-mermin-nlb:5", 500), ("multi-mermin-nlb:10", 512)])
+def test_sampled_verify_runs_the_win_relation_once_per_drawn_run(sid, k, monkeypatch):
+    # multi-mermin's inputs are bits, so a drawn run spans many inputs and
+    # is decided by one call of the win relation, on its input lanes
+    strategy = get_strategy(sid)
+    game = get_game(strategy.game_id)
+    rng_seed = 3
+    grid = engine.LaneGrid.drawn(strategy, lambda rng: sample_promised_input(game, rng),
+                                 random.Random(rng_seed), k)
+    runs = list(analysis._runs(strategy, grid))
+    assert sum(block.bit_count() for _, block, _ in runs) == k
+    monkeypatch.setattr(analysis, "is_winning", None)
+    calls = []
+
+    def relation(x, y):
+        calls.append(any(type(v) is engine.Lane for v in x))
+        return game.win(x, y)
+
+    result = verify_winning(strategy, dataclasses.replace(game, win=relation),
+                            Sample(k, rng_seed))
+    assert result == oracle_sampled_verify(strategy, game, k, rng_seed)
+    assert calls == [True] * len(runs)
+    assert len(runs) < k // 10
 
 
 @pytest.mark.parametrize("sid,gid", LOSING + [("split-loser", "chsh")])

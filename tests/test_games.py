@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nlbox.engine import EnumerationLimitError, Lane
+from nlbox.engine import EnumerationLimitError, Lane, seed_lanes
 from nlbox.games import (GameError, PromiseError, bmaj, get_game, hamming,
                          is_winning, outcome_index, outcome_lanes, outcome_space,
                          promised_inputs, sample_promised_input, winning_outcomes)
@@ -103,10 +103,16 @@ ARITY_CASES = {
                        [(1, 0, 0, 0), (2, 0, 0, 0), (-1, 1, 0, 0), (1, 1),
                         (0, 0, 0, 0, 0)],
                        [((0,),) * 3, ((0,),) * 5, ((0,), (0,), (0,), (0, 0))]),
+    "dj:1": (((0, 1), (1, 1)), ((0,), (1,)),
+             [(("a", "b"), ("a", "b")), ((2, 0), (2, 0)), ((0, -1), (1, -1)),
+              ((0, 1), (2, 1)), ((0, 1), (1, 0))],
+             [((0,),), ((0, 1), (1,))]),
     "dj:2": (((0, 1, 1, 0), (1, 1, 0, 0)), ((0, 1), (1, 1)),
              [((0, 0, 0, 0), (1, 1, 1, 0)), ((0, 0, 0, 0), (1, 1, 1, 1)),
               ((0, 0, 0), (0, 0, 0)), ((0, 0, 0, 0),),
-              ((0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0))],
+              ((0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)),
+              ((2, 0, 0, 0), (2, 0, 0, 0)), ((None, 0, 0, 1), (None, 0, 1, 0)),
+              ((0, 0, 1, 1), (0, 0, None, 0))],
              [((0, 1),), ((0, 1), (1,)), ((0, 1, 0), (1, 1))]),
     "bmaj:3": ((1, 0, 1), ((1,),) * 3,
                [(1, 0, 2), (1, None, 1), (1, 0), (1, 0, 1, 1), (0.5, 0, 1)],
@@ -202,6 +208,39 @@ def test_win_on_outcome_lanes_matches_winning_outcomes(gid):
     assert outcome_index(g, space[-1][1:]) is None
     assert outcome_index(g, ((*part[:-1], 2), *space[-1][1:])) is None
     assert outcome_index(g, ((*part, 0), *space[-1][1:])) is None
+
+
+@pytest.mark.parametrize("gid", [f"multi-mermin:{n}" for n in range(3, 13)]
+                         + [f"bmaj:{n}" for n in range(2, 7)] + ["chsh", "dj:1", "dj:2"])
+def test_win_on_input_lanes_matches_scalar_calls(gid):
+    # every bit tuple of the input's shape, off the promise too, as one block:
+    # bit k of each input lane is that input bit of the k-th tuple in
+    # itertools.product order, with the first bit also held constant as an
+    # int, as engine._on_block gives a bit that is the same on a block
+    g = get_game(gid)
+    length = 2 ** int(gid[3:]) if gid.startswith("dj") else None
+    n_bits = 2 * length if length else g.n_parties
+    rng = random.Random(gid)
+    for first in (None, 0, 1):
+        free = n_bits - (first is not None)
+        leaves = ([] if first is None else [first]) + list(seed_lanes(free))
+        points = [((first,) if first is not None else ()) + bits
+                  for bits in itertools.product((0, 1), repeat=free)]
+        full = (1 << len(points)) - 1
+
+        def shaped(bits):
+            return (tuple(bits[:length]), tuple(bits[length:])) if length else tuple(bits)
+
+        masks = [[rng.getrandbits(len(points)) for _ in range(w)]
+                 for w in g.output_lengths]
+        lanes = tuple(tuple(Lane(m, full) for m in part) for part in masks)
+        fixed = tuple(tuple(rng.randrange(2) for _ in range(w)) for w in g.output_lengths)
+        won, won_fixed = g.win(shaped(leaves), lanes), g.win(shaped(leaves), fixed)
+        assert type(won) is Lane and type(won_fixed) is Lane
+        for k, bits in enumerate(points):
+            y = tuple(tuple(m >> k & 1 for m in part) for part in masks)
+            assert won.mask >> k & 1 == bool(g.win(shaped(bits), y)), (k, bits, y)
+            assert won_fixed.mask >> k & 1 == bool(g.win(shaped(bits), fixed)), k
 
 
 def test_outcome_lanes_keep_the_outcome_limit():
@@ -305,10 +344,11 @@ def test_dj_sampler_keeps_the_randrange_stream(n):
 
 
 def test_lazy_promise_is_a_fresh_list_each_call():
-    game = get_game("bmaj:3")
-    first = promised_inputs(game)
-    first.clear()
-    assert len(promised_inputs(game)) == 8
+    for gid, size in (("bmaj:3", 8), ("dj:2", 112)):
+        game = get_game(gid)
+        first = promised_inputs(game)
+        first.clear()
+        assert len(promised_inputs(game)) == size
 
 
 def test_large_games_build_no_promise_until_asked():
@@ -318,3 +358,14 @@ def test_large_games_build_no_promise_until_asked():
         x = sample_promised_input(game, random.Random(1))
         assert time.perf_counter() - start < 0.1, gid
         assert len(x) == 40 and game.on_promise(x)
+
+
+def test_bmaj_builds_no_majority_formula():
+    # the relation adds up the weight: no formula of C(n, n // 2 + 1) terms
+    # is built with the game, or when its relation runs
+    start = time.perf_counter()
+    game = get_game("bmaj:99999")
+    x = (1,) * 50000 + (0,) * 49999
+    assert is_winning(game, x, ((0,),) * 99998 + ((1,),))
+    assert not is_winning(game, x[1:] + (0,), ((0,),) * 99998 + ((1,),))
+    assert time.perf_counter() - start < 1

@@ -551,38 +551,60 @@ def test_readme_runs_table_matches_counted_executes(row, execute_calls):
                                      ("ms-nlb", "magic-square"), ("dj-nlb:2", "dj:2")])
 def test_exhaustive_verify_runs_the_win_relation_once_per_piece(sid, gid, monkeypatch):
     # is_winning is for single outcomes: the sweep calls the game's win
-    # relation once on each piece's lanes, and once per distinct outcome of
-    # a piece where the relation does arithmetic on them
+    # relation once on each run that spans several inputs, on its input and
+    # outcome lanes, and once on each piece of one input of the other runs;
+    # where the relation does arithmetic on lanes, each piece falls back to
+    # one call per distinct outcome
     strategy, game = build(sid), get_game(gid)
-    pieces = list(analysis._pieces(strategy, analysis._grid(
-        strategy, game, analysis.DEFAULT_MAX_SEED_BITS)))
-    laned = [any(m not in (0, block) for part in parts for m in part)
-             for _, _, block, parts in pieces]
-    distinct = [len(analysis._split_outcome(block, parts))
-                for _, _, block, parts in pieces]
+    grid = analysis._grid(strategy, game, analysis.DEFAULT_MAX_SEED_BITS)
+    # each run cut per input; a run of several pieces spans several inputs
+    runs = [analysis._by_input(grid, *run) for run in analysis._runs(strategy, grid)]
+
+    def laned(block, parts):
+        return any(m not in (0, block) for part in parts for m in part)
+
+    def has_lane(value):
+        return type(value) is Lane or type(value) is tuple and any(map(has_lane, value))
+
     monkeypatch.setattr(analysis, "is_winning", None)
     calls = []
 
     def counted(win):
         def relation(x, y):
-            calls.append(any(type(v) is Lane for part in y for v in part))
+            calls.append((has_lane(x), has_lane(y)))
             return win(x, y)
         return dataclasses.replace(game, win=relation)
 
     result = verify_winning(strategy, counted(game.win), Exhaustive())
     assert result == verify_winning(strategy, game, Exhaustive())
-    # one call per piece, with lanes where the piece's outcome has any: ms-nlb
-    # splits down to one seed per block, the others run on lanes
-    assert sorted(calls) == sorted(laned)
-    assert any(laned) is (sid != "ms-nlb")
+    # one call per run over several inputs, with input lanes, and one per
+    # piece of the other runs, with outcome lanes where the piece has any
+    want = []
+    for pieces in runs:
+        if len(pieces) > 1:
+            want.append((True, True))
+        else:
+            want += [(False, laned(block, parts)) for _, _, block, parts in pieces]
+    assert sorted(calls) == sorted(want)
+    # ms-nlb's inputs are not bit-shaped and its runs split down to one seed;
+    # dj-nlb:2's 112 inputs are one run
+    assert any(len(pieces) > 1 for pieces in runs) is (sid != "ms-nlb")
+    assert (len(calls) == 1) is (sid == "dj-nlb:2")
 
-    # 0 + lane raises LaneBranch: each laned piece falls back
+    # 0 + lane raises LaneBranch: a run over several inputs falls back to its
+    # pieces, and each laned piece to its distinct outcomes
     calls.clear()
     assert verify_winning(strategy, counted(lambda x, y: 0 + game.win(x, y)),
                           Exhaustive()) == result
-    assert calls.count(True) == sum(laned)
-    assert calls.count(False) == sum(n if lane else 1
-                                     for lane, n in zip(laned, distinct))
+    want = [(True, True) for pieces in runs if len(pieces) > 1]
+    for pieces in runs:
+        for _, _, block, parts in pieces:
+            if laned(block, parts):
+                want += [(False, True)] + [(False, False)] * len(
+                    analysis._split_outcome(block, parts))
+            else:
+                want.append((False, False))
+    assert sorted(calls) == sorted(want)
 
 
 def many_box_split_then_arithmetic(n_boxes):
