@@ -22,11 +22,12 @@ from fractions import Fraction
 # and analysis.is_winning, names the benchmark's tracer (bench/tracer.py)
 # rebinds
 from .engine import (Lane, LaneBranch, LaneGrid, NlbInstance, PartyProgram,
-                     Action, Strategy, DEFAULT_MAX_SEED_BITS, count_text,
-                     enumerate_seeds, execute, lowest_bit, require_enumerable)
-from .games import (Game, GameError, is_winning, outcome_index, outcome_lanes,
-                    promised_inputs, require_promise, sample_promised_input,
-                    winning_outcomes)
+                     Action, Strategy, DEFAULT_MAX_SEED_BITS, EnumerationLimitError,
+                     count_text, enumerate_seeds, execute, lowest_bit,
+                     require_enumerable)
+from .games import (MAX_OUTCOMES, Game, GameError, is_winning, outcome_index,
+                    outcome_lanes, promised_inputs, require_promise,
+                    sample_promised_input, winning_outcomes)
 from .search import score_strategies
 
 DEFAULT_MAX_SEARCH = 2 ** 28
@@ -80,39 +81,14 @@ def _set_bits(mask: int):
     return (i for i, c in enumerate(reversed(bin(mask))) if c == "1")
 
 
-def _run_blocks(strategy: Strategy, grid: LaneGrid, runs: list, done: list):
-    """Run each (offset, block, x, seed) of ``runs`` in order and yield
-    (outcome, offset, block) as it finishes; bit i of block stands for point
-    offset + i of the grid, and x, seed and the outcome hold a lane wherever
-    the block's points differ. A run that raises LaneBranch is replaced by
-    the runs grid.split gives; a run with seed None goes point by point on
-    grid.point, as one-point blocks of its own. Each run that finished is
-    appended to done."""
-    runs = runs[::-1]
-    while runs:
-        run = runs.pop()
-        offset, block, x, seed = run
-        if seed is None:
-            for i in _set_bits(block):
-                x, seed = grid.point(offset + i)
-                outcome, _ = execute(strategy, x, seed, record=False)
-                yield outcome, offset + i, 1
-        else:
-            try:
-                outcome, _ = execute(strategy, x, seed, record=False)
-            except LaneBranch as branch:
-                runs += grid.split(offset, block, branch.mask)
-                continue
-            yield outcome, offset, block
-        done.append(run)
-
-
 # --- the sweep ---------------------------------------------------------------
 
 def _split_outcome(full: int, parts) -> list[tuple]:
-    """Split the seeds of a piece by the outcome each seed produced, given
-    the piece's block and, party by party, the masks of seeds where each
-    output bit is 1 (see _pieces).
+    """Split the points of a run, or of a piece of one input cut from it
+    (LaneGrid.by_input), by the outcome each point produced, given its
+    block and its parts as _runs gives them: party by party, the masks of
+    the points where each output bit is 1. Serves the tally and the
+    per-outcome fallback of _decide.
 
     Returns (outcome, seed mask) pairs with non-empty, disjoint masks. Each
     party's part is split on its own bits first, then intersected with the
@@ -140,30 +116,6 @@ def _split_outcome(full: int, parts) -> list[tuple]:
     return groups
 
 
-def _sweep(strategy: Strategy, grid: LaneGrid):
-    """A LaneGrid run by run: the exhaustive (input x seed) grid of the
-    periodic fill, or the one group of the drawn fill.
-
-    Yields (outcome, offset, block) as each run finishes (see _run_blocks),
-    in no particular point order. Group by group, each starts from the
-    partition the previous one ended with, so a program costs one failed
-    run per split of a group over the whole sweep."""
-    total = len(grid.inputs) * grid.size
-    runs = grid.start
-    while runs:
-        done = []
-        yield from _run_blocks(strategy, grid, runs, done)
-        runs = []
-        for offset, block, _, seed in done:
-            offset += grid.width
-            if offset + block.bit_length() <= total:
-                # a seed is the same one group on; None runs point by point
-                runs.append((offset, block, seed and grid.input(offset, block), seed))
-            elif offset < total:
-                block &= (1 << total - offset) - 1
-                runs.append((offset, block, *grid.run(offset, block)))
-
-
 def _require_parties(strategy: Strategy, game: Game) -> None:
     if strategy.n_parties != game.n_parties:
         raise AnalysisError(f"{strategy.name} has wrong party count for {game.name}")
@@ -179,58 +131,69 @@ def _grid(strategy: Strategy, game: Game, max_seed_bits: int) -> LaneGrid:
 
 
 def _runs(strategy: Strategy, grid: LaneGrid):
-    """The sweep's runs as (offset, block, parts), in no particular order:
-    bit s of block stands for point offset + s of the grid, and parts
-    holds, party by party, a mask per output bit of the points where that
-    bit is 1. A run of one point has its outcome itself as parts."""
-    for outcome, offset, block in _sweep(strategy, grid):
-        if block == 1:
-            yield offset, 1, outcome
-        else:
-            yield offset, block, tuple([tuple([
-                v.mask if type(v) is Lane else block if v else 0 for v in part])
-                for part in outcome])
+    """The grid's points run by run, as (offset, block, parts) in no
+    particular point order: bit s of block stands for point offset + s of
+    the grid, and parts holds, party by party, a mask per output bit of the
+    points where that bit is 1. A run of one point has its outcome itself
+    as parts. This is the one place where analysis executes a strategy.
 
-
-def _by_input(grid: LaneGrid, offset: int, block: int, parts) -> list[tuple]:
-    """A run, and parts (tuples of masks over its points) with it, as
-    pieces of one input value each: (i, first, block, parts) per piece,
-    bit s of block standing for point i * grid.size + first + s, whose
-    input equals grid.inputs[i]. Runs are cut at input boundaries where
-    inputs are bit-shaped; otherwise every run holds one input value and is
-    a piece whole, which in the drawn fill may span several draws."""
-    if block == 1 or grid.input_shape is None:
-        return [(*divmod(offset, grid.size), block, parts)]
-    return grid.by_input(offset, block, parts)
-
-
-def _pieces(strategy: Strategy, grid: LaneGrid):
-    """The sweep's runs cut into pieces of one input value each (see _runs
-    and _by_input)."""
-    for run in _runs(strategy, grid):
-        yield from _by_input(grid, *run)
+    Runs go in order, from grid.start: a run that raises LaneBranch is
+    replaced by the runs grid.split gives, and a run without a seed goes
+    point by point. Each group then starts from the partition the one
+    before it ended with, so a program costs one failed run per split of a
+    group over the whole sweep."""
+    total = len(grid.inputs) * grid.size
+    runs = grid.start
+    while runs:
+        todo, runs = runs[::-1], []
+        while todo:
+            offset, block, x, seed = run = todo.pop()
+            points = [run] if seed is not None else (
+                (offset + i, 1, *grid.point(offset + i)) for i in _set_bits(block))
+            for at, piece, px, pseed in points:
+                try:
+                    outcome, _ = execute(strategy, px, pseed, record=False)
+                except LaneBranch as branch:
+                    if piece == 1:
+                        raise       # a point has no lanes to split
+                    todo += grid.split(offset, block, branch.mask)
+                    break
+                yield at, piece, outcome if piece == 1 else tuple([tuple([
+                    v.mask if type(v) is Lane else piece if v else 0 for v in part])
+                    for part in outcome])
+            else:
+                # the same block one group on, where a seed is the same and a
+                # run without one still goes point by point
+                offset += grid.width
+                if offset + block.bit_length() <= total:
+                    runs.append((offset, block, seed and grid.input(offset, block), seed))
+                elif offset < total:
+                    block &= (1 << total - offset) - 1
+                    runs.append((offset, block, *grid.run(offset, block)))
 
 
 def _tally(strategy: Strategy, game: Game, max_seed_bits: int):
     """Per promised input, in promise order, (x, {outcome: [seed count,
     lowest seed]}) with the outcomes ordered by their lowest seed: the order
     in which a seed-by-seed sweep first meets them. Seeds are numbered in
-    enumerate_seeds' order. Each piece is split by joint outcome; an
-    input's pieces may come from any runs, in any order."""
+    enumerate_seeds' order. Each run is cut per input (LaneGrid.by_input)
+    and each piece split by joint outcome; an input's pieces may come from
+    any runs, in any order."""
     grid = _grid(strategy, game, max_seed_bits)
     inputs = grid.inputs
     tallies = [{} for _ in inputs]
-    for i, first, block, parts in _pieces(strategy, grid):
-        tally = tallies[i]
-        for outcome, mask in _split_outcome(block, parts):
-            count, seed = mask.bit_count(), first + lowest_bit(mask)
-            entry = tally.get(outcome)
-            if entry is None:
-                tally[outcome] = [count, seed]
-            else:
-                entry[0] += count
-                if seed < entry[1]:
-                    entry[1] = seed
+    for run in _runs(strategy, grid):
+        for i, first, block, parts in grid.by_input(*run):
+            tally = tallies[i]
+            for outcome, mask in _split_outcome(block, parts):
+                count, seed = mask.bit_count(), first + lowest_bit(mask)
+                entry = tally.get(outcome)
+                if entry is None:
+                    tally[outcome] = [count, seed]
+                else:
+                    entry[0] += count
+                    if seed < entry[1]:
+                        entry[1] = seed
     for x, tally in zip(inputs, tallies):
         if len(tally) > 1:
             tally = dict(sorted(tally.items(), key=lambda item: item[1][1]))
@@ -380,7 +343,7 @@ def _decided(strategy: Strategy, game: Game, grid: LaneGrid, misfits: set):
     promised, with an outcome of the game's arity is tried whole first:
     one call of the win relation on its input and outcome lanes. A run on
     which that raises LaneBranch, and every other run, is cut into pieces
-    of one input value each (see _by_input), each decided by _decide; the
+    of one input value each (LaneGrid.by_input), each decided by _decide; the
     index of an input off the promise, or met with an outcome of the wrong
     arity, is added to misfits instead. The promise is checked once per
     input."""
@@ -399,7 +362,7 @@ def _decided(strategy: Strategy, game: Game, grid: LaneGrid, misfits: set):
             else:
                 yield offset, block, parts, won
                 continue
-        for i, first, piece, cut in _by_input(grid, offset, block, parts):
+        for i, first, piece, cut in grid.by_input(offset, block, parts):
             if promised[i] and fits:
                 yield (i * size + first, piece, cut,
                        _decide(game, grid.inputs[i], piece, cut))
@@ -471,8 +434,10 @@ def verify_winning(strategy: Strategy, game: Game, policy,
 
 def marginals_non_signaling(inputs: list, counts: list) -> bool:
     """True iff each party's marginal is identical across all inputs that
-    agree on that party's coordinate. counts[r][i] is party r's marginal at
-    inputs[i], as {own output: positive seed count}."""
+    agree on that party's coordinate: counts[r][i] must equal counts[r][j]
+    wherever inputs[i][r] == inputs[j][r]. counts[r][i] is party r's
+    marginal at inputs[i] in any form that fixes it and is fixed by it;
+    no_signaling_check gives its parity counts (see _parities)."""
     for r, marginals in enumerate(counts):
         first: dict = {}
         for x, marginal in zip(inputs, marginals):
@@ -481,15 +446,33 @@ def marginals_non_signaling(inputs: list, counts: list) -> bool:
     return True
 
 
+def _parities(party: int, leaves) -> list:
+    """The XOR mask of every nonempty subset of a party's output bits, given
+    the masks of those bits over a run (a one-point run's masks are its
+    bits): subset T, a bit per output bit, at index T - 1. Refuses a party
+    with more than games.MAX_OUTCOMES of them."""
+    count = (1 << len(leaves)) - 1
+    if count > MAX_OUTCOMES:
+        raise EnumerationLimitError(
+            f"party {party} has {len(leaves)} output bits: {count_text(count)} "
+            f"parities exceed the limit {MAX_OUTCOMES}")
+    masks = []
+    for leaf in leaves:
+        masks += [leaf, *map(leaf.__xor__, masks)]
+    return masks
+
+
 def no_signaling_check(strategy: Strategy, game: Game,
                        max_seed_bits: int = DEFAULT_MAX_SEED_BITS) -> bool:
     """True iff every party's exact output marginal depends only on its own
     input, across all promised inputs. Inapplicable to strategies that use
     communication channels (those may signal by design).
 
-    Each run of the sweep is split on each party's own output bits only,
-    once, then cut per input, and the marginals are compared as integer
-    seed counts: every probability is a count over the seed-space size."""
+    Per input and party, each parity of the party's own output bits (see
+    _parities) is counted over the seeds, beside the seed count, keyed by
+    the output's length. Every input has the same seeds, so these integer
+    counts fix the party's marginal and are fixed by it (a Walsh-Hadamard
+    transform); they are compared as marginals_non_signaling does."""
     if strategy.channels:
         raise CommunicationUsedError(
             f"{strategy.name} uses communication; the check does not apply")
@@ -497,29 +480,17 @@ def no_signaling_check(strategy: Strategy, game: Game,
     inputs = grid.inputs
     counts = [[{} for _ in inputs] for _ in range(game.n_parties)]
     for offset, block, parts in _runs(strategy, grid):
-        # a one-bit part is cut as its ones mask, its zeros being the rest of
-        # a piece; a longer one is split into its own outcomes and their masks
-        owns, masks = [], []
-        for leaves in parts:
-            if len(leaves) == 1:
-                owns.append(None)
-                masks.append(leaves)
-            else:
-                split = _split_outcome(block, (leaves,))
-                owns.append([own for (own,), _ in split])
-                masks.append(tuple([mask for _, mask in split]))
-        for i, _, piece, cut in _by_input(grid, offset, block, tuple(masks)):
+        parities = tuple([_parities(r, leaves) for r, leaves in enumerate(parts)])
+        for i, _, piece, cut in grid.by_input(offset, block, parities):
             total = piece.bit_count()
-            for marginals, own, part in zip(counts, owns, cut):
-                if own is None:
-                    ones = part[0].bit_count()
-                    pairs = (((0,), total - ones), ((1,), ones))
-                else:
-                    pairs = zip(own, map(int.bit_count, part))
-                marginal = marginals[i]
-                for o, n in pairs:
-                    if n:
-                        marginal[o] = marginal.get(o, 0) + n
+            for marginals, masks in zip(counts, cut):
+                # outputs of each length are counted apart, beside their seeds
+                tally = marginals[i].get(len(masks))
+                if tally is None:
+                    tally = marginals[i][len(masks)] = [0] * (len(masks) + 1)
+                tally[0] += total
+                for t, mask in enumerate(masks, 1):
+                    tally[t] += mask.bit_count()
     return marginals_non_signaling(inputs, counts)
 
 

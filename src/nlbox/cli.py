@@ -50,13 +50,19 @@ def _max_seed_bits(args) -> int:
     return DEFAULT_MAX_SEED_BITS if args.max_seed_bits is None else args.max_seed_bits
 
 
-def _compatible(strategy, game) -> bool:
-    """Structural fit: same party count, same per-party input domains and
-    output lengths as the strategy's intended game."""
+def _require_fit(args):
+    """The (game, strategy) that args name, once the strategy is known to
+    fit the game: the same party count, per-party input domains and output
+    lengths as the strategy's intended game."""
+    game = games.get_game(args.game)
+    strategy = strategies.get_strategy(args.strategy)
     intended = games.get_game(strategy.game_id)
-    return (intended.n_parties == game.n_parties
-            and intended.party_inputs == game.party_inputs
-            and intended.output_lengths == game.output_lengths)
+    if (intended.n_parties, intended.party_inputs, intended.output_lengths) != \
+            (game.n_parties, game.party_inputs, game.output_lengths):
+        raise UsageError(
+            f"strategy {args.strategy!r} does not fit game {args.game!r} "
+            "(party count / input / output arity mismatch)")
+    return game, strategy
 
 
 def _render_md(report: dict) -> str:
@@ -102,12 +108,7 @@ def cmd_list(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    game = games.get_game(args.game)
-    strategy = strategies.get_strategy(args.strategy)
-    if not _compatible(strategy, game):
-        raise UsageError(
-            f"strategy {args.strategy!r} does not fit game {args.game!r} "
-            "(party count / input / output arity mismatch)")
+    game, strategy = _require_fit(args)
     policy = parse_seed_policy(args.seeds, args.rng_seed, args.max_seed_bits)
     start = time.monotonic()
     try:
@@ -144,11 +145,7 @@ def cmd_value(args) -> int:
 
 
 def cmd_dist(args) -> int:
-    game = games.get_game(args.game)
-    strategy = strategies.get_strategy(args.strategy)
-    if not _compatible(strategy, game):
-        raise UsageError(
-            f"strategy {args.strategy!r} does not fit game {args.game!r}")
+    game, strategy = _require_fit(args)
     start = time.monotonic()
     dist = analysis.exact_distribution(strategy, game,
                                        max_seed_bits=_max_seed_bits(args))

@@ -718,12 +718,15 @@ def _cut(mask: int, size: int, count: int) -> list[int]:
 
 
 def lowest_bit(mask: int) -> int:
-    """The position of the lowest set bit of mask > 0. The low word is
-    tried first, so the cost does not grow with the mask's length."""
-    word = mask & 0xFFFFFFFFFFFFFFFF
-    if word:
-        return (word & -word).bit_length() - 1
-    return (mask & -mask).bit_length() - 1
+    """The position of the lowest set bit of mask > 0. The low 64 bits are
+    tried first, then a window 8 times wider on each miss, so the cost
+    grows with the bit's position, not with the mask's length."""
+    width = 64
+    while True:
+        word = mask & ((1 << width) - 1)
+        if word:
+            return (word & -word).bit_length() - 1
+        width <<= 3
 
 
 class LaneGrid:
@@ -843,10 +846,13 @@ class LaneGrid:
         """Cut a block, and parts (tuples of masks over its points, party by
         party) with it, at input boundaries: (input index, first, cut block,
         cut parts) per input that the block meets, bit s of a cut mask
-        standing for seed first + s of that input."""
+        standing for point i * size + first + s. A block of inputs that are
+        not bit-shaped holds one input value and stays whole, even where it
+        spans several draws of the drawn fill; so does a block of one
+        point, whose parts may be plain bits."""
         i, first = divmod(offset, self.size)
         count = (first + block.bit_length() - 1) // self.size + 1
-        if count == 1:
+        if count == 1 or self.input_shape is None:
             return [(i, first, block, parts)]
 
         def cut(mask):
@@ -861,8 +867,8 @@ class LaneGrid:
         """The runs (offset, block, x, seed) that replace a block whose run
         raised LaneBranch: the two blocks on which its mask is constant;
         without one, or one constant on the block, one block per input when
-        the block spans several, else the block with x and seed None, to
-        run point by point. In the drawn fill each point is an input."""
+        the block spans several (see by_input), else the block with x and
+        seed None, to run point by point."""
         inside = block & mask if mask is not None else 0
         if inside and inside != block:
             parts = [(offset, inside), (offset, block ^ inside)]

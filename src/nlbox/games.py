@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
@@ -23,6 +24,10 @@ MAX_OUTCOMES = 2 ** 20
 # dj:<n> inputs are 2^n bits and dj-nlb:<n> declares about 2^(n+1) boxes
 # (2,032 at the cap, a few ms per sampled run); both ids refuse a larger n
 DJ_MAX_N = 10
+# dj:<n>'s promise, its per-party inputs and its per-party outputs are
+# listed only where the promise has at most this many pairs: dj:3 has
+# 18,176, dj:4 about 843M; a larger n must use the sampler
+DJ_MAX_PROMISE = 2 ** 20
 
 
 class GameError(Exception):
@@ -221,9 +226,10 @@ def winning_outcomes(game: Game, input_tuple: tuple) -> set:
 # --- constructors -----------------------------------------------------------
 
 def _all_bits(x) -> bool:
-    """True iff every entry of x is ``in (0, 1)``, as 0, 1, False, True and
-    1.0 are: the same test, made in C."""
-    return all(map(operator.contains, itertools.repeat((0, 1)), x))
+    """True iff x is a tuple or list whose every entry is ``in (0, 1)``, as
+    0, 1, False, True and 1.0 are: the entries equal to 0 or 1 are counted
+    in C. A string, or any other type, is not."""
+    return type(x) in (tuple, list) and x.count(0) + x.count(1) == len(x)
 
 
 def _scalar_bits(n):
@@ -320,16 +326,19 @@ def dj_game(n: int) -> Game:
         return (len(a) == length and len(b) == length and _all_bits(a)
                 and _all_bits(b) and hamming(a, b) in (0, half))
 
-    # the promise, the per-party inputs and the per-party outputs are
-    # enumerated only for n <= 2; larger n must use the sampler
-    strings = tuple(itertools.product((0, 1), repeat=length)) if n <= 2 else None
-    outputs = tuple(itertools.product((0, 1), repeat=n)) if strings else None
+    # each string a, with itself and with each of the C(length, half)
+    # strings at distance half from it; counted before anything is built
+    pairs = 2 ** length * (1 + math.comb(length, half))
+    enumerable = pairs <= DJ_MAX_PROMISE
+    strings = tuple(itertools.product((0, 1), repeat=length)) if enumerable else None
+    outputs = tuple(itertools.product((0, 1), repeat=n)) if enumerable else None
 
     @_lazy
     def promise():
-        if strings is None:
+        if not enumerable:
             raise EnumerationLimitError(
-                f"dj:{n} promise is enumerated only for n <= 2")
+                f"dj:{n} promise has {count_text(pairs)} pairs "
+                f"(limit {DJ_MAX_PROMISE})")
         return [(a, b) for a in strings for b in strings if hamming(a, b) in (0, half)]
 
     def sample_input(rng):

@@ -383,14 +383,17 @@ def test_sampled_verify_of_a_scalar_relation_matches_the_per_draw_loop(case, chu
 
 def test_sampled_verify_runs_the_win_relation_once_per_piece(monkeypatch):
     # magic square's inputs are not bits, so each run holds draws of one
-    # input and is decided by one call of the win relation, on its lanes
+    # input, is one piece whole, and is decided by one call of the win
+    # relation, on its lanes
     strategy, game = get_strategy("ms-nlb-sim"), get_game("magic-square")
     k, rng_seed = 500, 3
     grid = engine.LaneGrid.drawn(strategy, lambda rng: sample_promised_input(game, rng),
                                  random.Random(rng_seed), k)
-    pieces = list(analysis._pieces(strategy, grid))
-    assert sum(block.bit_count() for _, _, block, _ in pieces) == k
-    assert len(pieces) < k // 10
+    runs = list(analysis._runs(strategy, grid))
+    assert [grid.by_input(*run) for run in runs] == \
+        [[(offset, 0, block, parts)] for offset, block, parts in runs]
+    assert sum(block.bit_count() for _, block, _ in runs) == k
+    assert len(runs) < k // 10
     monkeypatch.setattr(analysis, "is_winning", None)
     calls = []
 
@@ -401,7 +404,7 @@ def test_sampled_verify_runs_the_win_relation_once_per_piece(monkeypatch):
     result = verify_winning(strategy, dataclasses.replace(game, win=relation),
                             Sample(k, rng_seed))
     assert result == oracle_sampled_verify(strategy, game, k, rng_seed)
-    assert len(calls) == len(pieces)
+    assert len(calls) == len(runs)
 
 
 @pytest.mark.parametrize("sid,k", [("multi-mermin-nlb:5", 500), ("multi-mermin-nlb:10", 512)])
@@ -537,6 +540,93 @@ def test_no_signaling_check_finds_a_program_that_leaks_an_input(width):
     game = dataclasses.replace(get_game("chsh"), output_lengths=(width, width))
     assert no_signaling_check(strategy, game) is False
     assert oracle_marginals_non_signaling(exact_distribution(strategy, game), 2) is False
+
+
+def test_no_signaling_check_counts_parities_of_several_bits():
+    # party 1 answers (s, s ^ leak, 1) for a shared bit s, where leak says
+    # whether party 0's input, read through a closure, is row 3. Each of its
+    # bits has the same marginal on every input; only the XOR of its first
+    # two bits, which is leak, signals
+    leak = {}
+
+    def answer(view):
+        if view.party == 0:
+            leak["x0"] = view.own_input
+            return engine.Action(output=(0, 0, 0))
+        (s,) = view.shared
+        return engine.Action(output=(s, s ^ (leak["x0"] == 3), 1))
+
+    prog = engine.PartyProgram((answer,))
+    strategy = engine.Strategy(name="leak", n_parties=2, programs=(prog, prog),
+                               shared_domain=engine.bit_domain(1),
+                               game_id="magic-square")
+    game = get_game("magic-square")
+    dist = exact_distribution(strategy, game)
+
+    def bit_marginal(x, bit):
+        out = {}
+        for own, p in dist.marginal(x, 1).items():
+            out[own[bit]] = out.get(own[bit], 0) + p
+        return sorted(out.items())
+
+    for bit in range(3):
+        assert all(bit_marginal(x, bit) == bit_marginal((1, 1), bit)
+                   for x in dist.per_input)
+    assert no_signaling_check(strategy, game) is False
+    assert oracle_marginals_non_signaling(dist, 2) is False
+
+
+@pytest.mark.parametrize("rule,signals", [
+    (lambda s0, s1, x1, x0: (s0,) if x1 else (s0, s1), False),
+    (lambda s0, s1, x1, x0: (s0,) if x0 else (s0, s1), True),
+    (lambda s0, s1, x1, x0: (s0,) if s1 else (s0 ^ x0, 0), False),
+    (lambda s0, s1, x1, x0: (s0,) if s1 else (0, s0) if x0 else (s0, 0), True),
+    # the same parities, all 0, on one seed of four or on two
+    (lambda s0, s1, x1, x0: (0,) if s1 & (s0 | 1 ^ x0) else (0, 0), True),
+])
+def test_no_signaling_check_counts_each_output_length_apart(rule, signals):
+    # party 1's output length may depend on its seed and on its own input
+    # (or, leaking, on party 0's); the marginal is over outputs of every
+    # length
+    leak = {}
+
+    def answer(view):
+        if view.party == 0:
+            leak["x0"] = view.own_input
+            return engine.Action(output=(0,))
+        s0, s1 = view.shared
+        return engine.Action(output=rule(s0, s1, view.own_input, leak["x0"]))
+
+    prog = engine.PartyProgram((answer,))
+    strategy = engine.Strategy(name="lengths", n_parties=2, programs=(prog, prog),
+                               shared_domain=engine.bit_domain(2), game_id="chsh")
+    game = get_game("chsh")
+    assert no_signaling_check(strategy, game) is not signals
+    assert oracle_marginals_non_signaling(exact_distribution(strategy, game), 2) \
+        is not signals
+
+
+@pytest.mark.parametrize("bits,limit,refused", [(21, None, True), (3, 7, False),
+                                                (4, 7, True)])
+def test_no_signaling_check_refuses_more_parities_than_outcomes(bits, limit, refused,
+                                                                monkeypatch):
+    # a party with k output bits has 2^k - 1 parities, held to
+    # games.MAX_OUTCOMES
+    if limit is not None:
+        monkeypatch.setattr(analysis, "MAX_OUTCOMES", limit)
+
+    def answer(view):
+        return engine.Action(output=(0,) * bits)
+
+    prog = engine.PartyProgram((answer,))
+    strategy = engine.Strategy(name="wide", n_parties=2, programs=(prog, prog),
+                               game_id="chsh")
+    if refused:
+        with pytest.raises(EnumerationLimitError,
+                           match=f"^party 0 has {bits} output bits: "):
+            no_signaling_check(strategy, get_game("chsh"))
+    else:
+        assert no_signaling_check(strategy, get_game("chsh")) is True
 
 
 def _three_party(party2):

@@ -181,10 +181,32 @@ def test_seed_limit_refusal_names_sampling_only_where_it_exists(command, hint, c
 
 
 def test_dj_promise_refusal_names_sampling_only_where_it_exists(capsys):
-    assert main(["dist", "--game", "dj:3", "--strategy", "dj-nlb:3"]) == 1
-    assert "sampl" not in capsys.readouterr().err
-    assert main(["verify", "--game", "dj:3", "--strategy", "dj-nlb:3"]) == 1
-    assert capsys.readouterr().err.endswith("; use --seeds sample:<K>\n")
+    refusal = "error: dj:4 promise has 843513856 pairs (limit 1048576)"
+    assert main(["dist", "--game", "dj:4", "--strategy", "dj-nlb:4"]) == 1
+    assert capsys.readouterr().err == refusal + "\n"
+    assert main(["verify", "--game", "dj:4", "--strategy", "dj-nlb:4"]) == 1
+    assert capsys.readouterr().err == refusal + "; use --seeds sample:<K>\n"
+
+
+def test_dj3_verifies_exhaustively(capsys):
+    # 18,176 promised pairs x 2**12 seeds, about 2 s
+    code, out = run(["verify", "--game", "dj:3", "--strategy", "dj-nlb:3",
+                     "--seeds", "exhaustive"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["checked"] == 74_448_896
+    assert report["value"] == {"num": 1, "den": 1}
+
+
+def test_dist_and_verify_refuse_a_misfit_alike(capsys):
+    errors = []
+    for command in ("dist", "verify"):
+        assert main([command, "--game", "mermin", "--strategy", "chsh-nlb"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors == ["error: strategy 'chsh-nlb' does not fit game 'mermin' "
+                      "(party count / input / output arity mismatch)\n"] * 2
 
 
 def test_huge_max_seed_bits_is_checked_at_once(capsys):

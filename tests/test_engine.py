@@ -559,7 +559,8 @@ def test_malformed_actions_end_in_protocol_errors(actions0, actions1, r):
     assert all(type(c.bit) is int and c.bit in (0, 1) for c in transcript.sends)
 
 
-@pytest.mark.parametrize("low", [0, 5, 63, 64, 65, 1000, 1 << 21])
+@pytest.mark.parametrize("low", [0, 5, 63, 64, 65, 511, 512, 1000, 4095, 4096,
+                                 16900, 1 << 21])
 def test_lowest_bit_past_the_first_word(low):
     for high in (0, 1, 64, 1 << 21):
         mask = 1 << low | 1 << (low + high)

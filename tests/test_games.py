@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 
@@ -7,9 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nlbox.engine import EnumerationLimitError, Lane, seed_lanes
-from nlbox.games import (GameError, PromiseError, bmaj, get_game, hamming,
-                         is_winning, outcome_index, outcome_lanes, outcome_space,
-                         promised_inputs, sample_promised_input, winning_outcomes)
+from nlbox.games import (DJ_MAX_PROMISE, GameError, PromiseError, bmaj, get_game,
+                         hamming, is_winning, outcome_index, outcome_lanes,
+                         outcome_space, promised_inputs, sample_promised_input,
+                         winning_outcomes)
 
 
 def test_mermin_promise():
@@ -50,20 +52,36 @@ def test_dj_lists_per_party_outputs_only_with_per_party_inputs():
     # has no per-party inputs, so its 2^n outputs would serve nothing
     assert get_game("dj:2").party_outputs == (
         tuple(itertools.product((0, 1), repeat=2)),) * 2
-    for n in (3, 10):
+    for n in (4, 10):
         game = get_game(f"dj:{n}")
         assert game.party_inputs is None and game.party_outputs is None
 
 
-def test_dj3_promise_needs_sampling():
-    g = get_game("dj:3")
-    with pytest.raises(EnumerationLimitError):
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_dj_promise_is_listed_within_its_cap(n):
+    # 2^L (1 + C(L, L/2)) pairs for L = 2^n: each string with itself and
+    # with every string at distance L/2
+    g = get_game(f"dj:{n}")
+    length = 2 ** n
+    pairs = promised_inputs(g)
+    assert len(pairs) == len(set(pairs)) == \
+        2 ** length * (1 + math.comb(length, length // 2))
+    assert all(g.on_promise(x) for x in pairs)
+    assert g.party_inputs == (tuple(itertools.product((0, 1), repeat=length)),) * 2
+    assert g.party_outputs == (tuple(itertools.product((0, 1), repeat=n)),) * 2
+    assert len(pairs) <= DJ_MAX_PROMISE
+    assert 2 ** 16 * (1 + math.comb(16, 8)) > DJ_MAX_PROMISE      # dj:4's
+
+
+def test_dj4_promise_needs_sampling():
+    g = get_game("dj:4")
+    with pytest.raises(EnumerationLimitError, match=r"^dj:4 promise has 843513856 pairs"):
         promised_inputs(g)
     rng = random.Random(99)
     draws = [sample_promised_input(g, rng) for _ in range(200)]
     classes = {hamming(a, b) for a, b in draws}
     assert all(g.on_promise(x) for x in draws)
-    assert classes == {0, 4}, "both promise classes must be exercised"
+    assert classes == {0, 8}, "both promise classes must be exercised"
 
 
 def test_magic_square_examples():
@@ -144,6 +162,19 @@ def test_bools_and_float_bits_stay_on_the_promise(gid):
     for alias in ({0: False, 1: True}, {0: 0.0, 1: 1.0}):
         same = tuple(alias[b] for b in x)
         assert is_winning(g, same, outcome) == is_winning(g, x, outcome)
+
+
+@pytest.mark.parametrize("gid,x,on", [
+    ("multi-mermin:4", [1, 1, 0, 0], True), ("multi-mermin:4", [1, 0, 0, 0], False),
+    ("bmaj:3", [1, 0, 1], True), ("bmaj:3", "101", False),
+    ("dj:1", ([0, 1], [1, 1]), True), ("dj:1", ((0, 1), [0, 0]), True),
+    ("dj:1", ("01", "11"), False), ("dj:1", ((0, 1), "01"), False),
+    ("dj:2", ("0110", "1100"), False),
+])
+def test_promise_bits_come_in_tuples_or_lists(gid, x, on):
+    # a list holds bits as a tuple does; a str never does, and is refused
+    # without raising
+    assert get_game(gid).on_promise(x) is on
 
 
 def test_winning_outcome_counts_input_independent():

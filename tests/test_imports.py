@@ -96,3 +96,14 @@ def test_only_engine_knows_the_lane_layout():
              for alias in node.names}
     assert "LaneGrid" in names
     assert names & {"_build", "_columns", "_spread"} == set()
+
+
+def test_analysis_executes_at_one_site():
+    # every run passes through _runs, where the benchmark's tracer counts
+    # it by the name analysis.execute
+    path = SRC / "analysis.py"
+    tree = ast.parse(path.read_text(), str(path))
+    sites = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+             for call in ast.walk(fn) if isinstance(call, ast.Call)
+             and getattr(call.func, "id", getattr(call.func, "attr", None)) == "execute"]
+    assert sites == ["_runs"]

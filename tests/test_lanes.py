@@ -365,16 +365,28 @@ def test_grid_fills_match_their_definitions(sid, gid, fill):
                             at_point(seed.shared, i)) == \
                         (points[offset + i][0], list(points[offset + i][1].nlb_bits),
                          strategy.shared_domain.values[points[offset + i][1].shared_index])
-            # the block, and its first two inputs, cut at input boundaries
+            # the block, and its first two inputs, cut at input boundaries;
+            # a block of inputs that are not bit-shaped holds one input value
+            # (over several draws in the drawn fill) and comes back whole
             for whole in (block, block & ((1 << 2 * grid.size - offset % grid.size) - 1)):
+                if grid.input_shape is None:
+                    assert grid.by_input(offset, whole) == \
+                        [(*divmod(offset, grid.size), whole, ())]
+                    assert {points[offset + i][0] for i in range(whole.bit_length())
+                            if whole >> i & 1} == {grid.inputs[offset // grid.size]}
+                    continue
                 cover = 0
                 for i, first, part, _ in grid.by_input(offset, whole):
                     assert part >> grid.size - first == 0
                     cover |= part << i * grid.size + first
                 assert cover == whole << offset
             cover = 0
-            for start, part, _, _ in grid.split(offset, block, None):
-                assert (start + part.bit_length() - 1) // grid.size == start // grid.size
+            for start, part, x, seed in grid.split(offset, block, None):
+                if grid.input_shape is None:
+                    # that one input value's block runs point by point
+                    assert (start, part, x, seed) == (offset, block, None, None)
+                else:
+                    assert (start + part.bit_length() - 1) // grid.size == start // grid.size
                 cover |= part << start
             assert cover == block << offset
 
@@ -387,11 +399,11 @@ def test_lane_sweep_matches_scalar_seed_by_seed(sid):
     rng = random.Random(sid)
     inputs = promised_inputs(game)
     size = strategy.seed_count()
-    runs = list(analysis._sweep(strategy, LaneGrid.periodic(strategy, inputs,
-                                                            analysis.SWEEP_WIDTH)))
+    runs = list(analysis._runs(strategy, LaneGrid.periodic(strategy, inputs,
+                                                           analysis.SWEEP_WIDTH)))
     # the runs' blocks partition the (input x seed) grid
     union = 0
-    for _, offset, block in runs:
+    for offset, block, _ in runs:
         assert union & block << offset == 0
         union |= block << offset
     assert union == (1 << len(inputs) * size) - 1
@@ -400,9 +412,10 @@ def test_lane_sweep_matches_scalar_seed_by_seed(sid):
             for i in rng.sample(range(1 << nb), 32):
                 point = k * size + (s << nb | i)
                 want, _ = execute(strategy, x, seed_at(nb, i, s), record=False)
-                got = [tuple(tuple(_lane_bit(v, point - offset) for v in part)
-                             for part in outcome)
-                       for outcome, offset, block in runs
+                # each output bit read off its mask
+                got = [tuple(tuple(m >> point - offset & 1 for m in part)
+                             for part in parts)
+                       for offset, block, parts in runs
                        if offset <= point and block >> point - offset & 1]
                 assert got == [want]
     result = verify_winning(strategy, game, Exhaustive())
@@ -558,7 +571,7 @@ def test_exhaustive_verify_runs_the_win_relation_once_per_piece(sid, gid, monkey
     strategy, game = build(sid), get_game(gid)
     grid = analysis._grid(strategy, game, analysis.DEFAULT_MAX_SEED_BITS)
     # each run cut per input; a run of several pieces spans several inputs
-    runs = [analysis._by_input(grid, *run) for run in analysis._runs(strategy, grid)]
+    runs = [grid.by_input(*run) for run in analysis._runs(strategy, grid)]
 
     def laned(block, parts):
         return any(m not in (0, block) for part in parts for m in part)
