@@ -11,7 +11,6 @@ a convex combination of deterministic successes).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
@@ -27,7 +26,7 @@ from .engine import (Lane, LaneBranch, LaneGrid, NlbInstance, PartyProgram,
                      require_enumerable)
 from .games import (MAX_OUTCOMES, Game, GameError, is_winning, outcome_index,
                     outcome_lanes, promised_inputs, require_promise,
-                    sample_promised_input, winning_outcomes)
+                    winning_outcomes)
 from .search import score_strategies
 
 DEFAULT_MAX_SEARCH = 2 ** 28
@@ -139,9 +138,9 @@ def _runs(strategy: Strategy, grid: LaneGrid):
 
     Runs go in order, from grid.start: a run that raises LaneBranch is
     replaced by the runs grid.split gives, and a run without a seed goes
-    point by point. Each group then starts from the partition the one
-    before it ended with, so a program costs one failed run per split of a
-    group over the whole sweep."""
+    point by point, point k as grid.run(k, 1) gives it. Each group then
+    starts from the partition the one before it ended with, so a program
+    costs one failed run per split of a group over the whole sweep."""
     total = len(grid.inputs) * grid.size
     runs = grid.start
     while runs:
@@ -149,7 +148,7 @@ def _runs(strategy: Strategy, grid: LaneGrid):
         while todo:
             offset, block, x, seed = run = todo.pop()
             points = [run] if seed is not None else (
-                (offset + i, 1, *grid.point(offset + i)) for i in _set_bits(block))
+                (offset + i, 1, *grid.run(offset + i, 1)) for i in _set_bits(block))
             for at, piece, px, pseed in points:
                 try:
                     outcome, _ = execute(strategy, px, pseed, record=False)
@@ -316,11 +315,6 @@ class VerifyResult:
         return Fraction(self.wins, self.checked)
 
 
-def _counterexample(x, seed, outcome) -> dict:
-    return {"input": _jsonable(x), "seed": seed.to_json(),
-            "outcome": [list(p) for p in outcome]}
-
-
 def _decide(game: Game, x, block: int, parts) -> int:
     """The mask of the points of a piece (block and parts as in _runs)
     whose outcome wins on x: one call of the win relation on the piece's
@@ -336,68 +330,62 @@ def _decide(game: Game, x, block: int, parts) -> int:
         return won
 
 
-def _decided(strategy: Strategy, game: Game, grid: LaneGrid, misfits: set):
-    """The grid's points decided, as (point, block, parts, won): bit s of
-    block and of won stands for grid point point + s, set in won where that
-    point's outcome wins. A run whose points span several inputs, all
-    promised, with an outcome of the game's arity is tried whole first:
-    one call of the win relation on its input and outcome lanes. A run on
-    which that raises LaneBranch, and every other run, is cut into pieces
-    of one input value each (LaneGrid.by_input), each decided by _decide; the
-    index of an input off the promise, or met with an outcome of the wrong
-    arity, is added to misfits instead. The promise is checked once per
-    input."""
+def _verify(strategy: Strategy, game: Game, grid: LaneGrid):
+    """(checked, wins, counterexample or None) over a grid's points.
+
+    A run is decided whole, by one call of the win relation on its input
+    and outcome lanes, when its points span several bit-shaped inputs, all
+    promised, and its outcome has the game's arity. A run on which that
+    call raises LaneBranch, and every other run, is cut per input
+    (LaneGrid.by_input) and each piece decided by _decide. The promise is
+    checked once per input. An input off the promise, or met with an
+    outcome of the wrong arity, is reported once the grid has run, at the
+    grid's lowest such input, so an error of a run itself comes first. The
+    counterexample is the grid's lowest losing point: in the periodic fill
+    the lowest seed of the first input that has one, in the drawn fill the
+    first losing draw."""
     promised = list(map(game.on_promise, grid.inputs))
     size, lengths = grid.size, tuple(game.output_lengths)
+    checked = wins = 0
+    misfits = set()     # inputs off the promise or with an outcome of wrong arity
+    lost = None         # (lowest losing point, its outcome)
     for offset, block, parts in _runs(strategy, grid):
         fits = tuple(map(len, parts)) == lengths
         i, first = divmod(offset, size)
         last = i + (first + block.bit_length() - 1) // size
+        decided = []
         if last > i and grid.input_shape is not None and fits \
                 and all(promised[i:last + 1]):
             try:
-                won = _won(game, grid.input(offset, block), _lanes(block, parts), block)
+                decided.append((offset, block, parts, _won(
+                    game, grid.input(offset, block), _lanes(block, parts), block)))
             except LaneBranch:
                 pass
-            else:
-                yield offset, block, parts, won
-                continue
-        for i, first, piece, cut in grid.by_input(offset, block, parts):
-            if promised[i] and fits:
-                yield (i * size + first, piece, cut,
-                       _decide(game, grid.inputs[i], piece, cut))
-            else:
-                misfits.add(i)
-
-
-def _verify(strategy: Strategy, game: Game, grid: LaneGrid):
-    """(checked, wins, counterexample or None) over a grid's points, each
-    run decided whole or piece by piece (see _decided). An input off the
-    promise, or met with an outcome of the wrong arity, is reported once
-    the grid has run. The counterexample is
-    the grid's lowest losing point: in the periodic fill the lowest seed of
-    the first input that has one, in the drawn fill the first losing
-    draw."""
-    checked = wins = 0
-    misfits = set()     # inputs off the promise or with an outcome of wrong arity
-    lost = None         # (lowest losing point, its outcome)
-    for point, block, parts, won in _decided(strategy, game, grid, misfits):
-        checked += block.bit_count()
-        wins += won.bit_count()
-        losing = block ^ won
-        if losing:
-            low = lowest_bit(losing)
-            if lost is None or point + low < lost[0]:
-                lost = (point + low, tuple([tuple([m >> low & 1 for m in part])
-                                            for part in parts]))
+        if not decided:
+            for i, first, piece, cut in grid.by_input(offset, block, parts):
+                if promised[i] and fits:
+                    decided.append((i * size + first, piece, cut,
+                                    _decide(game, grid.inputs[i], piece, cut)))
+                else:
+                    misfits.add(i)
+        for point, piece, cut, won in decided:
+            checked += piece.bit_count()
+            wins += won.bit_count()
+            losing = piece ^ won
+            if losing:
+                low = lowest_bit(losing)
+                if lost is None or point + low < lost[0]:
+                    lost = (point + low, tuple([tuple([m >> low & 1 for m in part])
+                                                for part in cut]))
     if misfits:
-        # as is_winning would report it at the first such input, once the
-        # grid has run to the end
+        # as is_winning would report it at the first such input
         require_promise(game, grid.inputs[min(misfits)])
         raise GameError(f"outcome arity does not match {game.name}")
     if lost is None:
         return checked, wins, None
-    return checked, wins, _counterexample(*grid.point(lost[0]), lost[1])
+    x, seed = grid.run(lost[0], 1)
+    return checked, wins, {"input": _jsonable(x), "seed": seed.to_json(),
+                           "outcome": [list(p) for p in lost[1]]}
 
 
 def verify_winning(strategy: Strategy, game: Game, policy,
@@ -416,10 +404,10 @@ def verify_winning(strategy: Strategy, game: Game, policy,
         mode = "exhaustive"
     elif isinstance(policy, Sample):
         rng = random.Random(policy.rng_seed)
-        sample_input = functools.partial(sample_promised_input, game)
         # each chunk's grid is released before the next one is drawn
         results = [_verify(strategy, game, LaneGrid.drawn(
-                       strategy, sample_input, rng, min(SAMPLE_CHUNK, policy.k - start)))
+                       strategy, game.sample_input, rng,
+                       min(SAMPLE_CHUNK, policy.k - start)))
                    for start in range(0, policy.k, SAMPLE_CHUNK)]
         mode = f"sample:{policy.k}"
     else:

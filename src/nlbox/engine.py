@@ -414,7 +414,15 @@ def execute(strategy: Strategy, input_tuple: tuple, seed: "Seed | LaneSeed",
     if type(seed) is LaneSeed:
         shared = seed.shared
     else:
-        shared = strategy.shared_domain.values[seed.shared_index]
+        values, index = strategy.shared_domain.values, seed.shared_index
+        for bit in seed.nlb_bits:
+            # a free bit may be a Lane, as a fed bit may
+            if (type(bit) is not int or bit < 0 or bit > 1) and type(bit) is not Lane:
+                raise ValueError(f"{seed} has free bit {bit!r}, which is not a bit")
+        if type(index) is not int or not 0 <= index < len(values):
+            raise ValueError(f"{seed} has shared index {index!r}, not one of "
+                             f"range({len(values)})")
+        shared = values[index]
 
     nlb_index = strategy._nlb_index
     channel_index = strategy._channel_index
@@ -731,14 +739,14 @@ def lowest_bit(mask: int) -> int:
 
 class LaneGrid:
     """(input, seed) points numbered 0, 1, ... and held as lane columns, so
-    that a block of them runs at once. Point k is input inputs[k // size]
-    under the seed point(k) gives. A group is the width points from a
-    multiple of width on, and a block is a set of points of one group,
-    (offset, mask) with bit i of mask standing for point offset + i and bit
-    0 set. Each free bit is a lane over a group; so are the input and the
-    shared value, leaf by leaf, when all of them have one bit shape (see
-    _columns), and otherwise no block holds two of them. ``start`` is the
-    first group's partition as runs (offset, block, x, seed). Two fills:
+    that a block of them runs at once. Point k, run(k, 1), is input
+    inputs[k // size] under the Seed seed(k, 1). A group is the width points
+    from a multiple of width on, and a block is a set of points of one
+    group, (offset, mask) with bit i of mask standing for point offset + i
+    and bit 0 set. Each free bit is a lane over a group; so are the input
+    and the shared value, leaf by leaf, when all of them have one bit shape
+    (see _columns), and otherwise no block holds two of them. ``start`` is
+    the first group's partition as runs (offset, block, x, seed). Two fills:
 
     - ``periodic``: the exhaustive grid. size is the seed count, each
       input's seeds in enumerate_seeds' order, and every group has the same
@@ -802,20 +810,14 @@ class LaneGrid:
             grid.start.append((low, mask >> low, *grid.run(low, mask >> low)))
         return grid
 
-    def point(self, k: int) -> tuple:
-        """(input, Seed) of point k."""
-        return self.inputs[k // self.size], self.seed(k, 1)
-
     def run(self, offset: int, block: int) -> tuple:
         """The (input, seed) that runs a block: lane-valued where its points
-        differ, or the point of a one-point block."""
-        if block == 1:
-            return self.point(offset)
+        differ. run(k, 1) is point k, as (input, Seed)."""
         return self.input(offset, block), self.seed(offset, block)
 
     def input(self, offset: int, block: int):
         """The input of a block, a lane wherever its points differ."""
-        if self.input_shape is None:
+        if self.input_shape is None or block == 1:
             return self.inputs[offset // self.size]
         at = offset % self.width
         if offset - at != self.base:

@@ -167,12 +167,19 @@ def require_promise(game: Game, input_tuple: tuple) -> None:
 
 
 def is_winning(game: Game, input_tuple: tuple, outcome: tuple) -> bool:
+    """Raises PromiseError off the promise, and GameError for an outcome of
+    the wrong arity or with an entry other than the int 0 or 1."""
     require_promise(game, input_tuple)
-    # part lengths are compared lazily and stop at the first mismatch, so a
-    # later part that has no length is never asked for one
-    if len(outcome) != game.n_parties or not all(
-            map(operator.eq, map(len, outcome), game.output_lengths)):
+    try:
+        fits = tuple(map(len, outcome)) == tuple(game.output_lengths)
+    except TypeError:
+        fits = False
+    if not fits:
         raise GameError(f"outcome arity does not match {game.name}")
+    for part in outcome:
+        for bit in part:
+            if type(bit) is not int or bit < 0 or bit > 1:
+                raise GameError(f"outcome {outcome!r} holds {bit!r}, which is not a bit")
     return bool(game.win(input_tuple, outcome))
 
 

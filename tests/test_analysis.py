@@ -6,9 +6,11 @@ import math
 import random
 import re
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nlbox import analysis, engine
 from nlbox.analysis import (AnalysisError, CommunicationUsedError, Exhaustive,
@@ -18,12 +20,14 @@ from nlbox.analysis import (AnalysisError, CommunicationUsedError, Exhaustive,
                             resource_count,
                             strategy_from_tables, uniformity_verdict,
                             verify_winning)
-from nlbox.engine import EnumerationLimitError, Seed, execute
+from nlbox.engine import (Action, EnumerationLimitError, NlbInstance, PartyProgram,
+                          Seed, Strategy, execute)
 from nlbox.games import (GameError, Parity, PromiseError, get_game, is_winning,
                          own_bit, promised_inputs, sample_promised_input,
                          winning_outcomes)
 from nlbox.strategies import STRATEGY_FAMILIES, get_strategy
-from test_lanes import CHANNEL, CUSTOM, NO_COMM_ENUMERABLE
+from test_lanes import (CHANNEL, CUSTOM, N_VARS, NO_COMM_ENUMERABLE, _evaluate,
+                        expressions, scalar_oracle)
 
 
 # --- classical values (frozen from the brute-force oracle) --------------------
@@ -677,6 +681,112 @@ def test_marginal_logic_detects_signaling():
     assert marginals_non_signaling(inputs, uneven)
     uneven[0][1] = {(0,): 2}
     assert not marginals_non_signaling(inputs, uneven)
+
+
+# --- random whole programs against the scalar oracle -------------------------------
+
+def _round(boxes, leak, picks, feeds, answer):
+    """One round of a drawn program. Its view bits are the party's input
+    bit, its shared bit, the outputs of the boxes it has received (their ids
+    in boxes) and, where leak is a dict, party 0's input, which party 0
+    leaks to the others; picks names the view bit that each of an
+    expression's N_VARS variables stands for. feeds holds (box id,
+    expression) pairs, and answer is None or (the variable an if reads, or
+    None, then-expression, else-expression). ^ 0 turns a bool into the int
+    bit that execute accepts."""
+    def step(view):
+        bits = [view.own_input, view.shared[0], *[view.nlb[b] for b in boxes]]
+        if leak is not None:
+            # party 0 moves first in every round
+            if view.party == 0:
+                leak["x0"] = view.own_input
+            else:
+                bits.append(leak["x0"])
+        env = [bits[i] for i in picks]
+        action = Action(nlb_inputs={b: _evaluate(e, env) ^ 0 for b, e in feeds} or None)
+        if answer is not None:
+            test, then, other = answer
+            chosen = then if test is None or env[test] else other
+            action.output = (_evaluate(chosen, env) ^ 0,)
+        return action
+    return step
+
+
+@st.composite
+def random_programs(draw):
+    """A valid strategy of 2 or 3 parties and 1 to 3 rounds, with up to 3
+    boxes on drawn party pairs, each port fed once in a drawn round, and
+    perhaps a leak of party 0's input; a game with its party count; and an
+    input of its promise to drop from it, or None."""
+    n, rounds = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    # (box, the round each of its ports is fed in)
+    boxes = [(NlbInstance(f"b{k}", *draw(st.permutations(range(n)))[:2]),
+              draw(st.tuples(st.integers(0, rounds - 1), st.integers(0, rounds - 1))))
+             for k in range(draw(st.integers(0, 3)))]
+    leak = {} if draw(st.booleans()) else None
+    programs = []
+    for r in range(n):
+        steps = []
+        for t in range(rounds):
+            # a box fed at both ports before round t has delivered by then
+            seen = [box.id for box, fed in boxes if r in (box.port0_party, box.port1_party)
+                    and max(fed) < t]
+            width = 2 + len(seen) + (leak is not None and r > 0)
+            picks = draw(st.lists(st.integers(0, width - 1), min_size=N_VARS,
+                                  max_size=N_VARS))
+            feeds = [(box.id, draw(expressions)) for box, fed in boxes
+                     for port, party in enumerate((box.port0_party, box.port1_party))
+                     if party == r and fed[port] == t]
+            answer = (draw(st.none() | st.integers(0, N_VARS - 1)), draw(expressions),
+                      draw(expressions)) if t == rounds - 1 else None
+            steps.append(_round(seen, leak, picks, feeds, answer))
+        programs.append(PartyProgram(tuple(steps)))
+    game = get_game("chsh" if n == 2 else draw(st.sampled_from(["mermin", "bmaj:3"])))
+    drop = draw(st.none() | st.sampled_from(promised_inputs(game)))
+    strategy = Strategy(name="drawn", n_parties=n, programs=tuple(programs),
+                        nlbs=tuple(box for box, _ in boxes),
+                        shared_domain=engine.bit_domain(1), game_id=game.name)
+    return strategy, game, drop
+
+
+def _result(call):
+    """What call returns, or the type and text of the GameError it raises."""
+    try:
+        return call()
+    except GameError as error:
+        return type(error), str(error)
+
+
+@settings(max_examples=240, derandomize=True, deadline=None)
+@given(case=random_programs(), k=st.integers(1, 60))
+def test_random_programs_match_the_scalar_oracle(case, k):
+    strategy, game, drop = case
+    per_input, checked, wins, counterexample = scalar_oracle(strategy, game)
+    dist = exact_distribution(strategy, game)
+    assert dist.per_input == per_input
+    assert all(list(dist.per_input[x]) == list(per_input[x]) for x in per_input)
+    assert verify_winning(strategy, game, Exhaustive()) == analysis.VerifyResult(
+        counterexample is None, "exhaustive", checked, wins, counterexample)
+    # non-signaling: each party's fraction marginal is one per own input
+    marginals = [{} for _ in range(strategy.n_parties)]
+    for x, probs in per_input.items():
+        for r, seen in enumerate(marginals):
+            marginal = Counter()
+            for outcome, p in probs.items():
+                marginal[outcome[r]] += p
+            seen.setdefault(x[r], set()).add(frozenset(marginal.items()))
+    assert no_signaling_check(strategy, game) is all(
+        len(m) == 1 for seen in marginals for m in seen.values())
+    assert verify_winning(strategy, game, Sample(k, 7)) == \
+        oracle_sampled_verify(strategy, game, k, 7)
+    # an input off the promise is reported as is_winning reports it, whether
+    # its runs span other inputs or not; a draw that misses it still passes
+    if drop is not None:
+        game = dataclasses.replace(game, on_promise=lambda x: x != drop)
+        assert _result(lambda: verify_winning(strategy, game, Exhaustive())) == \
+            _result(lambda: scalar_oracle(strategy, game))
+        assert _result(lambda: verify_winning(strategy, game, Sample(k, 7))) == \
+            _result(lambda: oracle_sampled_verify(strategy, game, k, 7))
 
 
 # --- impossibility search --------------------------------------------------------

@@ -255,6 +255,30 @@ def test_seed_json_roundtrip():
     assert Seed.from_json(seed.to_json()) == seed
 
 
+@pytest.mark.parametrize("x,seed,message", [
+    ((0, 1), Seed((0,), 0), "^expected 3 inputs, got 2$"),
+    ((0, 1, 1), Seed((0, 1), 0), "^seed has wrong number of NLB bits$"),
+    ((0, 1, 1), Seed((), 0), "^seed has wrong number of NLB bits$"),
+    # the free bit is fed to the box, not output by a party
+    ((0, 1, 1), Seed((2,), 0), r"^Seed\(.*\) has free bit 2, which is not a bit$"),
+    ((0, 1, 1), Seed((True,), 0), "has free bit True"),
+    ((0, 1, 1), Seed((1.0,), 0), "has free bit 1.0"),
+    ((0, 1, 1), Seed((None,), 0), "has free bit None"),
+    # Python's negative indexing would run -1 as shared index 1
+    ((0, 1, 1), Seed((0,), -1), r"has shared index -1, not one of range\(2\)$"),
+    ((0, 1, 1), Seed((0,), 2), r"has shared index 2, not one of range\(2\)$"),
+    ((0, 1, 1), Seed((0,), True), "has shared index True"),
+    ((0, 1, 1), Seed((0,), 1.0), "has shared index 1.0"),
+])
+def test_execute_refuses_malformed_arguments(x, seed, message):
+    strategy = get_strategy("mermin-nlb-sim")
+    with pytest.raises(ValueError, match=message) as raised:
+        execute(strategy, x, seed)
+    assert type(raised.value) is ValueError
+    # the same seed with its fields in range runs
+    execute(strategy, (0, 1, 1), Seed((1,), 1))
+
+
 def test_transcript_json_shape():
     s = get_strategy("ms-comm")
     _, transcript = execute(s, (3, 2), Seed(()))

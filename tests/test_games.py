@@ -155,6 +155,27 @@ def test_is_winning_rejects_off_promise_inputs_and_wrong_arity(gid):
         is_winning(g, off_promise[0], wrong_arity[0])
 
 
+@pytest.mark.parametrize("gid,x,outcome,message", [
+    # a 2 in a one-bit game's output is no bit, whatever the relation makes of it
+    ("chsh", (0, 0), ((2,), (0,)), "holds 2, which is not a bit"),
+    ("chsh", (0, 0), ((0,), (1.5,)), "holds 1.5"),
+    ("chsh", (0, 0), ((0,), (None,)), "holds None"),
+    ("chsh", (0, 0), ((0,), (-1,)), "holds -1"),
+    ("chsh", (0, 0), ((True,), (0,)), "holds True"),
+    ("chsh", (0, 0), ((0,), (1.0,)), "holds 1.0"),
+    ("chsh", (0, 0), ((0,), "1"), "holds '1'"),
+    ("magic-square", (1, 2), ((0, 1, 1), (0, 2, 1)), "holds 2"),
+    # a part with no length, or an outcome with none, is an arity mismatch
+    ("chsh", (0, 0), ((0,), 5), "^outcome arity does not match chsh$"),
+    ("chsh", (0, 0), 5, "^outcome arity does not match chsh$"),
+    ("mermin", (1, 1, 0), ((0,), None, (1,)), "^outcome arity does not match mermin$"),
+])
+def test_is_winning_refuses_non_bit_outcomes(gid, x, outcome, message):
+    with pytest.raises(GameError, match=message) as raised:
+        is_winning(get_game(gid), x, outcome)
+    assert type(raised.value) is GameError
+
+
 @pytest.mark.parametrize("gid", ["chsh", "mermin", "multi-mermin:4", "bmaj:3"])
 def test_bools_and_float_bits_stay_on_the_promise(gid):
     g = get_game(gid)

@@ -98,12 +98,32 @@ def test_only_engine_knows_the_lane_layout():
     assert names & {"_build", "_columns", "_spread"} == set()
 
 
+def analysis_call_sites(name: str) -> list:
+    """The functions of analysis that call name, as a function or a
+    method, once per call."""
+    path = SRC / "analysis.py"
+    tree = ast.parse(path.read_text(), str(path))
+    return [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+            for call in ast.walk(fn) if isinstance(call, ast.Call)
+            and getattr(call.func, "id", getattr(call.func, "attr", None)) == name]
+
+
 def test_analysis_executes_at_one_site():
     # every run passes through _runs, where the benchmark's tracer counts
     # it by the name analysis.execute
-    path = SRC / "analysis.py"
-    tree = ast.parse(path.read_text(), str(path))
-    sites = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
-             for call in ast.walk(fn) if isinstance(call, ast.Call)
-             and getattr(call.func, "id", getattr(call.func, "attr", None)) == "execute"]
-    assert sites == ["_runs"]
+    assert analysis_call_sites("execute") == ["_runs"]
+
+
+def test_analysis_runs_a_win_relation_at_two_sites():
+    # on lanes in _won, and once per distinct outcome where lanes raise
+    # LaneBranch in _decide: the places that can count its calls
+    assert analysis_call_sites("win") == ["_won", "_decide"]
+
+
+def test_src_parses_as_python_3_10():
+    # pyproject's requires-python = ">=3.10": no later grammar, such as
+    # except* (3.11) or type parameters (3.12)
+    paths = sorted(SRC.rglob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))

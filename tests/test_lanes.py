@@ -345,7 +345,6 @@ def test_grid_fills_match_their_definitions(sid, gid, fill):
         points = [(sample_promised_input(game, rng), sample_seed(strategy, rng))
                   for _ in range(40)]
     for k, point in enumerate(points):
-        assert grid.point(k) == point
         assert grid.run(k, 1) == point
     # the start partition, in every group: each block's lanes hold its points,
     # and a split without a mask leaves one input per block
@@ -356,7 +355,7 @@ def test_grid_fills_match_their_definitions(sid, gid, fill):
                 continue
             block &= (1 << len(points) - offset) - 1
             if block == 1:
-                continue        # run(k, 1) is point(k), checked above
+                continue        # run(k, 1), checked above
             x, seed = grid.run(offset, block)
             assert (seed.offset, seed.block) == (offset - base, block)
             for i in range(block.bit_length()):
