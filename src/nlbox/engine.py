@@ -416,8 +416,8 @@ def execute(strategy: Strategy, input_tuple: tuple, seed: "Seed | LaneSeed",
     else:
         values, index = strategy.shared_domain.values, seed.shared_index
         for bit in seed.nlb_bits:
-            # a free bit may be a Lane, as a fed bit may
-            if (type(bit) is not int or bit < 0 or bit > 1) and type(bit) is not Lane:
+            # lanes come in a LaneSeed only
+            if type(bit) is not int or bit < 0 or bit > 1:
                 raise ValueError(f"{seed} has free bit {bit!r}, which is not a bit")
         if type(index) is not int or not 0 <= index < len(values):
             raise ValueError(f"{seed} has shared index {index!r}, not one of "

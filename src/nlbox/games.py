@@ -157,10 +157,6 @@ def promised_inputs(game: Game) -> list:
     return game.promise()
 
 
-def sample_promised_input(game: Game, rng) -> tuple:
-    return game.sample_input(rng)
-
-
 def require_promise(game: Game, input_tuple: tuple) -> None:
     if not game.on_promise(input_tuple):
         raise PromiseError(f"{input_tuple} is outside the promise of {game.name}")

@@ -27,25 +27,34 @@ class StrategyError(Exception):
 
 # --- magic square matrices ---------------------------------------------------
 
-def alice_valid(m) -> bool:
-    """Row player's matrices: every row has even parity."""
-    return all(sum(row) % 2 == 0 for row in m)
-
-
-def bob_valid(m) -> bool:
-    """Column player's matrices: every column has odd parity."""
-    return all(sum(m[i][j] for i in range(3)) % 2 == 1 for j in range(3))
-
-
 def all_alice_matrices():
-    return [m for m in itertools.product(EVEN_TRIPLES, repeat=3)]
+    """The 64 row player's matrices: every row an even-parity triple."""
+    return list(itertools.product(EVEN_TRIPLES, repeat=3))
 
 
 def all_bob_matrices():
-    out = []
-    for cols in itertools.product(ODD_TRIPLES, repeat=3):
-        out.append(tuple(tuple(cols[j][i] for j in range(3)) for i in range(3)))
-    return out
+    """The 64 column player's matrices: every column an odd-parity triple."""
+    return [tuple(zip(*cols)) for cols in itertools.product(ODD_TRIPLES, repeat=3)]
+
+
+_ALICE_MATRICES = frozenset(all_alice_matrices())
+_BOB_MATRICES = frozenset(all_bob_matrices())
+
+
+def alice_valid(m) -> bool:
+    """Row player's matrices: three rows of bits, each of even parity."""
+    try:
+        return m in _ALICE_MATRICES
+    except TypeError:   # unhashable, so not a tuple of bit tuples
+        return False
+
+
+def bob_valid(m) -> bool:
+    """Column player's matrices: three columns of bits, each of odd parity."""
+    try:
+        return m in _BOB_MATRICES
+    except TypeError:
+        return False
 
 
 def _off_corner(m) -> tuple:
@@ -56,8 +65,7 @@ def _off_corner(m) -> tuple:
 def pair_wins_off_corner(a, b) -> bool:
     """True when the (row, column) pair answers correctly on every input
     except possibly (3,3): the matrices agree on all cells but the corner."""
-    return all(a[i][j] == b[i][j]
-               for i in range(3) for j in range(3) if (i, j) != (2, 2))
+    return _off_corner(a) == _off_corner(b)
 
 
 # A known-good pair agreeing off the corner, plus the matching column matrix

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nlbox import analysis, engine
+from nlbox import analysis, engine, search
 from nlbox.analysis import (AnalysisError, CommunicationUsedError, Exhaustive,
                             Sample, SearchReport, SearchSpaceError,
                             classical_value, exact_distribution,
@@ -22,9 +22,8 @@ from nlbox.analysis import (AnalysisError, CommunicationUsedError, Exhaustive,
                             verify_winning)
 from nlbox.engine import (Action, EnumerationLimitError, NlbInstance, PartyProgram,
                           Seed, Strategy, execute)
-from nlbox.games import (GameError, Parity, PromiseError, get_game, is_winning,
-                         own_bit, promised_inputs, sample_promised_input,
-                         winning_outcomes)
+from nlbox.games import (GameError, Parity, PromiseError, bmaj, get_game, is_winning,
+                         own_bit, promised_inputs, winning_outcomes)
 from nlbox.strategies import STRATEGY_FAMILIES, get_strategy
 from test_lanes import (CHANNEL, CUSTOM, N_VARS, NO_COMM_ENUMERABLE, _evaluate,
                         expressions, scalar_oracle)
@@ -314,7 +313,7 @@ def oracle_sampled_verify(strategy, game, k, rng_seed):
     wins = 0
     counterexample = None
     for _ in range(k):
-        x = sample_promised_input(game, rng)
+        x = game.sample_input(rng)
         seed = Seed(tuple(rng.randrange(2) for _ in strategy.nlbs),
                     rng.randrange(len(strategy.shared_domain)))
         outcome, _ = execute(strategy, x, seed, record=False)
@@ -391,7 +390,7 @@ def test_sampled_verify_runs_the_win_relation_once_per_piece(monkeypatch):
     # relation, on its lanes
     strategy, game = get_strategy("ms-nlb-sim"), get_game("magic-square")
     k, rng_seed = 500, 3
-    grid = engine.LaneGrid.drawn(strategy, lambda rng: sample_promised_input(game, rng),
+    grid = engine.LaneGrid.drawn(strategy, game.sample_input,
                                  random.Random(rng_seed), k)
     runs = list(analysis._runs(strategy, grid))
     assert [grid.by_input(*run) for run in runs] == \
@@ -418,7 +417,7 @@ def test_sampled_verify_runs_the_win_relation_once_per_drawn_run(sid, k, monkeyp
     strategy = get_strategy(sid)
     game = get_game(strategy.game_id)
     rng_seed = 3
-    grid = engine.LaneGrid.drawn(strategy, lambda rng: sample_promised_input(game, rng),
+    grid = engine.LaneGrid.drawn(strategy, game.sample_input,
                                  random.Random(rng_seed), k)
     runs = list(analysis._runs(strategy, grid))
     assert sum(block.bit_count() for _, block, _ in runs) == k
@@ -987,6 +986,22 @@ def oracle_search(game, pairings, budget):
                         found is not None, witness, None)
 
 
+def oracle_every_pairing(game) -> dict:
+    """The oracle's budget-1 report per pairing, and under None the default
+    search's: one oracle run over all pairings, which has the best of them
+    and the witness of the first pairing that has one."""
+    pairings = list(itertools.combinations(range(game.n_parties), 2))
+    expected = {pair: oracle_search(game, [pair], 1) for pair in pairings}
+    reports = list(expected.values())
+    expected[None] = dataclasses.replace(
+        reports[0], pairings=tuple(pairings),
+        candidates=sum(r.candidates for r in reports),
+        best_wins=max(r.best_wins for r in reports),
+        perfect=any(r.perfect for r in reports),
+        witness=next((r.witness for r in reports if r.perfect), None))
+    return expected
+
+
 ORACLE_CASES = [
     (gid, budget, None) for gid in ("chsh", "mermin", "multi-mermin:3", "multi-mermin:4",
                                     "bmaj:2", "bmaj:3", "bmaj:4", "xor")
@@ -1007,17 +1022,7 @@ def test_search_matches_brute_force_oracle(gid, budget, only):
     elif only is not None:
         expected = {only: oracle_search(game, [only], 1)}
     else:
-        pairings = list(itertools.combinations(range(game.n_parties), 2))
-        expected = {pair: oracle_search(game, [pair], 1) for pair in pairings}
-        # the default search is one oracle run over all pairings: the best
-        # of them, and the witness of the first pairing that has one
-        reports = list(expected.values())
-        expected[None] = dataclasses.replace(
-            reports[0], pairings=tuple(pairings),
-            candidates=sum(r.candidates for r in reports),
-            best_wins=max(r.best_wins for r in reports),
-            perfect=any(r.perfect for r in reports),
-            witness=next((r.witness for r in reports if r.perfect), None))
+        expected = oracle_every_pairing(game)
     for pair, oracle in expected.items():
         report = impossibility_search(game, pair=pair, budget=budget)
         assert report.to_json() == oracle.to_json(), (gid, budget, pair)
@@ -1050,6 +1055,79 @@ def test_search_matches_the_oracle_on_own_bit_games(game):
     for pair in itertools.combinations(range(3), 2):
         assert (impossibility_search(game, pair=pair).to_json()
                 == oracle_search(game, [pair], 1).to_json()), pair
+
+
+# --- pairing orbits -----------------------------------------------------------
+
+PAIRINGS3 = [(0, 1), (0, 2), (1, 2)]
+
+
+@pytest.mark.parametrize("game", [
+    _own_bit_game("and3-xor-x2", lambda x: (x[0] & x[1] & x[2]) ^ x[2]),
+    _own_bit_game("xor-x2-is-0", lambda x: sum(x) % 2, keep=lambda x: x[2] == 0),
+    _own_bit_game("bmaj3-without-110", bmaj, keep=lambda x: x != (1, 1, 0))],
+    ids=lambda game: game.name)
+def test_default_search_scores_orbit_representatives_only(game):
+    # only (0 1) maps each of these games onto itself, so (1, 2) is in the
+    # orbit of (0, 2) and is not scored; the default search still reports
+    # what the oracle finds over every pairing
+    inputs = promised_inputs(game)
+    assert search.party_swaps(game, inputs) == [(0, 1)]
+    assert search.pairing_orbits(game, inputs, PAIRINGS3) == [0, 1, 1]
+    assert (impossibility_search(game).to_json()
+            == oracle_every_pairing(game)[None].to_json())
+
+
+def _answer_game(name, answer):
+    """bmaj:3 with a constant target of 0 and the given parity answer."""
+    return dataclasses.replace(
+        _own_bit_game(name, lambda x: 0), parity=Parity(lambda x: 0, answer))
+
+
+@pytest.mark.parametrize("game", [
+    # the promise alone: no swap of parties keeps it without (1,0,0) and (1,1,0)
+    _own_bit_game("no-100-110", lambda x: 0,
+                  keep=lambda x: x not in ((1, 0, 0), (1, 1, 0))),
+    # the target alone: x0 & ~x1 changes under every swap
+    _own_bit_game("x0-not-x1", lambda x: x[0] & (1 ^ x[1])),
+    # party_outputs alone: each party lists other outputs, and for (0 1)
+    # those lists are all that tells the two parties apart
+    dataclasses.replace(_own_bit_game("own-outputs", lambda x: 0),
+                        party_outputs=(((0,), (1,)), ((0,),), ((1,),))),
+    # the answers alone: party r's answer reads the next party's input
+    _answer_game("next-input", lambda r, x, out: out[0] ^ x[(r + 1) % 3])],
+    ids=lambda game: game.name)
+def test_a_broken_symmetry_leaves_the_pairings_unmerged(game):
+    inputs = promised_inputs(game)
+    assert search.party_swaps(game, inputs) == []
+    assert search.pairing_orbits(game, inputs, PAIRINGS3) == [0, 1, 2]
+
+
+def test_symmetric_games_score_one_pairing():
+    # counted through the parity form: the default multi-mermin:4 search
+    # reads what the search of pairing (0, 1) alone reads, plus one read per
+    # party, output and promised input for party_swaps; a second pairing
+    # scored would read its pair's answers again
+    def counted(gid, **kwargs):
+        game = get_game(gid)
+        target, answer = game.parity
+        reads = []
+
+        def read(r, x, out):
+            reads.append(r)
+            return answer(r, x, out)
+        report = impossibility_search(
+            dataclasses.replace(game, parity=Parity(target, read)), **kwargs)
+        return report, len(reads)
+
+    game = get_game("multi-mermin:4")
+    assert search.pairing_orbits(game, promised_inputs(game),
+                                 list(itertools.combinations(range(4), 2))) == [0] * 6
+    report, reads = counted("multi-mermin:4")
+    assert report.to_json() == impossibility_search(game).to_json()
+    assert reads == counted("multi-mermin:4", pair=(0, 1))[1] + 4 * 2 * 8
+    # multi-mermin:3 stops at its first pairing, so party_swaps never runs
+    assert counted("multi-mermin:3")[1] == counted("multi-mermin:3", pair=(0, 1))[1]
 
 
 @pytest.mark.parametrize("gid", ["chsh", "mermin", "multi-mermin:4",

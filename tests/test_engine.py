@@ -6,7 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from nlbox.engine import (Action, Channel, DeadlockError, EnumerationLimitError,
-                          Lane, MalformedActionError, MissingOutputError,
+                          Lane, LaneSeed, MalformedActionError, MissingOutputError,
                           NlbInstance, NonBitError, PartyProgram, ProtocolError,
                           ResourceReuseError, Seed, Strategy,
                           UndeclaredResourceError, UnusedResourceError,
@@ -509,12 +509,15 @@ def test_bits_and_lanes_pass_unchanged():
     s = Strategy(name="relay", n_parties=2, programs=(prog, prog),
                  nlbs=(box, relay), channels=(chan,))
     lanes = seed_lanes(2)
-    out, transcript = execute(s, (1, 1), Seed(lanes))
+    out, transcript = execute(s, (1, 1), LaneSeed(lanes, None, 0, 0b1111))
     assert all(type(v) is Lane for part in out for v in part)
     assert type(transcript.sends[0].bit) is Lane
     for i, seed in enumerate(enumerate_seeds(s)):
         scalar, _ = execute(s, (1, 1), seed)
         assert scalar == tuple(tuple(v.mask >> i & 1 for v in part) for part in out)
+    # a scalar Seed holds bits only: lanes come in a LaneSeed
+    with pytest.raises(ValueError, match=r"^Seed\(.*\) has free bit Lane\("):
+        execute(s, (1, 1), Seed(lanes))
 
 
 def test_malformed_actions_rejected():

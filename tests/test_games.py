@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from nlbox.engine import EnumerationLimitError, Lane, seed_lanes
 from nlbox.games import (DJ_MAX_PROMISE, GameError, PromiseError, bmaj, get_game,
                          hamming, is_winning, outcome_index, outcome_lanes,
-                         outcome_space, promised_inputs, sample_promised_input,
-                         winning_outcomes)
+                         outcome_space, promised_inputs, winning_outcomes)
 
 
 def test_mermin_promise():
@@ -43,7 +42,7 @@ def test_dj_promise_symmetric():
     g3 = get_game("dj:3")
     rng = random.Random(5)
     for _ in range(100):
-        a, b = sample_promised_input(g3, rng)
+        a, b = g3.sample_input(rng)
         assert g3.on_promise((b, a))
 
 
@@ -78,7 +77,7 @@ def test_dj4_promise_needs_sampling():
     with pytest.raises(EnumerationLimitError, match=r"^dj:4 promise has 843513856 pairs"):
         promised_inputs(g)
     rng = random.Random(99)
-    draws = [sample_promised_input(g, rng) for _ in range(200)]
+    draws = [g.sample_input(rng) for _ in range(200)]
     classes = {hamming(a, b) for a, b in draws}
     assert all(g.on_promise(x) for x in draws)
     assert classes == {0, 8}, "both promise classes must be exercised"
@@ -246,7 +245,7 @@ def test_win_on_outcome_lanes_matches_winning_outcomes(gid):
     full = (1 << len(space)) - 1
     if gid in ("dj:3", "dj:4"):
         rng = random.Random(gid)
-        inputs = [sample_promised_input(g, rng) for _ in range(16)]
+        inputs = [g.sample_input(rng) for _ in range(16)]
     else:
         inputs = promised_inputs(g)
     for x in inputs:
@@ -374,7 +373,7 @@ def test_samplers_draw_the_promise_entry_by_index(family):
         for seed in range(20):
             ours, listed = random.Random(seed), random.Random(seed)
             for _ in range(5):
-                assert (sample_promised_input(game, ours)
+                assert (game.sample_input(ours)
                         == inputs[listed.randrange(len(inputs))])
 
 
@@ -391,7 +390,7 @@ def test_dj_sampler_keeps_the_randrange_stream(n):
             want = (a, tuple(bit ^ (i in flips) for i, bit in enumerate(a)))
         else:
             want = (a, a)
-        assert sample_promised_input(game, ours) == want
+        assert game.sample_input(ours) == want
         assert ours.getrandbits(32) == theirs.getrandbits(32)
 
 
@@ -407,7 +406,7 @@ def test_large_games_build_no_promise_until_asked():
     for gid in ("multi-mermin:40", "bmaj:40"):
         start = time.perf_counter()
         game = get_game(gid)
-        x = sample_promised_input(game, random.Random(1))
+        x = game.sample_input(random.Random(1))
         assert time.perf_counter() - start < 0.1, gid
         assert len(x) == 40 and game.on_promise(x)
 

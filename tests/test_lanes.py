@@ -26,7 +26,7 @@ from nlbox.engine import (Action, Channel, Lane, LaneBranch, LaneGrid, LaneSeed,
                           SharedDomain, Strategy, TRIVIAL_SHARED,
                           UnusedResourceError, bit_domain, enumerate_seeds,
                           execute, sample_seed, seed_at, seed_lanes)
-from nlbox.games import get_game, is_winning, promised_inputs, sample_promised_input
+from nlbox.games import get_game, is_winning, promised_inputs
 from nlbox.strategies import get_strategy
 
 NO_COMM_ENUMERABLE = [
@@ -339,10 +339,10 @@ def test_grid_fills_match_their_definitions(sid, gid, fill):
         points = [(inputs[k // size], seed_at(nb, k % (1 << nb), k % size >> nb))
                   for k in range(len(inputs) * size)]
     else:
-        grid = LaneGrid.drawn(strategy, lambda rng: sample_promised_input(game, rng),
+        grid = LaneGrid.drawn(strategy, game.sample_input,
                               random.Random(sid), 40)
         rng = random.Random(sid)
-        points = [(sample_promised_input(game, rng), sample_seed(strategy, rng))
+        points = [(game.sample_input(rng), sample_seed(strategy, rng))
                   for _ in range(40)]
     for k, point in enumerate(points):
         assert grid.run(k, 1) == point

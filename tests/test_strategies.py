@@ -143,6 +143,28 @@ def test_matrix_spaces():
     assert alice_valid(REF_ALICE) and bob_valid(REF_BOB0) and bob_valid(REF_BOB1)
 
 
+def test_matrix_checks_refuse_non_bits():
+    # each of these has the parities the checks once summed, with a 2 or a 3
+    # in place of a bit
+    assert not alice_valid(((2, 0, 0), (0, 0, 0), (0, 0, 0)))
+    assert not bob_valid(((1, 1, 1), (0, 0, 0), (2, 0, 0)))
+    assert not alice_valid(((0, 1, 1), (1, 1, 0), (0, 1, 3)))
+    assert not bob_valid(((0, 0, 0), (0, 0, 0), (1, 1, 3)))
+    # and of shape: a list, too few rows, a row too long
+    assert not alice_valid([list(row) for row in REF_ALICE])
+    assert not alice_valid(REF_ALICE[:2]) and not bob_valid(REF_BOB0[:2])
+    assert not alice_valid(((0, 1, 1, 0), (1, 1, 0), (0, 1, 1)))
+    # a quadruple like REF_QUADRUPLE but with corner 3 in a0 and b1
+    q = REF_QUADRUPLE
+    with pytest.raises(StrategyError, match="even-parity rows"):
+        MagicSquareQuadruple(((0, 1, 1), (1, 1, 0), (0, 1, 3)), q.a1, q.b0,
+                             ((0, 0, 0), (0, 0, 0), (1, 1, 3)))
+    # the reference protocol with a 2 in the first row of a and b0
+    a = ((2, 1, 1), *REF_ALICE[1:])
+    with pytest.raises(StrategyError, match="even-parity rows"):
+        magic_square_comm((a, ((2, 1, 1), *REF_BOB0[1:])), (a, REF_BOB1))
+
+
 def test_quadruple_family_against_oracles():
     quads = enumerate_quadruples()
     assert len(quads) == QUADRUPLE_FAMILY_SIZE
