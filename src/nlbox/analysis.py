@@ -86,7 +86,7 @@ def _split_outcome(full: int, parts) -> list[tuple]:
     """Split the points of a run, or of a piece of one input cut from it
     (LaneGrid.by_input), by the outcome each point produced, given its
     block and its parts as _runs gives them: party by party, the masks of
-    the points where each output bit is 1. Serves the tally and the
+    the points where each output bit is 1. Serves exact_distribution and the
     per-outcome fallback of _decide.
 
     Returns (outcome, seed mask) pairs with non-empty, disjoint masks. Each
@@ -171,34 +171,6 @@ def _runs(strategy: Strategy, grid: LaneGrid):
                     runs.append((offset, block, *grid.run(offset, block)))
 
 
-def _tally(strategy: Strategy, game: Game, max_seed_bits: int):
-    """Per promised input, in promise order, (x, {outcome: [seed count,
-    lowest seed]}) with the outcomes ordered by their lowest seed: the order
-    in which a seed-by-seed sweep first meets them. Seeds are numbered in
-    enumerate_seeds' order. Each run is cut per input (LaneGrid.by_input)
-    and each piece split by joint outcome; an input's pieces may come from
-    any runs, in any order."""
-    grid = _grid(strategy, game, max_seed_bits)
-    inputs = grid.inputs
-    tallies = [{} for _ in inputs]
-    for run in _runs(strategy, grid):
-        for i, first, block, parts in grid.by_input(*run):
-            tally = tallies[i]
-            for outcome, mask in _split_outcome(block, parts):
-                count, seed = mask.bit_count(), first + lowest_bit(mask)
-                entry = tally.get(outcome)
-                if entry is None:
-                    tally[outcome] = [count, seed]
-                else:
-                    entry[0] += count
-                    if seed < entry[1]:
-                        entry[1] = seed
-    for x, tally in zip(inputs, tallies):
-        if len(tally) > 1:
-            tally = dict(sorted(tally.items(), key=lambda item: item[1][1]))
-        yield x, tally
-
-
 # --- exact distributions -----------------------------------------------------
 
 @dataclass
@@ -237,12 +209,22 @@ def _jsonable(x):
 
 def exact_distribution(strategy: Strategy, game: Game,
                        max_seed_bits: int = DEFAULT_MAX_SEED_BITS) -> ExactDistribution:
-    """Full seed enumeration for every promised input."""
+    """Full seed enumeration for every promised input, in promise order.
+    Each run is cut per input (LaneGrid.by_input) and each piece split by
+    joint outcome, and each outcome's seeds are counted; an input's pieces
+    may come from any runs, so its outcomes come in no particular order."""
     total = strategy.seed_count()
+    grid = _grid(strategy, game, max_seed_bits)
+    tallies = [{} for _ in grid.inputs]
+    for run in _runs(strategy, grid):
+        for i, _, block, parts in grid.by_input(*run):
+            tally = tallies[i]
+            for outcome, mask in _split_outcome(block, parts):
+                tally[outcome] = tally.get(outcome, 0) + mask.bit_count()
     shares = {}     # one Fraction per distinct seed count; a count is never 0
     per_input = {x: {o: shares.get(n) or shares.setdefault(n, Fraction(n, total))
-                     for o, (n, _) in tally.items()}
-                 for x, tally in _tally(strategy, game, max_seed_bits)}
+                     for o, n in tally.items()}
+                 for x, tally in zip(grid.inputs, tallies)}
     return ExactDistribution(strategy.name, game.name, total, per_input)
 
 

@@ -726,15 +726,8 @@ def _cut(mask: int, size: int, count: int) -> list[int]:
 
 
 def lowest_bit(mask: int) -> int:
-    """The position of the lowest set bit of mask > 0. The low 64 bits are
-    tried first, then a window 8 times wider on each miss, so the cost
-    grows with the bit's position, not with the mask's length."""
-    width = 64
-    while True:
-        word = mask & ((1 << width) - 1)
-        if word:
-            return (word & -word).bit_length() - 1
-        width <<= 3
+    """The position of the lowest set bit of mask > 0."""
+    return (mask & -mask).bit_length() - 1
 
 
 class LaneGrid:
@@ -766,7 +759,7 @@ class LaneGrid:
         self.per_index = self.shared_shape is None and len(self.values) > 1
         self.inputs, self.input_shape, self.input_columns = None, None, []
         self.base = None        # the group whose input lanes input() holds
-        self.bits = self.shared = None      # the drawn fill's draws
+        self.shared = None      # the drawn fill's shared indices
 
     @classmethod
     def periodic(cls, strategy: Strategy, inputs: list, width: int) -> "LaneGrid":
@@ -796,8 +789,9 @@ class LaneGrid:
             bits.append(draw_bits(rng, nb))
             shared.append(rng.randrange(len(values)))
         grid = cls(strategy, 1, k, [values[s] for s in shared], 1)
-        grid.bits, grid.shared, grid.period = b"".join(bits), shared, k
-        grid.nlb_masks = [_lane_mask(grid.bits[j::nb]) for j in range(nb)]
+        bits = b"".join(bits)
+        grid.shared, grid.period = shared, k
+        grid.nlb_masks = [_lane_mask(bits[j::nb]) for j in range(nb)]
         grid.inputs, grid.input_shape = inputs, _columns(inputs, grid.input_columns)
         keys = zip(inputs if grid.input_shape is None else [None] * k,
                    shared if grid.shared_shape is None else [None] * k)
@@ -831,14 +825,12 @@ class LaneGrid:
     def seed(self, offset: int, block: int) -> "LaneSeed | Seed":
         """The seed of a block: a LaneSeed, its offset counted from the
         group's start, or the Seed of a one-point block."""
-        nb = self.n_nlbs
-        index = offset % self.size >> nb if self.shared is None else self.shared[offset]
-        if block == 1:
-            if self.bits is None:
-                return seed_at(nb, offset & ((1 << nb) - 1), index)
-            return Seed(tuple(self.bits[offset * nb:(offset + 1) * nb]), index)
+        index = offset % self.size >> self.n_nlbs if self.shared is None \
+            else self.shared[offset]
         at = offset % self.width
         bits = tuple([_on_block(m >> at % self.period, block) for m in self.nlb_masks])
+        if block == 1:
+            return Seed(bits, index)
         if self.shared_shape is None:
             return LaneSeed(bits, self.values[index], at, block)
         return LaneSeed(bits, _build(self.shared_shape, iter(

@@ -37,24 +37,28 @@ def all_bob_matrices():
     return [tuple(zip(*cols)) for cols in itertools.product(ODD_TRIPLES, repeat=3)]
 
 
-_ALICE_MATRICES = frozenset(all_alice_matrices())
-_BOB_MATRICES = frozenset(all_bob_matrices())
+_ALICE_MATRICES = {m: m for m in all_alice_matrices()}
+_BOB_MATRICES = {m: m for m in all_bob_matrices()}
+
+
+def _valid(m, matrices: dict) -> bool:
+    """m is a key of matrices, which map each matrix to itself. True and 1.0
+    equal 1, so the entries' types are checked unless m is the key itself."""
+    try:
+        own = matrices.get(m)
+    except TypeError:   # unhashable, so not a tuple of bit tuples
+        return False
+    return own is not None and (own is m or all(type(v) is int for row in m for v in row))
 
 
 def alice_valid(m) -> bool:
     """Row player's matrices: three rows of bits, each of even parity."""
-    try:
-        return m in _ALICE_MATRICES
-    except TypeError:   # unhashable, so not a tuple of bit tuples
-        return False
+    return _valid(m, _ALICE_MATRICES)
 
 
 def bob_valid(m) -> bool:
     """Column player's matrices: three columns of bits, each of odd parity."""
-    try:
-        return m in _BOB_MATRICES
-    except TypeError:
-        return False
+    return _valid(m, _BOB_MATRICES)
 
 
 def _off_corner(m) -> tuple:
@@ -113,9 +117,9 @@ def enumerate_quadruples() -> tuple[MagicSquareQuadruple, ...]:
     matrix space, in a fixed lexicographic order."""
     # a pair wins off the corner iff its matrices share those eight cells
     bobs = {}
-    for b in all_bob_matrices():
+    for b in _BOB_MATRICES:
         bobs.setdefault(_off_corner(b), []).append(b)
-    pairs = [(a, b) for a in all_alice_matrices() for b in bobs.get(_off_corner(a), ())]
+    pairs = [(a, b) for a in _ALICE_MATRICES for b in bobs.get(_off_corner(a), ())]
     quads = []
     for a0, b0 in pairs:
         for a1, b1 in pairs:

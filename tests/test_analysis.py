@@ -152,26 +152,31 @@ def test_verify_party_count_guard():
 
 # --- exhaustive verification against the tally ------------------------------------
 
-def point_seed(strategy, s):
-    """Seed s of enumerate_seeds' order."""
-    return next(itertools.islice(engine.enumerate_seeds(strategy), s, None))
-
-
 def oracle_tally_verify(strategy, game):
-    """Exhaustive verify decided on the joint tally: is_winning once per
-    distinct (input, outcome); the counterexample is the lowest seed of the
-    first losing outcome, at the first input that has one."""
+    """Exhaustive verify decided on exact_distribution's seed counts:
+    is_winning once per distinct (input, outcome). The counterexample is
+    the first losing seed, in enumerate_seeds' order, of the first input
+    that has a losing outcome, found by scalar execute."""
+    dist = exact_distribution(strategy, game)
     checked = wins = 0
-    counterexample = None
-    for x, tally in analysis._tally(strategy, game, engine.DEFAULT_MAX_SEED_BITS):
-        for outcome, (count, seed) in tally.items():
+    losing = None
+    for x, probs in dist.per_input.items():
+        for outcome, p in probs.items():
+            count = int(p * dist.seed_count)
             checked += count
             if is_winning(game, x, outcome):
                 wins += count
-            elif counterexample is None:
-                counterexample = {"input": analysis._jsonable(x),
-                                  "seed": point_seed(strategy, seed).to_json(),
-                                  "outcome": [list(p) for p in outcome]}
+            elif losing is None:
+                losing = x
+    counterexample = None
+    if losing is not None:
+        for seed in engine.enumerate_seeds(strategy):
+            outcome, _ = execute(strategy, losing, seed, record=False)
+            if not is_winning(game, losing, outcome):
+                counterexample = {"input": analysis._jsonable(losing),
+                                  "seed": seed.to_json(),
+                                  "outcome": [list(part) for part in outcome]}
+                break
     return analysis.VerifyResult(counterexample is None, "exhaustive", checked, wins,
                                  counterexample)
 
@@ -763,7 +768,6 @@ def test_random_programs_match_the_scalar_oracle(case, k):
     per_input, checked, wins, counterexample = scalar_oracle(strategy, game)
     dist = exact_distribution(strategy, game)
     assert dist.per_input == per_input
-    assert all(list(dist.per_input[x]) == list(per_input[x]) for x in per_input)
     assert verify_winning(strategy, game, Exhaustive()) == analysis.VerifyResult(
         counterexample is None, "exhaustive", checked, wins, counterexample)
     # non-signaling: each party's fraction marginal is one per own input

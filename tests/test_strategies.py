@@ -165,6 +165,31 @@ def test_matrix_checks_refuse_non_bits():
         magic_square_comm((a, ((2, 1, 1), *REF_BOB0[1:])), (a, REF_BOB1))
 
 
+@pytest.mark.parametrize("one,zero", [(True, False), (1.0, 0.0)])
+def test_matrix_checks_refuse_bools_and_floats(one, zero):
+    # each matrix equals a valid one, since True == 1.0 == 1 and
+    # False == 0.0 == 0, but holds an entry that is not an int
+    # None is no matrix's key, though a lookup of it finds None
+    assert not alice_valid(None) and not bob_valid(None)
+    q = REF_QUADRUPLE
+    row_matrices = [((zero, one, 1), *REF_ALICE[1:]),       # in the first row
+                    tuple((r[0], one, r[2]) for r in REF_ALICE)]    # in a column
+    column_matrices = [((zero, one, 1), *REF_BOB0[1:]),
+                       tuple((r[0], one, r[2]) for r in REF_BOB0)]
+    for a in row_matrices:
+        assert a == REF_ALICE and not alice_valid(a) and not bob_valid(a)
+        with pytest.raises(StrategyError, match="even-parity rows"):
+            MagicSquareQuadruple(a, q.a1, q.b0, q.b1)
+        with pytest.raises(StrategyError, match="even-parity rows"):
+            magic_square_comm((a, REF_BOB0), (a, REF_BOB1))
+    for b in column_matrices:
+        assert b == REF_BOB0 and not bob_valid(b)
+        with pytest.raises(StrategyError, match="odd-parity columns"):
+            MagicSquareQuadruple(q.a0, q.a1, b, q.b1)
+        with pytest.raises(StrategyError, match="odd-parity columns"):
+            magic_square_comm((REF_ALICE, b), (REF_ALICE, REF_BOB1))
+
+
 def test_quadruple_family_against_oracles():
     quads = enumerate_quadruples()
     assert len(quads) == QUADRUPLE_FAMILY_SIZE
