@@ -86,8 +86,8 @@ def _split_outcome(full: int, parts) -> list[tuple]:
     """Split the points of a run, or of a piece of one input cut from it
     (LaneGrid.by_input), by the outcome each point produced, given its
     block and its parts as _runs gives them: party by party, the masks of
-    the points where each output bit is 1. Serves exact_distribution and the
-    per-outcome fallback of _decide.
+    the points where each output bit is 1. Serves exact_distribution, which
+    splits whole runs, and the per-outcome fallback of _decide.
 
     Returns (outcome, seed mask) pairs with non-empty, disjoint masks. Each
     party's part is split on its own bits first, then intersected with the
@@ -210,20 +210,23 @@ def _jsonable(x):
 def exact_distribution(strategy: Strategy, game: Game,
                        max_seed_bits: int = DEFAULT_MAX_SEED_BITS) -> ExactDistribution:
     """Full seed enumeration for every promised input, in promise order.
-    Each run is cut per input (LaneGrid.by_input) and each piece split by
-    joint outcome, and each outcome's seeds are counted; an input's pieces
-    may come from any runs, so its outcomes come in no particular order."""
+    Each run is split by joint outcome once, and each outcome's seeds are
+    counted per input (LaneGrid.count_by_input); an input's counts may come
+    from any runs, so its outcomes come in no particular order."""
     total = strategy.seed_count()
     grid = _grid(strategy, game, max_seed_bits)
     tallies = [{} for _ in grid.inputs]
-    for run in _runs(strategy, grid):
-        for i, _, block, parts in grid.by_input(*run):
+    for offset, block, parts in _runs(strategy, grid):
+        outcomes, masks = zip(*_split_outcome(block, parts))
+        for i, _, counts in grid.count_by_input(offset, block, masks):
             tally = tallies[i]
-            for outcome, mask in _split_outcome(block, parts):
-                tally[outcome] = tally.get(outcome, 0) + mask.bit_count()
-    shares = {}     # one Fraction per distinct seed count; a count is never 0
-    per_input = {x: {o: shares.get(n) or shares.setdefault(n, Fraction(n, total))
-                     for o, n in tally.items()}
+            for outcome, n in zip(outcomes, counts):
+                if n:
+                    tally[outcome] = tally.get(outcome, 0) + n
+    # one Fraction per distinct seed count
+    shares = {n: Fraction(n, total)
+              for n in {n for tally in tallies for n in tally.values()}}
+    per_input = {x: {o: shares[n] for o, n in tally.items()}
                  for x, tally in zip(grid.inputs, tallies)}
     return ExactDistribution(strategy.name, game.name, total, per_input)
 
@@ -439,10 +442,11 @@ def no_signaling_check(strategy: Strategy, game: Game,
     communication channels (those may signal by design).
 
     Per input and party, each parity of the party's own output bits (see
-    _parities) is counted over the seeds, beside the seed count, keyed by
-    the output's length. Every input has the same seeds, so these integer
-    counts fix the party's marginal and are fixed by it (a Walsh-Hadamard
-    transform); they are compared as marginals_non_signaling does."""
+    _parities) is counted over the seeds (LaneGrid.count_by_input), beside
+    the seed count, keyed by the output's length. Every input has the same
+    seeds, so these integer counts fix the party's marginal and are fixed by
+    it (a Walsh-Hadamard transform); they are compared as
+    marginals_non_signaling does."""
     if strategy.channels:
         raise CommunicationUsedError(
             f"{strategy.name} uses communication; the check does not apply")
@@ -450,17 +454,19 @@ def no_signaling_check(strategy: Strategy, game: Game,
     inputs = grid.inputs
     counts = [[{} for _ in inputs] for _ in range(game.n_parties)]
     for offset, block, parts in _runs(strategy, grid):
-        parities = tuple([_parities(r, leaves) for r, leaves in enumerate(parts)])
-        for i, _, piece, cut in grid.by_input(offset, block, parities):
-            total = piece.bit_count()
-            for marginals, masks in zip(counts, cut):
+        parities = [_parities(r, leaves) for r, leaves in enumerate(parts)]
+        for i, total, ones in grid.count_by_input(
+                offset, block, [mask for masks in parities for mask in masks]):
+            ones = iter(ones)
+            for marginals, masks in zip(counts, parities):
                 # outputs of each length are counted apart, beside their seeds
-                tally = marginals[i].get(len(masks))
+                k = len(masks)
+                tally = marginals[i].get(k)
                 if tally is None:
-                    tally = marginals[i][len(masks)] = [0] * (len(masks) + 1)
+                    tally = marginals[i][k] = [0] * (k + 1)
                 tally[0] += total
-                for t, mask in enumerate(masks, 1):
-                    tally[t] += mask.bit_count()
+                for t in range(1, k + 1):
+                    tally[t] += next(ones)
     return marginals_non_signaling(inputs, counts)
 
 

@@ -589,12 +589,6 @@ def enumerate_seeds(strategy: Strategy, max_seed_bits: int = DEFAULT_MAX_SEED_BI
             yield Seed(bits, shared_index)
 
 
-def seed_at(n_nlbs: int, index: int, shared_index: int) -> Seed:
-    """The index-th seed of one shared index in enumerate_seeds' order."""
-    return Seed(tuple((index >> (n_nlbs - 1 - j)) & 1 for j in range(n_nlbs)),
-                shared_index)
-
-
 # randrange(2) takes one 32-bit Mersenne Twister word per try: the try is
 # accepted when the word's top bit is 0, and its result is bit 30
 _TRY_BIT = bytes((b >> 6) & 1 for b in range(256))
@@ -627,8 +621,10 @@ def sample_seed(strategy: Strategy, rng: random.Random) -> Seed:
 def _columns(values, leaves: list):
     """The nesting of plain tuples and frozen dataclasses shared by every
     value in ``values`` (a sequence), or None when they differ in it or a
-    leaf is not the int 0 or 1. Each leaf's column, its value in every
-    value as bytes of 0 and 1, is appended to ``leaves`` in _build's order."""
+    leaf is neither the int 0 or 1 nor one value of one type in every value.
+    Each bit leaf's column, its value in every value as bytes of 0 and 1, is
+    appended to ``leaves`` in _build's order; a constant leaf is kept in the
+    shape as (None, value)."""
     kinds = set(map(type, values))
     if len(kinds) != 1:
         return None
@@ -636,21 +632,18 @@ def _columns(values, leaves: list):
     if kind is int:
         try:
             column = bytes(values)
-        except ValueError:
-            return None
-        if column.translate(None, b"\x00\x01"):
-            return None
-        leaves.append(column)
-        return "bit"
-    if kind is tuple:
-        if len(set(map(len, values))) != 1:
-            return None
+        except ValueError:      # an int outside 0..255
+            column = None
+        if column is not None and not column.translate(None, b"\x00\x01"):
+            leaves.append(column)
+            return "bit"
+    if kind is tuple and len(set(map(len, values))) == 1:
         parts = list(zip(*values))
     elif dataclasses.is_dataclass(kind) and kind.__dataclass_params__.frozen:
         parts = [[getattr(v, f.name) for v in values]
                  for f in dataclasses.fields(kind)]
     else:
-        return None
+        return (None, values[0]) if values.count(values[0]) == len(values) else None
     shapes = []
     for part in parts:
         shape = _columns(part, leaves)
@@ -674,6 +667,8 @@ def _build(shape, leaves):
     if shape == "bit":
         return next(leaves)
     kind, parts = shape
+    if kind is None:
+        return parts        # a constant leaf
     items = [_build(part, leaves) for part in parts]
     if kind is tuple:
         return tuple(items)
@@ -723,6 +718,10 @@ def _cut(mask: int, size: int, count: int) -> list[int]:
         return chunks
     low = (1 << size) - 1
     return [chunk >> (size * j) & low for chunk in chunks for j in range(group)][:count]
+
+
+# window width in bits -> the memoryview format of a machine word that wide
+_WORD_FORMATS = {memoryview(bytes(8)).cast(f).itemsize * 8: f for f in "QIHB"}
 
 
 def lowest_bit(mask: int) -> int:
@@ -856,6 +855,29 @@ class LaneGrid:
         cut_parts = zip(*[zip(*map(cut, leaves)) if leaves else empty
                           for leaves in parts]) if parts else empty
         return [(i + j, 0, b, p) for j, (b, p) in enumerate(zip(cut(block), cut_parts)) if b]
+
+    def count_by_input(self, offset: int, block: int, masks) -> list[tuple]:
+        """Per input that a block meets, under by_input's rule, (input
+        index, points, counts): the number of the block's points at that
+        input, and of those set in each of masks (masks over the block's
+        points; a one-point block's may be plain bits). No per-input mask is
+        built: windows of 8, 16, 32 or 64 points are read as machine words,
+        whose byte order leaves their popcount alone, and other widths are
+        cut by _cut."""
+        i, first = divmod(offset, self.size)
+        size = self.size
+        count = (first + block.bit_length() - 1) // size + 1
+        if count == 1 or self.input_shape is None:
+            return [(i, block.bit_count(), [m.bit_count() for m in masks])]
+        word, length = _WORD_FORMATS.get(size), size * count // 8
+
+        def windows(mask):
+            if word:
+                return map(int.bit_count, memoryview(
+                    (mask << first).to_bytes(length, "little")).cast(word))
+            return map(int.bit_count, _cut(mask << first, size, count))
+        return [(i + j, n, counts) for j, (n, *counts)
+                in enumerate(zip(*map(windows, (block, *masks)))) if n]
 
     def split(self, offset: int, block: int, mask: int | None) -> list[tuple]:
         """The runs (offset, block, x, seed) that replace a block whose run

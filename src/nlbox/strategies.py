@@ -225,22 +225,23 @@ def magic_square_comm_sim() -> Strategy:
 
 
 def _ms_nlb_programs(pick):
-    """pick(view) -> MagicSquareQuadruple for this run."""
+    """pick(view) -> MagicSquareQuadruple for this run. The box output p
+    selects each answer bit as u ^ (p & (u ^ w)), u from the 0-matrix and w
+    from the 1-matrix: bit algebra, so a run on box lanes never branches."""
 
     def feed(view):
         flag = 1 if view.own_input == 3 else 0
         return Action(nlb_inputs={"pick": flag})
 
     def alice_answer(view):
-        q = pick(view)
-        a = q.a1 if view.nlb["pick"] else q.a0
-        return Action(output=a[view.own_input - 1])
+        q, p, r = pick(view), view.nlb["pick"], view.own_input - 1
+        return Action(output=tuple([u ^ (p & (u ^ w))
+                                    for u, w in zip(q.a0[r], q.a1[r])]))
 
     def bob_answer(view):
-        q = pick(view)
-        b = q.b1 if view.nlb["pick"] else q.b0
-        c = view.own_input - 1
-        return Action(output=tuple(b[i][c] for i in range(3)))
+        q, p, c = pick(view), view.nlb["pick"], view.own_input - 1
+        return Action(output=tuple([u[c] ^ (p & (u[c] ^ w[c]))
+                                    for u, w in zip(q.b0, q.b1)]))
 
     return (PartyProgram((feed, alice_answer)), PartyProgram((feed, bob_answer)))
 

@@ -22,12 +22,12 @@ from nlbox import analysis
 from nlbox.analysis import (Exhaustive, exact_distribution, impossibility_search,
                             strategy_from_tables, verify_winning)
 from nlbox.engine import (Action, Channel, Lane, LaneBranch, LaneGrid, LaneSeed,
-                          NlbInstance, NonBitError, PartyProgram,
+                          NlbInstance, NonBitError, PartyProgram, Seed,
                           SharedDomain, Strategy, TRIVIAL_SHARED,
                           UnusedResourceError, bit_domain, enumerate_seeds,
-                          execute, sample_seed, seed_at, seed_lanes)
+                          execute, sample_seed, seed_lanes)
 from nlbox.games import get_game, is_winning, promised_inputs
-from nlbox.strategies import get_strategy
+from nlbox.strategies import REF_QUADRUPLE, get_strategy
 
 NO_COMM_ENUMERABLE = [
     ("chsh-nlb", "chsh"),
@@ -56,6 +56,12 @@ BRANCH_FREE = ["chsh-nlb", "mermin-nlb", "mermin-nlb-sim", "multi-mermin-nlb:3",
 # the scalar oracle of this one costs ~10^6 executes; it is checked seed by
 # seed on a sample instead
 SAMPLED_ORACLE = {"multi-mermin-nlb:6"}
+
+
+def seed_at(n_nlbs: int, index: int, shared_index: int) -> Seed:
+    """The index-th seed of one shared index in enumerate_seeds' order."""
+    return Seed(tuple((index >> (n_nlbs - 1 - j)) & 1 for j in range(n_nlbs)),
+                shared_index)
 
 
 def scalar_oracle(strategy, game):
@@ -236,6 +242,32 @@ def later_input_loser():
                     nlbs=boxes, shared_domain=bit_domain(1), game_id="chsh")
 
 
+def branching_ms(sid):
+    """A copy of ms-nlb or ms-nlb-sim whose answers pick their matrix with a
+    conditional expression on the box output (q.a1 if view.nlb["pick"] else
+    q.a0), as those built-ins once did: every input's block splits once on
+    the box, where the built-ins select bit by bit and never split."""
+    def pick(view):
+        return view.shared if sid == "ms-nlb-sim" else REF_QUADRUPLE
+
+    def feed(view):
+        return Action(nlb_inputs={"pick": 1 if view.own_input == 3 else 0})
+
+    def alice_answer(view):
+        q = pick(view)
+        a = q.a1 if view.nlb["pick"] else q.a0
+        return Action(output=a[view.own_input - 1])
+
+    def bob_answer(view):
+        q = pick(view)
+        b = q.b1 if view.nlb["pick"] else q.b0
+        return Action(output=tuple(b[i][view.own_input - 1] for i in range(3)))
+
+    return dataclasses.replace(
+        get_strategy(sid), name=f"{sid}-branching",
+        programs=(PartyProgram((feed, alice_answer)), PartyProgram((feed, bob_answer))))
+
+
 CASES = ([(sid, gid) for sid, gid in NO_COMM_ENUMERABLE + CHANNEL
           if sid not in SAMPLED_ORACLE]
          + [("multi-mermin-nlb:4", "bmaj:4"), ("search-witness", "multi-mermin:3"),
@@ -245,7 +277,9 @@ CASES = ([(sid, gid) for sid, gid in NO_COMM_ENUMERABLE + CHANNEL
             ("non-bit-domain", "chsh"), ("bool-domain", "chsh"),
             ("split-loser", "chsh"), ("split-loser-late", "chsh"),
             ("input-branch", "chsh"),
-            ("input-compare", "chsh"), ("later-input-loser", "chsh")])
+            ("input-compare", "chsh"), ("later-input-loser", "chsh"),
+            ("ms-nlb-branching", "magic-square"),
+            ("ms-nlb-sim-branching", "magic-square")])
 CUSTOM = {"search-witness": search_witness, "losing-witness": losing_witness,
           "late-branch": late_branch, "table-index": table_index,
           "nested-branch": nested_branch,
@@ -254,7 +288,9 @@ CUSTOM = {"search-witness": search_witness, "losing-witness": losing_witness,
           "bool-domain": bool_domain, "split-loser": split_loser,
           "split-loser-late": split_loser_late,
           "input-branch": input_branch, "input-compare": input_compare,
-          "later-input-loser": later_input_loser}
+          "later-input-loser": later_input_loser,
+          "ms-nlb-branching": lambda: branching_ms("ms-nlb"),
+          "ms-nlb-sim-branching": lambda: branching_ms("ms-nlb-sim")}
 
 
 def build(sid):
@@ -451,18 +487,18 @@ def test_branch_free_builtins_take_the_lane_path(sid, execute_calls):
 
 
 # (runs, lane runs). Magic-square inputs are not bits, so each input is a
-# block of its own: one run on the whole seed space, then one run per half
-# (ms-nlb's halves are single seeds) for every input. The search witness's
-# inputs are bits, and its grid block holds all four: the block splits on
-# each pair party's input (it indexes a table with it), 1 + 2 runs; each of
-# the four one-input blocks then fails on arithmetic with its box output and
-# runs seed by seed, 4 + 4 * 2
-SPLIT_ONCE = {"ms-nlb": (1 + 9 * 2, 1), "ms-nlb-sim": (1 + 9 * 2, 19),
+# block of its own: the branching copies of ms-nlb and ms-nlb-sim make one run
+# on the whole seed space, then one run per half (ms-nlb's halves are single
+# seeds) for every input. The search witness's inputs are bits, and its grid
+# block holds all four: the block splits on each pair party's input (it
+# indexes a table with it), 1 + 2 runs; each of the four one-input blocks then
+# fails on arithmetic with its box output and runs seed by seed, 4 + 4 * 2
+SPLIT_ONCE = {"ms-nlb-branching": (1 + 9 * 2, 1), "ms-nlb-sim-branching": (1 + 9 * 2, 19),
               "search-witness": (1 + 2 + 4 + 4 * 2, 7)}
 
 
-@pytest.mark.parametrize("sid,gid", [("ms-nlb", "magic-square"),
-                                     ("ms-nlb-sim", "magic-square"),
+@pytest.mark.parametrize("sid,gid", [("ms-nlb-branching", "magic-square"),
+                                     ("ms-nlb-sim-branching", "magic-square"),
                                      ("search-witness", "multi-mermin:3")])
 def test_branching_programs_split_once(sid, gid, execute_calls):
     strategy, game = build(sid), get_game(gid)
@@ -594,7 +630,7 @@ def test_exhaustive_verify_runs_the_win_relation_once_per_piece(sid, gid, monkey
         else:
             want += [(False, laned(block, parts)) for _, _, block, parts in pieces]
     assert sorted(calls) == sorted(want)
-    # ms-nlb's inputs are not bit-shaped and its runs split down to one seed;
+    # ms-nlb's inputs are not bit-shaped, so each is a run of its own;
     # dj-nlb:2's 112 inputs are one run
     assert any(len(pieces) > 1 for pieces in runs) is (sid != "ms-nlb")
     assert (len(calls) == 1) is (sid == "dj-nlb:2")
@@ -802,6 +838,120 @@ def test_channel_only_strategies_run_on_shared_lanes(execute_calls):
     assert all(type(seed) is LaneSeed and seed.nlb_bits == () for seed in execute_calls)
     alice, bob0, bob1 = execute_calls[0].shared
     assert any(type(v) is Lane for row in alice for v in row)
+
+
+def _counting_grid(size, copies):
+    """A periodic grid of ten bit-shaped inputs, size seeds each (no box,
+    size bit-shaped shared values), copies inputs to a group."""
+    values = tuple(tuple(v >> j & 1 for j in range(8)) for v in range(size))
+    prog = PartyProgram((lambda v: Action(output=(0,)),))
+    strategy = Strategy(name=f"count-{size}", n_parties=2, programs=(prog, prog),
+                        shared_domain=SharedDomain("count", values), game_id="chsh")
+    inputs = [tuple(v >> j & 1 for j in range(4)) for v in range(10)]
+    return LaneGrid.periodic(strategy, inputs, copies * size)
+
+
+@pytest.mark.parametrize("size", [1, 2, 4, 8, 16, 24, 32, 64, 128])
+def test_count_by_input_matches_the_cut_masks(size):
+    # each window's counts against by_input's cut (engine._cut) and
+    # int.bit_count: blocks that start mid-input, blocks that leave whole
+    # inputs empty (no entry), and one-point blocks with plain bits
+    grid = _counting_grid(size, 5)
+    assert grid.input_shape is not None
+    rng = random.Random(size)
+    total = len(grid.inputs) * size
+    for _ in range(40):
+        offset = rng.randrange(total)
+        span = min(total - offset, grid.width - offset % grid.width)
+        block = rng.getrandbits(span) | 1
+        if span > 2 * size and rng.random() < 0.5:
+            # clear a whole input inside the block
+            cut = (rng.randrange(1, span // size) * size - offset % size) % span
+            block &= ~(((1 << size) - 1) << cut) | 1
+        masks = [rng.getrandbits(span) & block for _ in range(rng.randrange(4))]
+        got = grid.count_by_input(offset, block, masks)
+        want = [(i, piece.bit_count(), [m.bit_count() for m in cut])
+                for i, _, piece, (cut,) in grid.by_input(offset, block, [masks])]
+        assert [(i, n, list(counts)) for i, n, counts in got] == want
+        assert all(n for _, n, _ in got)
+        assert sum(n for _, n, _ in got) == block.bit_count()
+        assert {i for i, _, _ in got} == {
+            (offset + s) // size for s in range(span) if block >> s & 1}
+    assert grid.count_by_input(3, 1, [0, 1, 1]) == [(3 // size, 1, [0, 1, 1])]
+
+
+def test_count_by_input_keeps_a_block_of_one_input_value_whole():
+    # magic-square inputs are not bit-shaped: a block holds one input
+    strategy, game = get_strategy("ms-nlb-sim"), get_game("magic-square")
+    grid = LaneGrid.periodic(strategy, promised_inputs(game), analysis.SWEEP_WIDTH)
+    assert grid.input_shape is None
+    block = (1 << 256) - 1
+    assert grid.count_by_input(512, block, [block, 0b1011 << 200]) == \
+        [(2, 256, [256, 3])]
+
+
+def _shared_read_chsh(name, values, read):
+    """later_input_loser's boxes under a shared domain of values, party 1
+    adding read(shared) to its box b output."""
+    boxes = (NlbInstance("a", 0, 1), NlbInstance("b", 0, 1))
+
+    def feed(view):
+        bit = view.own_input if view.party == 0 else 1 ^ view.own_input
+        return Action(nlb_inputs={"a": view.own_input, "b": bit})
+
+    def answer(view):
+        return Action(output=(view.nlb["a"] ^ (view.nlb["b"] & read(view.shared)),))
+
+    prog = PartyProgram((feed, answer))
+    return Strategy(name=name, n_parties=2, programs=(prog, prog), nlbs=boxes,
+                    shared_domain=SharedDomain(name, values), game_id="chsh")
+
+
+def test_constant_non_bit_leaves_keep_the_grid_on_lanes(execute_calls):
+    # (None, "tag", 2, bits): the first three leaves are one value of one
+    # type in every domain value, so they are kept as constants and the
+    # whole grid is one run, as under the bare bit domain
+    bits = bit_domain(2).values
+    plain = _shared_read_chsh("bits", bits, lambda shared: shared[0] ^ shared[1])
+    tagged = _shared_read_chsh("tagged", tuple((None, "tag", 2, b) for b in bits),
+                               lambda shared: shared[3][0] ^ shared[3][1])
+    game = get_game("chsh")
+    want = exact_distribution(plain, game)
+    for strategy in (plain, tagged):
+        execute_calls.clear()
+        assert exact_distribution(strategy, game).per_input == want.per_input
+        assert len(execute_calls) == 1 and type(execute_calls[0]) is LaneSeed
+    none, tag, two, _ = execute_calls[0].shared
+    assert (none, tag, two) == (None, "tag", 2)
+    assert verify_winning(tagged, game, Exhaustive()) == \
+        verify_winning(plain, game, Exhaustive())
+    assert analysis.no_signaling_check(tagged, game) == \
+        analysis.no_signaling_check(plain, game)
+    # a non-bit leaf that differs between values leaves one block per
+    # (input, shared index)
+    mixed = _shared_read_chsh("mixed", tuple((i, b) for i, b in enumerate(bits)),
+                              lambda shared: shared[1][0] ^ shared[1][1])
+    execute_calls.clear()
+    assert exact_distribution(mixed, game).per_input == want.per_input
+    assert len(execute_calls) == len(bits) * len(promised_inputs(game))
+
+
+def _shape_leaves(shape):
+    """The leaves of a _columns shape: "bit", or (None, value) for a constant."""
+    if shape == "bit" or shape[0] is None:
+        return [shape]
+    return [leaf for part in shape[1] for leaf in _shape_leaves(part)]
+
+
+@pytest.mark.parametrize("sid,bits", [("ms-nlb-sim", 36), ("ms-comm-sim", 27)])
+def test_magic_square_domains_are_bit_columns(sid, bits):
+    # the quadruple dataclasses and matrix triples hold bits only, so no
+    # leaf of theirs is kept as a constant: every leaf is a lane column
+    strategy = get_strategy(sid)
+    grid = LaneGrid.periodic(strategy, promised_inputs(get_game("magic-square")),
+                             analysis.SWEEP_WIDTH)
+    assert _shape_leaves(grid.shared_shape) == ["bit"] * bits
+    assert len(grid.shared_masks) == bits
 
 
 # --- the Lane value -----------------------------------------------------------
