@@ -20,10 +20,10 @@ from fractions import Fraction
 # enumerate_seeds and is_winning stay importable as analysis.enumerate_seeds
 # and analysis.is_winning, names the benchmark's tracer (bench/tracer.py)
 # rebinds
-from .engine import (Lane, LaneBranch, LaneGrid, NlbInstance, PartyProgram,
-                     Action, Strategy, DEFAULT_MAX_SEED_BITS, EnumerationLimitError,
-                     count_text, enumerate_seeds, execute, lowest_bit,
-                     require_enumerable)
+from .engine import (LaneBranch, LaneGrid, NlbInstance, PartyProgram, Action,
+                     Strategy, DEFAULT_MAX_SEED_BITS, EnumerationLimitError,
+                     bit_mask, count_text, enumerate_seeds, execute, lowest_bit,
+                     mask_outcome, outcome_masks, require_enumerable)
 from .games import (MAX_OUTCOMES, Game, GameError, is_winning, outcome_index,
                     outcome_lanes, promised_inputs, require_promise,
                     winning_outcomes)
@@ -83,18 +83,14 @@ def _set_bits(mask: int):
 # --- the sweep ---------------------------------------------------------------
 
 def _split_outcome(full: int, parts) -> list[tuple]:
-    """Split the points of a run, or of a piece of one input cut from it
-    (LaneGrid.by_input), by the outcome each point produced, given its
-    block and its parts as _runs gives them: party by party, the masks of
-    the points where each output bit is 1. Serves exact_distribution, which
-    splits whole runs, and the per-outcome fallback of _decide.
+    """Split the points full of a run, or its piece at one input
+    (LaneGrid.windows), by the outcome each point produced, given the run's
+    parts as _runs gives them. Serves exact_distribution, which splits
+    whole runs, and the per-outcome fallback of _decide.
 
     Returns (outcome, seed mask) pairs with non-empty, disjoint masks. Each
     party's part is split on its own bits first, then intersected with the
     groups so far."""
-    if full == 1:
-        # one point: its masks are its bits
-        return [(parts, 1)]
     groups = [((), full)]
     for leaves in parts:
         pieces = [((), full)]
@@ -133,8 +129,8 @@ def _runs(strategy: Strategy, grid: LaneGrid):
     """The grid's points run by run, as (offset, block, parts) in no
     particular point order: bit s of block stands for point offset + s of
     the grid, and parts holds, party by party, a mask per output bit of the
-    points where that bit is 1. A run of one point has its outcome itself
-    as parts. This is the one place where analysis executes a strategy.
+    points where that bit is 1 (engine.outcome_masks). This is the one place
+    where analysis executes a strategy.
 
     Runs go in order, from grid.start: a run that raises LaneBranch is
     replaced by the runs grid.split gives, and a run without a seed goes
@@ -157,9 +153,7 @@ def _runs(strategy: Strategy, grid: LaneGrid):
                         raise       # a point has no lanes to split
                     todo += grid.split(offset, block, branch.mask)
                     break
-                yield at, piece, outcome if piece == 1 else tuple([tuple([
-                    v.mask if type(v) is Lane else piece if v else 0 for v in part])
-                    for part in outcome])
+                yield at, piece, outcome_masks(outcome, piece)
             else:
                 # the same block one group on, where a seed is the same and a
                 # run without one still goes point by point
@@ -232,21 +226,9 @@ def exact_distribution(strategy: Strategy, game: Game,
 
 
 def _won(game: Game, x, outcome, block: int) -> int:
-    """The mask of the points of block at which the outcome, lane-valued
-    over block, wins on x, which may be lane-valued over block too. Raises
-    LaneBranch for a win relation that is not bit algebra on them."""
-    won = game.win(x, outcome)
-    return won.mask if type(won) is Lane else block if won else 0
-
-
-def _lanes(block: int, parts) -> tuple:
-    """The outcome whose output bits have the masks of parts over block,
-    each as engine._on_block gives it: 0, 1 or a lane. The masks of a
-    one-point block are its bits."""
-    if block == 1:
-        return parts
-    return tuple([tuple([1 if m == block else m and Lane(m, block) for m in part])
-                  for part in parts])
+    """The points of block where the outcome wins on x, either of them lanes
+    over block or not; LaneBranch where the relation is not bit algebra."""
+    return bit_mask(game.win(x, outcome), block)
 
 
 def uniformity_verdict(dist: ExactDistribution, game: Game) -> bool:
@@ -301,12 +283,11 @@ class VerifyResult:
 
 
 def _decide(game: Game, x, block: int, parts) -> int:
-    """The mask of the points of a piece (block and parts as in _runs)
-    whose outcome wins on x: one call of the win relation on the piece's
-    outcome lanes, or, where that raises LaneBranch, one call per distinct
-    outcome of the piece."""
+    """The points of block, a run's or its piece at one input, whose outcome
+    (the run's parts) wins on x: one call of the win relation on lanes, or,
+    where that raises LaneBranch, one call per distinct outcome."""
     try:
-        return _won(game, x, _lanes(block, parts), block)
+        return _won(game, x, mask_outcome(parts, block), block)
     except LaneBranch:
         won = 0
         for outcome, mask in _split_outcome(block, parts):
@@ -319,49 +300,45 @@ def _verify(strategy: Strategy, game: Game, grid: LaneGrid):
     """(checked, wins, counterexample or None) over a grid's points.
 
     A run is decided whole, by one call of the win relation on its input
-    and outcome lanes, when its points span several bit-shaped inputs, all
-    promised, and its outcome has the game's arity. A run on which that
-    call raises LaneBranch, and every other run, is cut per input
-    (LaneGrid.by_input) and each piece decided by _decide. The promise is
+    and outcome lanes, when it meets several inputs (LaneGrid.input_span),
+    all promised, and its outcome has the game's arity. Every other run,
+    and one on which that call raises LaneBranch, is decided by _decide per
+    piece, its points at one input (LaneGrid.windows). The promise is
     checked once per input. An input off the promise, or met with an
     outcome of the wrong arity, is reported once the grid has run, at the
     grid's lowest such input, so an error of a run itself comes first. The
-    counterexample is the grid's lowest losing point: in the periodic fill
-    the lowest seed of the first input that has one, in the drawn fill the
-    first losing draw."""
+    counterexample is the grid's lowest losing point, read off the run's
+    masks: in the periodic fill the lowest seed of the first input that has
+    one, in the drawn fill the first losing draw."""
     promised = list(map(game.on_promise, grid.inputs))
-    size, lengths = grid.size, tuple(game.output_lengths)
+    lengths = tuple(game.output_lengths)
     checked = wins = 0
     misfits = set()     # inputs off the promise or with an outcome of wrong arity
     lost = None         # (lowest losing point, its outcome)
     for offset, block, parts in _runs(strategy, grid):
         fits = tuple(map(len, parts)) == lengths
-        i, first = divmod(offset, size)
-        last = i + (first + block.bit_length() - 1) // size
-        decided = []
-        if last > i and grid.input_shape is not None and fits \
-                and all(promised[i:last + 1]):
+        first, last = grid.input_span(offset, block)
+        won = None
+        if last > first and fits and all(promised[first:last + 1]):
             try:
-                decided.append((offset, block, parts, _won(
-                    game, grid.input(offset, block), _lanes(block, parts), block)))
+                won = _won(game, grid.input(offset, block),
+                           mask_outcome(parts, block), block)
             except LaneBranch:
                 pass
-        if not decided:
-            for i, first, piece, cut in grid.by_input(offset, block, parts):
-                if promised[i] and fits:
-                    decided.append((i * size + first, piece, cut,
-                                    _decide(game, grid.inputs[i], piece, cut)))
-                else:
+        if won is None:     # a run decided whole builds no windows
+            won = 0
+            for i, window in grid.windows(offset, block):
+                if not promised[i] or not fits:
                     misfits.add(i)
-        for point, piece, cut, won in decided:
-            checked += piece.bit_count()
-            wins += won.bit_count()
-            losing = piece ^ won
-            if losing:
-                low = lowest_bit(losing)
-                if lost is None or point + low < lost[0]:
-                    lost = (point + low, tuple([tuple([m >> low & 1 for m in part])
-                                                for part in cut]))
+                elif piece := block & window:
+                    won |= _decide(game, grid.inputs[i], piece, parts)
+        checked += block.bit_count()
+        wins += won.bit_count()
+        losing = block ^ won
+        if losing:
+            low = lowest_bit(losing)
+            if lost is None or offset + low < lost[0]:
+                lost = (offset + low, [[m >> low & 1 for m in part] for part in parts])
     if misfits:
         # as is_winning would report it at the first such input
         require_promise(game, grid.inputs[min(misfits)])
@@ -370,7 +347,7 @@ def _verify(strategy: Strategy, game: Game, grid: LaneGrid):
         return checked, wins, None
     x, seed = grid.run(lost[0], 1)
     return checked, wins, {"input": _jsonable(x), "seed": seed.to_json(),
-                           "outcome": [list(p) for p in lost[1]]}
+                           "outcome": lost[1]}
 
 
 def verify_winning(strategy: Strategy, game: Game, policy,
@@ -421,9 +398,8 @@ def marginals_non_signaling(inputs: list, counts: list) -> bool:
 
 def _parities(party: int, leaves) -> list:
     """The XOR mask of every nonempty subset of a party's output bits, given
-    the masks of those bits over a run (a one-point run's masks are its
-    bits): subset T, a bit per output bit, at index T - 1. Refuses a party
-    with more than games.MAX_OUTCOMES of them."""
+    the masks of those bits over a run: subset T, a bit per output bit, at
+    index T - 1. Refuses a party with more than games.MAX_OUTCOMES of them."""
     count = (1 << len(leaves)) - 1
     if count > MAX_OUTCOMES:
         raise EnumerationLimitError(

@@ -66,14 +66,15 @@ def _require_fit(args):
 
 
 def _render_md(report: dict) -> str:
-    lines = []
-    scalars = {k: v for k, v in report.items()
-               if not isinstance(v, (list, dict)) or k == "best" or k == "value"}
-    lines.append("| field | value |")
-    lines.append("| --- | --- |")
-    for k, v in scalars.items():
+    """A row per field, lists and dicts as compact JSON; a table per input."""
+    lines = ["| field | value |", "| --- | --- |"]
+    for k, v in report.items():
+        if k == "inputs":
+            continue
         if isinstance(v, dict) and set(v) == {"num", "den"}:
             v = f"{v['num']}/{v['den']}"
+        elif isinstance(v, (list, dict)):
+            v = json.dumps(v, sort_keys=True, separators=(",", ":"))
         lines.append(f"| {k} | {v} |")
     for x in report.get("inputs", ()):
         lines.append("")

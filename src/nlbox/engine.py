@@ -209,6 +209,32 @@ for _op in ("int", "float", "complex", "hash", "eq", "ne",
 del _op
 
 
+def _is_bit(value) -> bool:
+    """The int 0 or 1, or a Lane: what a party may feed, send or output (the
+    type goes first, since comparing a Lane raises LaneBranch)."""
+    return type(value) is int and 0 <= value <= 1 or type(value) is Lane
+
+
+def has_lane(values) -> bool:
+    """True iff some entry of values is a Lane."""
+    return Lane in map(type, values)
+
+
+def bit_mask(value, block: int) -> int:
+    """The points of block where value, a bit or a lane over block, is 1."""
+    return value.mask if type(value) is Lane else block if value else 0
+
+
+def outcome_masks(outcome, block: int) -> tuple:
+    """An outcome over block as masks (bit_mask), party by party."""
+    return tuple([tuple([bit_mask(v, block) for v in part]) for part in outcome])
+
+
+def mask_outcome(parts, block: int) -> tuple:
+    """outcome_masks undone on block: each bit as _on_block gives it."""
+    return tuple([tuple([_on_block(m, block) for m in part]) for part in parts])
+
+
 def seed_lanes(n_nlbs: int, n_shared: int = 1) -> tuple[Lane, ...]:
     """The free bits of all n_shared * 2**n_nlbs seeds, as lanes.
 
@@ -464,10 +490,7 @@ def execute(strategy: Strategy, input_tuple: tuple, seed: "Seed | LaneSeed",
                     if entry is None:
                         raise UndeclaredResourceError(
                             f"party {i} fed undeclared NLB {nid!r}")
-                    # a bit is the int 0 or 1 or a Lane; the type goes
-                    # first, since comparing a Lane raises LaneBranch
-                    if ((type(bit) is not int or bit < 0 or bit > 1)
-                            and type(bit) is not Lane):
+                    if not _is_bit(bit):
                         _not_a_bit(i, f"fed NLB {nid!r}", bit)
                     idx, _, port0, port1 = entry
                     if i == port0:
@@ -501,8 +524,7 @@ def execute(strategy: Strategy, input_tuple: tuple, seed: "Seed | LaneSeed",
                             f"party {i} is not the source of channel {cid!r}")
                     if cid in used_channels:
                         raise ResourceReuseError(f"channel {cid!r} used twice")
-                    if ((type(bit) is not int or bit < 0 or bit > 1)
-                            and type(bit) is not Lane):
+                    if not _is_bit(bit):
                         _not_a_bit(i, f"sent on channel {cid!r}", bit)
                     used_channels.add(cid)
                     deliveries.append((chan.dst, cid, bit))
@@ -517,7 +539,7 @@ def execute(strategy: Strategy, input_tuple: tuple, seed: "Seed | LaneSeed",
                     raise NonBitError(f"party {i} output {out!r}, which is "
                                       f"not a tuple or list of bits")
                 for v in out:
-                    if (type(v) is not int or v < 0 or v > 1) and type(v) is not Lane:
+                    if not _is_bit(v):
                         _not_a_bit(i, "output", v)
                 outputs[i] = out
 
@@ -835,40 +857,38 @@ class LaneGrid:
         return LaneSeed(bits, _build(self.shared_shape, iter(
             [_on_block(m >> at, block) for m in self.shared_masks])), at, block)
 
-    def by_input(self, offset: int, block: int, parts=()) -> list[tuple]:
-        """Cut a block, and parts (tuples of masks over its points, party by
-        party) with it, at input boundaries: (input index, first, cut block,
-        cut parts) per input that the block meets, bit s of a cut mask
-        standing for point i * size + first + s. A block of inputs that are
-        not bit-shaped holds one input value and stays whole, even where it
-        spans several draws of the drawn fill; so does a block of one
-        point, whose parts may be plain bits."""
+    def input_span(self, offset: int, block: int) -> tuple[int, int]:
+        """The first and last input, by index, that a block meets. A block
+        of inputs that are not bit-shaped holds one input value and meets
+        only the first, even over several draws of the drawn fill."""
         i, first = divmod(offset, self.size)
-        count = (first + block.bit_length() - 1) // self.size + 1
-        if count == 1 or self.input_shape is None:
-            return [(i, first, block, parts)]
+        if self.input_shape is None:
+            return i, i
+        return i, i + (first + block.bit_length() - 1) // self.size
 
-        def cut(mask):
-            return _cut(mask << first, self.size, count)
-        # input by input, each party's cut masks; a party may have none
-        empty = itertools.repeat(())
-        cut_parts = zip(*[zip(*map(cut, leaves)) if leaves else empty
-                          for leaves in parts]) if parts else empty
-        return [(i + j, 0, b, p) for j, (b, p) in enumerate(zip(cut(block), cut_parts)) if b]
+    def windows(self, offset: int, block: int) -> list[tuple]:
+        """(input index, window) per input from input_span's first to its
+        last, the window masking that input's points in the block's own
+        coordinates (bit s for point offset + s): its points in the block
+        are block & window. A block that meets one input is its window."""
+        i, last = self.input_span(offset, block)
+        if i == last:
+            return [(i, block)]
+        size = self.size
+        return [(j, (1 << (j + 1) * size - offset) - (1 << max(j * size - offset, 0)))
+                for j in range(i, last + 1)]
 
     def count_by_input(self, offset: int, block: int, masks) -> list[tuple]:
-        """Per input that a block meets, under by_input's rule, (input
-        index, points, counts): the number of the block's points at that
-        input, and of those set in each of masks (masks over the block's
-        points; a one-point block's may be plain bits). No per-input mask is
-        built: windows of 8, 16, 32 or 64 points are read as machine words,
-        whose byte order leaves their popcount alone, and other widths are
-        cut by _cut."""
-        i, first = divmod(offset, self.size)
-        size = self.size
-        count = (first + block.bit_length() - 1) // size + 1
-        if count == 1 or self.input_shape is None:
+        """Per input that a block meets (see input_span), (input index,
+        points, counts): the number of the block's points at that input, and
+        of those set in each of masks (masks over the block's points). No
+        per-input mask is built: windows of 8, 16, 32 or 64 points are read
+        as machine words, whose byte order leaves their popcount alone, and
+        other widths are cut by _cut."""
+        i, last = self.input_span(offset, block)
+        if i == last:
             return [(i, block.bit_count(), [m.bit_count() for m in masks])]
+        size, first, count = self.size, offset - i * self.size, last - i + 1
         word, length = _WORD_FORMATS.get(size), size * count // 8
 
         def windows(mask):
@@ -883,20 +903,21 @@ class LaneGrid:
         """The runs (offset, block, x, seed) that replace a block whose run
         raised LaneBranch: the two blocks on which its mask is constant;
         without one, or one constant on the block, one block per input when
-        the block spans several (see by_input), else the block with x and
+        the block meets several (see windows), else the block with x and
         seed None, to run point by point."""
         inside = block & mask if mask is not None else 0
         if inside and inside != block:
-            parts = [(offset, inside), (offset, block ^ inside)]
+            parts = [inside, block ^ inside]
         else:
-            # reversed, so that the inputs run in order
-            parts = [(i * self.size, b) for i, _, b, _ in self.by_input(offset, block)][::-1]
-            if len(parts) == 1:
+            windows = self.windows(offset, block)
+            if len(windows) == 1:
                 return [(offset, block, None, None)]
+            # reversed, so that the inputs run in order
+            parts = [block & window for _, window in reversed(windows)]
         runs = []
-        for start, part in parts:
+        for part in filter(None, parts):
             low = lowest_bit(part)
-            runs.append((start + low, part >> low, *self.run(start + low, part >> low)))
+            runs.append((offset + low, part >> low, *self.run(offset + low, part >> low)))
         return runs
 
 

@@ -18,7 +18,7 @@ import operator
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
-from .engine import EnumerationLimitError, Lane, count_text, draw_bits, seed_lanes
+from .engine import EnumerationLimitError, count_text, draw_bits, has_lane, seed_lanes
 
 MAX_OUTCOMES = 2 ** 20
 # dj:<n> inputs are 2^n bits and dj-nlb:<n> declares about 2^(n+1) boxes
@@ -44,7 +44,7 @@ def bmaj(x) -> int:
     digit by digit and compared with floor(n/2) (see _exceeds)."""
     if len(x) < 2:
         raise ValueError("bmaj needs at least 2 bits")
-    if Lane not in map(type, x):
+    if not has_lane(x):
         return 1 if sum(x) > len(x) // 2 else 0
     return _exceeds(_weight(x), len(x) // 2)
 
@@ -97,7 +97,7 @@ def mermin_target(x) -> int:
     lane, so is the result: floor(w/2) and C(w, 2) agree mod 2, so it is the
     XOR of all pairwise ANDs, each bit ANDed with the parity of the bits
     before it."""
-    if Lane not in map(type, x):
+    if not has_lane(x):
         # int(): a promised input may hold 0.0 and 1.0
         return int(sum(x)) // 2 % 2
     pairs = seen = 0
@@ -359,7 +359,7 @@ def dj_game(n: int) -> Game:
         # the outputs differ iff some bit pair does, which must hold iff the
         # inputs differ
         differ = functools.reduce(operator.or_, map(operator.xor, y[0], y[1]))
-        if Lane in map(type, x[0]) or Lane in map(type, x[1]):
+        if has_lane(x[0]) or has_lane(x[1]):
             # on input lanes "the inputs are equal" is 1 ^ OR(a_i ^ b_i)
             return 1 ^ functools.reduce(operator.or_, map(operator.xor, *x)) ^ differ
         return (x[0] == x[1]) ^ differ

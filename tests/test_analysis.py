@@ -398,8 +398,8 @@ def test_sampled_verify_runs_the_win_relation_once_per_piece(monkeypatch):
     grid = engine.LaneGrid.drawn(strategy, game.sample_input,
                                  random.Random(rng_seed), k)
     runs = list(analysis._runs(strategy, grid))
-    assert [grid.by_input(*run) for run in runs] == \
-        [[(offset, 0, block, parts)] for offset, block, parts in runs]
+    assert [grid.windows(offset, block) for offset, block, _ in runs] == \
+        [[(offset, block)] for offset, block, _ in runs]
     assert sum(block.bit_count() for _, block, _ in runs) == k
     assert len(runs) < k // 10
     monkeypatch.setattr(analysis, "is_winning", None)

@@ -346,6 +346,32 @@ def test_md_format(capsys):
     assert "| 1/4 |" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["list"],
+    ["verify", "--game", "bmaj:5", "--strategy", "multi-mermin-nlb:5"],
+    ["value", "--game", "chsh"],
+    ["dist", "--game", "chsh", "--strategy", "chsh-nlb"],
+    ["search", "--game", "mermin", "--budget", "1nlb"],
+    ["resources", "--strategy", "dj-nlb:3"],
+], ids=lambda argv: argv[0])
+def test_md_format_has_a_row_per_json_field(argv, capsys):
+    # the counterexample, the witness, the resource counts and the
+    # registries included; the per-input outcomes get a table per input
+    code, out = run(argv, capsys)
+    report = json.loads(out)
+    code_md, md = run(argv + ["--format", "md"], capsys)
+    assert code_md == code
+    # the field table ends at the first blank line
+    rows = dict(re.findall(r"^\| (\w+) \| (.*) \|$", md.split("\n\n")[0], re.M))
+    assert rows.pop("field") == "value"     # the header
+    assert set(rows) == set(report) - {"inputs"}
+    for key, value in rows.items():
+        # lists and dicts other than fractions as compact sorted JSON
+        if value[0] in "[{":
+            assert value == json.dumps(report[key], sort_keys=True, separators=(",", ":"))
+    assert md.count("\ninput ") == len(report.get("inputs", ()))
+
+
 def _strip_runtime(raw):
     report = json.loads(raw)
     report.pop("runtime_ms", None)

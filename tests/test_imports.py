@@ -87,15 +87,24 @@ def test_games_and_strategies_bind_every_name_the_tracer_rebinds():
     assert sorted(n for n in names["strategies"] if not hasattr(strategies, n)) == []
 
 
+def engine_imports(module: str) -> set:
+    path = SRC / f"{module}.py"
+    return {alias.name for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.ImportFrom) and node.module == "engine"
+            for alias in node.names}
+
+
 def test_only_engine_knows_the_lane_layout():
     # analysis runs blocks through engine.LaneGrid; building lanes from
-    # columns stays inside engine
-    path = SRC / "analysis.py"
-    names = {alias.name for node in ast.walk(ast.parse(path.read_text(), str(path)))
-             if isinstance(node, ast.ImportFrom) and node.module == "engine"
-             for alias in node.names}
+    # columns, turning outcomes into masks and back, and telling a lane
+    # from a bit stay inside engine, and a run's inputs are told apart by
+    # one rule there, LaneGrid.input_span
+    from nlbox.engine import LaneGrid
+    names = engine_imports("analysis")
     assert "LaneGrid" in names
-    assert names & {"_build", "_columns", "_spread"} == set()
+    assert names & {"_build", "_columns", "_spread", "Lane"} == set()
+    assert "Lane" not in engine_imports("games")
+    assert not hasattr(LaneGrid, "by_input")
 
 
 def analysis_call_sites(name: str) -> list:

@@ -398,21 +398,24 @@ def test_grid_fills_match_their_definitions(sid, gid, fill):
                             at_point(seed.shared, i)) == \
                         (points[offset + i][0], list(points[offset + i][1].nlb_bits),
                          strategy.shared_domain.values[points[offset + i][1].shared_index])
-            # the block, and its first two inputs, cut at input boundaries;
+            # the block, and its first two inputs, through the input windows;
             # a block of inputs that are not bit-shaped holds one input value
-            # (over several draws in the drawn fill) and comes back whole
+            # (over several draws in the drawn fill) and is its own window
             for whole in (block, block & ((1 << 2 * grid.size - offset % grid.size) - 1)):
                 if grid.input_shape is None:
-                    assert grid.by_input(offset, whole) == \
-                        [(*divmod(offset, grid.size), whole, ())]
+                    assert grid.windows(offset, whole) == [(offset // grid.size, whole)]
                     assert {points[offset + i][0] for i in range(whole.bit_length())
                             if whole >> i & 1} == {grid.inputs[offset // grid.size]}
                     continue
                 cover = 0
-                for i, first, part, _ in grid.by_input(offset, whole):
-                    assert part >> grid.size - first == 0
-                    cover |= part << i * grid.size + first
-                assert cover == whole << offset
+                for i, window in grid.windows(offset, whole):
+                    # the window holds input i's points, in the block's coordinates
+                    assert {s for s in range(window.bit_length()) if window >> s & 1} == \
+                        {k - offset for k in range(i * grid.size, (i + 1) * grid.size)
+                         if k >= offset}
+                    assert cover & window == 0
+                    cover |= whole & window
+                assert cover == whole
             cover = 0
             for start, part, x, seed in grid.split(offset, block, None):
                 if grid.input_shape is None:
@@ -601,11 +604,14 @@ def test_exhaustive_verify_runs_the_win_relation_once_per_piece(sid, gid, monkey
     # one call per distinct outcome
     strategy, game = build(sid), get_game(gid)
     grid = analysis._grid(strategy, game, analysis.DEFAULT_MAX_SEED_BITS)
-    # each run cut per input; a run of several pieces spans several inputs
-    runs = [grid.by_input(*run) for run in analysis._runs(strategy, grid)]
+    # each run's pieces, its points at one input (LaneGrid.windows), with
+    # the run's masks; a run of several pieces spans several inputs
+    runs = [[(block & window, parts) for _, window in grid.windows(offset, block)
+             if block & window]
+            for offset, block, parts in analysis._runs(strategy, grid)]
 
     def laned(block, parts):
-        return any(m not in (0, block) for part in parts for m in part)
+        return any(m & block not in (0, block) for part in parts for m in part)
 
     def has_lane(value):
         return type(value) is Lane or type(value) is tuple and any(map(has_lane, value))
@@ -628,7 +634,7 @@ def test_exhaustive_verify_runs_the_win_relation_once_per_piece(sid, gid, monkey
         if len(pieces) > 1:
             want.append((True, True))
         else:
-            want += [(False, laned(block, parts)) for _, _, block, parts in pieces]
+            want += [(False, laned(block, parts)) for block, parts in pieces]
     assert sorted(calls) == sorted(want)
     # ms-nlb's inputs are not bit-shaped, so each is a run of its own;
     # dj-nlb:2's 112 inputs are one run
@@ -642,7 +648,7 @@ def test_exhaustive_verify_runs_the_win_relation_once_per_piece(sid, gid, monkey
                           Exhaustive()) == result
     want = [(True, True) for pieces in runs if len(pieces) > 1]
     for pieces in runs:
-        for _, _, block, parts in pieces:
+        for block, parts in pieces:
             if laned(block, parts):
                 want += [(False, True)] + [(False, False)] * len(
                     analysis._split_outcome(block, parts))
@@ -853,7 +859,7 @@ def _counting_grid(size, copies):
 
 @pytest.mark.parametrize("size", [1, 2, 4, 8, 16, 24, 32, 64, 128])
 def test_count_by_input_matches_the_cut_masks(size):
-    # each window's counts against by_input's cut (engine._cut) and
+    # each window's counts against the window masks (LaneGrid.windows) and
     # int.bit_count: blocks that start mid-input, blocks that leave whole
     # inputs empty (no entry), and one-point blocks with plain bits
     grid = _counting_grid(size, 5)
@@ -870,8 +876,8 @@ def test_count_by_input_matches_the_cut_masks(size):
             block &= ~(((1 << size) - 1) << cut) | 1
         masks = [rng.getrandbits(span) & block for _ in range(rng.randrange(4))]
         got = grid.count_by_input(offset, block, masks)
-        want = [(i, piece.bit_count(), [m.bit_count() for m in cut])
-                for i, _, piece, (cut,) in grid.by_input(offset, block, [masks])]
+        want = [(i, (block & window).bit_count(), [(m & window).bit_count() for m in masks])
+                for i, window in grid.windows(offset, block) if block & window]
         assert [(i, n, list(counts)) for i, n, counts in got] == want
         assert all(n for _, n, _ in got)
         assert sum(n for _, n, _ in got) == block.bit_count()
