@@ -119,10 +119,17 @@ def _require_parties(strategy: Strategy, game: Game) -> None:
 def _grid(strategy: Strategy, game: Game, max_seed_bits: int) -> LaneGrid:
     """The game's promise x the strategy's seeds, once the strategy is
     known to have the game's party count and a seed space within the
-    limit: both are checked before the promise is built."""
+    limit: both are checked before the promise is built. The grid is kept
+    on the strategy for the game it was built for, and reused while the
+    promise lists the same inputs."""
     _require_parties(strategy, game)
     require_enumerable(strategy, max_seed_bits)
-    return LaneGrid.periodic(strategy, promised_inputs(game), SWEEP_WIDTH)
+    inputs = promised_inputs(game)
+    kept = strategy.__dict__.get("_grid")
+    if kept is None or kept[0] is not game or kept[1].inputs != inputs:
+        kept = strategy.__dict__["_grid"] = (
+            game, LaneGrid.periodic(strategy, inputs, SWEEP_WIDTH))
+    return kept[1]
 
 
 def _runs(strategy: Strategy, grid: LaneGrid):
@@ -238,16 +245,23 @@ def uniformity_verdict(dist: ExactDistribution, game: Game) -> bool:
     The win relation runs once per input, on lanes over the whole outcome
     space (see games.outcome_lanes), or once per outcome
     (winning_outcomes) where it is not bit algebra. Bit k of a mask stands
-    for the k-th outcome of that space."""
+    for the k-th outcome of that space. Each input's mask, once its promise
+    is checked, and each outcome's position are kept on the game, so they
+    are found once per game."""
     space = outcome_lanes(game)
     full = (1 << (1 << sum(game.output_lengths))) - 1
-    index = {}      # each distinct outcome's position in the space, or None
+    # each promised input's winners, and each outcome's position or None
+    table, index = game.__dict__.setdefault("_uniformity", ({}, {}))
     for x, probs in dist.per_input.items():
-        require_promise(game, x)
-        try:
-            winners = _won(game, x, space, full)
-        except LaneBranch:
-            winners = sum(1 << outcome_index(game, o) for o in winning_outcomes(game, x))
+        winners = table.get(x)
+        if winners is None:
+            require_promise(game, x)
+            try:
+                winners = _won(game, x, space, full)
+            except LaneBranch:
+                winners = sum(1 << outcome_index(game, o)
+                              for o in winning_outcomes(game, x))
+            table[x] = winners
         support = 0
         for o in probs:
             if o not in index:
@@ -304,13 +318,16 @@ def _verify(strategy: Strategy, game: Game, grid: LaneGrid):
     all promised, and its outcome has the game's arity. Every other run,
     and one on which that call raises LaneBranch, is decided by _decide per
     piece, its points at one input (LaneGrid.windows). The promise is
-    checked once per input. An input off the promise, or met with an
+    checked once per input of the grid, whose record serves each sweep of a
+    kept grid (see _grid). An input off the promise, or met with an
     outcome of the wrong arity, is reported once the grid has run, at the
     grid's lowest such input, so an error of a run itself comes first. The
     counterexample is the grid's lowest losing point, read off the run's
     masks: in the periodic fill the lowest seed of the first input that has
     one, in the drawn fill the first losing draw."""
-    promised = list(map(game.on_promise, grid.inputs))
+    if grid.promised is None:
+        grid.promised = list(map(game.on_promise, grid.inputs))
+    promised = grid.promised
     lengths = tuple(game.output_lengths)
     checked = wins = 0
     misfits = set()     # inputs off the promise or with an outcome of wrong arity

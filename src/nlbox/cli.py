@@ -83,7 +83,8 @@ def _render_md(report: dict) -> str:
         lines.append("| outcome | probability |")
         lines.append("| --- | --- |")
         for o in x["outcomes"]:
-            parts = "|".join("".join(str(b) for b in part) for part in o["outcome"])
+            # a space, not "|", between parties: a "|" splits the cell
+            parts = " ".join("".join(str(b) for b in part) for part in o["outcome"])
             lines.append(f"| {parts} | {o['num']}/{o['den']} |")
     return "\n".join(lines)
 

@@ -781,21 +781,31 @@ class LaneGrid:
         self.inputs, self.input_shape, self.input_columns = None, None, []
         self.base = None        # the group whose input lanes input() holds
         self.shared = None      # the drawn fill's shared indices
+        self.promised = None    # per input, on the promise or not (analysis._verify)
 
     @classmethod
     def periodic(cls, strategy: Strategy, inputs: list, width: int) -> "LaneGrid":
         """inputs x the strategy's seeds, in groups of as many whole inputs
         as fit in width points, or one; see require_enumerable first."""
-        size = strategy.seed_count()
+        nb, values = len(strategy.nlbs), strategy.shared_domain.values
+        size = len(values) << nb
         copies = max(1, min(len(inputs), width // size))
         columns, shape = [], None
-        if copies > 1 and not _seed_grid(strategy, 1).per_index:
+        # inputs share a group only where they have one bit shape and the
+        # grid is not per_index (see __init__)
+        if copies > 1 and (len(values) == 1 or _columns(values, []) is not None):
             shape = _columns(inputs, columns)
-        grid = object.__new__(cls)     # the cached seed side, plus inputs
-        grid.__dict__.update(_seed_grid(strategy, copies if shape else 1).__dict__)
+        copies = copies if shape else 1
+        grid = cls(strategy, size, copies * size, list(values) * copies, 1 << nb)
+        # free-bit lanes repeat every period points; blocks of one shared
+        # index need only one period of them
+        grid.period = 1 << nb if grid.per_index else grid.width
+        grid.nlb_masks = [lane.mask for lane in seed_lanes(nb, grid.period >> nb)]
         grid.inputs, grid.input_shape, grid.input_columns = inputs, shape, columns
-        grid.start = [(offset, block, grid.input(offset, block), seed)
-                      for offset, block, _, seed in grid.start]
+        blocks = ([(s << nb, (1 << (1 << nb)) - 1) for s in range(len(values))]
+                  if grid.per_index else [(0, (1 << grid.width) - 1)])
+        grid.start = [(offset, block, *grid.run(offset, block))
+                      for offset, block in blocks]
         return grid
 
     @classmethod
@@ -831,7 +841,11 @@ class LaneGrid:
         return self.input(offset, block), self.seed(offset, block)
 
     def input(self, offset: int, block: int):
-        """The input of a block, a lane wherever its points differ."""
+        """The input of a block, a lane wherever its points differ. The
+        input lanes of the last group asked for (base, input_masks) are kept
+        on the grid, and so are shared by every sweep of a grid that
+        analysis keeps: safe, since nlbox starts no threads and runs one
+        sweep at a time."""
         if self.input_shape is None or block == 1:
             return self.inputs[offset // self.size]
         at = offset % self.width
@@ -920,23 +934,3 @@ class LaneGrid:
             runs.append((offset + low, part >> low, *self.run(offset + low, part >> low)))
         return runs
 
-
-def _seed_grid(strategy: Strategy, copies: int) -> LaneGrid:
-    """The periodic fill's seed side for groups of copies inputs: a LaneGrid
-    without inputs, built on first use and kept on the strategy."""
-    grids = strategy.__dict__.setdefault("_seed_grids", {})
-    grid = grids.get(copies)
-    if grid is None:
-        nb, values = len(strategy.nlbs), strategy.shared_domain.values
-        size = len(values) << nb
-        grid = grids[copies] = LaneGrid(strategy, size, copies * size,
-                                        list(values) * copies, 1 << nb)
-        # free-bit lanes repeat every period points; blocks of one shared
-        # index need only one period of them
-        grid.period = 1 << nb if grid.per_index else grid.width
-        grid.nlb_masks = [lane.mask for lane in seed_lanes(nb, grid.period >> nb)]
-        blocks = ([(s << nb, (1 << (1 << nb)) - 1) for s in range(len(values))]
-                  if grid.per_index else [(0, (1 << grid.width) - 1)])
-        grid.start = [(offset, block, None, grid.seed(offset, block))
-                      for offset, block in blocks]
-    return grid

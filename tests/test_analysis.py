@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import gc
 import itertools
@@ -8,6 +9,7 @@ import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1180,6 +1182,140 @@ def oracle_classical_value(game):
 def test_classical_value_matches_the_win_relation_oracle(gid):
     game = _xor_game(gid[4:] or "chsh") if gid.startswith("xor") else get_game(gid)
     assert classical_value(game) == oracle_classical_value(game)
+
+
+# --- the set-up a sweep keeps ------------------------------------------------------
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def bench_constant(file: str, name: str):
+    """A literal constant of a benchmark file, read without importing it."""
+    tree = ast.parse((BENCH / file).read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == name)
+
+
+@pytest.mark.parametrize("sid", bench_constant("workloads.py", "EXACT_SWEEP_STRATEGIES"))
+def test_a_second_sweep_makes_the_calls_the_tracer_counts(sid, monkeypatch):
+    # the benchmark's --trace 1 counts calls of these names of analysis and
+    # refuses cycles whose counts differ: the kept set-up must not skip one
+    counts = Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+    for name, _ in bench_constant("tracer.py", "CHILD_CALLS"):
+        monkeypatch.setattr(analysis, name, counted(name, getattr(analysis, name)))
+
+    def twice(call):
+        made = []
+        for _ in range(2):
+            counts.clear()
+            call()
+            made.append(dict(counts))
+        return made
+    sweeps = [exact_distribution, no_signaling_check,
+              lambda st, gm: verify_winning(st, gm, Exhaustive())]
+    if get_strategy(sid).channels:
+        sweeps.remove(no_signaling_check)
+    for sweep in sweeps:
+        # each on a fresh pair, so that the first call builds the grid
+        strategy = get_strategy(sid)
+        game = get_game(strategy.game_id)
+        first, second = twice(lambda: sweep(strategy, game))
+        assert first == second and first["execute"] > 0
+    # and the first verdict on a fresh game fills its table
+    game = get_game(strategy.game_id)
+    dist = exact_distribution(strategy, game)
+    first, second = twice(lambda: uniformity_verdict(dist, game))
+    assert first == second
+
+
+def test_analyses_of_a_pair_build_one_grid_and_check_the_promise_once(monkeypatch):
+    built = []
+    periodic = engine.LaneGrid.periodic.__func__
+
+    def counted_periodic(cls, *args):
+        built.append(args)
+        return periodic(cls, *args)
+    monkeypatch.setattr(engine.LaneGrid, "periodic", classmethod(counted_periodic))
+    checks = Counter()
+    base = get_game("multi-mermin:4")
+
+    def on_promise(x):
+        checks[x] += 1
+        return base.on_promise(x)
+    game = dataclasses.replace(base, on_promise=on_promise)
+    strategy = get_strategy("multi-mermin-nlb:4")
+    inputs = promised_inputs(game)
+    for _ in range(2):
+        dist = exact_distribution(strategy, game)
+        assert verify_winning(strategy, game, Exhaustive()).passed
+        assert no_signaling_check(strategy, game)
+    assert len(built) == 1
+    assert checks == Counter(inputs)
+    # the uniformity verdict checks each input's promise on its first call
+    assert uniformity_verdict(dist, game) and uniformity_verdict(dist, game)
+    assert checks == Counter(inputs * 2)
+
+
+def test_a_replaced_win_relation_gets_its_own_verdicts():
+    strategy, game = get_strategy("chsh-nlb"), get_game("chsh")
+    # loses on input (1, 1) only, in bit algebra as the built-in relations
+    lost = dataclasses.replace(game, win=lambda x, y: game.win(x, y) ^ (x[0] & x[1]))
+    for g, wins in ((game, True), (lost, False), (game, True)):
+        dist = exact_distribution(strategy, g)
+        assert uniformity_verdict(dist, g) is wins
+        result = verify_winning(strategy, g, Exhaustive())
+        _, checked, won, counterexample = scalar_oracle(strategy, g)
+        assert (result.passed, result.checked, result.wins, result.counterexample) \
+            == (wins, checked, won, counterexample)
+    assert counterexample is None
+    assert verify_winning(strategy, lost, Exhaustive()).counterexample["input"] == [1, 1]
+
+
+def test_a_changed_promise_gets_its_own_grid():
+    strategy, game = get_strategy("multi-mermin-nlb:4"), get_game("multi-mermin:4")
+    inputs = promised_inputs(game)
+    drop = inputs[3]
+    assert verify_winning(strategy, game, Exhaustive()).passed
+    kept = analysis._grid(strategy, game, engine.DEFAULT_MAX_SEED_BITS)
+    assert kept.promised == [True] * len(inputs)
+    # right after it, a copy that lists the same inputs but puts one off its promise
+    off = dataclasses.replace(game, on_promise=lambda x: x != drop)
+    with pytest.raises(PromiseError, match=f"^{re.escape(str(drop))} is outside"):
+        verify_winning(strategy, off, Exhaustive())
+    assert analysis._grid(strategy, off, engine.DEFAULT_MAX_SEED_BITS).promised \
+        == [x != drop for x in inputs]
+    # a copy whose promise lists one input less
+    fewer = dataclasses.replace(game, promise=lambda: [x for x in inputs if x != drop])
+    result = verify_winning(strategy, fewer, Exhaustive())
+    assert result.passed and result.checked == (len(inputs) - 1) * strategy.seed_count()
+    grid = analysis._grid(strategy, fewer, engine.DEFAULT_MAX_SEED_BITS)
+    assert grid is not kept and drop not in grid.inputs
+    assert grid.promised == [True] * (len(inputs) - 1)
+    assert list(exact_distribution(strategy, fewer).per_input) == grid.inputs
+    # one game whose promise changes between sweeps
+    listed = list(inputs)
+    moving = dataclasses.replace(game, promise=lambda: list(listed))
+    assert len(exact_distribution(strategy, moving).per_input) == len(inputs)
+    listed.remove(drop)
+    assert list(exact_distribution(strategy, moving).per_input) == listed
+    assert verify_winning(strategy, game, Exhaustive()).passed
+
+
+def test_uniformity_refuses_an_input_off_the_promise_on_every_call():
+    strategy, game = get_strategy("chsh-nlb"), get_game("chsh")
+    dist = exact_distribution(strategy, game)
+    off = dataclasses.replace(game, on_promise=lambda x: x != (1, 0))
+    for _ in range(2):
+        with pytest.raises(PromiseError, match=r"^\(1, 0\) is outside"):
+            uniformity_verdict(dist, off)
+    assert uniformity_verdict(dist, game)
 
 
 # --- resources and wiring ---------------------------------------------------------

@@ -372,6 +372,24 @@ def test_md_format_has_a_row_per_json_field(argv, capsys):
     assert md.count("\ninput ") == len(report.get("inputs", ()))
 
 
+@pytest.mark.parametrize("game,strategy", [("chsh", "chsh-nlb"),
+                                           ("magic-square", "ms-nlb")])
+def test_md_dist_rows_have_as_many_cells_as_their_header(game, strategy, capsys):
+    # an outcome's parties are joined by a space: a "|" would add a cell
+    argv = ["dist", "--game", game, "--strategy", strategy]
+    code, out = run(argv, capsys)
+    inputs = json.loads(out)["inputs"]
+    code_md, md = run(argv + ["--format", "md"], capsys)
+    assert code_md == code
+    tables = [block.splitlines() for block in md.split("\n\n")
+              if block.startswith("|")]
+    assert len(tables) == 1 + len(inputs)
+    for header, *rows in tables:
+        assert rows and all(row.count("|") == header.count("|") for row in rows)
+    if game == "chsh":
+        assert "| 0 0 | 1/2 |" in md
+
+
 def _strip_runtime(raw):
     report = json.loads(raw)
     report.pop("runtime_ms", None)
