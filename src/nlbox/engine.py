@@ -149,11 +149,13 @@ class Lane:
     block (``mask`` has no bit outside it).
 
     ``^ & |`` against other lanes of the block and against the ints 0 and 1
-    act on every point at once. ``bool`` and ``index`` give the lane's value
-    where it is the same for every point of the block and raise LaneBranch
-    with the mask where it is not; every other use raises LaneBranch
-    without one. So a program that runs to the end on lanes computed
-    exactly what it would compute point by point."""
+    act on every point at once; an int operand gives the lane itself or the
+    int the result is (``& 0`` is 0, ``| 1`` is 1), and only ``^ 1`` makes a
+    new lane. ``bool`` and ``index`` give the lane's value where it is the
+    same for every point of the block and raise LaneBranch with the mask
+    where it is not; every other use raises LaneBranch without one. So a
+    program that runs to the end on lanes computed exactly what it would
+    compute point by point."""
 
     __slots__ = ("mask", "full")
 
@@ -161,24 +163,26 @@ class Lane:
         self.mask = mask
         self.full = full
 
-    def _operand(self, other) -> int:
-        if type(other) is Lane:
-            return other.mask
-        if isinstance(other, int):
-            if other == 0:
-                return 0
-            if other == 1:
-                return self.full
+    def _bit(self, other) -> int:
+        """other where it is the int 0 or 1 (or a bool), else LaneBranch."""
+        if isinstance(other, int) and (other == 0 or other == 1):
+            return other
         raise LaneBranch(f"party program combined a lane with {other!r}")
 
     def __xor__(self, other):
-        return Lane(self.mask ^ self._operand(other), self.full)
+        if type(other) is Lane:
+            return Lane(self.mask ^ other.mask, self.full)
+        return Lane(self.mask ^ self.full, self.full) if self._bit(other) else self
 
     def __and__(self, other):
-        return Lane(self.mask & self._operand(other), self.full)
+        if type(other) is Lane:
+            return Lane(self.mask & other.mask, self.full)
+        return self if self._bit(other) else 0
 
     def __or__(self, other):
-        return Lane(self.mask | self._operand(other), self.full)
+        if type(other) is Lane:
+            return Lane(self.mask | other.mask, self.full)
+        return 1 if self._bit(other) else self
 
     __rxor__ = __xor__
     __rand__ = __and__
@@ -199,14 +203,79 @@ class Lane:
         return f"Lane({self.mask:#b}, seeds={self.full.bit_count()})"
 
 
-for _op in ("int", "float", "complex", "hash", "eq", "ne",
+def _compared(op):
+    """Lane's op for a Truth: a Lane where the operand is an int or a Lane,
+    as a bool with an int is an int, else LaneBranch without a mask (a bool
+    with a bool stays a bool)."""
+    def apply(self, other):
+        if type(other) is not int and type(other) is not Lane:
+            raise LaneBranch(f"party program combined a compared lane with {other!r}")
+        return op(Lane(self.mask, self.full), other)
+    apply.__name__ = op.__name__
+    return apply
+
+
+class Truth(Lane):
+    """A Choice compared by ``==`` or ``!=``: the bool True at the points
+    of ``mask`` and False at the others. It branches and indexes as a Lane
+    does. Under ``^ & |`` with an int or a Lane it acts as the Lane of its
+    mask, as a bool with an int gives an int; any other operand raises
+    LaneBranch. Fed, sent or output as it is, it is refused (NonBitError),
+    as the bool is at each point."""
+
+    __slots__ = ()
+
+    __xor__ = __rxor__ = _compared(Lane.__xor__)
+    __and__ = __rand__ = _compared(Lane.__and__)
+    __or__ = __ror__ = _compared(Lane.__or__)
+
+
+class Choice:
+    """An int that is not a bit, across a block of points on which it takes
+    several values: ``masks`` maps each value to the points that take it,
+    over ``full`` (see Lane). ``==`` and ``!=`` against an int give the
+    Truth of the points where they hold, or the bool they give on every
+    point; every other use raises LaneBranch without a mask."""
+
+    __slots__ = ("masks", "full")
+
+    def __init__(self, masks: dict, full: int):
+        self.masks = masks
+        self.full = full
+
+    def _matching(self, other) -> int:
+        if type(other) is not int:
+            raise LaneBranch(f"party program compared a lane with {other!r}")
+        return self.masks.get(other, 0)
+
+    def __eq__(self, other):
+        mask = self._matching(other)
+        return Truth(mask, self.full) if mask else False
+
+    def __ne__(self, other):
+        mask = self._matching(other)
+        return Truth(self.full ^ mask, self.full) if mask else True
+
+    def __repr__(self):
+        return f"Choice({sorted(self.masks)}, seeds={self.full.bit_count()})"
+
+
+_REFUSED = ("int", "float", "complex", "hash", "eq", "ne",
             "lt", "le", "gt", "ge", "add", "radd", "sub", "rsub", "mul", "rmul",
             "truediv", "rtruediv", "floordiv", "rfloordiv", "mod", "rmod",
             "divmod", "rdivmod", "pow", "rpow", "lshift", "rlshift", "rshift",
             "rrshift", "neg", "pos", "abs", "invert", "round", "trunc", "floor",
-            "ceil", "format", "str"):
+            "ceil", "format", "str")
+for _op in _REFUSED:
     setattr(Lane, f"__{_op}__", _refuse(_op))
+for _op in _REFUSED + ("bool", "index", "xor", "rxor", "and", "rand", "or", "ror",
+                       "iter", "len", "getitem", "contains", "getattr"):
+    if _op not in ("eq", "ne"):
+        setattr(Choice, f"__{_op}__", _refuse(_op))
 del _op
+
+# a party program holds a Lane or a Choice where its points differ
+_LANE_TYPES = frozenset((Lane, Choice))
 
 
 def _is_bit(value) -> bool:
@@ -216,8 +285,8 @@ def _is_bit(value) -> bool:
 
 
 def has_lane(values) -> bool:
-    """True iff some entry of values is a Lane."""
-    return Lane in map(type, values)
+    """True iff some entry of values is a Lane or a Choice."""
+    return not _LANE_TYPES.isdisjoint(map(type, values))
 
 
 def bit_mask(value, block: int) -> int:
@@ -418,8 +487,11 @@ class Strategy:
         return (2 ** len(self.nlbs)) * len(self.shared_domain)
 
 
-def _not_a_bit(party: int, what: str, value):
-    raise NonBitError(f"party {party} {what} {value!r}, which is not a bit")
+def _not_a_bit(party: int, what: str, value, kind: str = "a bit"):
+    if type(value) is Truth or type(value) is Choice:
+        # refused at every point: each point's own run names its plain value
+        raise LaneBranch(f"party {party} {what} a lane that is not {kind}")
+    raise NonBitError(f"party {party} {what} {value!r}, which is not {kind}")
 
 
 def execute(strategy: Strategy, input_tuple: tuple, seed: "Seed | LaneSeed",
@@ -536,8 +608,7 @@ def execute(strategy: Strategy, input_tuple: tuple, seed: "Seed | LaneSeed",
                 if type(out) is list:
                     out = tuple(out)
                 elif type(out) is not tuple:
-                    raise NonBitError(f"party {i} output {out!r}, which is "
-                                      f"not a tuple or list of bits")
+                    _not_a_bit(i, "output", out, "a tuple or list of bits")
                 for v in out:
                     if not _is_bit(v):
                         _not_a_bit(i, "output", v)
@@ -640,13 +711,21 @@ def sample_seed(strategy: Strategy, rng: random.Random) -> Seed:
 
 # --- the (input, seed) grid as lane blocks -------------------------------------
 
-def _columns(values, leaves: list):
+# the most values an int leaf may take and still run on lanes, as a Choice
+MAX_CHOICES = 8
+
+
+def _columns(values, leaves: list, choices: list | None = None):
     """The nesting of plain tuples and frozen dataclasses shared by every
     value in ``values`` (a sequence), or None when they differ in it or a
     leaf is neither the int 0 or 1 nor one value of one type in every value.
     Each bit leaf's column, its value in every value as bytes of 0 and 1, is
     appended to ``leaves`` in _build's order; a constant leaf is kept in the
-    shape as (None, value)."""
+    shape as (None, value). Where ``choices`` is a list, an int leaf that
+    takes at most MAX_CHOICES values, not all bits, is kept too, as
+    (Choice, its values in order of first appearance), with one column per
+    value, 1 where the leaf takes it; its values are appended to
+    ``choices``."""
     kinds = set(map(type, values))
     if len(kinds) != 1:
         return None
@@ -664,11 +743,20 @@ def _columns(values, leaves: list):
     elif dataclasses.is_dataclass(kind) and kind.__dataclass_params__.frozen:
         parts = [[getattr(v, f.name) for v in values]
                  for f in dataclasses.fields(kind)]
+    elif values.count(values[0]) == len(values):
+        return None, values[0]
     else:
-        return (None, values[0]) if values.count(values[0]) == len(values) else None
+        if kind is not int or choices is None:
+            return None
+        distinct = tuple(dict.fromkeys(values))
+        if len(distinct) > MAX_CHOICES:
+            return None
+        leaves += [bytes([v == d for v in values]) for d in distinct]
+        choices.append(distinct)
+        return Choice, distinct
     shapes = []
     for part in parts:
-        shape = _columns(part, leaves)
+        shape = _columns(part, leaves, choices)
         if shape is None:
             return None
         shapes.append(shape)
@@ -685,12 +773,23 @@ def _lane_mask(column: bytes) -> int:
 
 def _build(shape, leaves):
     """A value of the given shape whose leaves are taken from ``leaves``;
-    dataclasses are built field by field, without their __init__."""
+    dataclasses are built field by field, without their __init__. A Choice
+    leaf takes one leaf per value, and is the plain value where that leaf
+    is 1 on the whole block."""
     if shape == "bit":
         return next(leaves)
     kind, parts = shape
     if kind is None:
         return parts        # a constant leaf
+    if kind is Choice:
+        lanes = {value: next(leaves) for value in parts}
+        masks = {}
+        for value, leaf in lanes.items():
+            if type(leaf) is Lane:
+                masks[value], full = leaf.mask, leaf.full
+            elif leaf:
+                return value
+        return Choice(masks, full)
     items = [_build(part, leaves) for part in parts]
     if kind is tuple:
         return tuple(items)
@@ -764,7 +863,9 @@ class LaneGrid:
 
     - ``periodic``: the exhaustive grid. size is the seed count, each
       input's seeds in enumerate_seeds' order, and every group has the same
-      seed lanes, so a block's seed serves it one group on too.
+      seed lanes, so a block's seed serves it one group on too. Here an int
+      input leaf that is not a bit may be a Choice (see _columns), until
+      the first split narrows the grid (see split).
     - ``drawn``: k points in one group, point k the k-th draw of
       ``sample_input(rng)`` then ``sample_seed``; size is 1.
     """
@@ -782,6 +883,7 @@ class LaneGrid:
         self.base = None        # the group whose input lanes input() holds
         self.shared = None      # the drawn fill's shared indices
         self.promised = None    # per input, on the promise or not (analysis._verify)
+        self.narrows = False    # the input holds a Choice, until split narrows
 
     @classmethod
     def periodic(cls, strategy: Strategy, inputs: list, width: int) -> "LaneGrid":
@@ -790,11 +892,11 @@ class LaneGrid:
         nb, values = len(strategy.nlbs), strategy.shared_domain.values
         size = len(values) << nb
         copies = max(1, min(len(inputs), width // size))
-        columns, shape = [], None
-        # inputs share a group only where they have one bit shape and the
-        # grid is not per_index (see __init__)
+        columns, shape, choices = [], None, []
+        # inputs share a group only where they have one shape and the grid
+        # is not per_index (see __init__)
         if copies > 1 and (len(values) == 1 or _columns(values, []) is not None):
-            shape = _columns(inputs, columns)
+            shape = _columns(inputs, columns, choices)
         copies = copies if shape else 1
         grid = cls(strategy, size, copies * size, list(values) * copies, 1 << nb)
         # free-bit lanes repeat every period points; blocks of one shared
@@ -802,6 +904,7 @@ class LaneGrid:
         grid.period = 1 << nb if grid.per_index else grid.width
         grid.nlb_masks = [lane.mask for lane in seed_lanes(nb, grid.period >> nb)]
         grid.inputs, grid.input_shape, grid.input_columns = inputs, shape, columns
+        grid.narrows = bool(shape and choices)
         blocks = ([(s << nb, (1 << (1 << nb)) - 1) for s in range(len(values))]
                   if grid.per_index else [(0, (1 << grid.width) - 1)])
         grid.start = [(offset, block, *grid.run(offset, block))
@@ -918,7 +1021,21 @@ class LaneGrid:
         raised LaneBranch: the two blocks on which its mask is constant;
         without one, or one constant on the block, one block per input when
         the block meets several (see windows), else the block with x and
-        seed None, to run point by point."""
+        seed None, to run point by point.
+
+        A grid whose input holds a Choice first narrows, whatever the
+        LaneBranch: from then on, for every sweep of the grid, each group
+        is one input and the input is never a lane, as for inputs that are
+        not bit-shaped, and ``start`` is the first input's block. A block
+        that met several inputs, a whole group of the wider layout, is
+        replaced by its first input's block."""
+        if self.narrows:
+            first, last = self.input_span(offset, block)
+            whole = (1 << self.size) - 1
+            self.narrows, self.width, self.input_shape = False, self.size, None
+            self.start = [(0, whole, *self.run(0, whole))]
+            if last > first:
+                return [(offset, whole, *self.run(offset, whole))]
         inside = block & mask if mask is not None else 0
         if inside and inside != block:
             parts = [inside, block ^ inside]

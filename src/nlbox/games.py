@@ -18,7 +18,8 @@ import operator
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
-from .engine import EnumerationLimitError, count_text, draw_bits, has_lane, seed_lanes
+from .engine import (EnumerationLimitError, LaneBranch, count_text, draw_bits, has_lane,
+                     seed_lanes)
 
 MAX_OUTCOMES = 2 ** 20
 # dj:<n> inputs are 2^n bits and dj-nlb:<n> declares about 2^(n+1) boxes
@@ -122,11 +123,12 @@ class Game:
     on them), it runs unchanged on output lanes (engine.Lane), where it
     decides a whole block of outcomes in one call; verify runs it that way.
     Every built-in relation also runs on input lanes: where a bit of x is a
-    lane it takes a bit-algebra form, so one call decides a block whose
-    points span several bit-shaped inputs, while concrete inputs take the
-    scalar form. A relation that uses a lane in any other way raises
-    LaneBranch there, and is then called once per input, and once per
-    distinct outcome of an input, instead.
+    lane, or magic square's row or column is an engine.Choice, it takes a
+    bit-algebra form, so one call decides a block whose points span several
+    inputs, while concrete inputs take the scalar form. A relation that
+    uses a lane in any other way raises LaneBranch there, and is then
+    called once per input, and once per distinct outcome of an input,
+    instead.
 
     ``party_inputs`` lists each party's possible inputs (None when the
     per-party input space is too large to enumerate). ``party_outputs``
@@ -254,15 +256,39 @@ EVEN_TRIPLES = tuple(r for r in itertools.product((0, 1), repeat=3) if sum(r) % 
 ODD_TRIPLES = tuple(r for r in itertools.product((0, 1), repeat=3) if sum(r) % 2 == 1)
 
 
+def indicators(v) -> tuple:
+    """The bits (v == 1) & 1, (v == 2) & 1 and (v == 3) & 1 of a
+    magic-square input v, lanes where v is a Choice (engine.Choice), so
+    that select(bits, indicators(v)) is bits[v - 1]. A plain v is read as
+    that index reads it: 0 and -1 pick the last two entries, and any other
+    value raises as the index does. A lane that is not a Choice of 1, 2 and
+    3 raises LaneBranch, so that each input runs as a plain value."""
+    if not has_lane((v,)):
+        k = (1, 2, 3)[v - 1]
+        return int(k == 1), int(k == 2), int(k == 3)
+    hot = (v == 1) & 1, (v == 2) & 1, (v == 3) & 1
+    if hot[0] | hot[1] | hot[2]:
+        return hot
+    raise LaneBranch("a magic-square input lane holds no 1, 2 or 3")
+
+
+def select(bits, hot):
+    """bits[v - 1] for the input v whose indicators are hot, in bit
+    algebra, so bits and hot may be lanes."""
+    return (bits[0] & hot[0]) ^ (bits[1] & hot[1]) ^ (bits[2] & hot[2])
+
+
 def magic_square_game() -> Game:
     inputs = [(r, c) for r in (1, 2, 3) for c in (1, 2, 3)]
 
     def win(x, y):
         # the row has even parity, the column odd parity, and they agree
-        # on the shared cell
+        # on the shared cell: the row's entry at the column input and the
+        # column's at the row input, selected in bit algebra, so that an
+        # input may be a Choice
         (r0, r1, r2), (c0, c1, c2) = y
-        return ((1 ^ r0 ^ r1 ^ r2) & (c0 ^ c1 ^ c2)
-                & (1 ^ y[0][x[1] - 1] ^ y[1][x[0] - 1]))
+        cells = select(y[0], indicators(x[1])) ^ select(y[1], indicators(x[0]))
+        return (1 ^ r0 ^ r1 ^ r2) & (c0 ^ c1 ^ c2) & (1 ^ cells)
 
     return Game(
         name="magic-square", n_parties=2, output_lengths=(3, 3),

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .distbit import cross_pairs, flatten, majority_formula
 from .engine import (Action, Channel, NlbInstance, PartyProgram, SharedDomain,
                      Strategy, TRIVIAL_SHARED, bit_domain)
-from .games import DJ_MAX_N, EVEN_TRIPLES, ODD_TRIPLES, resolve_id
+from .games import DJ_MAX_N, EVEN_TRIPLES, ODD_TRIPLES, indicators, resolve_id, select
 
 
 class StrategyError(Exception):
@@ -179,22 +179,36 @@ def _check_comm_pairs(s0, s1):
     return a, b0, b1
 
 
+def _switched(pairs, s, hot) -> tuple:
+    """Per (zeros, ones) pair of triples, the entry at the input whose
+    indicators are hot (games.select), u from zeros and w from ones, switched
+    by the bit s as u ^ (s & (u ^ w)): bit algebra throughout, so a run on
+    input, box or shared lanes never branches."""
+    out = []
+    for zeros, ones in pairs:
+        u = select(zeros, hot)
+        out.append(u ^ (s & (u ^ select(ones, hot))))
+    return tuple(out)
+
+
 def _ms_comm_programs(pick):
-    """pick(view) -> (alice, bob0, bob1) matrices for this run."""
+    """pick(view) -> (alice, bob0, bob1) matrices for this run. The row
+    player sends (input == 3) & 1, and the column player switches from
+    bob0 to bob1 on the bit it receives (see _switched)."""
 
     def alice_round(view):
         a, _, _ = pick(view)
-        flag = 1 if view.own_input == 3 else 0
-        return Action(sends={"row-is-3": flag}, output=a[view.own_input - 1])
+        hot = indicators(view.own_input)
+        return Action(sends={"row-is-3": (view.own_input == 3) & 1},
+                      output=tuple([select(column, hot) for column in zip(*a)]))
 
     def bob_wait(view):
         return Action()
 
     def bob_answer(view):
         _, b0, b1 = pick(view)
-        m = b1 if view.received["row-is-3"] else b0
-        c = view.own_input - 1
-        return Action(output=tuple(m[i][c] for i in range(3)))
+        return Action(output=_switched(zip(b0, b1), view.received["row-is-3"],
+                                       indicators(view.own_input)))
 
     return (PartyProgram((alice_round,)), PartyProgram((bob_wait, bob_answer)))
 
@@ -225,23 +239,22 @@ def magic_square_comm_sim() -> Strategy:
 
 
 def _ms_nlb_programs(pick):
-    """pick(view) -> MagicSquareQuadruple for this run. The box output p
-    selects each answer bit as u ^ (p & (u ^ w)), u from the 0-matrix and w
-    from the 1-matrix: bit algebra, so a run on box lanes never branches."""
+    """pick(view) -> MagicSquareQuadruple for this run. Both parties feed
+    (input == 3) & 1, and the box output p switches each answer bit from
+    the 0-matrix to the 1-matrix (see _switched)."""
 
     def feed(view):
-        flag = 1 if view.own_input == 3 else 0
-        return Action(nlb_inputs={"pick": flag})
+        return Action(nlb_inputs={"pick": (view.own_input == 3) & 1})
 
     def alice_answer(view):
-        q, p, r = pick(view), view.nlb["pick"], view.own_input - 1
-        return Action(output=tuple([u ^ (p & (u ^ w))
-                                    for u, w in zip(q.a0[r], q.a1[r])]))
+        q = pick(view)
+        return Action(output=_switched(zip(zip(*q.a0), zip(*q.a1)), view.nlb["pick"],
+                                       indicators(view.own_input)))
 
     def bob_answer(view):
-        q, p, c = pick(view), view.nlb["pick"], view.own_input - 1
-        return Action(output=tuple([u[c] ^ (p & (u[c] ^ w[c]))
-                                    for u, w in zip(q.b0, q.b1)]))
+        q = pick(view)
+        return Action(output=_switched(zip(q.b0, q.b1), view.nlb["pick"],
+                                       indicators(view.own_input)))
 
     return (PartyProgram((feed, alice_answer)), PartyProgram((feed, bob_answer)))
 

@@ -24,8 +24,8 @@ from nlbox.analysis import (AnalysisError, CommunicationUsedError, Exhaustive,
                             verify_winning)
 from nlbox.engine import (Action, EnumerationLimitError, NlbInstance, PartyProgram,
                           Seed, Strategy, execute)
-from nlbox.games import (GameError, Parity, PromiseError, bmaj, get_game, is_winning,
-                         own_bit, promised_inputs, winning_outcomes)
+from nlbox.games import (GameError, Parity, PromiseError, bmaj, get_game, indicators,
+                         is_winning, own_bit, promised_inputs, select, winning_outcomes)
 from nlbox.strategies import STRATEGY_FAMILIES, get_strategy
 from test_lanes import (CHANNEL, CUSTOM, N_VARS, NO_COMM_ENUMERABLE, _evaluate,
                         expressions, scalar_oracle)
@@ -691,17 +691,18 @@ def test_marginal_logic_detects_signaling():
 
 # --- random whole programs against the scalar oracle -------------------------------
 
-def _round(boxes, leak, picks, feeds, answer):
-    """One round of a drawn program. Its view bits are the party's input
-    bit, its shared bit, the outputs of the boxes it has received (their ids
-    in boxes) and, where leak is a dict, party 0's input, which party 0
-    leaks to the others; picks names the view bit that each of an
-    expression's N_VARS variables stands for. feeds holds (box id,
-    expression) pairs, and answer is None or (the variable an if reads, or
-    None, then-expression, else-expression). ^ 0 turns a bool into the int
-    bit that execute accepts."""
+def _round(boxes, leak, picks, feeds, answer, own=lambda view: view.own_input):
+    """One round of a drawn program. Its view bits are own(view), by default
+    the party's input bit, its shared bit, the outputs of the boxes it has
+    received (their ids in boxes) and, where leak is a dict, party 0's
+    input, which party 0 leaks to the others; picks names the view bit that
+    each of an expression's N_VARS variables stands for. feeds holds (box
+    id, expression) pairs, and answer is None or (the variable an if reads,
+    or None, then-expression, else-expression, then one expression per
+    further output bit). ^ 0 turns a bool into the int bit that execute
+    accepts."""
     def step(view):
-        bits = [view.own_input, view.shared[0], *[view.nlb[b] for b in boxes]]
+        bits = [own(view), view.shared[0], *[view.nlb[b] for b in boxes]]
         if leak is not None:
             # party 0 moves first in every round
             if view.party == 0:
@@ -711,9 +712,9 @@ def _round(boxes, leak, picks, feeds, answer):
         env = [bits[i] for i in picks]
         action = Action(nlb_inputs={b: _evaluate(e, env) ^ 0 for b, e in feeds} or None)
         if answer is not None:
-            test, then, other = answer
+            test, then, other, *rest = answer
             chosen = then if test is None or env[test] else other
-            action.output = (_evaluate(chosen, env) ^ 0,)
+            action.output = tuple([_evaluate(e, env) ^ 0 for e in (chosen, *rest)])
         return action
     return step
 
@@ -755,6 +756,18 @@ def random_programs(draw):
     return strategy, game, drop
 
 
+def oracle_non_signaling(per_input, n_parties) -> bool:
+    """Each party's fraction marginal is one per own input."""
+    marginals = [{} for _ in range(n_parties)]
+    for x, probs in per_input.items():
+        for r, seen in enumerate(marginals):
+            marginal = Counter()
+            for outcome, p in probs.items():
+                marginal[outcome[r]] += p
+            seen.setdefault(x[r], set()).add(frozenset(marginal.items()))
+    return all(len(m) == 1 for seen in marginals for m in seen.values())
+
+
 def _result(call):
     """What call returns, or the type and text of the GameError it raises."""
     try:
@@ -772,16 +785,8 @@ def test_random_programs_match_the_scalar_oracle(case, k):
     assert dist.per_input == per_input
     assert verify_winning(strategy, game, Exhaustive()) == analysis.VerifyResult(
         counterexample is None, "exhaustive", checked, wins, counterexample)
-    # non-signaling: each party's fraction marginal is one per own input
-    marginals = [{} for _ in range(strategy.n_parties)]
-    for x, probs in per_input.items():
-        for r, seen in enumerate(marginals):
-            marginal = Counter()
-            for outcome, p in probs.items():
-                marginal[outcome[r]] += p
-            seen.setdefault(x[r], set()).add(frozenset(marginal.items()))
-    assert no_signaling_check(strategy, game) is all(
-        len(m) == 1 for seen in marginals for m in seen.values())
+    assert no_signaling_check(strategy, game) is \
+        oracle_non_signaling(per_input, strategy.n_parties)
     assert verify_winning(strategy, game, Sample(k, 7)) == \
         oracle_sampled_verify(strategy, game, k, 7)
     # an input off the promise is reported as is_winning reports it, whether
@@ -792,6 +797,105 @@ def test_random_programs_match_the_scalar_oracle(case, k):
             _result(lambda: scalar_oracle(strategy, game))
         assert _result(lambda: verify_winning(strategy, game, Sample(k, 7))) == \
             _result(lambda: oracle_sampled_verify(strategy, game, k, 7))
+
+
+# how a drawn magic-square program reads its input x as a view bit, given a
+# value v of 1..3, a table t of three bits and a lane or bit z (its first box
+# output, or its shared bit): compare or select in bit algebra, which runs
+# on a Choice, or index with x - 1 or branch, which narrow its grid; some
+# of them on z
+MS_ALGEBRA = {
+    "eq": lambda x, v, t, z: x == v,
+    "eq & 1": lambda x, v, t, z: (x == v) & 1,
+    "ne & z": lambda x, v, t, z: (x != v) & z,
+    "select": lambda x, v, t, z: select(t, indicators(x)),
+    "select z": lambda x, v, t, z: select((z, t[1], z ^ 1), indicators(x)),
+}
+MS_READS = dict(MS_ALGEBRA, **{
+    "index": lambda x, v, t, z: t[x - 1],
+    "index ^ z": lambda x, v, t, z: t[x - 1] ^ z,
+    "branch": lambda x, v, t, z: t[0] if x == v else t[1],
+    "branch z": lambda x, v, t, z: z if x != v else t[2],
+})
+
+
+def _ms_read(kind, v, table, boxes):
+    def own(view):
+        z = view.nlb[boxes[0]] if boxes else view.shared[0]
+        return MS_READS[kind](view.own_input, v, table, z)
+    return own
+
+
+@st.composite
+def random_ms_programs(draw):
+    """A valid magic-square strategy of 1 or 2 rounds, with up to 2 boxes,
+    each port fed in a drawn round, and one shared bit. In every round the
+    first view bit (see _round) is the party's input read one of the
+    MS_READS ways, or for a party drawn to use bit algebra alone one of the
+    MS_ALGEBRA ways; an answer is three bits."""
+    rounds = draw(st.integers(1, 2))
+    boxes = [(NlbInstance(f"b{k}", *draw(st.permutations(range(2)))),
+              draw(st.tuples(st.integers(0, rounds - 1), st.integers(0, rounds - 1))))
+             for k in range(draw(st.integers(0, 2)))]
+    programs = []
+    for r in range(2):
+        steps = []
+        reads = sorted(MS_ALGEBRA if draw(st.booleans()) else MS_READS)
+        for t in range(rounds):
+            seen = [box.id for box, fed in boxes if max(fed) < t]
+            own = _ms_read(draw(st.sampled_from(reads)), draw(st.integers(1, 3)),
+                           draw(st.tuples(*[st.integers(0, 1)] * 3)), seen)
+            picks = draw(st.lists(st.integers(0, 1 + len(seen)), min_size=N_VARS,
+                                  max_size=N_VARS))
+            feeds = [(box.id, draw(expressions)) for box, fed in boxes
+                     for port, party in enumerate((box.port0_party, box.port1_party))
+                     if party == r and fed[port] == t]
+            answer = (draw(st.none() | st.integers(0, N_VARS - 1)),
+                      *[draw(expressions) for _ in range(4)]) if t == rounds - 1 else None
+            steps.append(_round(seen, None, picks, feeds, answer, own))
+        programs.append(PartyProgram(tuple(steps)))
+    return Strategy(name="drawn-ms", n_parties=2, programs=tuple(programs),
+                    nlbs=tuple(box for box, _ in boxes),
+                    shared_domain=engine.bit_domain(1), game_id="magic-square")
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(strategy=random_ms_programs(), copies=st.sampled_from([None, 1, 2, 3, 4]),
+       k=st.integers(1, 30))
+def test_random_magic_square_programs_match_the_scalar_oracle(strategy, copies, k):
+    # copies inputs to a group, or all nine (None): a grid of Choices runs
+    # until its first split narrows it, at the first group or a later one.
+    # Every input a run gets is a plain int or a Choice that differs on its
+    # block, and a narrowed grid is kept: at nine inputs to a group, a
+    # second sweep makes one run fewer than a first that narrowed
+    game = get_game("magic-square")
+    per_input, checked, wins, counterexample = scalar_oracle(strategy, game)
+    runs, real, width = [], analysis.execute, analysis.SWEEP_WIDTH
+
+    def counting(strategy, x, seed, record):
+        for v in x:
+            assert type(v) is int or type(v) is engine.Choice and len(v.masks) > 1 \
+                and all(0 < m < v.full for m in v.masks.values())
+        runs.append(seed)
+        return real(strategy, x, seed, record)
+
+    analysis.execute = counting
+    if copies:
+        analysis.SWEEP_WIDTH = copies * strategy.seed_count()
+    try:
+        for sweep in range(2):
+            runs.clear()
+            assert exact_distribution(strategy, game).per_input == per_input
+            counts = runs[:] if sweep == 0 else counts
+        if copies is None:
+            assert len(runs) == max(1, len(counts) - 1)
+        assert verify_winning(strategy, game, Exhaustive()) == analysis.VerifyResult(
+            counterexample is None, "exhaustive", checked, wins, counterexample)
+        assert no_signaling_check(strategy, game) is oracle_non_signaling(per_input, 2)
+    finally:
+        analysis.execute, analysis.SWEEP_WIDTH = real, width
+    assert verify_winning(strategy, game, Sample(k, 7)) == \
+        oracle_sampled_verify(strategy, game, k, 7)
 
 
 # --- impossibility search --------------------------------------------------------

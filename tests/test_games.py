@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nlbox.engine import EnumerationLimitError, Lane, seed_lanes
+from nlbox.engine import Choice, EnumerationLimitError, Lane, bit_mask, seed_lanes
 from nlbox.games import (DJ_MAX_PROMISE, GameError, PromiseError, bmaj, get_game,
                          hamming, is_winning, outcome_index, outcome_lanes,
                          outcome_space, promised_inputs, winning_outcomes)
@@ -287,11 +287,42 @@ def test_win_on_input_lanes_matches_scalar_calls(gid):
         lanes = tuple(tuple(Lane(m, full) for m in part) for part in masks)
         fixed = tuple(tuple(rng.randrange(2) for _ in range(w)) for w in g.output_lengths)
         won, won_fixed = g.win(shaped(leaves), lanes), g.win(shaped(leaves), fixed)
-        assert type(won) is Lane and type(won_fixed) is Lane
+        # a lane, or the int 0 or 1 where the result is the same on every
+        # point (a lane with an int operand collapses to the constant)
+        assert type(won) is Lane and all(type(v) in (int, Lane) for v in (won, won_fixed))
+        won, won_fixed = bit_mask(won, full), bit_mask(won_fixed, full)
         for k, bits in enumerate(points):
             y = tuple(tuple(m >> k & 1 for m in part) for part in masks)
-            assert won.mask >> k & 1 == bool(g.win(shaped(bits), y)), (k, bits, y)
-            assert won_fixed.mask >> k & 1 == bool(g.win(shaped(bits), fixed)), k
+            assert won >> k & 1 == bool(g.win(shaped(bits), y)), (k, bits, y)
+            assert won_fixed >> k & 1 == bool(g.win(shaped(bits), fixed)), k
+
+
+def test_magic_square_win_on_choice_inputs_matches_scalar_calls():
+    # all 9 x 64 (input, outcome) pairs as one block, point 64 i + k being
+    # input i under the k-th outcome: the input as two Choices (as
+    # LaneGrid.periodic lays it out), the outcome as lanes; and the same
+    # outcomes under the inputs of one row, whose row is the plain int
+    g = get_game("magic-square")
+    inputs, space = promised_inputs(g), list(outcome_space(g))
+    for rows in ((1, 2, 3), (2,)):
+        points = [(x, y) for x in inputs if x[0] in rows for y in space]
+        full = (1 << len(points)) - 1
+
+        def leaf(r):
+            masks = {}
+            for k, (x, _) in enumerate(points):
+                masks[x[r]] = masks.get(x[r], 0) | 1 << k
+            return Choice(masks, full) if len(masks) > 1 else x[r]
+
+        lanes = iter(seed_lanes(6, len(points) // 64))
+        y = tuple(tuple(next(lanes) for _ in range(3)) for _ in range(2))
+        won = bit_mask(g.win((leaf(0), leaf(1)), y), full)
+        # the rule stated on plain values: an even row and an odd column
+        # that agree on the cell they share
+        want = [sum(o[0]) % 2 == 0 and sum(o[1]) % 2 == 1 and o[0][x[1] - 1] == o[1][x[0] - 1]
+                for x, o in points]
+        assert want == [is_winning(g, x, o) for x, o in points]
+        assert [won >> k & 1 for k in range(len(points))] == want
 
 
 def test_outcome_lanes_keep_the_outcome_limit():

@@ -8,6 +8,7 @@ the seed of the first counterexample.
 
 import dataclasses
 import itertools
+import json
 import random
 import re
 import tracemalloc
@@ -21,13 +22,13 @@ from hypothesis import given, settings, strategies as st
 from nlbox import analysis
 from nlbox.analysis import (Exhaustive, exact_distribution, impossibility_search,
                             strategy_from_tables, verify_winning)
-from nlbox.engine import (Action, Channel, Lane, LaneBranch, LaneGrid, LaneSeed,
+from nlbox.engine import (Action, Channel, Choice, Lane, LaneBranch, LaneGrid, LaneSeed,
                           NlbInstance, NonBitError, PartyProgram, Seed,
-                          SharedDomain, Strategy, TRIVIAL_SHARED,
+                          SharedDomain, Strategy, TRIVIAL_SHARED, Truth,
                           UnusedResourceError, bit_domain, enumerate_seeds,
                           execute, sample_seed, seed_lanes)
-from nlbox.games import get_game, is_winning, promised_inputs
-from nlbox.strategies import REF_QUADRUPLE, get_strategy
+from nlbox.games import get_game, indicators, is_winning, promised_inputs, select
+from nlbox.strategies import REF_ALICE, REF_BOB0, REF_BOB1, REF_QUADRUPLE, get_strategy
 
 NO_COMM_ENUMERABLE = [
     ("chsh-nlb", "chsh"),
@@ -308,6 +309,41 @@ def test_lane_sweep_matches_scalar_oracle(sid, gid):
         (checked, wins, counterexample)
 
 
+def _raised(call):
+    """The type and text of the exception call raises, or None."""
+    try:
+        call()
+    except Exception as error:
+        return type(error), str(error)
+
+
+@pytest.mark.parametrize("sid,gid", [("chsh-nlb", "magic-square"),
+                                     ("nlb-via-comm", "magic-square"),
+                                     ("dj-nlb:1", "magic-square"),
+                                     ("ms-nlb", "dj:1"), ("ms-comm-sim", "chsh"),
+                                     ("ms-nlb-sim", "bmaj:2")])
+def test_a_builtin_off_its_game_matches_the_scalar_oracle(sid, gid):
+    # a Choice fed as a bit, iterated, or compared past 1, 2 and 3 narrows
+    # its grid, so an error names the plain value of the first point that
+    # raises it, and magic-square programs index a bit input as x - 1 does
+    strategy, game = get_strategy(sid), get_game(gid)
+    total, per_input = strategy.seed_count(), {}
+
+    def tally():
+        for x in promised_inputs(game):
+            counts = Counter(execute(strategy, x, seed, record=False)[0]
+                             for seed in enumerate_seeds(strategy))
+            per_input[x] = {o: Fraction(n, total) for o, n in counts.items()}
+
+    want = _raised(tally)
+    assert _raised(lambda: exact_distribution(strategy, game)) == want
+    if want is None:
+        assert exact_distribution(strategy, game).per_input == per_input
+        # the outcomes have the wrong arity for the game
+        assert _raised(lambda: verify_winning(strategy, game, Exhaustive())) == \
+            _raised(lambda: scalar_oracle(strategy, game))
+
+
 def test_losing_cases_have_counterexamples():
     for sid, gid in (("multi-mermin-nlb:4", "bmaj:4"),
                      ("losing-witness", "multi-mermin:3"),
@@ -347,6 +383,9 @@ def at_point(value, i):
     """A lane-valued input or shared value at bit i of its block."""
     if isinstance(value, Lane):
         return value.mask >> i & 1
+    if type(value) is Choice:
+        (v,) = [v for v, mask in value.masks.items() if mask >> i & 1]
+        return v
     if type(value) is tuple:
         return tuple(at_point(v, i) for v in value)
     if dataclasses.is_dataclass(value):
@@ -417,14 +456,22 @@ def test_grid_fills_match_their_definitions(sid, gid, fill):
                     cover |= whole & window
                 assert cover == whole
             cover = 0
+            narrows, shaped = grid.narrows, grid.input_shape is not None
             for start, part, x, seed in grid.split(offset, block, None):
-                if grid.input_shape is None:
+                if not shaped:
                     # that one input value's block runs point by point
                     assert (start, part, x, seed) == (offset, block, None, None)
                 else:
                     assert (start + part.bit_length() - 1) // grid.size == start // grid.size
                 cover |= part << start
-            assert cover == block << offset
+            if narrows:
+                # a grid whose input held a Choice now has one input per
+                # group, and the group's block gave way to its first input's
+                assert (grid.width, grid.input_shape, grid.narrows) == (grid.size, None, False)
+                assert cover == ((1 << grid.size) - 1) << offset
+                assert [run[:2] for run in grid.start] == [(0, (1 << grid.size) - 1)]
+            else:
+                assert cover == block << offset
 
 
 @pytest.mark.parametrize("sid", sorted(SAMPLED_ORACLE))
@@ -489,15 +536,19 @@ def test_branch_free_builtins_take_the_lane_path(sid, execute_calls):
     assert all(isinstance(seed.nlb_bits[0], Lane) for seed in execute_calls)
 
 
-# (runs, lane runs). Magic-square inputs are not bits, so each input is a
-# block of its own: the branching copies of ms-nlb and ms-nlb-sim make one run
-# on the whole seed space, then one run per half (ms-nlb's halves are single
-# seeds) for every input. The search witness's inputs are bits, and its grid
+# (runs, lane runs) of a first sweep, then of a second sweep of the kept
+# grid. Magic-square inputs are Choices on a fresh grid, so all nine inputs
+# are one block: the branching copies of ms-nlb and ms-nlb-sim branch on the
+# box there, which narrows the grid to one input per block (LaneGrid.split),
+# and then make one run on the first input's seeds and one run per half
+# (ms-nlb's halves are single seeds) for every input; a second sweep starts
+# from the narrowed grid. The search witness's inputs are bits, and its grid
 # block holds all four: the block splits on each pair party's input (it
 # indexes a table with it), 1 + 2 runs; each of the four one-input blocks then
 # fails on arithmetic with its box output and runs seed by seed, 4 + 4 * 2
-SPLIT_ONCE = {"ms-nlb-branching": (1 + 9 * 2, 1), "ms-nlb-sim-branching": (1 + 9 * 2, 19),
-              "search-witness": (1 + 2 + 4 + 4 * 2, 7)}
+SPLIT_ONCE = {"ms-nlb-branching": ((1 + 1 + 9 * 2, 2), (1 + 9 * 2, 1)),
+              "ms-nlb-sim-branching": ((1 + 1 + 9 * 2, 20), (1 + 9 * 2, 19)),
+              "search-witness": ((1 + 2 + 4 + 4 * 2, 7), (1 + 2 + 4 + 4 * 2, 7))}
 
 
 @pytest.mark.parametrize("sid,gid", [("ms-nlb-branching", "magic-square"),
@@ -507,13 +558,16 @@ def test_branching_programs_split_once(sid, gid, execute_calls):
     strategy, game = build(sid), get_game(gid)
     execute_calls.clear()      # building the search witness re-verifies it
     exact_distribution(strategy, game)
-    runs, lane_runs = SPLIT_ONCE[sid]
+    (runs, lane_runs), (again, lane_again) = SPLIT_ONCE[sid]
     assert len(execute_calls) == runs
     assert type(execute_calls[0]) is LaneSeed
-    inputs = len(promised_inputs(game)) if sid == "search-witness" else 1
     assert (execute_calls[0].offset, execute_calls[0].block) == \
-        (0, (1 << inputs * strategy.seed_count()) - 1)
+        (0, (1 << len(promised_inputs(game)) * strategy.seed_count()) - 1)
     assert sum(type(seed) is LaneSeed for seed in execute_calls) == lane_runs
+    execute_calls.clear()
+    exact_distribution(strategy, game)
+    assert len(execute_calls) == again
+    assert sum(type(seed) is LaneSeed for seed in execute_calls) == lane_again
 
 
 def test_input_compare_reruns_the_grid_block_per_input(execute_calls):
@@ -614,7 +668,7 @@ def test_exhaustive_verify_runs_the_win_relation_once_per_piece(sid, gid, monkey
         return any(m & block not in (0, block) for part in parts for m in part)
 
     def has_lane(value):
-        return type(value) is Lane or type(value) is tuple and any(map(has_lane, value))
+        return type(value) in (Lane, Choice) or type(value) is tuple and any(map(has_lane, value))
 
     monkeypatch.setattr(analysis, "is_winning", None)
     calls = []
@@ -636,10 +690,10 @@ def test_exhaustive_verify_runs_the_win_relation_once_per_piece(sid, gid, monkey
         else:
             want += [(False, laned(block, parts)) for block, parts in pieces]
     assert sorted(calls) == sorted(want)
-    # ms-nlb's inputs are not bit-shaped, so each is a run of its own;
-    # dj-nlb:2's 112 inputs are one run
-    assert any(len(pieces) > 1 for pieces in runs) is (sid != "ms-nlb")
-    assert (len(calls) == 1) is (sid == "dj-nlb:2")
+    # ms-nlb's nine inputs are one run, on Choice input lanes, and so are
+    # dj-nlb:2's 112 inputs
+    assert any(len(pieces) > 1 for pieces in runs)
+    assert (len(calls) == 1) is (sid != "split-then-arithmetic")
 
     # 0 + lane raises LaneBranch: a run over several inputs falls back to its
     # pieces, and each laned piece to its distinct outcomes
@@ -837,11 +891,13 @@ def test_seven_party_sweep_is_exact_and_non_signaling():
 
 
 def test_channel_only_strategies_run_on_shared_lanes(execute_calls):
-    # no box to slice, but the 128 matrix triples are one lane-valued block
+    # no box to slice, but the 128 matrix triples are one lane-valued block,
+    # and the nine inputs, as Choices, put the whole grid in one run
     strategy = get_strategy("ms-comm-sim")
     exact_distribution(strategy, get_game("magic-square"))
-    assert len(execute_calls) == 9
+    assert len(execute_calls) == 1
     assert all(type(seed) is LaneSeed and seed.nlb_bits == () for seed in execute_calls)
+    assert execute_calls[0].block == (1 << 9 * strategy.seed_count()) - 1
     alice, bob0, bob1 = execute_calls[0].shared
     assert any(type(v) is Lane for row in alice for v in row)
 
@@ -887,9 +943,11 @@ def test_count_by_input_matches_the_cut_masks(size):
 
 
 def test_count_by_input_keeps_a_block_of_one_input_value_whole():
-    # magic-square inputs are not bit-shaped: a block holds one input
+    # a narrowed magic-square grid's inputs are not bit-shaped: a block holds
+    # one input
     strategy, game = get_strategy("ms-nlb-sim"), get_game("magic-square")
     grid = LaneGrid.periodic(strategy, promised_inputs(game), analysis.SWEEP_WIDTH)
+    grid.split(*grid.start[0][:2], None)
     assert grid.input_shape is None
     block = (1 << 256) - 1
     assert grid.count_by_input(512, block, [block, 0b1011 << 200]) == \
@@ -1067,3 +1125,313 @@ def test_non_bit_int_operands_raise_lane_branch(k):
             op(lane, k)
         with pytest.raises(LaneBranch):
             op(k, lane)
+
+
+@pytest.mark.parametrize("const", [0, 1, False, True])
+def test_int_operands_give_the_lane_itself_or_a_constant(const):
+    # ^ 0, & 1 and | 0 give the lane itself; & 0 and | 1 give the int the
+    # result is; only ^ 1 makes a new lane. Either side, bools as their ints
+    full = 0b1111
+    lane = Lane(0b0110, full)
+    for op, name in ((lambda a, b: a ^ b, "^"), (lambda a, b: a & b, "&"),
+                     (lambda a, b: a | b, "|")):
+        for got in (op(lane, const), op(const, lane)):
+            want = [op(lane.mask >> i & 1, int(const)) for i in range(4)]
+            assert [_lane_bit(got, i) for i in range(4)] == want
+            if (name, const) in (("^", 0), ("&", 1), ("|", 0)):
+                assert got is lane
+            elif name == "^":
+                assert type(got) is Lane and got.mask == 0b1001 and got.full == full
+            else:
+                assert type(got) is int and got == (name == "|")
+
+
+def magic_square_choices():
+    """The nine magic-square inputs over their 2-seed block each, as
+    LaneGrid.periodic lays out ms-nlb: (x, points) with x a pair of Choices
+    and points[k] the plain input at bit k."""
+    strategy, game = get_strategy("ms-nlb"), get_game("magic-square")
+    inputs = promised_inputs(game)
+    grid = LaneGrid.periodic(strategy, inputs, analysis.SWEEP_WIDTH)
+    (offset, block, x, seed), = grid.start
+    assert type(seed) is LaneSeed and block == (1 << 18) - 1
+    return x, [inputs[k // 2] for k in range(18)]
+
+
+def test_choice_compares_as_each_point_compares():
+    x, points = magic_square_choices()
+    assert all(type(v) is Choice for v in x)
+    for r in range(2):
+        for v in range(-1, 6):
+            eq, ne = x[r] == v, x[r] != v
+            assert eq is (v == x[r]) or eq.mask == (v == x[r]).mask
+            for got, want in ((eq, [p[r] == v for p in points]),
+                              (ne, [p[r] != v for p in points])):
+                if v in (1, 2, 3):
+                    # the Truth of the points where it holds: a bool at each
+                    assert type(got) is Truth and got.full == (1 << 18) - 1
+                    assert [got.mask >> k & 1 for k in range(18)] == want
+                else:
+                    # the same on every point: the bool itself
+                    assert got is want[0] and len(set(want)) == 1
+
+
+def test_a_compared_choice_is_a_bool_at_each_point():
+    # with an int or a Lane it acts as the Lane of its mask, as a bool with
+    # an int gives an int; with a bool, another Truth or any other operand
+    # it raises LaneBranch without a mask, and branching reads its mask
+    x, points = magic_square_choices()
+    three = x[0] == 3
+    full = three.full
+    assert type(three & 1) is Lane and (three & 1).mask == three.mask
+    assert type(1 ^ three) is Lane and (1 ^ three).mask == full ^ three.mask
+    assert three & 0 == 0 and three | 1 == 1 and type(three & 0) is int
+    box = Lane(0b10 * (full // 3), full)
+    assert type(three & box) is Lane and (three & box).mask == three.mask & box.mask
+    assert type(box ^ three) is Lane and (box ^ three).mask == three.mask ^ box.mask
+    for use in (lambda t: t & True, lambda t: False ^ t, lambda t: t | (x[1] == 1),
+                lambda t: t ^ 2, lambda t: t + 0, lambda t: t == 1, hash):
+        with pytest.raises(LaneBranch) as branch:
+            use(three)
+        assert branch.value.mask is None
+    for use in (bool, lambda t: (10, 20)[t]):
+        with pytest.raises(LaneBranch) as branch:
+            use(three)
+        assert branch.value.mask == three.mask
+
+
+def test_a_compared_choice_output_is_refused_as_its_bool(execute_calls):
+    # x == 3 is a bool at each point, which no party may output: the lane
+    # run stops, the grid narrows, and the first input's run raises
+    # NonBitError as the scalar run does, naming the bool
+    prog = PartyProgram((lambda v: Action(output=(v.own_input == 3, 0, 0)),))
+    strategy = Strategy(name="bool-out", n_parties=2, programs=(prog, prog),
+                        game_id="magic-square")
+    want = _raised(lambda: execute(strategy, (1, 1), Seed(())))
+    assert want == (NonBitError, "party 0 output False, which is not a bit")
+    assert _raised(lambda: exact_distribution(strategy, get_game("magic-square"))) == want
+    assert [seed.block if type(seed) is LaneSeed else seed for seed in execute_calls] == \
+        [(1 << 9) - 1, Seed(())]
+
+
+CHOICE_ILLEGAL = [(name, use) for name, use in ILLEGAL if name not in ("==", "!=", "in")] + [
+    ("== float", lambda v: v == 3.0),
+    ("== bool", lambda v: v == True),  # noqa: E712
+    ("!= None", lambda v: v != None),  # noqa: E711
+    ("== itself", lambda v: v == v),
+    ("xor 1", lambda v: v ^ 1),
+    ("and 1", lambda v: v & 1),
+    ("ror 0", lambda v: 0 | v),
+    ("- 1", lambda v: v - 1),
+    ("range", lambda v: range(v)),
+    ("len", len),
+    ("iter", iter),
+    ("[0]", lambda v: v[0]),
+    ("contains", lambda v: 1 in v),
+    ("method", lambda v: v.bit_length()),
+]
+
+
+@pytest.mark.parametrize("name,use", CHOICE_ILLEGAL, ids=[n for n, _ in CHOICE_ILLEGAL])
+def test_other_uses_of_a_choice_raise_lane_branch(name, use):
+    x, _ = magic_square_choices()
+    with pytest.raises(LaneBranch) as branch:
+        use(x[0])
+    assert branch.value.mask is None
+
+
+def test_every_refused_dunder_of_a_choice_raises_lane_branch():
+    x, _ = magic_square_choices()
+    refused = [name for name, attr in vars(Choice).items()
+               if getattr(attr, "__name__", None) == name and name not in (
+                   "__init__", "__eq__", "__ne__", "__repr__", "_matching")
+               and name.startswith("__")]
+    assert {"__hash__", "__bool__", "__index__", "__xor__", "__rand__", "__sub__",
+            "__int__", "__lt__", "__str__", "__format__"} <= set(refused)
+    for name in refused:
+        with pytest.raises(LaneBranch) as branch:
+            getattr(x[0], name)(1)
+        assert branch.value.mask is None, name
+
+
+def test_a_block_of_one_input_value_gives_the_plain_int():
+    # three inputs to a group: group 0 is row 1 under columns 1, 2 and 3, so
+    # the row is the int 1 on that group and a Choice of 1, 2, 3 on none;
+    # within one input both are plain ints
+    strategy, game = get_strategy("ms-nlb"), get_game("magic-square")
+    grid = LaneGrid.periodic(strategy, promised_inputs(game), 3 * 2)
+    assert grid.narrows and grid.width == 6
+    row, column = grid.input(0, 0b111111)
+    assert row == 1 and type(row) is int
+    assert type(column) is Choice and sorted(column.masks) == [1, 2, 3]
+    row, column = grid.input(10, 0b11)
+    assert (row, column) == (2, 3) and type(row) is int and type(column) is int
+    # points 9 and 10: inputs (2, 2) and (2, 3)
+    row, column = grid.input(9, 0b11)
+    assert row == 2 and type(column) is Choice and column.masks == {2: 0b01, 3: 0b10}
+
+
+def _choice_grid(n_values):
+    """A periodic grid of chsh-shaped two-party inputs (v, 1) for n_values
+    values v from 2 on, under chsh-nlb's two seeds."""
+    inputs = [(v, 1) for v in range(2, 2 + n_values)]
+    return LaneGrid.periodic(get_strategy("chsh-nlb"), inputs, analysis.SWEEP_WIDTH)
+
+
+def test_a_leaf_past_the_choice_bound_keeps_one_input_per_group():
+    from nlbox.engine import MAX_CHOICES
+    grid = _choice_grid(MAX_CHOICES)
+    assert grid.narrows and grid.width == 2 * MAX_CHOICES
+    assert type(grid.start[0][2][0]) is Choice
+    grid = _choice_grid(MAX_CHOICES + 1)
+    assert (grid.narrows, grid.input_shape, grid.width) == (False, None, 2)
+    assert [run[:2] for run in grid.start] == [(0, 0b11)]
+    # the drawn fill keeps such inputs as they were
+    strategy, game = get_strategy("ms-nlb"), get_game("magic-square")
+    grid = LaneGrid.drawn(strategy, game.sample_input, random.Random(1), 40)
+    assert grid.input_shape is None and not grid.narrows
+
+
+def _old_ms_comm_programs(pick):
+    """strategies._ms_comm_programs before its inputs could be Choices: it
+    compares, and indexes with x - 1."""
+    def alice_round(view):
+        a, _, _ = pick(view)
+        flag = 1 if view.own_input == 3 else 0
+        return Action(sends={"row-is-3": flag}, output=a[view.own_input - 1])
+
+    def bob_answer(view):
+        _, b0, b1 = pick(view)
+        m = b1 if view.received["row-is-3"] else b0
+        c = view.own_input - 1
+        return Action(output=tuple(m[i][c] for i in range(3)))
+
+    return (PartyProgram((alice_round,)),
+            PartyProgram((lambda view: Action(), bob_answer)))
+
+
+def _old_ms_nlb_programs(pick):
+    """strategies._ms_nlb_programs before its inputs could be Choices."""
+    def feed(view):
+        flag = 1 if view.own_input == 3 else 0
+        return Action(nlb_inputs={"pick": flag})
+
+    def alice_answer(view):
+        q, p, r = pick(view), view.nlb["pick"], view.own_input - 1
+        return Action(output=tuple([u ^ (p & (u ^ w))
+                                    for u, w in zip(q.a0[r], q.a1[r])]))
+
+    def bob_answer(view):
+        q, p, c = pick(view), view.nlb["pick"], view.own_input - 1
+        return Action(output=tuple([u[c] ^ (p & (u[c] ^ w[c]))
+                                    for u, w in zip(q.b0, q.b1)]))
+
+    return (PartyProgram((feed, alice_answer)), PartyProgram((feed, bob_answer)))
+
+
+@pytest.mark.parametrize("sid", ["ms-nlb", "ms-nlb-sim", "ms-comm", "ms-comm-sim"])
+def test_magic_square_programs_match_their_indexing_copies(sid):
+    # the bit-algebra selection gives byte for byte what indexing gave; the
+    # copies narrow their grid on its first run
+    strategy, game = get_strategy(sid), get_game("magic-square")
+    old = _old_ms_nlb_programs if "nlb" in sid else _old_ms_comm_programs
+    if sid.endswith("-sim"):
+        programs = old(lambda view: view.shared)
+    elif sid == "ms-nlb":
+        programs = old(lambda view: REF_QUADRUPLE)
+    else:
+        programs = old(lambda view: (REF_ALICE, REF_BOB0, REF_BOB1))
+    copy = dataclasses.replace(strategy, programs=programs)
+    assert json.dumps(exact_distribution(copy, game).to_json()) == \
+        json.dumps(exact_distribution(strategy, game).to_json())
+    assert verify_winning(copy, game, Exhaustive()) == \
+        verify_winning(strategy, game, Exhaustive())
+    assert copy._grid[1].input_shape is None and strategy._grid[1].narrows
+
+
+def row_index():
+    """Magic-square play on one box whose row player indexes a table with
+    x - 1, while the column player selects in bit algebra: on groups of
+    two inputs (rows 1 1, 1 2, 2 2, 3 3, 3) the row is a Choice first in
+    the second group."""
+    box = NlbInstance("box", 0, 1)
+
+    def feed(view):
+        return Action(nlb_inputs={"box": (view.own_input == 2) & 1})
+
+    def alice(view):
+        bit = (0, 1, 1)[view.own_input - 1] ^ view.nlb["box"]
+        return Action(output=(bit, bit, 0))
+
+    def bob(view):
+        bit = select((1, 0, view.nlb["box"]), indicators(view.own_input))
+        return Action(output=(bit, 1, 0))
+
+    return Strategy(name="row-index", n_parties=2,
+                    programs=(PartyProgram((feed, alice)), PartyProgram((feed, bob))),
+                    nlbs=(box,), game_id="magic-square")
+
+
+@pytest.mark.parametrize("copies,runs", [(2, (1 + 1 + 7, 9)), (3, (3, 3)),
+                                         (9, (1 + 9, 9))])
+def test_a_grid_narrows_at_the_group_that_first_splits(copies, runs, execute_calls,
+                                                        monkeypatch):
+    # two inputs to a group: the first group runs whole, the second fails and
+    # gives way to its first input, and the seven inputs from there run one
+    # by one; a second sweep starts from the narrowed grid's first input.
+    # Three inputs to a group hold one row each, so no run fails; nine fail
+    # on the first run
+    strategy, game = row_index(), get_game("magic-square")
+    per_input, checked, wins, counterexample = scalar_oracle(strategy, game)
+    monkeypatch.setattr(analysis, "SWEEP_WIDTH", copies * strategy.seed_count())
+    counts = []
+    for _ in range(2):
+        execute_calls.clear()
+        assert exact_distribution(strategy, game).per_input == per_input
+        counts.append(len(execute_calls))
+    assert tuple(counts) == runs
+    result = verify_winning(strategy, game, Exhaustive())
+    assert (result.checked, result.wins, result.counterexample) == \
+        (checked, wins, counterexample)
+
+
+def test_a_split_of_one_input_narrows_and_splits_by_its_mask():
+    # four inputs to a group: the last group is input (3, 3) alone, whose
+    # split narrows the grid and then halves the block by its mask
+    strategy, game = get_strategy("ms-nlb"), get_game("magic-square")
+    grid = LaneGrid.periodic(strategy, promised_inputs(game), 4 * 2)
+    assert grid.narrows and grid.width == 8
+    runs = grid.split(16, 0b11, 0b01)
+    assert [run[:3] for run in runs] == [(16, 1, (3, 3)), (17, 1, (3, 3))]
+    assert (grid.narrows, grid.width, grid.input_shape) == (False, 2, None)
+    assert [run[:3] for run in grid.start] == [(0, 0b11, (1, 1))]
+    # a fresh grid: a group of four gives way to its first input's block
+    grid = LaneGrid.periodic(strategy, promised_inputs(game), 4 * 2)
+    (offset, block, x, seed), = grid.split(8, 0xff, None)
+    assert (offset, block, x, seed.block) == (8, 0b11, (2, 2), 0b11)
+
+
+@pytest.mark.parametrize("sid", ["ms-nlb", "ms-nlb-sim", "ms-comm-sim"])
+def test_magic_square_sweeps_are_one_run_each(sid, execute_calls):
+    # all nine inputs are Choices in one block, which no magic-square
+    # program splits: one execute per distribution, verify and
+    # non-signaling check, and one call of the win relation per verify
+    strategy, game = get_strategy(sid), get_game("magic-square")
+    sweeps = [lambda: exact_distribution(strategy, game),
+              lambda: verify_winning(strategy, game, Exhaustive())]
+    if not strategy.channels:
+        sweeps.append(lambda: analysis.no_signaling_check(strategy, game))
+    for sweep in sweeps:
+        execute_calls.clear()
+        sweep()
+        assert len(execute_calls) == 1
+        assert execute_calls[0].block == (1 << 9 * strategy.seed_count()) - 1
+    calls = []
+
+    def relation(x, y):
+        calls.append(x)
+        return game.win(x, y)
+
+    assert verify_winning(strategy, dataclasses.replace(game, win=relation),
+                          Exhaustive()).passed
+    assert len(calls) == 1 and all(type(v) is Choice for v in calls[0])
