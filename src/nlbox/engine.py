@@ -203,39 +203,11 @@ class Lane:
         return f"Lane({self.mask:#b}, seeds={self.full.bit_count()})"
 
 
-def _compared(op):
-    """Lane's op for a Truth: a Lane where the operand is an int or a Lane,
-    as a bool with an int is an int, else LaneBranch without a mask (a bool
-    with a bool stays a bool)."""
-    def apply(self, other):
-        if type(other) is not int and type(other) is not Lane:
-            raise LaneBranch(f"party program combined a compared lane with {other!r}")
-        return op(Lane(self.mask, self.full), other)
-    apply.__name__ = op.__name__
-    return apply
-
-
-class Truth(Lane):
-    """A Choice compared by ``==`` or ``!=``: the bool True at the points
-    of ``mask`` and False at the others. It branches and indexes as a Lane
-    does. Under ``^ & |`` with an int or a Lane it acts as the Lane of its
-    mask, as a bool with an int gives an int; any other operand raises
-    LaneBranch. Fed, sent or output as it is, it is refused (NonBitError),
-    as the bool is at each point."""
-
-    __slots__ = ()
-
-    __xor__ = __rxor__ = _compared(Lane.__xor__)
-    __and__ = __rand__ = _compared(Lane.__and__)
-    __or__ = __ror__ = _compared(Lane.__or__)
-
-
 class Choice:
     """An int that is not a bit, across a block of points on which it takes
     several values: ``masks`` maps each value to the points that take it,
-    over ``full`` (see Lane). ``==`` and ``!=`` against an int give the
-    Truth of the points where they hold, or the bool they give on every
-    point; every other use raises LaneBranch without a mask."""
+    over ``full`` (see Lane). A program reads it only through equal_bits;
+    every other use, ``==`` included, raises LaneBranch without a mask."""
 
     __slots__ = ("masks", "full")
 
@@ -243,21 +215,21 @@ class Choice:
         self.masks = masks
         self.full = full
 
-    def _matching(self, other) -> int:
-        if type(other) is not int:
-            raise LaneBranch(f"party program compared a lane with {other!r}")
-        return self.masks.get(other, 0)
-
-    def __eq__(self, other):
-        mask = self._matching(other)
-        return Truth(mask, self.full) if mask else False
-
-    def __ne__(self, other):
-        mask = self._matching(other)
-        return Truth(self.full ^ mask, self.full) if mask else True
-
     def __repr__(self):
         return f"Choice({sorted(self.masks)}, seeds={self.full.bit_count()})"
+
+
+def equal_bits(value, values) -> tuple:
+    """Per entry v of values, the bit (value == v) & 1: an int for a plain
+    value, and for a Choice the Lane of its points that take v, or 0 where
+    none does. A Choice that takes a value outside values raises
+    LaneBranch, so that each of its points runs with its plain value."""
+    if type(value) is not Choice:
+        return tuple([int(value == v) for v in values])
+    masks, full = value.masks, value.full
+    if not masks.keys() <= set(values):
+        raise LaneBranch(f"party program read {value!r} as one of {values!r}")
+    return tuple([Lane(masks[v], full) if v in masks else 0 for v in values])
 
 
 _REFUSED = ("int", "float", "complex", "hash", "eq", "ne",
@@ -270,8 +242,7 @@ for _op in _REFUSED:
     setattr(Lane, f"__{_op}__", _refuse(_op))
 for _op in _REFUSED + ("bool", "index", "xor", "rxor", "and", "rand", "or", "ror",
                        "iter", "len", "getitem", "contains", "getattr"):
-    if _op not in ("eq", "ne"):
-        setattr(Choice, f"__{_op}__", _refuse(_op))
+    setattr(Choice, f"__{_op}__", _refuse(_op))
 del _op
 
 # a party program holds a Lane or a Choice where its points differ
@@ -488,7 +459,7 @@ class Strategy:
 
 
 def _not_a_bit(party: int, what: str, value, kind: str = "a bit"):
-    if type(value) is Truth or type(value) is Choice:
+    if type(value) is Choice:
         # refused at every point: each point's own run names its plain value
         raise LaneBranch(f"party {party} {what} a lane that is not {kind}")
     raise NonBitError(f"party {party} {what} {value!r}, which is not {kind}")

@@ -18,8 +18,8 @@ import operator
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
-from .engine import (EnumerationLimitError, LaneBranch, count_text, draw_bits, has_lane,
-                     seed_lanes)
+from .engine import (Choice, EnumerationLimitError, count_text, draw_bits, equal_bits,
+                     has_lane, seed_lanes)
 
 MAX_OUTCOMES = 2 ** 20
 # dj:<n> inputs are 2^n bits and dj-nlb:<n> declares about 2^(n+1) boxes
@@ -258,18 +258,13 @@ ODD_TRIPLES = tuple(r for r in itertools.product((0, 1), repeat=3) if sum(r) % 2
 
 def indicators(v) -> tuple:
     """The bits (v == 1) & 1, (v == 2) & 1 and (v == 3) & 1 of a
-    magic-square input v, lanes where v is a Choice (engine.Choice), so
-    that select(bits, indicators(v)) is bits[v - 1]. A plain v is read as
-    that index reads it: 0 and -1 pick the last two entries, and any other
-    value raises as the index does. A lane that is not a Choice of 1, 2 and
-    3 raises LaneBranch, so that each input runs as a plain value."""
-    if not has_lane((v,)):
-        k = (1, 2, 3)[v - 1]
-        return int(k == 1), int(k == 2), int(k == 3)
-    hot = (v == 1) & 1, (v == 2) & 1, (v == 3) & 1
-    if hot[0] | hot[1] | hot[2]:
-        return hot
-    raise LaneBranch("a magic-square input lane holds no 1, 2 or 3")
+    magic-square input v, lanes where v is an engine.Choice of those values
+    (engine.equal_bits), so that select(bits, indicators(v)) is bits[v - 1].
+    A plain v is read as that index reads it: 0 and -1 pick the last two
+    entries, and any other value raises as the index does."""
+    if type(v) is Choice:
+        return equal_bits(v, (1, 2, 3))
+    return equal_bits((1, 2, 3)[v - 1], (1, 2, 3))
 
 
 def select(bits, hot):

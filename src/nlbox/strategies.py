@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .distbit import cross_pairs, flatten, majority_formula
 from .engine import (Action, Channel, NlbInstance, PartyProgram, SharedDomain,
-                     Strategy, TRIVIAL_SHARED, bit_domain)
+                     Strategy, TRIVIAL_SHARED, bit_domain, equal_bits)
 from .games import DJ_MAX_N, EVEN_TRIPLES, ODD_TRIPLES, indicators, resolve_id, select
 
 
@@ -193,13 +193,14 @@ def _switched(pairs, s, hot) -> tuple:
 
 def _ms_comm_programs(pick):
     """pick(view) -> (alice, bob0, bob1) matrices for this run. The row
-    player sends (input == 3) & 1, and the column player switches from
-    bob0 to bob1 on the bit it receives (see _switched)."""
+    player sends (input == 3) & 1 (engine.equal_bits), and the column
+    player switches from bob0 to bob1 on the bit it receives (see
+    _switched)."""
 
     def alice_round(view):
         a, _, _ = pick(view)
         hot = indicators(view.own_input)
-        return Action(sends={"row-is-3": (view.own_input == 3) & 1},
+        return Action(sends={"row-is-3": equal_bits(view.own_input, (1, 2, 3))[2]},
                       output=tuple([select(column, hot) for column in zip(*a)]))
 
     def bob_wait(view):
@@ -240,11 +241,11 @@ def magic_square_comm_sim() -> Strategy:
 
 def _ms_nlb_programs(pick):
     """pick(view) -> MagicSquareQuadruple for this run. Both parties feed
-    (input == 3) & 1, and the box output p switches each answer bit from
-    the 0-matrix to the 1-matrix (see _switched)."""
+    (input == 3) & 1 (engine.equal_bits), and the box output p switches
+    each answer bit from the 0-matrix to the 1-matrix (see _switched)."""
 
     def feed(view):
-        return Action(nlb_inputs={"pick": (view.own_input == 3) & 1})
+        return Action(nlb_inputs={"pick": equal_bits(view.own_input, (1, 2, 3))[2]})
 
     def alice_answer(view):
         q = pick(view)

@@ -23,7 +23,7 @@ from nlbox.analysis import (AnalysisError, CommunicationUsedError, Exhaustive,
                             strategy_from_tables, uniformity_verdict,
                             verify_winning)
 from nlbox.engine import (Action, EnumerationLimitError, NlbInstance, PartyProgram,
-                          Seed, Strategy, execute)
+                          Seed, Strategy, equal_bits, execute)
 from nlbox.games import (GameError, Parity, PromiseError, bmaj, get_game, indicators,
                          is_winning, own_bit, promised_inputs, select, winning_outcomes)
 from nlbox.strategies import STRATEGY_FAMILIES, get_strategy
@@ -801,17 +801,19 @@ def test_random_programs_match_the_scalar_oracle(case, k):
 
 # how a drawn magic-square program reads its input x as a view bit, given a
 # value v of 1..3, a table t of three bits and a lane or bit z (its first box
-# output, or its shared bit): compare or select in bit algebra, which runs
-# on a Choice, or index with x - 1 or branch, which narrow its grid; some
-# of them on z
+# output, or its shared bit): its indicator bits, or select in bit algebra,
+# which run on a Choice, or compare, index with x - 1 or branch, which narrow
+# its grid; some of them on z
 MS_ALGEBRA = {
-    "eq": lambda x, v, t, z: x == v,
-    "eq & 1": lambda x, v, t, z: (x == v) & 1,
-    "ne & z": lambda x, v, t, z: (x != v) & z,
+    "equal bit": lambda x, v, t, z: equal_bits(x, (1, 2, 3))[v - 1],
+    "equal bit & z": lambda x, v, t, z: equal_bits(x, (3, 2, 1))[v - 1] & z,
     "select": lambda x, v, t, z: select(t, indicators(x)),
     "select z": lambda x, v, t, z: select((z, t[1], z ^ 1), indicators(x)),
 }
 MS_READS = dict(MS_ALGEBRA, **{
+    "eq": lambda x, v, t, z: x == v,
+    "eq & 1": lambda x, v, t, z: (x == v) & 1,
+    "ne & z": lambda x, v, t, z: (x != v) & z,
     "index": lambda x, v, t, z: t[x - 1],
     "index ^ z": lambda x, v, t, z: t[x - 1] ^ z,
     "branch": lambda x, v, t, z: t[0] if x == v else t[1],

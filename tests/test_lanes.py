@@ -24,9 +24,9 @@ from nlbox.analysis import (Exhaustive, exact_distribution, impossibility_search
                             strategy_from_tables, verify_winning)
 from nlbox.engine import (Action, Channel, Choice, Lane, LaneBranch, LaneGrid, LaneSeed,
                           NlbInstance, NonBitError, PartyProgram, Seed,
-                          SharedDomain, Strategy, TRIVIAL_SHARED, Truth,
+                          SharedDomain, Strategy, TRIVIAL_SHARED,
                           UnusedResourceError, bit_domain, enumerate_seeds,
-                          execute, sample_seed, seed_lanes)
+                          equal_bits, execute, sample_seed, seed_lanes)
 from nlbox.games import get_game, indicators, is_winning, promised_inputs, select
 from nlbox.strategies import REF_ALICE, REF_BOB0, REF_BOB1, REF_QUADRUPLE, get_strategy
 
@@ -419,9 +419,31 @@ def test_grid_fills_match_their_definitions(sid, gid, fill):
                   for _ in range(40)]
     for k, point in enumerate(points):
         assert grid.run(k, 1) == point
-    # the start partition, in every group: each block's lanes hold its points,
-    # and a split without a mask leaves one input per block
-    for base in range(0, len(points), grid.width):
+    if grid.narrows:
+        # a grid whose input holds a Choice: every group of its layout, then
+        # one split narrows it to one input per group, whose first input's
+        # block the split's group gives way to and start now holds; then
+        # every group of the narrowed layout
+        assert _check_groups(grid, points, strategy) == len(grid.inputs) // 3
+        offset, block = grid.start[0][:2]
+        cover = 0
+        for start, part, _, _ in grid.split(offset, block, None):
+            cover |= part << start
+        assert (grid.width, grid.input_shape, grid.narrows) == (grid.size, None, False)
+        assert cover == (1 << grid.size) - 1
+        assert [run[:2] for run in grid.start] == [(0, (1 << grid.size) - 1)]
+        assert _check_groups(grid, points, strategy) == len(grid.inputs)
+    else:
+        _check_groups(grid, points, strategy)
+
+
+def _check_groups(grid, points, strategy) -> int:
+    """The start partition, in every group of grid's layout: each block's
+    lanes hold its points, and the input windows cover it; on a grid that
+    does not narrow, a split without a mask leaves one input per block.
+    Returns the number of groups."""
+    groups = range(0, len(points), grid.width)
+    for base in groups:
         for offset, block, _, _ in grid.start:
             offset += base
             if offset >= len(points):
@@ -455,23 +477,18 @@ def test_grid_fills_match_their_definitions(sid, gid, fill):
                     assert cover & window == 0
                     cover |= whole & window
                 assert cover == whole
+            if grid.narrows:
+                continue        # its first split narrows it (see the caller)
             cover = 0
-            narrows, shaped = grid.narrows, grid.input_shape is not None
             for start, part, x, seed in grid.split(offset, block, None):
-                if not shaped:
+                if grid.input_shape is None:
                     # that one input value's block runs point by point
                     assert (start, part, x, seed) == (offset, block, None, None)
                 else:
                     assert (start + part.bit_length() - 1) // grid.size == start // grid.size
                 cover |= part << start
-            if narrows:
-                # a grid whose input held a Choice now has one input per
-                # group, and the group's block gave way to its first input's
-                assert (grid.width, grid.input_shape, grid.narrows) == (grid.size, None, False)
-                assert cover == ((1 << grid.size) - 1) << offset
-                assert [run[:2] for run in grid.start] == [(0, (1 << grid.size) - 1)]
-            else:
-                assert cover == block << offset
+            assert cover == block << offset
+    return len(groups)
 
 
 @pytest.mark.parametrize("sid", sorted(SAMPLED_ORACLE))
@@ -538,8 +555,9 @@ def test_branch_free_builtins_take_the_lane_path(sid, execute_calls):
 
 # (runs, lane runs) of a first sweep, then of a second sweep of the kept
 # grid. Magic-square inputs are Choices on a fresh grid, so all nine inputs
-# are one block: the branching copies of ms-nlb and ms-nlb-sim branch on the
-# box there, which narrows the grid to one input per block (LaneGrid.split),
+# are one block: the branching copies of ms-nlb and ms-nlb-sim compare their
+# input with == there, which a Choice refuses, and that narrows the grid to
+# one input per block (LaneGrid.split),
 # and then make one run on the first input's seeds and one run per half
 # (ms-nlb's halves are single seeds) for every input; a second sweep starts
 # from the narrowed grid. The search witness's inputs are bits, and its grid
@@ -649,15 +667,20 @@ def test_readme_runs_table_matches_counted_executes(row, execute_calls):
 
 
 @pytest.mark.parametrize("sid,gid", [("split-then-arithmetic", "chsh"),
-                                     ("ms-nlb", "magic-square"), ("dj-nlb:2", "dj:2")])
+                                     ("ms-nlb", "magic-square"),
+                                     ("ms-nlb-branching", "magic-square"),
+                                     ("dj-nlb:2", "dj:2")])
 def test_exhaustive_verify_runs_the_win_relation_once_per_piece(sid, gid, monkeypatch):
     # is_winning is for single outcomes: the sweep calls the game's win
     # relation once on each run that spans several inputs, on its input and
     # outcome lanes, and once on each piece of one input of the other runs;
     # where the relation does arithmetic on lanes, each piece falls back to
-    # one call per distinct outcome
+    # one call per distinct outcome. A first sweep narrows the branching
+    # copy's grid, whose inputs are then not lane-shaped
     strategy, game = build(sid), get_game(gid)
+    exact_distribution(strategy, game)
     grid = analysis._grid(strategy, game, analysis.DEFAULT_MAX_SEED_BITS)
+    assert (grid.input_shape is None) is (sid == "ms-nlb-branching")
     # each run's pieces, its points at one input (LaneGrid.windows), with
     # the run's masks; a run of several pieces spans several inputs
     runs = [[(block & window, parts) for _, window in grid.windows(offset, block)
@@ -691,9 +714,9 @@ def test_exhaustive_verify_runs_the_win_relation_once_per_piece(sid, gid, monkey
             want += [(False, laned(block, parts)) for block, parts in pieces]
     assert sorted(calls) == sorted(want)
     # ms-nlb's nine inputs are one run, on Choice input lanes, and so are
-    # dj-nlb:2's 112 inputs
-    assert any(len(pieces) > 1 for pieces in runs)
-    assert (len(calls) == 1) is (sid != "split-then-arithmetic")
+    # dj-nlb:2's 112 inputs; the narrowed grid runs each input apart
+    assert any(len(pieces) > 1 for pieces in runs) is (sid != "ms-nlb-branching")
+    assert (len(calls) == 1) is (sid in ("ms-nlb", "dj-nlb:2"))
 
     # 0 + lane raises LaneBranch: a run over several inputs falls back to its
     # pieces, and each laned piece to its distinct outcomes
@@ -1158,52 +1181,33 @@ def magic_square_choices():
     return x, [inputs[k // 2] for k in range(18)]
 
 
-def test_choice_compares_as_each_point_compares():
+def test_equal_bits_read_a_choice_as_each_point_compares():
+    # the lane of the points that take each value, or 0 where none does; a
+    # plain value gives ints, and a Choice that takes a value outside the
+    # ones asked for raises LaneBranch without a mask
     x, points = magic_square_choices()
     assert all(type(v) is Choice for v in x)
     for r in range(2):
-        for v in range(-1, 6):
-            eq, ne = x[r] == v, x[r] != v
-            assert eq is (v == x[r]) or eq.mask == (v == x[r]).mask
-            for got, want in ((eq, [p[r] == v for p in points]),
-                              (ne, [p[r] != v for p in points])):
-                if v in (1, 2, 3):
-                    # the Truth of the points where it holds: a bool at each
-                    assert type(got) is Truth and got.full == (1 << 18) - 1
-                    assert [got.mask >> k & 1 for k in range(18)] == want
-                else:
-                    # the same on every point: the bool itself
-                    assert got is want[0] and len(set(want)) == 1
-
-
-def test_a_compared_choice_is_a_bool_at_each_point():
-    # with an int or a Lane it acts as the Lane of its mask, as a bool with
-    # an int gives an int; with a bool, another Truth or any other operand
-    # it raises LaneBranch without a mask, and branching reads its mask
-    x, points = magic_square_choices()
-    three = x[0] == 3
-    full = three.full
-    assert type(three & 1) is Lane and (three & 1).mask == three.mask
-    assert type(1 ^ three) is Lane and (1 ^ three).mask == full ^ three.mask
-    assert three & 0 == 0 and three | 1 == 1 and type(three & 0) is int
-    box = Lane(0b10 * (full // 3), full)
-    assert type(three & box) is Lane and (three & box).mask == three.mask & box.mask
-    assert type(box ^ three) is Lane and (box ^ three).mask == three.mask ^ box.mask
-    for use in (lambda t: t & True, lambda t: False ^ t, lambda t: t | (x[1] == 1),
-                lambda t: t ^ 2, lambda t: t + 0, lambda t: t == 1, hash):
-        with pytest.raises(LaneBranch) as branch:
-            use(three)
-        assert branch.value.mask is None
-    for use in (bool, lambda t: (10, 20)[t]):
-        with pytest.raises(LaneBranch) as branch:
-            use(three)
-        assert branch.value.mask == three.mask
+        bits = equal_bits(x[r], (3, 1, 2, 4))
+        for got, v in zip(bits, (3, 1, 2, 4)):
+            want = [int(p[r] == v) for p in points]
+            if v in (1, 2, 3):
+                assert type(got) is Lane and got.full == (1 << 18) - 1
+                assert [got.mask >> k & 1 for k in range(18)] == want
+            else:
+                assert got == 0 and type(got) is int and want == [0] * 18
+        for v in (-1, 0, 1, 3, 5):
+            assert equal_bits(v, (1, 2, 3)) == tuple(int(v == k) for k in (1, 2, 3))
+        for values in ((1, 2), (3,), ()):
+            with pytest.raises(LaneBranch) as branch:
+                equal_bits(x[r], values)
+            assert branch.value.mask is None
 
 
 def test_a_compared_choice_output_is_refused_as_its_bool(execute_calls):
-    # x == 3 is a bool at each point, which no party may output: the lane
-    # run stops, the grid narrows, and the first input's run raises
-    # NonBitError as the scalar run does, naming the bool
+    # x == 3 on a Choice raises LaneBranch: the lane run stops, the grid
+    # narrows, and the first input's run raises NonBitError as the scalar
+    # run does, naming the bool
     prog = PartyProgram((lambda v: Action(output=(v.own_input == 3, 0, 0)),))
     strategy = Strategy(name="bool-out", n_parties=2, programs=(prog, prog),
                         game_id="magic-square")
@@ -1214,7 +1218,7 @@ def test_a_compared_choice_output_is_refused_as_its_bool(execute_calls):
         [(1 << 9) - 1, Seed(())]
 
 
-CHOICE_ILLEGAL = [(name, use) for name, use in ILLEGAL if name not in ("==", "!=", "in")] + [
+CHOICE_ILLEGAL = ILLEGAL + [
     ("== float", lambda v: v == 3.0),
     ("== bool", lambda v: v == True),  # noqa: E712
     ("!= None", lambda v: v != None),  # noqa: E711
@@ -1244,10 +1248,10 @@ def test_every_refused_dunder_of_a_choice_raises_lane_branch():
     x, _ = magic_square_choices()
     refused = [name for name, attr in vars(Choice).items()
                if getattr(attr, "__name__", None) == name and name not in (
-                   "__init__", "__eq__", "__ne__", "__repr__", "_matching")
-               and name.startswith("__")]
-    assert {"__hash__", "__bool__", "__index__", "__xor__", "__rand__", "__sub__",
-            "__int__", "__lt__", "__str__", "__format__"} <= set(refused)
+                   "__init__", "__repr__") and name.startswith("__")]
+    assert {"__eq__", "__ne__", "__hash__", "__bool__", "__index__", "__xor__",
+            "__rand__", "__sub__", "__int__", "__lt__", "__str__",
+            "__format__"} <= set(refused)
     for name in refused:
         with pytest.raises(LaneBranch) as branch:
             getattr(x[0], name)(1)
@@ -1357,7 +1361,7 @@ def row_index():
     box = NlbInstance("box", 0, 1)
 
     def feed(view):
-        return Action(nlb_inputs={"box": (view.own_input == 2) & 1})
+        return Action(nlb_inputs={"box": indicators(view.own_input)[1]})
 
     def alice(view):
         bit = (0, 1, 1)[view.own_input - 1] ^ view.nlb["box"]
