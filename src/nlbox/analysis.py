@@ -63,8 +63,10 @@ class Sample:
 
 # --- the block loop ------------------------------------------------------------
 
-# points per lane block of sampled verify: a chunk of dj-nlb:10's 2,032 free
-# bits is 2 MB, and every sample of at most this many points is one chunk
+# points per lane block of sampled verify: a chunk of dj-nlb:10's 2,032
+# free-bit lanes is 0.35 MB, and every sample of at most this many points is
+# one chunk. The chunk size is part of the draw order (see LaneGrid.drawn),
+# so changing it changes which points a seed draws
 SAMPLE_CHUNK = 1024
 # points per lane block of the exhaustive sweep, which holds as many whole
 # inputs as fit, or one. A lane over this many points is 2 kB, enough to
@@ -375,8 +377,12 @@ def verify_winning(strategy: Strategy, game: Game, policy,
 
     Exhaustive mode sweeps the full promise x seed grid; the counterexample
     is the first losing point in enumerate_seeds' order. Sampled mode draws
-    (input, seed) pairs from the given rng seed, SAMPLE_CHUNK of them per
-    grid; each run is still an exact deterministic execution."""
+    (input, seed) pairs from random.Random(rng_seed), SAMPLE_CHUNK of them
+    per grid, in LaneGrid.drawn's order: a chunk's inputs, then each box's
+    free bits for the chunk, then its shared indices. So the chunk size is
+    part of which points a seed draws. Each run is still an exact
+    deterministic execution, and the counterexample is the first losing
+    draw."""
     _require_parties(strategy, game)
     if isinstance(policy, Exhaustive):
         results = [_verify(strategy, game, _grid(strategy, game, max_seed_bits))]

@@ -153,9 +153,9 @@ class Lane:
     int the result is (``& 0`` is 0, ``| 1`` is 1), and only ``^ 1`` makes a
     new lane. ``bool`` and ``index`` give the lane's value where it is the
     same for every point of the block and raise LaneBranch with the mask
-    where it is not; every other use raises LaneBranch without one. So a
-    program that runs to the end on lanes computed exactly what it would
-    compute point by point."""
+    where it is not; every other use, int's own methods and properties
+    included, raises LaneBranch without one. So a program that runs to the
+    end on lanes computed exactly what it would compute point by point."""
 
     __slots__ = ("mask", "full")
 
@@ -240,6 +240,11 @@ _REFUSED = ("int", "float", "complex", "hash", "eq", "ne",
             "ceil", "format", "str")
 for _op in _REFUSED:
     setattr(Lane, f"__{_op}__", _refuse(_op))
+# int's own attributes (bit_length, real, ...) refuse as properties: a
+# __getattr__ would slow down every read of a lane's mask and full
+for _op in dir(int):
+    if not _op.startswith("_"):
+        setattr(Lane, _op, property(_refuse(_op)))
 for _op in _REFUSED + ("bool", "index", "xor", "rxor", "and", "rand", "or", "ror",
                        "iter", "len", "getitem", "contains", "getattr"):
     setattr(Choice, f"__{_op}__", _refuse(_op))
@@ -458,10 +463,11 @@ class Strategy:
         return (2 ** len(self.nlbs)) * len(self.shared_domain)
 
 
-def _not_a_bit(party: int, what: str, value, kind: str = "a bit"):
-    if type(value) is Choice:
-        # refused at every point: each point's own run names its plain value
-        raise LaneBranch(f"party {party} {what} a lane that is not {kind}")
+def _not_a_bit(lanes: bool, party: int, what: str, value, kind: str = "a bit"):
+    if lanes:
+        # value may hold a Lane or a Choice: refused at every point, so that
+        # each point's own run names its plain value
+        raise LaneBranch(f"party {party} {what} a value that is not {kind}")
     raise NonBitError(f"party {party} {what} {value!r}, which is not {kind}")
 
 
@@ -480,7 +486,8 @@ def execute(strategy: Strategy, input_tuple: tuple, seed: "Seed | LaneSeed",
         raise ValueError(f"expected {n} inputs, got {len(input_tuple)}")
     if len(seed.nlb_bits) != len(strategy.nlbs):
         raise ValueError("seed has wrong number of NLB bits")
-    if type(seed) is LaneSeed:
+    lanes = type(seed) is LaneSeed
+    if lanes:
         shared = seed.shared
     else:
         values, index = strategy.shared_domain.values, seed.shared_index
@@ -534,7 +541,7 @@ def execute(strategy: Strategy, input_tuple: tuple, seed: "Seed | LaneSeed",
                         raise UndeclaredResourceError(
                             f"party {i} fed undeclared NLB {nid!r}")
                     if not _is_bit(bit):
-                        _not_a_bit(i, f"fed NLB {nid!r}", bit)
+                        _not_a_bit(lanes, i, f"fed NLB {nid!r}", bit)
                     idx, _, port0, port1 = entry
                     if i == port0:
                         if pend0[idx] is not None:
@@ -568,7 +575,7 @@ def execute(strategy: Strategy, input_tuple: tuple, seed: "Seed | LaneSeed",
                     if cid in used_channels:
                         raise ResourceReuseError(f"channel {cid!r} used twice")
                     if not _is_bit(bit):
-                        _not_a_bit(i, f"sent on channel {cid!r}", bit)
+                        _not_a_bit(lanes, i, f"sent on channel {cid!r}", bit)
                     used_channels.add(cid)
                     deliveries.append((chan.dst, cid, bit))
                     if record:
@@ -579,10 +586,10 @@ def execute(strategy: Strategy, input_tuple: tuple, seed: "Seed | LaneSeed",
                 if type(out) is list:
                     out = tuple(out)
                 elif type(out) is not tuple:
-                    _not_a_bit(i, "output", out, "a tuple or list of bits")
+                    _not_a_bit(lanes, i, "output", out, "a tuple or list of bits")
                 for v in out:
                     if not _is_bit(v):
-                        _not_a_bit(i, "output", v)
+                        _not_a_bit(lanes, i, "output", v)
                 outputs[i] = out
 
         unfired -= len(to_fire)
@@ -837,8 +844,9 @@ class LaneGrid:
       seed lanes, so a block's seed serves it one group on too. Here an int
       input leaf that is not a bit may be a Choice (see _columns), until
       the first split narrows the grid (see split).
-    - ``drawn``: k points in one group, point k the k-th draw of
-      ``sample_input(rng)`` then ``sample_seed``; size is 1.
+    - ``drawn``: k points in one group, drawn as one chunk (see drawn):
+      point i is the i-th input drawn, under bit i of each box's lane and
+      the i-th shared index; size is 1.
     """
 
     def __init__(self, strategy: Strategy, size: int, width: int,
@@ -885,24 +893,26 @@ class LaneGrid:
     @classmethod
     def drawn(cls, strategy: Strategy, sample_input, rng: random.Random,
               k: int) -> "LaneGrid":
-        """k points drawn from rng. They start as one block per input that
-        is not bit-shaped and per shared index that is not."""
-        nb, values = len(strategy.nlbs), strategy.shared_domain.values
-        inputs, bits, shared = [], [], []
-        for _ in range(k):
-            inputs.append(sample_input(rng))
-            bits.append(draw_bits(rng, nb))
-            shared.append(rng.randrange(len(values)))
+        """k points drawn from rng as one chunk: the k inputs, then one
+        getrandbits(k) per box, bit i for point i, then k shared indices
+        where the domain has several values. They start as one block per
+        input that is not bit-shaped and per shared index that is not."""
+        values = strategy.shared_domain.values
+        inputs = [sample_input(rng) for _ in range(k)]
+        nlb_masks = [rng.getrandbits(k) for _ in strategy.nlbs]
+        shared = ([rng.randrange(len(values)) for _ in range(k)] if len(values) > 1
+                  else [0] * k)
         grid = cls(strategy, 1, k, [values[s] for s in shared], 1)
-        bits = b"".join(bits)
-        grid.shared, grid.period = shared, k
-        grid.nlb_masks = [_lane_mask(bits[j::nb]) for j in range(nb)]
+        grid.shared, grid.period, grid.nlb_masks = shared, k, nlb_masks
         grid.inputs, grid.input_shape = inputs, _columns(inputs, grid.input_columns)
-        keys = zip(inputs if grid.input_shape is None else [None] * k,
-                   shared if grid.shared_shape is None else [None] * k)
-        groups = {}
-        for i, key in enumerate(keys):
-            groups[key] = groups.get(key, 0) | 1 << i
+        if grid.input_shape is None or grid.shared_shape is None:
+            keys = zip(inputs if grid.input_shape is None else [None] * k,
+                       shared if grid.shared_shape is None else [None] * k)
+            groups = {}
+            for i, key in enumerate(keys):
+                groups[key] = groups.get(key, 0) | 1 << i
+        else:
+            groups = {None: (1 << k) - 1}
         grid.start = []
         for mask in groups.values():
             low = lowest_bit(mask)

@@ -23,12 +23,12 @@ from nlbox.analysis import (AnalysisError, CommunicationUsedError, Exhaustive,
                             strategy_from_tables, uniformity_verdict,
                             verify_winning)
 from nlbox.engine import (Action, EnumerationLimitError, NlbInstance, PartyProgram,
-                          Seed, Strategy, equal_bits, execute)
+                          Strategy, equal_bits, execute)
 from nlbox.games import (GameError, Parity, PromiseError, bmaj, get_game, indicators,
                          is_winning, own_bit, promised_inputs, select, winning_outcomes)
 from nlbox.strategies import STRATEGY_FAMILIES, get_strategy
 from test_lanes import (CHANNEL, CUSTOM, N_VARS, NO_COMM_ENUMERABLE, _evaluate,
-                        expressions, scalar_oracle)
+                        drawn_points, expressions, scalar_oracle)
 
 
 # --- classical values (frozen from the brute-force oracle) --------------------
@@ -313,22 +313,23 @@ def test_verify_reports_a_misfit_after_the_sweep():
 # --- sampled verification against the per-draw loop ------------------------------
 
 def oracle_sampled_verify(strategy, game, k, rng_seed):
-    """Draw input i, then seed i (one randrange(2) per box, then the shared
-    index), for i = 0..k-1, with one scalar execute and one win check per
-    draw; the first losing draw is the counterexample."""
+    """Draw k points in chunks of analysis.SAMPLE_CHUNK, each chunk in
+    drawn_points' order, with one scalar execute and one win check per
+    draw, chunk after chunk; the first losing draw is the
+    counterexample."""
     rng = random.Random(rng_seed)
     wins = 0
     counterexample = None
-    for _ in range(k):
-        x = game.sample_input(rng)
-        seed = Seed(tuple(rng.randrange(2) for _ in strategy.nlbs),
-                    rng.randrange(len(strategy.shared_domain)))
-        outcome, _ = execute(strategy, x, seed, record=False)
-        if is_winning(game, x, outcome):
-            wins += 1
-        elif counterexample is None:
-            counterexample = {"input": analysis._jsonable(x), "seed": seed.to_json(),
-                              "outcome": [list(p) for p in outcome]}
+    for start in range(0, k, analysis.SAMPLE_CHUNK):
+        m = min(analysis.SAMPLE_CHUNK, k - start)
+        for x, seed in drawn_points(strategy, game.sample_input, rng, m):
+            outcome, _ = execute(strategy, x, seed, record=False)
+            if is_winning(game, x, outcome):
+                wins += 1
+            elif counterexample is None:
+                counterexample = {"input": analysis._jsonable(x),
+                                  "seed": seed.to_json(),
+                                  "outcome": [list(p) for p in outcome]}
     return analysis.VerifyResult(counterexample is None, f"sample:{k}", k, wins,
                                  counterexample)
 
@@ -447,6 +448,50 @@ def test_sampled_losing_pairings_find_counterexamples(sid, gid):
     strategy, game = _sampled_case(sid, gid)
     results = [verify_winning(strategy, game, Sample(16, s)) for s in range(20)]
     assert sum(r.counterexample is not None for r in results) >= 10
+
+
+def test_a_losing_sample_over_three_chunks_names_its_counterexample():
+    # 2,100 draws are chunks of 1,024, 1,024 and 52: a change to the draw
+    # order or to SAMPLE_CHUNK changes the wins, and the first chunk's order
+    # the counterexample
+    assert analysis.SAMPLE_CHUNK == 1024
+    strategy, game = get_strategy("bmaj-nlb:4"), get_game("multi-mermin:4")
+    result = verify_winning(strategy, game, Sample(2100, 7))
+    bits = ("1100011011000110010101000001101000101010101110011101110001100110"
+            "1111101010101000010100111011010000110111110111000001000000001010"
+            "1010")
+    assert result == analysis.VerifyResult(
+        False, "sample:2100", 2100, 264,
+        {"input": [1, 0, 1, 0], "seed": {"nlb_bits": [int(b) for b in bits],
+                                         "shared_index": 0},
+         "outcome": [[1], [0], [1], [0]]})
+    assert result == oracle_sampled_verify(strategy, game, 2100, 7)
+
+
+@pytest.mark.parametrize("sid", ["chsh-nlb", "bmaj-nlb:4", "ms-comm", "dj-nlb:2"])
+def test_a_drawn_chunk_with_one_shared_value_draws_inputs_then_box_bits(sid):
+    # one getrandbits(m) per box after the m inputs, and no shared index:
+    # the fill leaves rng where that leaves a twin
+    strategy, game = _sampled_case(sid, None)
+    m = 37
+    rng, twin = random.Random(sid), random.Random(sid)
+    grid = engine.LaneGrid.drawn(strategy, game.sample_input, rng, m)
+    assert grid.inputs == [game.sample_input(twin) for _ in range(m)]
+    assert grid.nlb_masks == [twin.getrandbits(m) for _ in strategy.nlbs]
+    assert rng.getrandbits(32) == twin.getrandbits(32)
+
+
+@pytest.mark.parametrize("sid", ["ms-nlb-sim", "mermin-nlb-sim", "ms-comm-sim",
+                                 "ragged-domain"])
+def test_a_drawn_chunk_draws_its_shared_indices_last(sid):
+    strategy, game = _sampled_case(sid, None)
+    n, m = len(strategy.shared_domain), 37
+    rng, twin = random.Random(sid), random.Random(sid)
+    grid = engine.LaneGrid.drawn(strategy, game.sample_input, rng, m)
+    assert grid.inputs == [game.sample_input(twin) for _ in range(m)]
+    assert grid.nlb_masks == [twin.getrandbits(m) for _ in strategy.nlbs]
+    assert n > 1 and grid.shared == [twin.randrange(n) for _ in range(m)]
+    assert rng.getrandbits(32) == twin.getrandbits(32)
 
 
 @pytest.mark.parametrize("sid", ["bmaj-nlb:4", "dj-nlb:4", "multi-mermin-nlb:10"])

@@ -26,7 +26,7 @@ from nlbox.engine import (Action, Channel, Choice, Lane, LaneBranch, LaneGrid, L
                           NlbInstance, NonBitError, PartyProgram, Seed,
                           SharedDomain, Strategy, TRIVIAL_SHARED,
                           UnusedResourceError, bit_domain, enumerate_seeds,
-                          equal_bits, execute, sample_seed, seed_lanes)
+                          equal_bits, execute, seed_lanes)
 from nlbox.games import get_game, indicators, is_winning, promised_inputs, select
 from nlbox.strategies import REF_ALICE, REF_BOB0, REF_BOB1, REF_QUADRUPLE, get_strategy
 
@@ -379,6 +379,19 @@ def test_unshaped_domains_keep_one_block_per_shared_index(sid, execute_calls):
     assert [seed.shared for seed in first] == list(strategy.shared_domain.values)
 
 
+def drawn_points(strategy, sample_input, rng, m):
+    """The m draws of one sampled-verify chunk as (input, Seed): the m
+    inputs, then one getrandbits(m) per box, whose bit i is draw i's free
+    bit, then, where the shared domain has several values, one randrange
+    over it per draw."""
+    n_shared = len(strategy.shared_domain)
+    inputs = [sample_input(rng) for _ in range(m)]
+    boxes = [rng.getrandbits(m) for _ in strategy.nlbs]
+    shared = [rng.randrange(n_shared) if n_shared > 1 else 0 for _ in range(m)]
+    return [(x, Seed(tuple([bits >> i & 1 for bits in boxes]), shared[i]))
+            for i, x in enumerate(inputs)]
+
+
 def at_point(value, i):
     """A lane-valued input or shared value at bit i of its block."""
     if isinstance(value, Lane):
@@ -414,9 +427,7 @@ def test_grid_fills_match_their_definitions(sid, gid, fill):
     else:
         grid = LaneGrid.drawn(strategy, game.sample_input,
                               random.Random(sid), 40)
-        rng = random.Random(sid)
-        points = [(game.sample_input(rng), sample_seed(strategy, rng))
-                  for _ in range(40)]
+        points = drawn_points(strategy, game.sample_input, random.Random(sid), 40)
     for k, point in enumerate(points):
         assert grid.run(k, 1) == point
     if grid.narrows:
@@ -781,7 +792,8 @@ def test_late_branch_resumes_where_the_lanes_stopped(execute_calls, monkeypatch)
 
 
 def test_lane_nested_in_an_output_is_rejected(execute_calls):
-    # an output element is 0, 1 or a lane, on either path
+    # an output element is 0, 1 or a lane, on either path; the lane run
+    # stops, so that the first point's own run names its plain value
     box = NlbInstance("box", 0, 1)
 
     def feed(view):
@@ -796,10 +808,12 @@ def test_lane_nested_in_an_output_is_rejected(execute_calls):
     for seed in enumerate_seeds(strategy):
         with pytest.raises(NonBitError):
             execute(strategy, (0, 0), seed)
+    want = _raised(lambda: execute(strategy, (0, 0), Seed((0,))))
+    assert want == (NonBitError, "party 0 output (0,), which is not a bit")
     execute_calls.clear()
-    with pytest.raises(NonBitError):
-        exact_distribution(strategy, get_game("chsh"))
-    assert len(execute_calls) == 1 and isinstance(execute_calls[0].nlb_bits[0], Lane)
+    assert _raised(lambda: exact_distribution(strategy, get_game("chsh"))) == want
+    assert isinstance(execute_calls[0].nlb_bits[0], Lane)
+    assert execute_calls[-1] == Seed((0,), 0)
 
 
 @pytest.mark.parametrize("container", ["dict", "set", "iter", "generator"])
@@ -822,6 +836,74 @@ def test_outputs_other_than_tuples_and_lists_are_rejected(container, execute_cal
     with pytest.raises(NonBitError, match="not a tuple or list"):
         exact_distribution(strategy, get_game("chsh"))
     assert type(execute_calls[0]) is LaneSeed
+
+
+def _chsh_nlb_with(feed=None, answer=None):
+    """chsh-nlb with its feed or answer round replaced."""
+    strategy = get_strategy("chsh-nlb")
+    rounds = strategy.programs[0].rounds
+    prog = PartyProgram((feed or rounds[0], answer or rounds[1]))
+    return dataclasses.replace(strategy, programs=(prog, prog))
+
+
+def test_an_int_method_on_a_lane_runs_input_by_input(execute_calls):
+    # a lane refuses int's attributes as it refuses operators, so the run
+    # over all four inputs stops and each input runs on its own, its input
+    # a plain int as in the scalar engine
+    strategy = _chsh_nlb_with(answer=lambda v: Action(
+        output=(v.nlb["box"] ^ (v.own_input.bit_length() & 1),)))
+    game = get_game("chsh")
+    assert execute(strategy, (1, 1), Seed((0,)))[0] == ((1,), (0,))
+    per_input, checked, wins, counterexample = scalar_oracle(strategy, game)
+    execute_calls.clear()
+    assert exact_distribution(strategy, game).per_input == per_input
+    assert [(seed.offset, seed.block) for seed in execute_calls] == \
+        [(0, 0xff), (0, 0b11), (2, 0b11), (4, 0b11), (6, 0b11)]
+    assert verify_winning(strategy, game, Exhaustive()) == analysis.VerifyResult(
+        counterexample is None, "exhaustive", checked, wins, counterexample)
+    lane = Lane(0b10, 0b11)
+    assert (lane.mask, lane.full) == (0b10, 0b11)
+    for name in ("bit_length", "bit_count", "to_bytes", "real", "numerator"):
+        with pytest.raises(LaneBranch, match=f"applied {name} to a lane") as stop:
+            getattr(lane, name)
+        assert stop.value.mask is None
+
+
+@pytest.mark.parametrize("feed,answer,message", [
+    (None, lambda v: Action(output=v.nlb["box"]),
+     "party 0 output 0, which is not a tuple or list of bits"),
+    (None, lambda v: Action(output=((v.nlb["box"],),)),
+     "party 0 output (0,), which is not a bit"),
+    (None, lambda v: Action(output=([{"z": v.nlb["box"]}],)),
+     "party 0 output [{'z': 0}], which is not a bit"),
+    (lambda v: Action(nlb_inputs={"box": (v.own_input,)}), None,
+     "party 0 fed NLB 'box' (0,), which is not a bit")],
+    ids=["lane-output", "nested-lane", "lane-in-a-dict", "fed-tuple"])
+def test_a_lane_where_a_bit_goes_is_named_by_its_plain_value(feed, answer, message,
+                                                              execute_calls):
+    # the lane run stops, so the error is the first point's own, naming its
+    # plain value as the scalar engine does
+    _check_named_as_scalar(_chsh_nlb_with(feed, answer), message, execute_calls)
+
+
+def test_a_dataclass_of_lanes_output_is_named_by_its_plain_value(execute_calls):
+    # ms-nlb-sim's shared quadruples are dataclasses with a lane per leaf
+    domain = get_strategy("ms-nlb-sim").shared_domain
+    strategy = dataclasses.replace(
+        _chsh_nlb_with(answer=lambda v: Action(output=(v.shared,))), shared_domain=domain)
+    _check_named_as_scalar(
+        strategy, f"party 0 output {domain.values[0]!r}, which is not a bit", execute_calls)
+
+
+def _check_named_as_scalar(strategy, message, execute_calls):
+    """The scalar engine, exact_distribution and exhaustive verify on chsh
+    all raise NonBitError(message), each sweep starting on lanes."""
+    game, want = get_game("chsh"), (NonBitError, message)
+    assert _raised(lambda: scalar_oracle(strategy, game)) == want
+    execute_calls.clear()
+    assert _raised(lambda: exact_distribution(strategy, game)) == want
+    assert type(execute_calls[0]) is LaneSeed
+    assert _raised(lambda: verify_winning(strategy, game, Exhaustive())) == want
 
 
 def test_unused_resources_end_an_exhaustive_verify_on_lanes(execute_calls):
