@@ -17,9 +17,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-# enumerate_seeds and is_winning stay importable as analysis.enumerate_seeds
-# and analysis.is_winning, names the benchmark's tracer (bench/tracer.py)
-# rebinds
+# enumerate_seeds, is_winning and winning_outcomes stay importable from
+# analysis, names the benchmark's tracer (bench/tracer.py) rebinds
 from .engine import (LaneBranch, LaneGrid, NlbInstance, PartyProgram, Action,
                      Strategy, DEFAULT_MAX_SEED_BITS, EnumerationLimitError,
                      bit_mask, count_text, enumerate_seeds, execute, lowest_bit,
@@ -244,26 +243,23 @@ def uniformity_verdict(dist: ExactDistribution, game: Game) -> bool:
     """True iff, for every promised input, the distribution is exactly
     uniform over that input's winning outcomes and zero elsewhere.
 
-    The win relation runs once per input, on lanes over the whole outcome
-    space (see games.outcome_lanes), or once per outcome
-    (winning_outcomes) where it is not bit algebra. Bit k of a mask stands
-    for the k-th outcome of that space. Each input's mask, once its promise
-    is checked, and each outcome's position are kept on the game, so they
-    are found once per game."""
-    space = outcome_lanes(game)
-    full = (1 << (1 << sum(game.output_lengths))) - 1
+    Each input's winners are decided by _decide, on lanes over the whole
+    outcome space (see games.outcome_lanes): bit k of a mask stands for the
+    k-th outcome of that space. Each input's mask, once its promise is
+    checked and the input read (require_promise), and each outcome's
+    position are kept on the game, so they are found once per game, and a
+    call that finds every input in the table builds no outcome space."""
     # each promised input's winners, and each outcome's position or None
     table, index = game.__dict__.setdefault("_uniformity", ({}, {}))
+    space = None        # the outcome space's masks, built at the first miss
     for x, probs in dist.per_input.items():
         winners = table.get(x)
         if winners is None:
-            require_promise(game, x)
-            try:
-                winners = _won(game, x, space, full)
-            except LaneBranch:
-                winners = sum(1 << outcome_index(game, o)
-                              for o in winning_outcomes(game, x))
-            table[x] = winners
+            if space is None:
+                lanes = outcome_lanes(game)     # refuses a space past MAX_OUTCOMES
+                full = (1 << (1 << sum(game.output_lengths))) - 1
+                space = outcome_masks(lanes, full)
+            winners = table[x] = _decide(game, require_promise(game, x), full, space)
         support = 0
         for o in probs:
             if o not in index:

@@ -232,6 +232,14 @@ def equal_bits(value, values) -> tuple:
     return tuple([Lane(masks[v], full) if v in masks else 0 for v in values])
 
 
+def index_bits(value, n: int) -> tuple:
+    """equal_bits(value, (1, ..., n)) for a 1-based index into n entries. A
+    plain value is first read as an n-tuple reads the index value - 1: 0 and
+    -1 pick its last two entries, and any other value raises as it does."""
+    positions = tuple(range(1, n + 1))
+    return equal_bits(value if type(value) is Choice else positions[value - 1], positions)
+
+
 _REFUSED = ("int", "float", "complex", "hash", "eq", "ne",
             "lt", "le", "gt", "ge", "add", "radd", "sub", "rsub", "mul", "rmul",
             "truediv", "rtruediv", "floordiv", "rfloordiv", "mod", "rmod",
@@ -250,19 +258,11 @@ for _op in _REFUSED + ("bool", "index", "xor", "rxor", "and", "rand", "or", "ror
     setattr(Choice, f"__{_op}__", _refuse(_op))
 del _op
 
-# a party program holds a Lane or a Choice where its points differ
-_LANE_TYPES = frozenset((Lane, Choice))
-
 
 def _is_bit(value) -> bool:
     """The int 0 or 1, or a Lane: what a party may feed, send or output (the
     type goes first, since comparing a Lane raises LaneBranch)."""
     return type(value) is int and 0 <= value <= 1 or type(value) is Lane
-
-
-def has_lane(values) -> bool:
-    """True iff some entry of values is a Lane or a Choice."""
-    return not _LANE_TYPES.isdisjoint(map(type, values))
 
 
 def bit_mask(value, block: int) -> int:
@@ -471,6 +471,12 @@ def _not_a_bit(lanes: bool, party: int, what: str, value, kind: str = "a bit"):
     raise NonBitError(f"party {party} {what} {value!r}, which is not {kind}")
 
 
+def _malformed(lanes: bool, message: str):
+    # on lanes as in _not_a_bit: each point's own run names its plain value
+    raise LaneBranch("party program returned a malformed action") if lanes \
+        else MalformedActionError(message)
+
+
 def execute(strategy: Strategy, input_tuple: tuple, seed: "Seed | LaneSeed",
             record: bool = True) -> tuple[tuple[tuple[int, ...], ...], Transcript]:
     """Run the strategy on one input under one seed.
@@ -526,15 +532,14 @@ def execute(strategy: Strategy, input_tuple: tuple, seed: "Seed | LaneSeed",
             view = views[i]
             action = rounds[rnd](view)
             if type(action) is not Action:
-                raise MalformedActionError(
-                    f"party {i} round {rnd} returned {action!r}, not an Action")
+                _malformed(lanes, f"party {i} round {rnd} returned {action!r}, "
+                                  "not an Action")
             view.memo = action.memo
 
             feeds = action.nlb_inputs
             if feeds is not None:
                 if type(feeds) is not dict:
-                    raise MalformedActionError(
-                        f"party {i} nlb_inputs {feeds!r} is not a dict")
+                    _malformed(lanes, f"party {i} nlb_inputs {feeds!r} is not a dict")
                 for nid, bit in feeds.items():
                     entry = nlb_index.get(nid)
                     if entry is None:
@@ -562,8 +567,7 @@ def execute(strategy: Strategy, input_tuple: tuple, seed: "Seed | LaneSeed",
             chan_bits = action.sends
             if chan_bits is not None:
                 if type(chan_bits) is not dict:
-                    raise MalformedActionError(
-                        f"party {i} sends {chan_bits!r} is not a dict")
+                    _malformed(lanes, f"party {i} sends {chan_bits!r} is not a dict")
                 for cid, bit in chan_bits.items():
                     chan = channel_index.get(cid)
                     if chan is None:

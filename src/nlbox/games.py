@@ -18,8 +18,7 @@ import operator
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
-from .engine import (Choice, EnumerationLimitError, count_text, draw_bits, equal_bits,
-                     has_lane, seed_lanes)
+from .engine import EnumerationLimitError, count_text, draw_bits, index_bits, seed_lanes
 
 MAX_OUTCOMES = 2 ** 20
 # dj:<n> inputs are 2^n bits and dj-nlb:<n> declares about 2^(n+1) boxes
@@ -40,13 +39,11 @@ class PromiseError(GameError):
 
 
 def bmaj(x) -> int:
-    """Majority biased towards 0: 1 iff the Hamming weight exceeds floor(n/2).
-    Where a bit of x is a lane, so is the result: the weight is added up
+    """Majority biased towards 0: 1 iff the Hamming weight of the n bits x
+    exceeds floor(n/2). Bits and result may be lanes: the weight is added up
     digit by digit and compared with floor(n/2) (see _exceeds)."""
     if len(x) < 2:
         raise ValueError("bmaj needs at least 2 bits")
-    if not has_lane(x):
-        return 1 if sum(x) > len(x) // 2 else 0
     return _exceeds(_weight(x), len(x) // 2)
 
 
@@ -94,13 +91,9 @@ class Parity(NamedTuple):
 
 
 def mermin_target(x) -> int:
-    """floor(w/2) mod 2 for the Hamming weight w of x. Where a bit of x is a
-    lane, so is the result: floor(w/2) and C(w, 2) agree mod 2, so it is the
-    XOR of all pairwise ANDs, each bit ANDed with the parity of the bits
-    before it."""
-    if not has_lane(x):
-        # int(): a promised input may hold 0.0 and 1.0
-        return int(sum(x)) // 2 % 2
+    """floor(w/2) mod 2 for the Hamming weight w of the bits x, which may be
+    lanes, as the result then is: floor(w/2) and C(w, 2) agree mod 2, so it
+    is the XOR of all pairwise ANDs, each bit ANDed with the parity before it."""
     pairs = seen = 0
     for v in x:
         pairs ^= seen & v
@@ -120,12 +113,12 @@ class Game:
     ``win(x, y)`` is the win relation: truthy iff outcome y wins on the
     promised input x. Written in bit algebra on the outputs (``^``, ``&``,
     ``|`` and ``1 ^ v``, with no ``sum``, ``==``, ``bool`` or early return
-    on them), it runs unchanged on output lanes (engine.Lane), where it
-    decides a whole block of outcomes in one call; verify runs it that way.
-    Every built-in relation also runs on input lanes: where a bit of x is a
-    lane, or magic square's row or column is an engine.Choice, it takes a
-    bit-algebra form, so one call decides a block whose points span several
-    inputs, while concrete inputs take the scalar form. A relation that
+    on them), it runs unchanged on output lanes, where it decides a whole
+    block of outcomes in one call; verify runs it that way. Every built-in
+    relation has that one form on its inputs too, so one call decides a
+    block whose points span several inputs: a bit of x may be a lane, and
+    magic square's row or column may take several values (see indicators).
+    A plain input is given as ints (see require_promise). A relation that
     uses a lane in any other way raises LaneBranch there, and is then
     called once per input, and once per distinct outcome of an input,
     instead.
@@ -159,15 +152,25 @@ def promised_inputs(game: Game) -> list:
     return game.promise()
 
 
-def require_promise(game: Game, input_tuple: tuple) -> None:
+def require_promise(game: Game, input_tuple: tuple) -> tuple:
+    """input_tuple, once on the game's promise (else PromiseError), as plain
+    ints: tuples for lists and ints for whole floats, so that (1.0, 0.0)
+    decides as (1, 0), and magic square's (2.0, 3) as (2, 3)."""
     if not game.on_promise(input_tuple):
         raise PromiseError(f"{input_tuple} is outside the promise of {game.name}")
+    return _plain(input_tuple)
+
+
+def _plain(x):
+    if type(x) in (tuple, list):
+        return tuple(map(_plain, x))
+    return int(x) if type(x) is float and x.is_integer() else x
 
 
 def is_winning(game: Game, input_tuple: tuple, outcome: tuple) -> bool:
     """Raises PromiseError off the promise, and GameError for an outcome of
     the wrong arity or with an entry other than the int 0 or 1."""
-    require_promise(game, input_tuple)
+    input_tuple = require_promise(game, input_tuple)
     try:
         fits = tuple(map(len, outcome)) == tuple(game.output_lengths)
     except TypeError:
@@ -220,10 +223,10 @@ def outcome_index(game: Game, outcome: tuple) -> int | None:
 def winning_outcomes(game: Game, input_tuple: tuple) -> set:
     """All outcomes satisfying the win relation for one promised input,
     enumerated from the full outcome space, one call of the win relation
-    per outcome. The promise is checked once; every outcome of the space
-    has the game's arity by construction."""
+    per outcome. The promise is checked and the input read once (see
+    require_promise); every outcome of the space has the game's arity."""
     _check_outcome_space(game)
-    require_promise(game, input_tuple)
+    input_tuple = require_promise(game, input_tuple)
     win = game.win
     return {o for o in outcome_space(game) if win(input_tuple, o)}
 
@@ -258,13 +261,11 @@ ODD_TRIPLES = tuple(r for r in itertools.product((0, 1), repeat=3) if sum(r) % 2
 
 def indicators(v) -> tuple:
     """The bits (v == 1) & 1, (v == 2) & 1 and (v == 3) & 1 of a
-    magic-square input v, lanes where v is an engine.Choice of those values
-    (engine.equal_bits), so that select(bits, indicators(v)) is bits[v - 1].
-    A plain v is read as that index reads it: 0 and -1 pick the last two
-    entries, and any other value raises as the index does."""
-    if type(v) is Choice:
-        return equal_bits(v, (1, 2, 3))
-    return equal_bits((1, 2, 3)[v - 1], (1, 2, 3))
+    magic-square input v, lanes where v takes several of those values
+    across a block (engine.index_bits), so that select(bits, indicators(v))
+    is bits[v - 1]. A plain v is read as that index reads it: 0 and -1 pick
+    the last two entries, and any other value raises as the index does."""
+    return index_bits(v, 3)
 
 
 def select(bits, hot):
@@ -280,7 +281,7 @@ def magic_square_game() -> Game:
         # the row has even parity, the column odd parity, and they agree
         # on the shared cell: the row's entry at the column input and the
         # column's at the row input, selected in bit algebra, so that an
-        # input may be a Choice
+        # input may take several values across a block
         (r0, r1, r2), (c0, c1, c2) = y
         cells = select(y[0], indicators(x[1])) ^ select(y[1], indicators(x[0]))
         return (1 ^ r0 ^ r1 ^ r2) & (c0 ^ c1 ^ c2) & (1 ^ cells)
@@ -316,7 +317,7 @@ def multi_mermin_game(n: int, name: str | None = None) -> Game:
         promise=_lazy(lambda: [x for x in itertools.product((0, 1), repeat=n)
                                if sum(x) % 2 == 0]),
         sample_input=sample_input,
-        on_promise=lambda x: len(x) == n and _all_bits(x) and sum(x) % 2 == 0,
+        on_promise=lambda x: _all_bits(x) and len(x) == n and sum(x) % 2 == 0,
         win=parity.win,
         party_inputs=((0, 1),) * n,
         party_outputs=_scalar_bits(n),
@@ -344,11 +345,11 @@ def dj_game(n: int) -> Game:
     half = 2 ** (n - 1)
 
     def on_promise(x):
-        if len(x) != 2:
+        if type(x) not in (tuple, list) or len(x) != 2:
             return False
         a, b = x
-        return (len(a) == length and len(b) == length and _all_bits(a)
-                and _all_bits(b) and hamming(a, b) in (0, half))
+        return (_all_bits(a) and _all_bits(b) and len(a) == length
+                and len(b) == length and hamming(a, b) in (0, half))
 
     # each string a, with itself and with each of the C(length, half)
     # strings at distance half from it; counted before anything is built
@@ -378,12 +379,9 @@ def dj_game(n: int) -> Game:
 
     def win(x, y):
         # the outputs differ iff some bit pair does, which must hold iff the
-        # inputs differ
+        # inputs differ: "the inputs are equal" is 1 ^ OR(a_i ^ b_i)
         differ = functools.reduce(operator.or_, map(operator.xor, y[0], y[1]))
-        if has_lane(x[0]) or has_lane(x[1]):
-            # on input lanes "the inputs are equal" is 1 ^ OR(a_i ^ b_i)
-            return 1 ^ functools.reduce(operator.or_, map(operator.xor, *x)) ^ differ
-        return (x[0] == x[1]) ^ differ
+        return 1 ^ functools.reduce(operator.or_, map(operator.xor, *x)) ^ differ
 
     return Game(
         name=f"dj:{n}", n_parties=2, output_lengths=(n, n),
@@ -408,7 +406,7 @@ def bmaj_game(n: int) -> Game:
         name=f"bmaj:{n}", n_parties=n, output_lengths=(1,) * n,
         promise=_lazy(lambda: list(itertools.product((0, 1), repeat=n))),
         sample_input=lambda rng: _bits(rng.randrange(2 ** n), n),
-        on_promise=lambda x: len(x) == n and _all_bits(x),
+        on_promise=lambda x: _all_bits(x) and len(x) == n,
         win=parity.win,
         party_inputs=((0, 1),) * n,
         party_outputs=_scalar_bits(n),

@@ -104,35 +104,36 @@ def test_mermin_winning_examples():
 
 # per family: a promised input, an outcome of the right arity, inputs off
 # the promise, and outcomes of the wrong arity. An entry is a bit when it is
-# `in (0, 1)`, so False, True and 1.0 are bits, and 2, -1 and None are not
+# `in (0, 1)`, so False, True and 1.0 are bits, and 2, -1 and None are not.
+# None and 5, which are no sequences, are off every promise
 ARITY_CASES = {
     "chsh": ((1, 0), ((0,), (1,)),
-             [(0, 2), (0, -1), (None, 0), (0, 0, 0), (0,), ()],
+             [(0, 2), (0, -1), (None, 0), (0, 0, 0), (0,), (), None, 5],
              [((0,),), ((0,), (1,), (0,)), ((0, 1), (1,)), ((0,), ()), (),
               ((0, 0), 5)]),
     "magic-square": ((2, 3), ((0, 1, 1), (0, 0, 1)),
-                     [(0, 1), (4, 1), (1, 2, 3), (1,), (None, 1)],
+                     [(0, 1), (4, 1), (1, 2, 3), (1,), (None, 1), None, 5],
                      [((0, 1, 1),), ((0, 1), (0, 0, 1)), ((0, 1, 1), (0, 0, 1, 0))]),
     "mermin": ((1, 1, 0), ((0,), (1,), (1,)),
-               [(1, 0, 0), (1, 1, 1), (2, 0, 0), (1, 1), (1, 1, 0, 0)],
+               [(1, 0, 0), (1, 1, 1), (2, 0, 0), (1, 1), (1, 1, 0, 0), None, 5],
                [((0,), (1,)), ((0,), (1,), (1, 0)), ((), (1,), (1,))]),
     "multi-mermin:4": ((1, 1, 1, 1), ((0,),) * 4,
                        [(1, 0, 0, 0), (2, 0, 0, 0), (-1, 1, 0, 0), (1, 1),
-                        (0, 0, 0, 0, 0)],
+                        (0, 0, 0, 0, 0), None, 5],
                        [((0,),) * 3, ((0,),) * 5, ((0,), (0,), (0,), (0, 0))]),
     "dj:1": (((0, 1), (1, 1)), ((0,), (1,)),
              [(("a", "b"), ("a", "b")), ((2, 0), (2, 0)), ((0, -1), (1, -1)),
-              ((0, 1), (2, 1)), ((0, 1), (1, 0))],
+              ((0, 1), (2, 1)), ((0, 1), (1, 0)), None, 5, ((0, 1), 5), (5, (0, 1))],
              [((0,),), ((0, 1), (1,))]),
     "dj:2": (((0, 1, 1, 0), (1, 1, 0, 0)), ((0, 1), (1, 1)),
              [((0, 0, 0, 0), (1, 1, 1, 0)), ((0, 0, 0, 0), (1, 1, 1, 1)),
               ((0, 0, 0), (0, 0, 0)), ((0, 0, 0, 0),),
               ((0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)),
               ((2, 0, 0, 0), (2, 0, 0, 0)), ((None, 0, 0, 1), (None, 0, 1, 0)),
-              ((0, 0, 1, 1), (0, 0, None, 0))],
+              ((0, 0, 1, 1), (0, 0, None, 0)), None, 5, ((0, 0, 0, 0), 5)],
              [((0, 1),), ((0, 1), (1,)), ((0, 1, 0), (1, 1))]),
     "bmaj:3": ((1, 0, 1), ((1,),) * 3,
-               [(1, 0, 2), (1, None, 1), (1, 0), (1, 0, 1, 1), (0.5, 0, 1)],
+               [(1, 0, 2), (1, None, 1), (1, 0), (1, 0, 1, 1), (0.5, 0, 1), None, 5],
                [((1,),) * 2, ((1,), (1,), (1, 1)), ((1,),) * 4]),
 }
 
@@ -175,13 +176,31 @@ def test_is_winning_refuses_non_bit_outcomes(gid, x, outcome, message):
     assert type(raised.value) is GameError
 
 
-@pytest.mark.parametrize("gid", ["chsh", "mermin", "multi-mermin:4", "bmaj:3"])
+def _aliased(x, alias):
+    """x with each bit replaced by its alias, at any depth of tuples."""
+    return tuple(_aliased(v, alias) for v in x) if type(x) is tuple else alias[x]
+
+
+@pytest.mark.parametrize("gid", ["chsh", "mermin", "multi-mermin:4", "bmaj:3",
+                                 "magic-square", "dj:1"])
 def test_bools_and_float_bits_stay_on_the_promise(gid):
+    # an input's aliases get its verdict on every outcome; magic square's
+    # row and column are not bits, so its aliases are 2.0 and True (for 1)
     g = get_game(gid)
-    x, outcome, _, _ = ARITY_CASES[gid]
-    for alias in ({0: False, 1: True}, {0: 0.0, 1: 1.0}):
-        same = tuple(alias[b] for b in x)
-        assert is_winning(g, same, outcome) == is_winning(g, x, outcome)
+    x, _, _, _ = ARITY_CASES[gid]
+    if gid == "magic-square":
+        pairs = [((2.0, 3), (2, 3)), ((True, 3), (1, 3)), ((3, 1.0), (3, 1))]
+    else:
+        pairs = [(_aliased(x, alias), x)
+                 for alias in ({0: False, 1: True}, {0: 0.0, 1: 1.0})]
+    if gid == "dj:1":
+        # a string given as a list is the same string given as a tuple
+        pairs += [(((0, 1), [0, 1]), ((0, 1), (0, 1))), (([0, 1], (1, 1)), x)]
+    for same, plain in pairs:
+        assert g.on_promise(same)
+        for outcome in outcome_space(g):
+            assert is_winning(g, same, outcome) == is_winning(g, plain, outcome)
+        assert winning_outcomes(g, same) == winning_outcomes(g, plain)
 
 
 @pytest.mark.parametrize("gid,x,on", [
@@ -261,13 +280,26 @@ def test_win_on_outcome_lanes_matches_winning_outcomes(gid):
     assert outcome_index(g, ((*part, 0), *space[-1][1:])) is None
 
 
+def stated_win(gid, x, y):
+    """The win relation as the games state it, through sum and ==, on
+    plain bits, on the promise or off it: the XOR of the output bits equals
+    floor(w/2) mod 2 of the input weight w (multi-mermin) or 2w > n (bmaj,
+    chsh); for dj, the outputs are equal iff the inputs are."""
+    if gid.startswith("dj"):
+        return (x[0] == x[1]) == (y[0] == y[1])
+    w, n = sum(x), len(x)
+    target = w // 2 % 2 if "mermin" in gid else int(2 * w > n)
+    return sum(b for (b,) in y) % 2 == target
+
+
 @pytest.mark.parametrize("gid", [f"multi-mermin:{n}" for n in range(3, 13)]
                          + [f"bmaj:{n}" for n in range(2, 7)] + ["chsh", "dj:1", "dj:2"])
 def test_win_on_input_lanes_matches_scalar_calls(gid):
     # every bit tuple of the input's shape, off the promise too, as one block:
     # bit k of each input lane is that input bit of the k-th tuple in
     # itertools.product order, with the first bit also held constant as an
-    # int, as engine._on_block gives a bit that is the same on a block
+    # int, as engine._on_block gives a bit that is the same on a block. Each
+    # point is checked against stated_win, independent of the relation's code
     g = get_game(gid)
     length = 2 ** int(gid[3:]) if gid.startswith("dj") else None
     n_bits = 2 * length if length else g.n_parties
@@ -293,8 +325,8 @@ def test_win_on_input_lanes_matches_scalar_calls(gid):
         won, won_fixed = bit_mask(won, full), bit_mask(won_fixed, full)
         for k, bits in enumerate(points):
             y = tuple(tuple(m >> k & 1 for m in part) for part in masks)
-            assert won >> k & 1 == bool(g.win(shaped(bits), y)), (k, bits, y)
-            assert won_fixed >> k & 1 == bool(g.win(shaped(bits), fixed)), k
+            assert won >> k & 1 == stated_win(gid, shaped(bits), y), (k, bits, y)
+            assert won_fixed >> k & 1 == stated_win(gid, shaped(bits), fixed), k
 
 
 def test_magic_square_win_on_choice_inputs_matches_scalar_calls():

@@ -99,12 +99,26 @@ def test_only_engine_knows_the_lane_layout():
     # columns, turning outcomes into masks and back, and telling a lane
     # from a bit stay inside engine, and a run's inputs are told apart by
     # one rule there, LaneGrid.input_span
+    from nlbox import engine
     from nlbox.engine import LaneGrid
     names = engine_imports("analysis")
     assert "LaneGrid" in names
     assert names & {"_build", "_columns", "_spread", "Lane"} == set()
-    assert "Lane" not in engine_imports("games")
     assert not hasattr(LaneGrid, "by_input")
+    # games and strategies test no lane type: their code runs on lanes as
+    # on bits, and engine's helpers (equal_bits, index_bits) read a Choice
+    for module in ("games", "strategies"):
+        assert engine_imports(module) & {"Lane", "Choice", "LaneSeed", "has_lane"} == set()
+        assert code_names(module) & {"Lane", "Choice"} == set(), module
+    assert not hasattr(engine, "has_lane") and not hasattr(engine, "_LANE_TYPES")
+
+
+def code_names(module: str) -> set:
+    """The names a module's code reads, as a name or an attribute."""
+    path = SRC / f"{module}.py"
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, (ast.Name, ast.Attribute))}
 
 
 def analysis_call_sites(name: str) -> list:

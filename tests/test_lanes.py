@@ -23,7 +23,8 @@ from nlbox import analysis
 from nlbox.analysis import (Exhaustive, exact_distribution, impossibility_search,
                             strategy_from_tables, verify_winning)
 from nlbox.engine import (Action, Channel, Choice, Lane, LaneBranch, LaneGrid, LaneSeed,
-                          NlbInstance, NonBitError, PartyProgram, Seed,
+                          MalformedActionError, NlbInstance, NonBitError,
+                          PartyProgram, Seed,
                           SharedDomain, Strategy, TRIVIAL_SHARED,
                           UnusedResourceError, bit_domain, enumerate_seeds,
                           equal_bits, execute, seed_lanes)
@@ -895,10 +896,24 @@ def test_a_dataclass_of_lanes_output_is_named_by_its_plain_value(execute_calls):
         strategy, f"party 0 output {domain.values[0]!r}, which is not a bit", execute_calls)
 
 
-def _check_named_as_scalar(strategy, message, execute_calls):
+@pytest.mark.parametrize("feed,answer,message", [
+    (None, lambda v: v.nlb["box"], "party 0 round 1 returned 0, not an Action"),
+    (None, lambda v: Action(output=(v.nlb["box"],), sends=[v.nlb["box"]]),
+     "party 0 sends [0] is not a dict"),
+    (lambda v: Action(nlb_inputs=[v.own_input]), None,
+     "party 0 nlb_inputs [0] is not a dict")],
+    ids=["lane-round-result", "sends-list", "nlb-inputs-list"])
+def test_a_malformed_action_on_lanes_is_named_by_its_plain_value(feed, answer, message,
+                                                                 execute_calls):
+    # as for a lane where a bit goes: the error is the first point's own
+    _check_named_as_scalar(_chsh_nlb_with(feed, answer), message, execute_calls,
+                           MalformedActionError)
+
+
+def _check_named_as_scalar(strategy, message, execute_calls, error=NonBitError):
     """The scalar engine, exact_distribution and exhaustive verify on chsh
-    all raise NonBitError(message), each sweep starting on lanes."""
-    game, want = get_game("chsh"), (NonBitError, message)
+    all raise error(message), each sweep starting on lanes."""
+    game, want = get_game("chsh"), (error, message)
     assert _raised(lambda: scalar_oracle(strategy, game)) == want
     execute_calls.clear()
     assert _raised(lambda: exact_distribution(strategy, game)) == want
