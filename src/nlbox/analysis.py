@@ -308,24 +308,37 @@ def _decide(game: Game, x, block: int, parts) -> int:
         return won
 
 
-def _verify(strategy: Strategy, game: Game, grid: LaneGrid):
+def _promised(game: Game, grid: LaneGrid, offset: int, block: int, x) -> int:
+    """The points of a drawn run whose input is on the promise: one call of
+    the game's on_promise on the run's input x, lanes where its points
+    differ, or, where that raises LaneBranch, one call per point on its
+    plain input."""
+    try:
+        return bit_mask(game.on_promise(x), block)
+    except LaneBranch:
+        return sum([1 << s for s in _set_bits(block)
+                    if game.on_promise(grid.input(offset + s, 1))])
+
+
+def _verify(strategy: Strategy, game: Game, grid: LaneGrid, promised=None):
     """(checked, wins, counterexample or None) over a grid's points.
+
+    promised says, per input of a periodic grid, whether it is on the
+    promise: a record kept with the grid (see _grid), so the promise is
+    checked once per input for every sweep. Without it, as for a drawn
+    grid, the promise is checked once per run, on its input (_promised).
 
     A run is decided whole, by one call of the win relation on its input
     and outcome lanes, when it meets several inputs (LaneGrid.input_span),
     all promised, and its outcome has the game's arity. Every other run,
     and one on which that call raises LaneBranch, is decided by _decide per
-    piece, its points at one input (LaneGrid.windows). The promise is
-    checked once per input of the grid, whose record serves each sweep of a
-    kept grid (see _grid). An input off the promise, or met with an
-    outcome of the wrong arity, is reported once the grid has run, at the
-    grid's lowest such input, so an error of a run itself comes first. The
-    counterexample is the grid's lowest losing point, read off the run's
-    masks: in the periodic fill the lowest seed of the first input that has
-    one, in the drawn fill the first losing draw."""
-    if grid.promised is None:
-        grid.promised = list(map(game.on_promise, grid.inputs))
-    promised = grid.promised
+    piece, its points at one input (LaneGrid.windows). An input off the
+    promise, or met with an outcome of the wrong arity, is reported once
+    the grid has run, at the grid's lowest such input, so an error of a run
+    itself comes first. The counterexample is the grid's lowest losing
+    point, read off the run's masks: in the periodic fill the lowest seed
+    of the first input that has one, in the drawn fill the first losing
+    draw."""
     lengths = tuple(game.output_lengths)
     checked = wins = 0
     misfits = set()     # inputs off the promise or with an outcome of wrong arity
@@ -333,19 +346,29 @@ def _verify(strategy: Strategy, game: Game, grid: LaneGrid):
     for offset, block, parts in _runs(strategy, grid):
         fits = tuple(map(len, parts)) == lengths
         first, last = grid.input_span(offset, block)
+        x = None
+        if promised is None:
+            x = grid.input(offset, block)
+            on = _promised(game, grid, offset, block, x)
+            whole = on == block
+        else:
+            whole = all(promised[first:last + 1])
         won = None
-        if last > first and fits and all(promised[first:last + 1]):
+        if last > first and fits and whole:
+            if x is None:
+                x = grid.input(offset, block)
             try:
-                won = _won(game, grid.input(offset, block),
-                           mask_outcome(parts, block), block)
+                won = _won(game, x, mask_outcome(parts, block), block)
             except LaneBranch:
                 pass
         if won is None:     # a run decided whole builds no windows
             won = 0
             for i, window in grid.windows(offset, block):
-                if not promised[i] or not fits:
+                piece = block & window
+                if not fits or piece and not (
+                        promised[i] if promised is not None else on & piece):
                     misfits.add(i)
-                elif piece := block & window:
+                elif piece:
                     won |= _decide(game, grid.inputs[i], piece, parts)
         checked += block.bit_count()
         wins += won.bit_count()
@@ -372,23 +395,30 @@ def verify_winning(strategy: Strategy, game: Game, policy,
     _verify).
 
     Exhaustive mode sweeps the full promise x seed grid; the counterexample
-    is the first losing point in enumerate_seeds' order. Sampled mode draws
-    (input, seed) pairs from random.Random(rng_seed), SAMPLE_CHUNK of them
-    per grid, in LaneGrid.drawn's order: a chunk's inputs, then each box's
-    free bits for the chunk, then its shared indices. So the chunk size is
-    part of which points a seed draws. Each run is still an exact
-    deterministic execution, and the counterexample is the first losing
-    draw."""
+    is the first losing point in enumerate_seeds' order. The promise is
+    checked once per input of the grid, and the record kept with it (see
+    _grid). Sampled mode draws (input, seed) pairs from
+    random.Random(rng_seed), SAMPLE_CHUNK of them per grid, in
+    LaneGrid.drawn's order: a chunk's inputs, as the game's sample_chunk
+    draws them (for bmaj, chsh and multi-mermin one getrandbits per free
+    input bit, for dj one per bit of the string a and one for the class
+    coins, then a flip set per draw whose coin is 1), then each box's free
+    bits for the chunk, then its shared indices. So the chunk size is part
+    of which points a seed draws. The promise is checked once per run, on
+    its input lanes. Each run is still an exact deterministic execution,
+    and the counterexample is the first losing draw."""
     _require_parties(strategy, game)
     if isinstance(policy, Exhaustive):
-        results = [_verify(strategy, game, _grid(strategy, game, max_seed_bits))]
+        grid = _grid(strategy, game, max_seed_bits)
+        if grid.promised is None:
+            grid.promised = list(map(game.on_promise, grid.inputs))
+        results = [_verify(strategy, game, grid, grid.promised)]
         mode = "exhaustive"
     elif isinstance(policy, Sample):
         rng = random.Random(policy.rng_seed)
         # each chunk's grid is released before the next one is drawn
         results = [_verify(strategy, game, LaneGrid.drawn(
-                       strategy, game.sample_input, rng,
-                       min(SAMPLE_CHUNK, policy.k - start)))
+                       strategy, game, rng, min(SAMPLE_CHUNK, policy.k - start)))
                    for start in range(0, policy.k, SAMPLE_CHUNK)]
         mode = f"sample:{policy.k}"
     else:

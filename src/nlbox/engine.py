@@ -265,6 +265,31 @@ def _is_bit(value) -> bool:
     return type(value) is int and 0 <= value <= 1 or type(value) is Lane
 
 
+def bits_of(x) -> tuple | None:
+    """The entries of x as bits, where x is a tuple or list whose every
+    entry is ``in (0, 1)``, as 0, 1, False, True and 1.0 are, or a Lane: a
+    plain entry as the int it equals, a lane as itself. None for anything
+    else: a str, another type, or an entry that is neither. Plain entries
+    are counted in C; a lane refuses ``==`` there, and the entries are then
+    told apart by type (a Choice refuses ``in``: LaneBranch)."""
+    if type(x) not in (tuple, list):
+        return None
+    try:
+        if x.count(0) + x.count(1) == len(x):
+            return tuple(map(int, x))
+    except LaneBranch:
+        bits = tuple([v if type(v) is Lane else int(v) if v in (0, 1) else None
+                      for v in x])
+        return None if any(v is None for v in bits) else bits
+    return None
+
+
+def truth(value):
+    """A bit as a bool, and a Lane as itself: what a promise built in bit
+    algebra returns on plain entries and on lanes."""
+    return value if type(value) is Lane else bool(value)
+
+
 def bit_mask(value, block: int) -> int:
     """The points of block where value, a bit or a lane over block, is 1."""
     return value.mask if type(value) is Lane else block if value else 0
@@ -664,31 +689,14 @@ def enumerate_seeds(strategy: Strategy, max_seed_bits: int = DEFAULT_MAX_SEED_BI
             yield Seed(bits, shared_index)
 
 
-# randrange(2) takes one 32-bit Mersenne Twister word per try: the try is
-# accepted when the word's top bit is 0, and its result is bit 30
-_TRY_BIT = bytes((b >> 6) & 1 for b in range(256))
-_REJECTED = bytes(range(128, 256))
-
-
-def draw_bits(rng: random.Random, n: int) -> bytes:
-    """n draws of rng.randrange(2), as bytes of 0 and 1, leaving rng where
-    those draws would. getrandbits(32 * m) is the next m words, least
-    significant first, so each pass draws one word per bit still needed and
-    keeps the accepted ones; no word is drawn that randrange would not."""
-    out = b""
-    while n:
-        words = rng.getrandbits(32 * n).to_bytes(4 * n, "little")
-        got = words[3::4].translate(_TRY_BIT, _REJECTED)
-        out += got
-        n -= len(got)
-    return out
-
-
 def sample_seed(strategy: Strategy, rng: random.Random) -> Seed:
-    """Draw one uniform seed from the strategy's randomness space: one
-    randrange(2) per NLB, then the shared index."""
-    bits = tuple(draw_bits(rng, len(strategy.nlbs)))
-    return Seed(bits, rng.randrange(len(strategy.shared_domain)))
+    """Draw one uniform seed from the strategy's randomness space, as a
+    one-point chunk of sampled verify draws it (see LaneGrid.drawn): one
+    getrandbits(1) per NLB, then the shared index, only where the domain
+    has several values."""
+    bits = tuple([rng.getrandbits(1) for _ in strategy.nlbs])
+    n = len(strategy.shared_domain)
+    return Seed(bits, rng.randrange(n) if n > 1 else 0)
 
 
 # --- the (input, seed) grid as lane blocks -------------------------------------
@@ -823,6 +831,33 @@ def _cut(mask: int, size: int, count: int) -> list[int]:
     return [chunk >> (size * j) & low for chunk in chunks for j in range(group)][:count]
 
 
+def _mask_shape(value, masks: list):
+    """The _build shape of input lanes given as nested tuples of masks, as
+    a game's sample_chunk draws them, each mask appended to masks."""
+    if type(value) is int:
+        masks.append(value)
+        return "bit"
+    return tuple, tuple([_mask_shape(v, masks) for v in value])
+
+
+class _Draws:
+    """The plain inputs of a drawn chunk, by index: point i's input is
+    decoded from bit i of the chunk's input masks when it is asked for."""
+
+    __slots__ = ("shape", "masks", "k")
+
+    def __init__(self, shape, masks: list, k: int):
+        self.shape, self.masks, self.k = shape, masks, k
+
+    def __len__(self):
+        return self.k
+
+    def __getitem__(self, i: int):
+        if not 0 <= i < self.k:
+            raise IndexError(i)
+        return _build(self.shape, iter([m >> i & 1 for m in self.masks]))
+
+
 # window width in bits -> the memoryview format of a machine word that wide
 _WORD_FORMATS = {memoryview(bytes(8)).cast(f).itemsize * 8: f for f in "QIHB"}
 
@@ -850,7 +885,8 @@ class LaneGrid:
       the first split narrows the grid (see split).
     - ``drawn``: k points in one group, drawn as one chunk (see drawn):
       point i is the i-th input drawn, under bit i of each box's lane and
-      the i-th shared index; size is 1.
+      the i-th shared index; size is 1. Where the game draws its inputs as
+      lanes, ``inputs`` decodes a point's plain input only when asked.
     """
 
     def __init__(self, strategy: Strategy, size: int, width: int,
@@ -865,7 +901,7 @@ class LaneGrid:
         self.inputs, self.input_shape, self.input_columns = None, None, []
         self.base = None        # the group whose input lanes input() holds
         self.shared = None      # the drawn fill's shared indices
-        self.promised = None    # per input, on the promise or not (analysis._verify)
+        self.promised = None    # per input, on the promise? (analysis.verify_winning)
         self.narrows = False    # the input holds a Choice, until split narrows
 
     @classmethod
@@ -895,20 +931,33 @@ class LaneGrid:
         return grid
 
     @classmethod
-    def drawn(cls, strategy: Strategy, sample_input, rng: random.Random,
+    def drawn(cls, strategy: Strategy, game, rng: random.Random,
               k: int) -> "LaneGrid":
         """k points drawn from rng as one chunk: the k inputs, then one
         getrandbits(k) per box, bit i for point i, then k shared indices
-        where the domain has several values. They start as one block per
+        where the domain has several values. The inputs are drawn by the
+        game's sample_chunk as input lanes (see games.Game), and decoded into
+        plain inputs only where a run needs one (see _Draws); a game without
+        one draws them by one sample_input call per point, lanes where they
+        all have one bit shape (see _columns). They start as one block per
         input that is not bit-shaped and per shared index that is not."""
         values = strategy.shared_domain.values
-        inputs = [sample_input(rng) for _ in range(k)]
+        if game.sample_chunk is not None:
+            masks = []
+            shape = _mask_shape(game.sample_chunk(rng, k), masks)
+            inputs = _Draws(shape, masks, k)
+        else:
+            inputs, columns = [game.sample_input(rng) for _ in range(k)], []
+            shape = _columns(inputs, columns)
+            masks = list(map(_lane_mask, columns))
         nlb_masks = [rng.getrandbits(k) for _ in strategy.nlbs]
         shared = ([rng.randrange(len(values)) for _ in range(k)] if len(values) > 1
                   else [0] * k)
         grid = cls(strategy, 1, k, [values[s] for s in shared], 1)
         grid.shared, grid.period, grid.nlb_masks = shared, k, nlb_masks
-        grid.inputs, grid.input_shape = inputs, _columns(inputs, grid.input_columns)
+        grid.inputs, grid.input_shape = inputs, shape
+        # one group: its input lanes are the drawn masks
+        grid.base, grid.input_masks = 0, masks
         if grid.input_shape is None or grid.shared_shape is None:
             keys = zip(inputs if grid.input_shape is None else [None] * k,
                        shared if grid.shared_shape is None else [None] * k)
@@ -931,9 +980,9 @@ class LaneGrid:
     def input(self, offset: int, block: int):
         """The input of a block, a lane wherever its points differ. The
         input lanes of the last group asked for (base, input_masks) are kept
-        on the grid, and so are shared by every sweep of a grid that
-        analysis keeps: safe, since nlbox starts no threads and runs one
-        sweep at a time."""
+        on the grid (the drawn fill's one group keeps its drawn masks), and
+        so are shared by every sweep of a grid that analysis keeps: safe,
+        since nlbox starts no threads and runs one sweep at a time."""
         if self.input_shape is None or block == 1:
             return self.inputs[offset // self.size]
         at = offset % self.width

@@ -18,7 +18,8 @@ import operator
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
-from .engine import EnumerationLimitError, count_text, draw_bits, index_bits, seed_lanes
+from .engine import (EnumerationLimitError, bits_of, count_text, index_bits, seed_lanes,
+                     truth)
 
 MAX_OUTCOMES = 2 ** 20
 # dj:<n> inputs are 2^n bits and dj-nlb:<n> declares about 2^(n+1) boxes
@@ -106,6 +107,51 @@ def own_bit(r, x, out) -> int:
     return out[0]
 
 
+class Affine(NamedTuple):
+    """A promise stated as a map of free bits: an input is its ``free``
+    free bits, then one bit per entry of ``parities``, the XOR of the free
+    bits that entry lists by position (multi-mermin:n has n - 1 free bits
+    and their parity, bmaj:n n free bits). fields derives the Game's
+    promise fields from it: the promise, one input per choice of free bits
+    in itertools.product order; sample_chunk, one getrandbits(m) per free
+    bit, each parity column the XOR of its free columns; sample_input, the
+    one-point chunk; and on_promise, in bit algebra on the bits."""
+
+    free: int
+    parities: tuple = ()
+
+    def point(self, free: tuple) -> tuple:
+        """The input with these free bits, then its parities: ints, or
+        masks over a chunk's draws (see Game), one bit per draw."""
+        return free + tuple([functools.reduce(operator.xor, [free[k] for k in p])
+                             for p in self.parities])
+
+    def holds(self, x):
+        """1 where the bits x, which may be lanes, have their parities, else
+        0."""
+        wrong = map(operator.xor, x[self.free:], self.point(x[:self.free])[self.free:])
+        return 1 ^ functools.reduce(operator.or_, wrong, 0)
+
+    def fields(self) -> dict:
+        """The promise fields of a Game that draws and checks this map."""
+        n = self.free + len(self.parities)
+
+        def sample_chunk(rng, m):
+            return self.point(tuple([rng.getrandbits(m) for _ in range(self.free)]))
+
+        def on_promise(x):
+            bits = bits_of(x)
+            return bits is not None and len(bits) == n and truth(self.holds(bits))
+
+        return dict(
+            promise=_lazy(lambda: [self.point(_bits(k, self.free))
+                                   for k in range(1 << self.free)]),
+            sample_chunk=sample_chunk,
+            # the one-point chunk: a mask over one draw is its bit
+            sample_input=lambda rng: sample_chunk(rng, 1),
+            on_promise=on_promise)
+
+
 @dataclass(frozen=True)
 class Game:
     """A promise game: who plays, what inputs are promised, who wins.
@@ -123,6 +169,17 @@ class Game:
     called once per input, and once per distinct outcome of an input,
     instead.
 
+    ``on_promise(x)`` is truthy iff x is promised. The built-in promises
+    are bit algebra too: on input lanes one call gives the lane of the
+    points on the promise; a promise that uses a lane otherwise (``==``,
+    ``in``, hashing) raises LaneBranch, and is called per point instead.
+    ``sample_chunk(rng, m)`` draws m inputs at once, each input bit as the
+    mask of the draws where it is 1 (bit i for draw i), which is its lane;
+    ``sample_input`` is then the one-point chunk. It is None where inputs
+    are not bits (magic square), and sampled verify calls sample_input per
+    draw. chsh, bmaj and multi-mermin derive promise, both samplers and
+    on_promise from one Affine declaration.
+
     ``party_inputs`` lists each party's possible inputs (None when the
     per-party input space is too large to enumerate). ``party_outputs``
     lists candidate per-party outputs for strategy searches (None where
@@ -139,6 +196,7 @@ class Game:
     output_lengths: tuple[int, ...]
     promise: Callable[[], list]
     sample_input: Callable[[object], tuple]
+    sample_chunk: Callable[[object, int], tuple] | None
     on_promise: Callable[[tuple], bool]
     win: Callable[[tuple, tuple], bool]
     party_inputs: tuple | None
@@ -233,13 +291,6 @@ def winning_outcomes(game: Game, input_tuple: tuple) -> set:
 
 # --- constructors -----------------------------------------------------------
 
-def _all_bits(x) -> bool:
-    """True iff x is a tuple or list whose every entry is ``in (0, 1)``, as
-    0, 1, False, True and 1.0 are: the entries equal to 0 or 1 are counted
-    in C. A string, or any other type, is not."""
-    return type(x) in (tuple, list) and x.count(0) + x.count(1) == len(x)
-
-
 def _scalar_bits(n):
     return tuple(((0,), (1,)) for _ in range(n))
 
@@ -290,6 +341,7 @@ def magic_square_game() -> Game:
         name="magic-square", n_parties=2, output_lengths=(3, 3),
         promise=lambda: list(inputs),
         sample_input=lambda rng: inputs[rng.randrange(9)],
+        sample_chunk=None,
         on_promise=lambda x: x in inputs,
         win=win,
         party_inputs=((1, 2, 3), (1, 2, 3)),
@@ -305,19 +357,11 @@ def multi_mermin_game(n: int, name: str | None = None) -> Game:
     if n < 3:
         raise GameError("multi-mermin needs n >= 3")
     parity = Parity(mermin_target, own_bit)
-
-    def sample_input(rng):
-        # the k-th even-weight tuple is the n - 1 bits of k, then their parity
-        head = _bits(rng.randrange(2 ** (n - 1)), n - 1)
-        return head + (sum(head) % 2,)
-
     return Game(
         name=name or f"multi-mermin:{n}", n_parties=n,
         output_lengths=(1,) * n,
-        promise=_lazy(lambda: [x for x in itertools.product((0, 1), repeat=n)
-                               if sum(x) % 2 == 0]),
-        sample_input=sample_input,
-        on_promise=lambda x: _all_bits(x) and len(x) == n and sum(x) % 2 == 0,
+        # n - 1 free bits, then their parity
+        **Affine(n - 1, (tuple(range(n - 1)),)).fields(),
         win=parity.win,
         party_inputs=((0, 1),) * n,
         party_outputs=_scalar_bits(n),
@@ -343,13 +387,20 @@ def dj_game(n: int) -> Game:
         raise GameError(f"dj limited to n <= {DJ_MAX_N}")
     length = 2 ** n
     half = 2 ** (n - 1)
+    positions = range(length)
 
     def on_promise(x):
+        # a ^ b has weight 0 or half, so no binary digit of its weight
+        # (_weight, lowest first) is set but half's: bit algebra, so that a
+        # bit of a or b may be a lane
         if type(x) not in (tuple, list) or len(x) != 2:
             return False
-        a, b = x
-        return (_all_bits(a) and _all_bits(b) and len(a) == length
-                and len(b) == length and hamming(a, b) in (0, half))
+        a, b = map(bits_of, x)
+        if a is None or b is None or len(a) != length or len(b) != length:
+            return False
+        digits = _weight(map(operator.xor, a, b))
+        del digits[n - 1]
+        return truth(1 ^ functools.reduce(operator.or_, digits))
 
     # each string a, with itself and with each of the C(length, half)
     # strings at distance half from it; counted before anything is built
@@ -366,16 +417,18 @@ def dj_game(n: int) -> Game:
                 f"(limit {DJ_MAX_PROMISE})")
         return [(a, b) for a in strings for b in strings if hamming(a, b) in (0, half)]
 
-    def sample_input(rng):
-        # both promise classes drawn with probability 1/2; a is length
-        # draws of rng.randrange(2), drawn in bulk
-        a = tuple(draw_bits(rng, length))
-        if rng.randrange(2) == 0:
-            return (a, a)
+    def sample_chunk(rng, m):
+        # each bit of a over the m draws, then their class coins, then, in
+        # draw order, a set of half positions for each draw whose coin is 1:
+        # its b is a with those bits flipped, and any other draw's b is a
+        a = tuple([rng.getrandbits(m) for _ in range(length)])
+        coin = rng.getrandbits(m)
         b = list(a)
-        for i in rng.sample(range(length), half):
-            b[i] ^= 1
-        return (a, tuple(b))
+        for i in range(m):
+            if coin >> i & 1:
+                for j in rng.sample(positions, half):
+                    b[j] ^= 1 << i
+        return a, tuple(b)
 
     def win(x, y):
         # the outputs differ iff some bit pair does, which must hold iff the
@@ -386,7 +439,9 @@ def dj_game(n: int) -> Game:
     return Game(
         name=f"dj:{n}", n_parties=2, output_lengths=(n, n),
         promise=promise,
-        sample_input=sample_input,
+        # the one-point chunk: a mask over one draw is its bit
+        sample_input=lambda rng: sample_chunk(rng, 1),
+        sample_chunk=sample_chunk,
         on_promise=on_promise,
         win=win,
         party_inputs=(strings, strings) if strings else None,
@@ -404,9 +459,7 @@ def bmaj_game(n: int) -> Game:
 
     return Game(
         name=f"bmaj:{n}", n_parties=n, output_lengths=(1,) * n,
-        promise=_lazy(lambda: list(itertools.product((0, 1), repeat=n))),
-        sample_input=lambda rng: _bits(rng.randrange(2 ** n), n),
-        on_promise=lambda x: _all_bits(x) and len(x) == n,
+        **Affine(n).fields(),
         win=parity.win,
         party_inputs=((0, 1),) * n,
         party_outputs=_scalar_bits(n),

@@ -28,7 +28,7 @@ from nlbox.games import (GameError, Parity, PromiseError, bmaj, get_game, indica
                          is_winning, own_bit, promised_inputs, select, winning_outcomes)
 from nlbox.strategies import STRATEGY_FAMILIES, get_strategy
 from test_lanes import (CHANNEL, CUSTOM, N_VARS, NO_COMM_ENUMERABLE, _evaluate,
-                        drawn_points, expressions, scalar_oracle)
+                        drawn_inputs, drawn_points, expressions, scalar_oracle)
 
 
 # --- classical values (frozen from the brute-force oracle) --------------------
@@ -310,6 +310,29 @@ def test_verify_reports_a_misfit_after_the_sweep():
             verify_winning(strategy, game, policy)
 
 
+@pytest.mark.parametrize("sid", ["multi-mermin-nlb:5", "dj-nlb:2"])
+def test_a_sampled_draw_off_a_replaced_promise_is_reported(sid):
+    # as for chsh above: a copy whose on_promise refuses two drawn inputs
+    # raises on lanes, is checked draw by draw, and the one drawn first is
+    # reported, once the chunk has run
+    strategy = get_strategy(sid)
+    game = get_game(strategy.game_id)
+    k, rng_seed = 300, 1
+    draws = [x for x, _ in drawn_points(strategy, game, random.Random(rng_seed), k)]
+    # inputs by first draw: refuse the last one and one from the middle
+    seen = list(dict.fromkeys(draws))
+    refused = {seen[-1], seen[len(seen) // 2]}
+    first = seen[len(seen) // 2]
+    assert draws.index(first) > 0
+    off = dataclasses.replace(game, on_promise=lambda x: x not in refused
+                              and game.on_promise(x))
+    with pytest.raises(PromiseError, match=f"^{re.escape(str(first))} is outside"):
+        verify_winning(strategy, off, Sample(k, rng_seed))
+    with pytest.raises(PromiseError, match=f"^{re.escape(str(first))} is outside"):
+        oracle_sampled_verify(strategy, off, k, rng_seed)
+    assert verify_winning(strategy, game, Sample(k, rng_seed)).passed
+
+
 # --- sampled verification against the per-draw loop ------------------------------
 
 def oracle_sampled_verify(strategy, game, k, rng_seed):
@@ -322,7 +345,7 @@ def oracle_sampled_verify(strategy, game, k, rng_seed):
     counterexample = None
     for start in range(0, k, analysis.SAMPLE_CHUNK):
         m = min(analysis.SAMPLE_CHUNK, k - start)
-        for x, seed in drawn_points(strategy, game.sample_input, rng, m):
+        for x, seed in drawn_points(strategy, game, rng, m):
             outcome, _ = execute(strategy, x, seed, record=False)
             if is_winning(game, x, outcome):
                 wins += 1
@@ -398,8 +421,7 @@ def test_sampled_verify_runs_the_win_relation_once_per_piece(monkeypatch):
     # relation, on its lanes
     strategy, game = get_strategy("ms-nlb-sim"), get_game("magic-square")
     k, rng_seed = 500, 3
-    grid = engine.LaneGrid.drawn(strategy, game.sample_input,
-                                 random.Random(rng_seed), k)
+    grid = engine.LaneGrid.drawn(strategy, game, random.Random(rng_seed), k)
     runs = list(analysis._runs(strategy, grid))
     assert [grid.windows(offset, block) for offset, block, _ in runs] == \
         [[(offset, block)] for offset, block, _ in runs]
@@ -425,8 +447,7 @@ def test_sampled_verify_runs_the_win_relation_once_per_drawn_run(sid, k, monkeyp
     strategy = get_strategy(sid)
     game = get_game(strategy.game_id)
     rng_seed = 3
-    grid = engine.LaneGrid.drawn(strategy, game.sample_input,
-                                 random.Random(rng_seed), k)
+    grid = engine.LaneGrid.drawn(strategy, game, random.Random(rng_seed), k)
     runs = list(analysis._runs(strategy, grid))
     assert sum(block.bit_count() for _, block, _ in runs) == k
     monkeypatch.setattr(analysis, "is_winning", None)
@@ -457,26 +478,26 @@ def test_a_losing_sample_over_three_chunks_names_its_counterexample():
     assert analysis.SAMPLE_CHUNK == 1024
     strategy, game = get_strategy("bmaj-nlb:4"), get_game("multi-mermin:4")
     result = verify_winning(strategy, game, Sample(2100, 7))
-    bits = ("1100011011000110010101000001101000101010101110011101110001100110"
-            "1111101010101000010100111011010000110111110111000001000000001010"
+    bits = ("0100011011101101010100001010010001010111101010010111110110001001"
+            "1001001010011011011010100000010110010100011111101101010010100111"
             "1010")
     assert result == analysis.VerifyResult(
-        False, "sample:2100", 2100, 264,
-        {"input": [1, 0, 1, 0], "seed": {"nlb_bits": [int(b) for b in bits],
+        False, "sample:2100", 2100, 270,
+        {"input": [0, 1, 1, 0], "seed": {"nlb_bits": [int(b) for b in bits],
                                          "shared_index": 0},
-         "outcome": [[1], [0], [1], [0]]})
+         "outcome": [[1], [0], [0], [1]]})
     assert result == oracle_sampled_verify(strategy, game, 2100, 7)
 
 
 @pytest.mark.parametrize("sid", ["chsh-nlb", "bmaj-nlb:4", "ms-comm", "dj-nlb:2"])
 def test_a_drawn_chunk_with_one_shared_value_draws_inputs_then_box_bits(sid):
-    # one getrandbits(m) per box after the m inputs, and no shared index:
-    # the fill leaves rng where that leaves a twin
+    # the m inputs as their family draws them, then one getrandbits(m) per
+    # box, and no shared index: the fill leaves rng where that leaves a twin
     strategy, game = _sampled_case(sid, None)
     m = 37
     rng, twin = random.Random(sid), random.Random(sid)
-    grid = engine.LaneGrid.drawn(strategy, game.sample_input, rng, m)
-    assert grid.inputs == [game.sample_input(twin) for _ in range(m)]
+    grid = engine.LaneGrid.drawn(strategy, game, rng, m)
+    assert list(grid.inputs) == drawn_inputs(game, twin, m)
     assert grid.nlb_masks == [twin.getrandbits(m) for _ in strategy.nlbs]
     assert rng.getrandbits(32) == twin.getrandbits(32)
 
@@ -487,8 +508,8 @@ def test_a_drawn_chunk_draws_its_shared_indices_last(sid):
     strategy, game = _sampled_case(sid, None)
     n, m = len(strategy.shared_domain), 37
     rng, twin = random.Random(sid), random.Random(sid)
-    grid = engine.LaneGrid.drawn(strategy, game.sample_input, rng, m)
-    assert grid.inputs == [game.sample_input(twin) for _ in range(m)]
+    grid = engine.LaneGrid.drawn(strategy, game, rng, m)
+    assert list(grid.inputs) == drawn_inputs(game, twin, m)
     assert grid.nlb_masks == [twin.getrandbits(m) for _ in strategy.nlbs]
     assert n > 1 and grid.shared == [twin.randrange(n) for _ in range(m)]
     assert rng.getrandbits(32) == twin.getrandbits(32)

@@ -10,7 +10,7 @@ from nlbox.engine import (Action, Channel, DeadlockError, EnumerationLimitError,
                           NlbInstance, NonBitError, PartyProgram, ProtocolError,
                           ResourceReuseError, Seed, Strategy,
                           UndeclaredResourceError, UnusedResourceError,
-                          SharedDomain, count_text, draw_bits, enumerate_seeds,
+                          SharedDomain, count_text, enumerate_seeds,
                           execute, lowest_bit, nlb_evaluate,
                           require_enumerable, sample_seed, seed_lanes)
 from nlbox.strategies import get_strategy
@@ -299,25 +299,17 @@ def test_sampled_seed_is_valid(a, b):
     assert 0 <= seed.shared_index < len(s.shared_domain)
 
 
-@pytest.mark.parametrize("length", [0, 1, 7, 45, 1770])
-def test_bulk_draws_are_the_randrange_stream(length):
-    for seed in range(60):
-        bulk, scalar = random.Random(seed), random.Random(seed)
-        for _ in range(2):
-            assert draw_bits(bulk, length) == bytes(
-                [scalar.randrange(2) for _ in range(length)])
-            # the generators are in step after each draw
-            assert bulk.getrandbits(32) == scalar.getrandbits(32)
-
-
 @pytest.mark.parametrize("sid", ["mermin-nlb-sim", "multi-mermin-nlb:5"])
 def test_sampled_seed_is_the_randrange_stream(sid):
-    # one randrange(2) per box in declaration order, then the shared index
+    # the one-point chunk of sampled verify: one getrandbits(1) per box in
+    # declaration order, then the shared index, one randrange over the
+    # domain where it has several values
     strategy = get_strategy(sid)
+    n = len(strategy.shared_domain)
     for seed in range(20):
         ours, theirs = random.Random(seed), random.Random(seed)
-        bits = tuple(theirs.randrange(2) for _ in strategy.nlbs)
-        shared = theirs.randrange(len(strategy.shared_domain))
+        bits = tuple(theirs.getrandbits(1) for _ in strategy.nlbs)
+        shared = theirs.randrange(n) if n > 1 else 0
         assert sample_seed(strategy, ours) == Seed(bits, shared)
         assert ours.getrandbits(32) == theirs.getrandbits(32)
 

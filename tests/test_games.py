@@ -429,26 +429,32 @@ def test_win_is_the_parity_form(gid):
 
 @pytest.mark.parametrize("family", ["multi-mermin", "bmaj"])
 def test_samplers_draw_the_promise_entry_by_index(family):
-    # one randrange over the promise size, then the entry at that index
+    # one getrandbits(1) per free bit, n - 1 of them for multi-mermin (its
+    # last bit is their parity) and n for bmaj; read first bit highest, they
+    # are the index of the promise entry drawn
     for n in range(3, 11):
         game = get_game(f"{family}:{n}")
         inputs = promised_inputs(game)
+        free = n - 1 if family == "multi-mermin" else n
         for seed in range(20):
             ours, listed = random.Random(seed), random.Random(seed)
             for _ in range(5):
-                assert (game.sample_input(ours)
-                        == inputs[listed.randrange(len(inputs))])
+                index = 0
+                for _ in range(free):
+                    index = index << 1 | listed.getrandbits(1)
+                assert game.sample_input(ours) == inputs[index]
+            assert ours.getrandbits(32) == listed.getrandbits(32)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 6])
 def test_dj_sampler_keeps_the_randrange_stream(n):
-    # the string's bits are drawn in bulk; the draws are those of one
-    # randrange(2) per bit, then the class and the flipped positions
+    # the one-point chunk: one getrandbits(1) per bit of the string a, then
+    # one for the class coin, then, where it is 1, the flipped positions
     game, length = get_game(f"dj:{n}"), 2 ** n
     for seed in range(30):
         ours, theirs = random.Random(seed), random.Random(seed)
-        a = tuple(theirs.randrange(2) for _ in range(length))
-        if theirs.randrange(2):
+        a = tuple(theirs.getrandbits(1) for _ in range(length))
+        if theirs.getrandbits(1):
             flips = set(theirs.sample(range(length), length // 2))
             want = (a, tuple(bit ^ (i in flips) for i, bit in enumerate(a)))
         else:

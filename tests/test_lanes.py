@@ -26,7 +26,7 @@ from nlbox.engine import (Action, Channel, Choice, Lane, LaneBranch, LaneGrid, L
                           MalformedActionError, NlbInstance, NonBitError,
                           PartyProgram, Seed,
                           SharedDomain, Strategy, TRIVIAL_SHARED,
-                          UnusedResourceError, bit_domain, enumerate_seeds,
+                          UnusedResourceError, bit_domain, bit_mask, enumerate_seeds,
                           equal_bits, execute, seed_lanes)
 from nlbox.games import get_game, indicators, is_winning, promised_inputs, select
 from nlbox.strategies import REF_ALICE, REF_BOB0, REF_BOB1, REF_QUADRUPLE, get_strategy
@@ -380,13 +380,45 @@ def test_unshaped_domains_keep_one_block_per_shared_index(sid, execute_calls):
     assert [seed.shared for seed in first] == list(strategy.shared_domain.values)
 
 
-def drawn_points(strategy, sample_input, rng, m):
+MS_INPUTS = [(r, c) for r in (1, 2, 3) for c in (1, 2, 3)]
+
+
+def drawn_inputs(game, rng, m):
+    """The m inputs of one sampled-verify chunk, as each family draws them,
+    told by the game's name. chsh and bmaj:n: one getrandbits(m) per input
+    bit, bit i for draw i; mermin and multi-mermin:n the same for their
+    first n - 1 bits, the last being their parity. dj:n: one getrandbits(m)
+    per bit of the string a, one for the class coins, then, draw by draw,
+    one sample of half the positions for each draw whose coin is 1, which b
+    flips. magic-square: one randrange(9) per draw, an index into its
+    inputs."""
+    base, _, param = game.name.partition(":")
+    if base == "magic-square":
+        return [MS_INPUTS[rng.randrange(9)] for _ in range(m)]
+    if base == "dj":
+        length = 2 ** int(param)
+        columns = [rng.getrandbits(m) for _ in range(length)]
+        coins = rng.getrandbits(m)
+        inputs = []
+        for i in range(m):
+            a = tuple(column >> i & 1 for column in columns)
+            flips = set(rng.sample(range(length), length // 2)) if coins >> i & 1 else ()
+            inputs.append((a, tuple(bit ^ (j in flips) for j, bit in enumerate(a))))
+        return inputs
+    n = {"chsh": 2, "mermin": 3}.get(base) or int(param)
+    parity = base in ("mermin", "multi-mermin")
+    columns = [rng.getrandbits(m) for _ in range(n - parity)]
+    inputs = [tuple(column >> i & 1 for column in columns) for i in range(m)]
+    return [x + (sum(x) % 2,) for x in inputs] if parity else inputs
+
+
+def drawn_points(strategy, game, rng, m):
     """The m draws of one sampled-verify chunk as (input, Seed): the m
-    inputs, then one getrandbits(m) per box, whose bit i is draw i's free
-    bit, then, where the shared domain has several values, one randrange
-    over it per draw."""
+    inputs (drawn_inputs), then one getrandbits(m) per box, whose bit i is
+    draw i's free bit, then, where the shared domain has several values,
+    one randrange over it per draw."""
     n_shared = len(strategy.shared_domain)
-    inputs = [sample_input(rng) for _ in range(m)]
+    inputs = drawn_inputs(game, rng, m)
     boxes = [rng.getrandbits(m) for _ in strategy.nlbs]
     shared = [rng.randrange(n_shared) if n_shared > 1 else 0 for _ in range(m)]
     return [(x, Seed(tuple([bits >> i & 1 for bits in boxes]), shared[i]))
@@ -426,9 +458,8 @@ def test_grid_fills_match_their_definitions(sid, gid, fill):
         points = [(inputs[k // size], seed_at(nb, k % (1 << nb), k % size >> nb))
                   for k in range(len(inputs) * size)]
     else:
-        grid = LaneGrid.drawn(strategy, game.sample_input,
-                              random.Random(sid), 40)
-        points = drawn_points(strategy, game.sample_input, random.Random(sid), 40)
+        grid = LaneGrid.drawn(strategy, game, random.Random(sid), 40)
+        points = drawn_points(strategy, game, random.Random(sid), 40)
     for k, point in enumerate(points):
         assert grid.run(k, 1) == point
     if grid.narrows:
@@ -1379,6 +1410,77 @@ def _choice_grid(n_values):
     return LaneGrid.periodic(get_strategy("chsh-nlb"), inputs, analysis.SWEEP_WIDTH)
 
 
+def lanes_of(points):
+    """Plain inputs of one bit shape as one input of lanes over them, leaf
+    by leaf: bit i of each lane is that bit of points[i]."""
+    full = (1 << len(points)) - 1
+    if type(points[0]) is tuple:
+        return tuple(lanes_of([x[j] for x in points]) for j in range(len(points[0])))
+    return Lane(sum(bit << i for i, bit in enumerate(points)), full)
+
+
+def stated_promise(game):
+    """The promise of a chsh, bmaj, mermin, multi-mermin or dj game, stated
+    apart from games: every n-bit tuple, the even ones, or two 2^n-bit
+    strings at distance 0 or 2^(n-1)."""
+    base, _, param = game.name.partition(":")
+    if base == "dj":
+        length = 2 ** int(param)
+        return lambda x: all(len(s) == length for s in x) and \
+            sum(u != v for u, v in zip(*x)) in (0, length // 2)
+    n = {"chsh": 2, "mermin": 3}.get(base) or int(param)
+    even = base in ("mermin", "multi-mermin")
+    return lambda x: len(x) == n and not (even and sum(x) % 2)
+
+
+PROMISE_FAMILIES = ["chsh", "bmaj:4", "mermin", "multi-mermin:5", "dj:2", "dj:4"]
+
+
+@pytest.mark.parametrize("gid", PROMISE_FAMILIES)
+def test_the_lane_promise_is_the_plain_promise_point_by_point(gid):
+    # three chunks of drawn inputs, a third of their draws with one bit
+    # flipped, so that some leave the promise: one call of on_promise on
+    # their lanes gives, at each draw, the plain call's verdict
+    game, rng = get_game(gid), random.Random(gid)
+    stated = stated_promise(game)
+    off = 0
+    for m in (1, 37, 300):
+        points = []
+        for x in drawn_inputs(game, rng, m):
+            if rng.randrange(3) == 0:
+                flat = list(itertools.chain(*x)) if gid.startswith("dj") else list(x)
+                flat[rng.randrange(len(flat))] ^= 1
+                half = len(flat) // 2
+                x = (tuple(flat[:half]), tuple(flat[half:])) if gid.startswith("dj") \
+                    else tuple(flat)
+            points.append(x)
+        on = bit_mask(game.on_promise(lanes_of(points)), (1 << m) - 1)
+        plain = [game.on_promise(x) for x in points]
+        assert [on >> i & 1 for i in range(m)] == list(map(int, plain))
+        assert plain == [stated(x) for x in points]
+        off += plain.count(False)
+    assert (off > 0) is not gid.startswith(("chsh", "bmaj"))
+
+
+@pytest.mark.parametrize("gid", ["bmaj:3", "multi-mermin:4", "dj:2", "dj:4"])
+def test_every_decoded_draw_is_on_the_promise(gid):
+    # the drawn fill's inputs, decoded draw by draw, over fixed seeds:
+    # bmaj:3 and multi-mermin:4 draw every promised input, dj both classes
+    game = get_game(gid)
+    strategy = get_strategy(gid.replace(":", "-nlb:"))
+    stated = stated_promise(game)
+    drawn = []
+    for seed in range(3):
+        grid = LaneGrid.drawn(strategy, game, random.Random(seed), 64)
+        drawn += list(grid.inputs)
+    assert len(drawn) == 192
+    assert all(game.on_promise(x) and stated(x) for x in drawn)
+    if gid.startswith("dj"):
+        assert {sum(u != v for u, v in zip(*x)) for x in drawn} == {0, len(drawn[0][0]) // 2}
+    else:
+        assert set(drawn) == set(promised_inputs(game))
+
+
 def test_a_leaf_past_the_choice_bound_keeps_one_input_per_group():
     from nlbox.engine import MAX_CHOICES
     grid = _choice_grid(MAX_CHOICES)
@@ -1389,7 +1491,7 @@ def test_a_leaf_past_the_choice_bound_keeps_one_input_per_group():
     assert [run[:2] for run in grid.start] == [(0, 0b11)]
     # the drawn fill keeps such inputs as they were
     strategy, game = get_strategy("ms-nlb"), get_game("magic-square")
-    grid = LaneGrid.drawn(strategy, game.sample_input, random.Random(1), 40)
+    grid = LaneGrid.drawn(strategy, game, random.Random(1), 40)
     assert grid.input_shape is None and not grid.narrows
 
 
