@@ -50,6 +50,23 @@ CATALOGUE = [
      "            if coin >> i & 1:",
      "            if not coin >> i & 1:",
      ["tests/test_games.py::test_dj_sampler_keeps_the_randrange_stream"]),
+    # dj's in-line flip draw asks for one bit too few where t is a power of 2
+    ("src/nlbox/games.py",
+     "picks = [t.bit_length() for t in",
+     "picks = [(t - 1).bit_length() for t in",
+     ["tests/test_analysis.py::test_a_dj_chunk_draws_its_flip_sets_on_the_rng_sample_stream"]),
+    # the one-pass box lanes of a drawn chunk go to a block that is not all of it
+    ("src/nlbox/engine.py",
+     "        if block == self.whole:",
+     "        if self.whole and offset == 0:",
+     ["tests/test_lanes.py::test_a_drawn_grid_seeds_each_block_as_on_block_cuts_it"]),
+    # the port tables swap each box's port 0 and port 1
+    ("src/nlbox/engine.py",
+     "ports[x.port0_party][x.id] = (2 * k, 2 * k + 1)\n"
+     "            ports[x.port1_party][x.id] = (2 * k + 1, 2 * k)",
+     "ports[x.port0_party][x.id] = (2 * k + 1, 2 * k)\n"
+     "            ports[x.port1_party][x.id] = (2 * k, 2 * k + 1)",
+     ["tests/test_engine.py::test_a_firing_records_its_port_0_feed_first"]),
     # a promise on lanes accepts every draw
     ("src/nlbox/engine.py",
      "return value if type(value) is Lane else bool(value)",

@@ -476,9 +476,14 @@ class Strategy:
         for c in self.channels:
             if not (0 <= c.src < self.n_parties and 0 <= c.dst < self.n_parties):
                 raise ValueError(f"channel {c.id!r} wired to an unknown party")
-        object.__setattr__(self, "_nlb_index",
-                           {x.id: (k, x.id, x.port0_party, x.port1_party)
-                            for k, x in enumerate(self.nlbs)})
+        # per party, each box it holds a port of: (its port's slot, the
+        # other port's slot) in execute's pending feeds, 2k and 2k + 1 for
+        # box k's ports 0 and 1
+        ports = [{} for _ in range(self.n_parties)]
+        for k, x in enumerate(self.nlbs):
+            ports[x.port0_party][x.id] = (2 * k, 2 * k + 1)
+            ports[x.port1_party][x.id] = (2 * k + 1, 2 * k)
+        object.__setattr__(self, "_ports", tuple(ports))
         object.__setattr__(self, "_channel_index",
                            {c.id: c for c in self.channels})
         object.__setattr__(self, "_max_rounds",
@@ -500,6 +505,16 @@ def _malformed(lanes: bool, message: str):
     # on lanes as in _not_a_bit: each point's own run names its plain value
     raise LaneBranch("party program returned a malformed action") if lanes \
         else MalformedActionError(message)
+
+
+def _refuse_feed(strategy: Strategy, lanes: bool, party: int, nid, bit):
+    """Raise for a feed that party's port table refused: an undeclared box
+    first, then a value that is not a bit, then a box it holds no port of."""
+    if not any(nid in ports for ports in strategy._ports):
+        raise UndeclaredResourceError(f"party {party} fed undeclared NLB {nid!r}")
+    if not _is_bit(bit):
+        _not_a_bit(lanes, party, f"fed NLB {nid!r}", bit)
+    raise UndeclaredResourceError(f"party {party} holds no port of NLB {nid!r}")
 
 
 def execute(strategy: Strategy, input_tuple: tuple, seed: "Seed | LaneSeed",
@@ -531,11 +546,11 @@ def execute(strategy: Strategy, input_tuple: tuple, seed: "Seed | LaneSeed",
                              f"range({len(values)})")
         shared = values[index]
 
-    nlb_index = strategy._nlb_index
+    port_tables = strategy._ports
+    nlbs = strategy.nlbs
     channel_index = strategy._channel_index
-    n_nlbs = len(strategy.nlbs)
-    pend0: list = [None] * n_nlbs
-    pend1: list = [None] * n_nlbs
+    n_nlbs = len(nlbs)
+    pend: list = [None] * (2 * n_nlbs)     # the bit fed to each port (see _ports)
     unfired = n_nlbs
     used_channels: set[str] = set()
     outputs: list = [None] * n
@@ -565,29 +580,18 @@ def execute(strategy: Strategy, input_tuple: tuple, seed: "Seed | LaneSeed",
             if feeds is not None:
                 if type(feeds) is not dict:
                     _malformed(lanes, f"party {i} nlb_inputs {feeds!r} is not a dict")
+                ports = port_tables[i]
                 for nid, bit in feeds.items():
-                    entry = nlb_index.get(nid)
-                    if entry is None:
-                        raise UndeclaredResourceError(
-                            f"party {i} fed undeclared NLB {nid!r}")
-                    if not _is_bit(bit):
-                        _not_a_bit(lanes, i, f"fed NLB {nid!r}", bit)
-                    idx, _, port0, port1 = entry
-                    if i == port0:
-                        if pend0[idx] is not None:
-                            raise ResourceReuseError(
-                                f"NLB {nid!r} fed more than once")
-                        pend0[idx] = bit
-                    elif i == port1:
-                        if pend1[idx] is not None:
-                            raise ResourceReuseError(
-                                f"NLB {nid!r} fed more than once")
-                        pend1[idx] = bit
-                    else:
-                        raise UndeclaredResourceError(
-                            f"party {i} holds no port of NLB {nid!r}")
-                    if pend0[idx] is not None and pend1[idx] is not None:
-                        to_fire.append(entry)
+                    port = ports.get(nid)
+                    kind = type(bit)    # _is_bit, inlined
+                    if port is None or not (kind is Lane or kind is int and 0 <= bit <= 1):
+                        _refuse_feed(strategy, lanes, i, nid, bit)
+                    slot, other = port
+                    if pend[slot] is not None:
+                        raise ResourceReuseError(f"NLB {nid!r} fed more than once")
+                    pend[slot] = bit
+                    if pend[other] is not None:
+                        to_fire.append(slot >> 1)
 
             chan_bits = action.sends
             if chan_bits is not None:
@@ -624,14 +628,19 @@ def execute(strategy: Strategy, input_tuple: tuple, seed: "Seed | LaneSeed",
         unfired -= len(to_fire)
         # bulk-synchronous resolution: nothing submitted this round is
         # visible before the next one
-        for idx, nid, port0, port1 in to_fire:
-            a = pend0[idx]
-            b = pend1[idx]
+        for idx in to_fire:
+            a = pend[2 * idx]
+            b = pend[2 * idx + 1]
             # inlined nlb_evaluate; tests pin the two paths to each other
             r = nlb_bits[idx]
-            z1 = r ^ (a & b)
-            views[port0].nlb[nid] = r
-            views[port1].nlb[nid] = z1
+            if type(r) is Lane and type(a) is Lane and type(b) is Lane:
+                z1 = Lane(r.mask ^ (a.mask & b.mask), r.full)
+            else:
+                z1 = r ^ (a & b)
+            box = nlbs[idx]
+            nid = box.id
+            views[box.port0_party].nlb[nid] = r
+            views[box.port1_party].nlb[nid] = z1
             if record:
                 firings.append(NlbFiring(nid, rnd, (a, b), (r, z1)))
         for dst, cid, bit in deliveries:
@@ -644,9 +653,9 @@ def execute(strategy: Strategy, input_tuple: tuple, seed: "Seed | LaneSeed",
     # fed, so an unfired box is fed on one port (a deadlock) or on none
     if unfired:
         for idx, x in enumerate(strategy.nlbs):
-            if (pend0[idx] is None) != (pend1[idx] is None):
+            if (pend[2 * idx] is None) != (pend[2 * idx + 1] is None):
                 raise DeadlockError(f"NLB {x.id!r} fed on one port only")
-        unfed = next(x.id for x, p in zip(strategy.nlbs, pend0) if p is None)
+        unfed = next(x.id for x, p in zip(strategy.nlbs, pend[::2]) if p is None)
         raise UnusedResourceError(f"NLB {unfed!r} was never fed")
     if len(used_channels) != len(strategy.channels):
         unused = next(c.id for c in strategy.channels if c.id not in used_channels)
@@ -901,6 +910,7 @@ class LaneGrid:
         self.inputs, self.input_shape, self.input_columns = None, None, []
         self.base = None        # the group whose input lanes input() holds
         self.shared = None      # the drawn fill's shared indices
+        self.whole = None       # the drawn fill's whole chunk, as a block
         self.promised = None    # per input, on the promise? (analysis.verify_winning)
         self.narrows = False    # the input holds a Choice, until split narrows
 
@@ -955,6 +965,10 @@ class LaneGrid:
                   else [0] * k)
         grid = cls(strategy, 1, k, [values[s] for s in shared], 1)
         grid.shared, grid.period, grid.nlb_masks = shared, k, nlb_masks
+        # the free bits of the whole chunk in one pass, as _on_block gives them
+        full = grid.whole = (1 << k) - 1
+        grid.nlb_lanes = tuple([1 if m == full else Lane(m, full) if m else 0
+                                for m in nlb_masks])
         grid.inputs, grid.input_shape = inputs, shape
         # one group: its input lanes are the drawn masks
         grid.base, grid.input_masks = 0, masks
@@ -1000,7 +1014,11 @@ class LaneGrid:
         index = offset % self.size >> self.n_nlbs if self.shared is None \
             else self.shared[offset]
         at = offset % self.width
-        bits = tuple([_on_block(m >> at % self.period, block) for m in self.nlb_masks])
+        if block == self.whole:
+            bits = self.nlb_lanes
+        else:
+            bits = tuple([_on_block(m >> at % self.period, block)
+                          for m in self.nlb_masks])
         if block == 1:
             return Seed(bits, index)
         if self.shared_shape is None:

@@ -417,17 +417,31 @@ def dj_game(n: int) -> Game:
                 f"(limit {DJ_MAX_PROMISE})")
         return [(a, b) for a in strings for b in strings if hamming(a, b) in (0, half)]
 
+    # rng.sample(positions, half) keeps a pool of the positions not yet
+    # taken, since 2^n is within its set-size threshold at k = 2^(n-1); its
+    # pick among t of them is getrandbits(t.bit_length()), redrawn until it
+    # is below t. Each pick's bit length, in order:
+    picks = [t.bit_length() for t in range(length, length - half, -1)]
+
     def sample_chunk(rng, m):
         # each bit of a over the m draws, then their class coins, then, in
-        # draw order, a set of half positions for each draw whose coin is 1:
-        # its b is a with those bits flipped, and any other draw's b is a
-        a = tuple([rng.getrandbits(m) for _ in range(length)])
-        coin = rng.getrandbits(m)
+        # draw order, a set of half positions for each draw whose coin is 1,
+        # drawn as rng.sample(positions, half) draws it: its b is a with
+        # those bits flipped, and any other draw's b is a
+        getrandbits = rng.getrandbits
+        a = tuple([getrandbits(m) for _ in range(length)])
+        coin = getrandbits(m)
         b = list(a)
         for i in range(m):
             if coin >> i & 1:
-                for j in rng.sample(positions, half):
-                    b[j] ^= 1 << i
+                bit, pool, t = 1 << i, list(positions), length
+                for width in picks:
+                    j = getrandbits(width)
+                    while j >= t:
+                        j = getrandbits(width)
+                    t -= 1
+                    b[pool[j]] ^= bit
+                    pool[j] = pool[t]
         return a, tuple(b)
 
     def win(x, y):

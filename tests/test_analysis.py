@@ -502,6 +502,21 @@ def test_a_drawn_chunk_with_one_shared_value_draws_inputs_then_box_bits(sid):
     assert rng.getrandbits(32) == twin.getrandbits(32)
 
 
+@pytest.mark.parametrize("m", [1, 37, 300])
+@pytest.mark.parametrize("n", [1, 2, 4, 6, 10])
+def test_a_dj_chunk_draws_its_flip_sets_on_the_rng_sample_stream(n, m):
+    # sample_chunk draws each flip set in line; a twin that calls
+    # rng.sample once per draw whose coin is 1 (drawn_inputs) gets the
+    # same inputs and ends in step with it
+    game = get_game(f"dj:{n}")
+    for rng_seed in range(3):
+        rng, twin = random.Random(rng_seed), random.Random(rng_seed)
+        a, b = game.sample_chunk(rng, m)
+        assert [(tuple(c >> i & 1 for c in a), tuple(c >> i & 1 for c in b))
+                for i in range(m)] == drawn_inputs(game, twin, m)
+        assert rng.getrandbits(64) == twin.getrandbits(64)
+
+
 @pytest.mark.parametrize("sid", ["ms-nlb-sim", "mermin-nlb-sim", "ms-comm-sim",
                                  "ragged-domain"])
 def test_a_drawn_chunk_draws_its_shared_indices_last(sid):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from nlbox import analysis
+from nlbox.analysis import exact_distribution
 from nlbox.engine import (Action, Channel, DeadlockError, EnumerationLimitError,
                           Lane, LaneSeed, MalformedActionError, MissingOutputError,
                           NlbInstance, NonBitError, PartyProgram, ProtocolError,
@@ -13,6 +15,7 @@ from nlbox.engine import (Action, Channel, DeadlockError, EnumerationLimitError,
                           SharedDomain, count_text, enumerate_seeds,
                           execute, lowest_bit, nlb_evaluate,
                           require_enumerable, sample_seed, seed_lanes)
+from nlbox.games import get_game
 from nlbox.strategies import get_strategy
 
 
@@ -74,6 +77,25 @@ def test_firings_match_nlb_evaluate():
                 assert f.outputs == nlb_evaluate(*f.inputs, seed.nlb_bits[by_id[f.id]])
 
 
+def test_a_firing_records_its_port_0_feed_first():
+    # port 0 at party 1: the firing's inputs are (party 1's feed, party 0's
+    # feed), party 1 gets the free bit and party 0 the other output
+    box = NlbInstance("box", 1, 0)
+
+    def feed(view):
+        return Action(nlb_inputs={"box": view.own_input})
+
+    def answer(view):
+        return Action(output=(view.nlb["box"],))
+    prog = PartyProgram((feed, answer))
+    s = Strategy(name="crossed", n_parties=2, programs=(prog, prog), nlbs=(box,))
+    for x in itertools.product((0, 1), repeat=2):
+        for r in (0, 1):
+            out, transcript = execute(s, x, Seed((r,)))
+            assert transcript.firings[0].inputs == (x[1], x[0])
+            assert out == ((r ^ (x[0] & x[1]),), (r,))
+
+
 def test_undeclared_nlb_rejected():
     def fn(view):
         return Action(nlb_inputs={"ghost": 0}, output=(0,))
@@ -122,6 +144,76 @@ def test_half_fed_nlb_deadlocks():
                  nlbs=(box,))
     with pytest.raises(DeadlockError):
         execute(s, (0, 0), Seed((0,)))
+
+
+# --- refusals: type, message and precedence --------------------------------------
+
+X = "own input"     # a feed of the party's input bit: a lane in a run on lanes
+
+
+def _feeding(rounds0, rounds1, rounds2=({},)):
+    """A mermin strategy whose party i feeds, round by round, the dicts of
+    roundsi (X standing for its input bit) and outputs 0 in its last round.
+    Boxes 'a' and 'b' are both wired between parties 0 and 1."""
+    def program(rounds):
+        def feed(feeds, last):
+            def fn(view):
+                return Action(nlb_inputs={nid: view.own_input if v is X else v
+                                          for nid, v in feeds.items()},
+                              output=(0,) if last else None)
+            return fn
+        return PartyProgram(tuple(feed(f, k == len(rounds) - 1)
+                                  for k, f in enumerate(rounds)))
+    return Strategy(name="refusals", n_parties=3,
+                    programs=tuple(map(program, (rounds0, rounds1, rounds2))),
+                    nlbs=(NlbInstance("a", 0, 1), NlbInstance("b", 0, 1)),
+                    game_id="mermin")
+
+
+BOTH = {"a": X, "b": X}
+UNDECLARED = (UndeclaredResourceError, "party 2 fed undeclared NLB 'ghost'")
+NO_PORT = (UndeclaredResourceError, "party 2 holds no port of NLB 'b'")
+
+
+@pytest.mark.parametrize("rounds,want", [
+    (([BOTH], [BOTH], [{"ghost": 0}]), UNDECLARED),
+    (([BOTH], [BOTH], [{"b": X}]), NO_PORT),
+    (([BOTH], [BOTH], [{"b": 2}]),
+     (NonBitError, "party 2 fed NLB 'b' 2, which is not a bit")),
+    (([BOTH, {"a": 1}], [BOTH]), (ResourceReuseError, "NLB 'a' fed more than once")),
+    (([BOTH], [BOTH, {"b": X}]), (ResourceReuseError, "NLB 'b' fed more than once")),
+    (([{"a": X}, BOTH], [BOTH]), (ResourceReuseError, "NLB 'a' fed more than once")),
+    (([BOTH], [{"a": X}]), (DeadlockError, "NLB 'b' fed on one port only")),
+    # precedence: an undeclared box before a non-bit, a non-bit before the
+    # port check and before a second feed, feeds in dict order, parties in
+    # order, and every refusal during the run before a half-fed box
+    (([BOTH], [BOTH], [{"ghost": 2}]), UNDECLARED),
+    (([BOTH, {"a": 2}], [BOTH]),
+     (NonBitError, "party 0 fed NLB 'a' 2, which is not a bit")),
+    (([BOTH], [BOTH], [{"b": X, "ghost": 0}]), NO_PORT),
+    (([BOTH], [BOTH], [{"ghost": 0, "b": X}]), UNDECLARED),
+    (([BOTH], [{**BOTH, "ghost": 0}], [{"b": X}]),
+     (UndeclaredResourceError, "party 1 fed undeclared NLB 'ghost'")),
+    (([BOTH], [{"a": X}], [{}, {"b": X}]), NO_PORT),
+], ids=["undeclared", "no-port", "non-bit-no-port", "port0-twice", "port1-twice",
+        "fed-again-later", "half-fed", "undeclared-non-bit", "non-bit-twice",
+        "dict-order-port", "dict-order-undeclared", "party-order",
+        "no-port-before-half-fed"])
+def test_refusals_keep_their_type_message_and_precedence(rounds, want, monkeypatch):
+    # the scalar engine on mermin's first point, and exact_distribution,
+    # which starts on lanes (each input bit, fed as X, a lane)
+    strategy, game = _feeding(*rounds), get_game("mermin")
+    with pytest.raises(ProtocolError) as raised:
+        execute(strategy, (0, 0, 0), Seed((0, 0)))
+    assert (type(raised.value), str(raised.value)) == want
+    seeds = []
+    real = analysis.execute
+    monkeypatch.setattr(analysis, "execute",
+                        lambda s, x, seed, **kw: seeds.append(seed) or real(s, x, seed, **kw))
+    with pytest.raises(ProtocolError) as raised:
+        exact_distribution(strategy, game)
+    assert (type(raised.value), str(raised.value)) == want
+    assert type(seeds[0]) is LaneSeed
 
 
 def test_unused_declared_resources_rejected():

@@ -26,8 +26,8 @@ from nlbox.engine import (Action, Channel, Choice, Lane, LaneBranch, LaneGrid, L
                           MalformedActionError, NlbInstance, NonBitError,
                           PartyProgram, Seed,
                           SharedDomain, Strategy, TRIVIAL_SHARED,
-                          UnusedResourceError, bit_domain, bit_mask, enumerate_seeds,
-                          equal_bits, execute, seed_lanes)
+                          UnusedResourceError, _on_block, bit_domain, bit_mask,
+                          enumerate_seeds, equal_bits, execute, seed_lanes)
 from nlbox.games import get_game, indicators, is_winning, promised_inputs, select
 from nlbox.strategies import REF_ALICE, REF_BOB0, REF_BOB1, REF_QUADRUPLE, get_strategy
 
@@ -478,6 +478,37 @@ def test_grid_fills_match_their_definitions(sid, gid, fill):
         assert _check_groups(grid, points, strategy) == len(grid.inputs)
     else:
         _check_groups(grid, points, strategy)
+
+
+def _form(bit):
+    """A free bit as its type and value, a lane by its mask and block."""
+    return (Lane, bit.mask, bit.full) if type(bit) is Lane else (type(bit), bit)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 37])
+@pytest.mark.parametrize("sid", ["chsh-nlb", "bmaj-nlb:4", "dj-nlb:2", "mermin-nlb-sim"])
+def test_a_drawn_grid_seeds_each_block_as_on_block_cuts_it(sid, k):
+    # the whole chunk's free bits are built in one pass when it is drawn,
+    # while a split's blocks and single points cut them from the drawn
+    # masks: box by box, every seed holds what _on_block gives, 0 or 1
+    # where the box's lane is constant on the block (often, at k = 1 and 2)
+    strategy = build(sid)
+    game = get_game(strategy.game_id)
+    whole = (1 << k) - 1
+    for rng_seed in range(8):
+        grid = LaneGrid.drawn(strategy, game, random.Random(rng_seed), k)
+        blocks = [(0, whole)] + [(i, 1) for i in range(k)]
+        # two splits in halves: alternate points, and the low half first
+        for mask in (0x5555555555 & whole, (1 << k // 2) - 1) if k > 1 else ():
+            runs = grid.split(0, whole, mask)
+            assert len(runs) == 2
+            blocks += [run[:2] for run in runs]
+        for offset, block in blocks:
+            seed = grid.seed(offset, block)
+            assert list(map(_form, seed.nlb_bits)) == \
+                [_form(_on_block(m >> offset, block)) for m in grid.nlb_masks]
+            if block == 1:
+                assert seed.nlb_bits == tuple(m >> offset & 1 for m in grid.nlb_masks)
 
 
 def _check_groups(grid, points, strategy) -> int:
