@@ -78,6 +78,32 @@ CATALOGUE = [
      "on = block",
      ["tests/test_analysis.py::test_a_sampled_draw_off_a_replaced_promise_is_reported",
       "tests/test_analysis.py::test_verify_reports_a_misfit_after_the_sweep"]),
+    # the non-signaling tally adds a run's column one input off
+    ("src/nlbox/analysis.py",
+     "acc[first:end] = map(operator.add, acc[first:end], column)",
+     "acc[first + 1:end + 1] = map(operator.add, acc[first:end], column)",
+     ["tests/test_analysis.py::test_no_signaling_builtins",
+      "tests/test_analysis.py::test_split_sweeps_match_the_scalar_oracle"]),
+    # the distribution adds an outcome's column one input off
+    ("src/nlbox/analysis.py",
+     "at = range(first, last + 1)",
+     "at = range(first + 1, last + 2)",
+     ["tests/test_lanes.py::test_lane_sweep_matches_scalar_oracle"]),
+    # the byte table behind windows of 1, 2 and 4 points reads a byte's high bit first
+    ("src/nlbox/engine.py",
+     "_BYTE_BITS = [bytes(b >> j & 1 for j in range(8))",
+     "_BYTE_BITS = [bytes(b >> 7 - j & 1 for j in range(8))",
+     ["tests/test_lanes.py::test_count_by_input_matches_the_cut_masks"]),
+    # a split run is taken to hold every seed of the inputs it meets
+    ("src/nlbox/analysis.py",
+     "whole = offset % size == 0 and block + 1 == 1 << (end - first) * size",
+     "whole = offset % size == 0",
+     ["tests/test_analysis.py::test_no_signaling_check_counts_each_output_length_apart"]),
+    # the non-signaling comparison skips each party's last group
+    ("src/nlbox/analysis.py",
+     "for group in party_groups:",
+     "for group in party_groups[:-1]:",
+     ["tests/test_analysis.py::test_no_signaling_check_finds_a_leak_at_one_input_of_a_group"]),
 ]
 
 

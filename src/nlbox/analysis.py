@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -213,18 +214,20 @@ def exact_distribution(strategy: Strategy, game: Game,
                        max_seed_bits: int = DEFAULT_MAX_SEED_BITS) -> ExactDistribution:
     """Full seed enumeration for every promised input, in promise order.
     Each run is split by joint outcome once, and each outcome's seeds are
-    counted per input (LaneGrid.count_by_input); an input's counts may come
+    counted per input as a column (LaneGrid.count_by_input), whose nonzero
+    entries are added to those inputs' tallies; an input's counts may come
     from any runs, so its outcomes come in no particular order."""
     total = strategy.seed_count()
     grid = _grid(strategy, game, max_seed_bits)
     tallies = [{} for _ in grid.inputs]
     for offset, block, parts in _runs(strategy, grid):
         outcomes, masks = zip(*_split_outcome(block, parts))
-        for i, _, counts in grid.count_by_input(offset, block, masks):
-            tally = tallies[i]
-            for outcome, n in zip(outcomes, counts):
-                if n:
-                    tally[outcome] = tally.get(outcome, 0) + n
+        first, last = grid.input_span(offset, block)
+        at = range(first, last + 1)
+        for outcome, column in zip(outcomes, grid.count_by_input(offset, block, masks)):
+            for i, n in itertools.compress(zip(at, column), column):
+                tally = tallies[i]
+                tally[outcome] = tally.get(outcome, 0) + n
     # one Fraction per distinct seed count
     shares = {n: Fraction(n, total)
               for n in {n for tally in tallies for n in tally.values()}}
@@ -273,7 +276,7 @@ def uniformity_verdict(dist: ExactDistribution, game: Game) -> bool:
         # exact_distribution shares one Fraction per seed count, so equal
         # shares are mostly one object
         share = next(iter(probs.values()))
-        if share != Fraction(1, len(probs)) or any(
+        if share.numerator != 1 or share.denominator != len(probs) or any(
                 p is not share and p != share for p in probs.values()):
             return False
     return True
@@ -431,16 +434,29 @@ def verify_winning(strategy: Strategy, game: Game, policy,
 
 # --- non-signaling -----------------------------------------------------------
 
-def marginals_non_signaling(inputs: list, counts: list) -> bool:
+def input_groups(inputs: list, n_parties: int) -> list:
+    """Per party, the groups of input indices, two or more, that agree on
+    that party's input, in order of first appearance."""
+    groups = []
+    for r in range(n_parties):
+        by_own: dict = {}
+        for i, x in enumerate(inputs):
+            by_own.setdefault(x[r], []).append(i)
+        groups.append([group for group in by_own.values() if len(group) > 1])
+    return groups
+
+
+def marginals_non_signaling(groups: list, columns: list) -> bool:
     """True iff each party's marginal is identical across all inputs that
-    agree on that party's coordinate: counts[r][i] must equal counts[r][j]
-    wherever inputs[i][r] == inputs[j][r]. counts[r][i] is party r's
-    marginal at inputs[i] in any form that fixes it and is fixed by it;
-    no_signaling_check gives its parity counts (see _parities)."""
-    for r, marginals in enumerate(counts):
-        first: dict = {}
-        for x, marginal in zip(inputs, marginals):
-            if first.setdefault(x[r], marginal) != marginal:
+    agree on that party's input: columns[r] holds party r's columns, each
+    a count per input, and every column must take one value over each of
+    its groups (groups[r], see input_groups). Together the columns fix the
+    party's marginal at an input and are fixed by it; no_signaling_check
+    gives its parity counts (see _parities)."""
+    for party_groups, party_columns in zip(groups, columns):
+        rows = list(zip(*party_columns))
+        for group in party_groups:
+            if len(set(map(rows.__getitem__, group))) > 1:
                 return False
     return True
 
@@ -466,33 +482,40 @@ def no_signaling_check(strategy: Strategy, game: Game,
     input, across all promised inputs. Inapplicable to strategies that use
     communication channels (those may signal by design).
 
-    Per input and party, each parity of the party's own output bits (see
-    _parities) is counted over the seeds (LaneGrid.count_by_input), beside
-    the seed count, keyed by the output's length. Every input has the same
-    seeds, so these integer counts fix the party's marginal and are fixed by
-    it (a Walsh-Hadamard transform); they are compared as
-    marginals_non_signaling does."""
+    Per party and output length, each parity of the party's own output bits
+    (see _parities) is counted per input (LaneGrid.count_by_input), beside
+    the points, and each run's columns are added into columns over all the
+    grid's inputs. A run over whole inputs reads no points column: it
+    holds every seed of each. Every input has the same seeds, so these
+    integer counts fix the party's marginal and are fixed by it (a
+    Walsh-Hadamard transform); they are compared as marginals_non_signaling
+    does, over index groups kept with the grid (see _grid)."""
     if strategy.channels:
         raise CommunicationUsedError(
             f"{strategy.name} uses communication; the check does not apply")
     grid = _grid(strategy, game, max_seed_bits)
-    inputs = grid.inputs
-    counts = [[{} for _ in inputs] for _ in range(game.n_parties)]
+    if grid.groups is None:
+        grid.groups = input_groups(grid.inputs, game.n_parties)
+    n, size = len(grid.inputs), grid.size
+    # per party, output length k -> k + 1 columns: the points, then the parities
+    tallies = [{} for _ in range(game.n_parties)]
     for offset, block, parts in _runs(strategy, grid):
         parities = [_parities(r, leaves) for r, leaves in enumerate(parts)]
-        for i, total, ones in grid.count_by_input(
-                offset, block, [mask for masks in parities for mask in masks]):
-            ones = iter(ones)
-            for marginals, masks in zip(counts, parities):
-                # outputs of each length are counted apart, beside their seeds
-                k = len(masks)
-                tally = marginals[i].get(k)
-                if tally is None:
-                    tally = marginals[i][k] = [0] * (k + 1)
-                tally[0] += total
-                for t in range(1, k + 1):
-                    tally[t] += next(ones)
-    return marginals_non_signaling(inputs, counts)
+        first, last = grid.input_span(offset, block)
+        end = last + 1
+        flat = [mask for masks in parities for mask in masks]
+        whole = offset % size == 0 and block + 1 == 1 << (end - first) * size
+        columns = grid.count_by_input(offset, block, flat if whole else flat + [block])
+        points = [size] * (end - first) if whole else columns.pop()
+        columns = iter(columns)
+        for tally, masks in zip(tallies, parities):
+            k = len(masks)
+            if k not in tally:
+                tally[k] = [[0] * n for _ in range(k + 1)]
+            for acc, column in zip(tally[k], (points, *itertools.islice(columns, k))):
+                acc[first:end] = map(operator.add, acc[first:end], column)
+    return marginals_non_signaling(grid.groups, [
+        [column for columns in tally.values() for column in columns] for tally in tallies])
 
 
 # --- deterministic-strategy search -------------------------------------------

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -822,22 +821,34 @@ def _spread(column: bytes, run: int) -> int:
 # byte b -> its eight bits, lowest first, one per byte
 _BYTE_BITS = [bytes(b >> j & 1 for j in range(8)) for b in range(256)]
 
+# window width in bits -> the memoryview format of a machine word that wide
+_WORD_FORMATS = {memoryview(bytes(8)).cast(f).itemsize * 8: f for f in "QIHB"}
 
-def _cut(mask: int, size: int, count: int) -> list[int]:
-    """mask in count slices of size bits, lowest first. It is cut into whole
-    bytes at C speed, each holding the same number of slices; one-bit slices
-    are read off a byte table."""
-    group = 8 // math.gcd(size, 8)
-    step = size * group // 8
+
+def _window_counts(mask: int, size: int, count: int) -> list[int]:
+    """The number of set bits in each of count windows of size bits of
+    mask, lowest first, read at C speed at every width: a window of 8, 16,
+    32 or 64 bits is a machine word (the byte order inside a word does not
+    change its popcount), a wider multiple of 8 a byte slice. Other widths
+    spread mask to a byte per bit through _BYTE_BITS: a window of 1, 2 or 4
+    bits is summed at once, a byte per window, from its size strided slices
+    (no sum exceeds 4, so none carries into the next byte); any other width
+    counts each window's ones in the spread bytes."""
     raw = mask.to_bytes(-(-size * count // 8), "little")
-    if size == 1:
-        return list(b"".join(map(_BYTE_BITS.__getitem__, raw))[:count])
-    chunks = [int.from_bytes(raw[at:at + step], "little")
-              for at in range(0, len(raw), step)]
-    if group == 1:
-        return chunks
-    low = (1 << size) - 1
-    return [chunk >> (size * j) & low for chunk in chunks for j in range(group)][:count]
+    word = _WORD_FORMATS.get(size)
+    if word:
+        return list(map(int.bit_count, memoryview(raw).cast(word)))
+    if size % 8 == 0:
+        step = size // 8
+        return [int.from_bytes(raw[at:at + step], "little").bit_count()
+                for at in range(0, len(raw), step)]
+    bits = b"".join(map(_BYTE_BITS.__getitem__, raw))
+    if 8 % size == 0:
+        sums = sum([int.from_bytes(bits[j::size], "little") for j in range(size)])
+        return list(sums.to_bytes(count, "little"))
+    end = size * count
+    return list(map(bits.count, itertools.repeat(1), range(0, end, size),
+                    range(size, end + 1, size)))
 
 
 def _mask_shape(value, masks: list):
@@ -865,10 +876,6 @@ class _Draws:
         if not 0 <= i < self.k:
             raise IndexError(i)
         return _build(self.shape, iter([m >> i & 1 for m in self.masks]))
-
-
-# window width in bits -> the memoryview format of a machine word that wide
-_WORD_FORMATS = {memoryview(bytes(8)).cast(f).itemsize * 8: f for f in "QIHB"}
 
 
 def lowest_bit(mask: int) -> int:
@@ -912,6 +919,7 @@ class LaneGrid:
         self.shared = None      # the drawn fill's shared indices
         self.whole = None       # the drawn fill's whole chunk, as a block
         self.promised = None    # per input, on the promise? (analysis.verify_winning)
+        self.groups = None      # per party, its input groups (analysis.input_groups)
         self.narrows = False    # the input holds a Choice, until split narrows
 
     @classmethod
@@ -1047,26 +1055,17 @@ class LaneGrid:
         return [(j, (1 << (j + 1) * size - offset) - (1 << max(j * size - offset, 0)))
                 for j in range(i, last + 1)]
 
-    def count_by_input(self, offset: int, block: int, masks) -> list[tuple]:
-        """Per input that a block meets (see input_span), (input index,
-        points, counts): the number of the block's points at that input, and
-        of those set in each of masks (masks over the block's points). No
-        per-input mask is built: windows of 8, 16, 32 or 64 points are read
-        as machine words, whose byte order leaves their popcount alone, and
-        other widths are cut by _cut."""
+    def count_by_input(self, offset: int, block: int, masks) -> list[list[int]]:
+        """One column per mask over a block's points: its count at each
+        input that the block meets, from input_span's first input to its
+        last; an input with no point of the block counts 0. No per-input
+        mask is built: each column is read off the whole mask
+        (_window_counts)."""
         i, last = self.input_span(offset, block)
         if i == last:
-            return [(i, block.bit_count(), [m.bit_count() for m in masks])]
-        size, first, count = self.size, offset - i * self.size, last - i + 1
-        word, length = _WORD_FORMATS.get(size), size * count // 8
-
-        def windows(mask):
-            if word:
-                return map(int.bit_count, memoryview(
-                    (mask << first).to_bytes(length, "little")).cast(word))
-            return map(int.bit_count, _cut(mask << first, size, count))
-        return [(i + j, n, counts) for j, (n, *counts)
-                in enumerate(zip(*map(windows, (block, *masks)))) if n]
+            return [[m.bit_count()] for m in masks]
+        first, count = offset - i * self.size, last - i + 1
+        return [_window_counts(m << first, self.size, count) for m in masks]
 
     def split(self, offset: int, block: int, mask: int | None) -> list[tuple]:
         """The runs (offset, block, x, seed) that replace a block whose run

@@ -28,7 +28,8 @@ from nlbox.games import (GameError, Parity, PromiseError, bmaj, get_game, indica
                          is_winning, own_bit, promised_inputs, select, winning_outcomes)
 from nlbox.strategies import STRATEGY_FAMILIES, get_strategy
 from test_lanes import (CHANNEL, CUSTOM, N_VARS, NO_COMM_ENUMERABLE, _evaluate,
-                        drawn_inputs, drawn_points, expressions, scalar_oracle)
+                        drawn_inputs, drawn_points, expressions, row_index,
+                        scalar_oracle)
 
 
 # --- classical values (frozen from the brute-force oracle) --------------------
@@ -257,7 +258,10 @@ def test_uniformity_verdict_compares_shares_by_value():
     low, high = list(copied[x])
     for shares, verdict in (((Fraction(1, 2),) * 2, True),
                             ((Fraction(1, 4), Fraction(3, 4)), False),
-                            ((Fraction(1, 4),) * 2, False)):
+                            ((Fraction(1, 4),) * 2, False),
+                            # equal shares whose denominator is the outcome
+                            # count but whose numerator is not 1
+                            ((Fraction(3, 2),) * 2, False)):
         # Fraction() makes a new object each time
         copied[x] = {low: Fraction(shares[0]), high: Fraction(shares[1])}
         synthetic = analysis.ExactDistribution("synthetic", "chsh", 2, copied)
@@ -592,10 +596,18 @@ def oracle_marginals_non_signaling(dist, n_parties):
 
 def seed_count_marginals(dist, n_parties):
     """counts[r][i]: party r's marginal at the i-th input of dist, as seed
-    counts, the form analysis.marginals_non_signaling compares."""
+    counts."""
     total = dist.seed_count
     return [[{o: int(p * total) for o, p in dist.marginal(x, r).items()}
              for x in dist.per_input] for r in range(n_parties)]
+
+
+def seed_count_columns(counts):
+    """seed_count_marginals' counts as the columns that
+    analysis.marginals_non_signaling compares: per party, one column per
+    outcome, its seed count at each input."""
+    return [[[marginal.get(o, 0) for marginal in marginals]
+             for o in sorted(set().union(*marginals))] for marginals in counts]
 
 
 @pytest.mark.parametrize("sid,gid", NO_COMM_ENUMERABLE)
@@ -736,23 +748,29 @@ def _three_party(party2):
 ])
 def test_integer_marginals_find_one_signaling_party(party2, signals):
     dist = _three_party(party2)
-    inputs, counts = list(dist.per_input), seed_count_marginals(dist, 3)
-    assert analysis.marginals_non_signaling(inputs, counts) is not signals
+    groups = analysis.input_groups(list(dist.per_input), 3)
+    columns = seed_count_columns(seed_count_marginals(dist, 3))
+    assert analysis.marginals_non_signaling(groups, columns) is not signals
     assert oracle_marginals_non_signaling(dist, 3) is not signals
     # parties 0 and 1 never signal: the check of them alone passes
-    assert analysis.marginals_non_signaling(inputs, counts[:2]) is True
+    assert analysis.marginals_non_signaling(groups[:2], columns[:2]) is True
 
 
 def test_marginal_logic_detects_signaling():
     # box-only strategies cannot signal structurally, so exercise the
     # marginal comparison on handmade seed counts: party 1 announces party
     # 0's input
-    from nlbox.analysis import marginals_non_signaling
     inputs = list(itertools.product((0, 1), repeat=2))
+    groups = analysis.input_groups(inputs, 2)
+    assert groups == [[[0, 1], [2, 3]], [[0, 2], [1, 3]]]
+
+    def marginals_non_signaling(counts):
+        return analysis.marginals_non_signaling(groups, seed_count_columns(counts))
+
     honest = [[{(0,): 1}] * 4, [{(0,): 1}] * 4]
     signaling = [[{(0,): 1}] * 4, [{(0,): 1}, {(0,): 1}, {(1,): 1}, {(1,): 1}]]
-    assert marginals_non_signaling(inputs, honest)
-    assert not marginals_non_signaling(inputs, signaling)
+    assert marginals_non_signaling(honest)
+    assert not marginals_non_signaling(signaling)
     # the same counts as distributions, for the fraction oracle
     for counts, verdict in ((honest, True), (signaling, False)):
         dist = analysis.ExactDistribution("synthetic", "chsh", 1, {
@@ -765,9 +783,63 @@ def test_marginal_logic_detects_signaling():
     # on its input
     uneven = [[{(0,): 1, (1,): 1}, {(0,): 1, (1,): 1}, {(0,): 2}, {(0,): 2}],
               [{(0,): 2}] * 4]
-    assert marginals_non_signaling(inputs, uneven)
+    assert marginals_non_signaling(uneven)
     uneven[0][1] = {(0,): 2}
-    assert not marginals_non_signaling(inputs, uneven)
+    assert not marginals_non_signaling(uneven)
+
+
+@pytest.mark.parametrize("sid,copies", [("ms-nlb-branching", None),
+                                         ("row-index", 2), ("row-index", 9)])
+def test_split_sweeps_match_the_scalar_oracle(sid, copies, monkeypatch):
+    # runs that meet parts of inputs: ms-nlb-branching splits every input's
+    # block on its box (19 runs once the grid has narrowed), and row-index's
+    # Choice grid narrows where a group of copies inputs first splits. The
+    # second sweep of each runs on the grid kept on the strategy
+    strategy = row_index() if sid == "row-index" else CUSTOM[sid]()
+    game = get_game("magic-square")
+    if copies:
+        monkeypatch.setattr(analysis, "SWEEP_WIDTH", copies * strategy.seed_count())
+    per_input, *_ = scalar_oracle(strategy, game)
+    oracle = analysis.ExactDistribution(strategy.name, game.name,
+                                        strategy.seed_count(), per_input)
+    signals = not oracle_marginals_non_signaling(oracle, 2)
+    for _ in range(2):
+        dist = exact_distribution(strategy, game)
+        assert dist.per_input == per_input
+        assert dist.to_json() == oracle.to_json()
+        assert no_signaling_check(strategy, game) is not signals
+
+
+@pytest.mark.parametrize("row,col", [(3, 3), (1, 3), (2, 1)])
+def test_no_signaling_check_finds_a_leak_at_one_input_of_a_group(row, col):
+    # party 1 answers (s, 0, leak) for a shared bit s, where leak says
+    # whether the input is (row, col), party 0's row read through a closure:
+    # party 1's marginal differs on one input of its column's group of
+    # three, for (3, 3) and (1, 3) in its last group. Party 0 never signals
+    leak = {}
+
+    def answer(view):
+        if view.party == 0:
+            leak["x0"] = view.own_input
+            return engine.Action(output=(0, 0, 0))
+        (s,) = view.shared
+        hit = int(leak["x0"] == row and view.own_input == col)
+        return engine.Action(output=(s, 0, hit))
+
+    prog = engine.PartyProgram((answer,))
+    strategy = engine.Strategy(name="leak", n_parties=2, programs=(prog, prog),
+                               shared_domain=engine.bit_domain(1),
+                               game_id="magic-square")
+    game = get_game("magic-square")
+    dist = exact_distribution(strategy, game)
+    inputs = list(dist.per_input)
+    groups = analysis.input_groups(inputs, 2)
+    assert groups[1][-1] == [inputs.index((r, 3)) for r in (1, 2, 3)]
+    counts = seed_count_marginals(dist, 2)
+    group = [counts[1][i] for i, x in enumerate(inputs) if x[1] == col]
+    assert group.count(counts[1][inputs.index((row, col))]) == 1
+    assert no_signaling_check(strategy, game) is False
+    assert oracle_marginals_non_signaling(dist, 2) is False
 
 
 # --- random whole programs against the scalar oracle -------------------------------

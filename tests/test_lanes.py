@@ -1087,7 +1087,8 @@ def test_channel_only_strategies_run_on_shared_lanes(execute_calls):
 def _counting_grid(size, copies):
     """A periodic grid of ten bit-shaped inputs, size seeds each (no box,
     size bit-shaped shared values), copies inputs to a group."""
-    values = tuple(tuple(v >> j & 1 for j in range(8)) for v in range(size))
+    bits = max(8, size.bit_length())
+    values = tuple(tuple(v >> j & 1 for j in range(bits)) for v in range(size))
     prog = PartyProgram((lambda v: Action(output=(0,)),))
     strategy = Strategy(name=f"count-{size}", n_parties=2, programs=(prog, prog),
                         shared_domain=SharedDomain("count", values), game_id="chsh")
@@ -1095,15 +1096,17 @@ def _counting_grid(size, copies):
     return LaneGrid.periodic(strategy, inputs, copies * size)
 
 
-@pytest.mark.parametrize("size", [1, 2, 4, 8, 16, 24, 32, 64, 128])
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 64, 128, 256, 1024])
 def test_count_by_input_matches_the_cut_masks(size):
-    # each window's counts against the window masks (LaneGrid.windows) and
-    # int.bit_count: blocks that start mid-input, blocks that leave whole
-    # inputs empty (no entry), and one-point blocks with plain bits
+    # each column against the window masks (LaneGrid.windows) and
+    # int.bit_count, at every width _window_counts reads: blocks that start
+    # mid-input, blocks that leave whole inputs empty (a count of 0), and
+    # one-point blocks with plain bits
     grid = _counting_grid(size, 5)
     assert grid.input_shape is not None
     rng = random.Random(size)
     total = len(grid.inputs) * size
+    mid_input = empty = 0
     for _ in range(40):
         offset = rng.randrange(total)
         span = min(total - offset, grid.width - offset % grid.width)
@@ -1113,27 +1116,32 @@ def test_count_by_input_matches_the_cut_masks(size):
             cut = (rng.randrange(1, span // size) * size - offset % size) % span
             block &= ~(((1 << size) - 1) << cut) | 1
         masks = [rng.getrandbits(span) & block for _ in range(rng.randrange(4))]
-        got = grid.count_by_input(offset, block, masks)
-        want = [(i, (block & window).bit_count(), [(m & window).bit_count() for m in masks])
-                for i, window in grid.windows(offset, block) if block & window]
-        assert [(i, n, list(counts)) for i, n, counts in got] == want
-        assert all(n for _, n, _ in got)
-        assert sum(n for _, n, _ in got) == block.bit_count()
-        assert {i for i, _, _ in got} == {
+        first, last = grid.input_span(offset, block)
+        windows = grid.windows(offset, block)
+        assert [i for i, _ in windows] == list(range(first, last + 1))
+        assert grid.count_by_input(offset, block, masks) == [
+            [(m & window).bit_count() for _, window in windows] for m in masks]
+        (points,) = grid.count_by_input(offset, block, [block])
+        assert points == [(block & window).bit_count() for _, window in windows]
+        assert sum(points) == block.bit_count()
+        assert {first + j for j, n in enumerate(points) if n} == {
             (offset + s) // size for s in range(span) if block >> s & 1}
-    assert grid.count_by_input(3, 1, [0, 1, 1]) == [(3 // size, 1, [0, 1, 1])]
+        mid_input += offset % size != 0 and last > first
+        empty += 0 in points
+    assert (mid_input or size == 1) and empty
+    assert grid.count_by_input(3, 1, [0, 1, 1]) == [[0], [1], [1]]
 
 
 def test_count_by_input_keeps_a_block_of_one_input_value_whole():
     # a narrowed magic-square grid's inputs are not bit-shaped: a block holds
-    # one input
+    # one input, and each column has one count
     strategy, game = get_strategy("ms-nlb-sim"), get_game("magic-square")
     grid = LaneGrid.periodic(strategy, promised_inputs(game), analysis.SWEEP_WIDTH)
     grid.split(*grid.start[0][:2], None)
     assert grid.input_shape is None
     block = (1 << 256) - 1
-    assert grid.count_by_input(512, block, [block, 0b1011 << 200]) == \
-        [(2, 256, [256, 3])]
+    assert grid.input_span(512, block) == (2, 2)
+    assert grid.count_by_input(512, block, [block, 0b1011 << 200]) == [[256], [3]]
 
 
 def _shared_read_chsh(name, values, read):
