@@ -104,6 +104,38 @@ CATALOGUE = [
      "for group in party_groups:",
      "for group in party_groups[:-1]:",
      ["tests/test_analysis.py::test_no_signaling_check_finds_a_leak_at_one_input_of_a_group"]),
+    # a promise that lists no input reaches the sweeps and the search
+    ("src/nlbox/games.py",
+     'inputs = game.promise()\n    if not inputs:\n'
+     '        raise GameError(f"{game.name} promises no input")\n',
+     "inputs = game.promise()\n",
+     ["tests/test_analysis.py::test_a_promise_of_no_input_is_refused_by_name"]),
+    # a strategy skips its party-range check for channels
+    ("src/nlbox/engine.py",
+     "if not (0 <= c.src < self.n_parties and 0 <= c.dst < self.n_parties):",
+     "if False:",
+     ["tests/test_engine.py::test_a_resource_wired_to_an_unknown_party_is_refused"]),
+    # the CLI reads any --seeds spec as exhaustive
+    ("src/nlbox/cli.py",
+     'if spec == "exhaustive":',
+     "if True:",
+     ["tests/test_cli.py::test_each_refusal_is_one_error_line"]),
+    # the grid kept on a strategy is keyed by its inputs alone, not its game
+    ("src/nlbox/analysis.py",
+     "if kept is None or kept[0] is not game or kept[1].inputs != inputs:",
+     "if kept is None or kept[1].inputs != inputs:",
+     ["tests/test_analysis.py::test_a_changed_promise_gets_its_own_grid"]),
+    # an input enters the uniformity table before its promise check
+    ("src/nlbox/analysis.py",
+     "winners = table[x] = _decide(game, require_promise(game, x), full, space)",
+     "table[x] = 0\n"
+     "            winners = table[x] = _decide(game, require_promise(game, x), full, space)",
+     ["tests/test_analysis.py::test_uniformity_refuses_an_input_off_the_promise_on_every_call"]),
+    # a grid that narrows keeps the start of its wider layout
+    ("src/nlbox/engine.py",
+     "            self.start = [(0, whole, *self.run(0, whole))]\n",
+     "",
+     ["tests/test_analysis.py::test_random_magic_square_programs_match_the_scalar_oracle"]),
 ]
 
 

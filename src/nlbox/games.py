@@ -206,8 +206,12 @@ class Game:
 
 
 def promised_inputs(game: Game) -> list:
-    """The full promise set, in a fixed deterministic order."""
-    return game.promise()
+    """The full promise set, in a fixed deterministic order; GameError if it
+    lists no input, since no analysis has a point to run."""
+    inputs = game.promise()
+    if not inputs:
+        raise GameError(f"{game.name} promises no input")
+    return inputs
 
 
 def require_promise(game: Game, input_tuple: tuple) -> tuple:

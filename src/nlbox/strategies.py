@@ -494,16 +494,14 @@ def bmaj_nlb(n: int) -> Strategy:
     def operand(pos, party):
         # (source, flip): the party's share of flat node pos is flip XOR
         # source, which is "gate" (the top of the memo stack), "input" (its
-        # own input bit) or "zero"; only party 0 applies NOTs and constants
+        # own input bit) or "zero"; only party 0 applies NOTs
         node = flat[pos]
         if node[0] == "not":
             source, flip = operand(node[1], party)
             return source, flip ^ (1 if party == 0 else 0)
         if node[0] == "and":
             return "gate", 0
-        if node[0] == "leaf":
-            return ("input" if node[1] == party else "zero"), 0
-        return "zero", node[1] if party == 0 else 0
+        return ("input" if node[1] == party else "zero"), 0
 
     def take(view, stack, source, flip):
         if source == "gate":

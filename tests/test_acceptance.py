@@ -17,8 +17,9 @@ from nlbox.analysis import (CommunicationUsedError, Exhaustive, Sample,
                             classical_value, exact_distribution,
                             impossibility_search, no_signaling_check,
                             resource_count, verify_winning)
-from nlbox.distbit import (And, Leaf, Not, and_count, disj, dist_eval,
-                           formula_eval, gadget_f, DistributedBit)
+from distbit_oracle import (DistributedBit, and_count, dist_eval,
+                            formula_eval, gadget_f)
+from nlbox.distbit import And, Leaf, Not, disj
 from nlbox.engine import execute, nlb_evaluate, sample_seed
 from nlbox.games import bmaj, get_game, promised_inputs, winning_outcomes
 from nlbox.strategies import get_strategy

@@ -1619,3 +1619,37 @@ def test_malformed_requests_are_analysis_errors():
     for pair in ((0, 4), (-1, 2), (1, 1)):
         with pytest.raises(AnalysisError):
             impossibility_search(game, pair=pair)
+
+
+# --- refusals that no other test reaches --------------------------------------
+
+@pytest.mark.parametrize("analyse", [
+    lambda game: exact_distribution(get_strategy("chsh-nlb"), game),
+    lambda game: verify_winning(get_strategy("chsh-nlb"), game, Exhaustive()),
+    lambda game: no_signaling_check(get_strategy("chsh-nlb"), game),
+    classical_value,
+    impossibility_search,
+], ids=["exact_distribution", "verify_winning", "no_signaling_check",
+        "classical_value", "impossibility_search"])
+def test_a_promise_of_no_input_is_refused_by_name(analyse):
+    game = dataclasses.replace(get_game("chsh"), promise=lambda: [],
+                               on_promise=lambda x: False)
+    with pytest.raises(GameError, match="^chsh promises no input$"):
+        analyse(game)
+
+
+def test_verify_refuses_an_unknown_seed_policy():
+    with pytest.raises(AnalysisError, match="^unknown seed policy 'exhaustive'$"):
+        verify_winning(get_strategy("chsh-nlb"), get_game("chsh"), "exhaustive")
+
+
+@pytest.mark.parametrize("outcome", [((0,), (2,)), ((0, 0), (1,)), ((1,),)])
+def test_uniformity_verdict_is_false_on_an_outcome_outside_the_space(outcome):
+    game = get_game("chsh")
+    dist = exact_distribution(get_strategy("chsh-nlb"), game)
+    per_input = dict(dist.per_input)
+    x = next(iter(per_input))
+    per_input[x] = {**per_input[x], outcome: Fraction(0)}
+    synthetic = analysis.ExactDistribution("synthetic", "chsh", 2, per_input)
+    assert uniformity_verdict(dist, game) is True
+    assert uniformity_verdict(synthetic, game) is False

@@ -428,3 +428,25 @@ def test_readme_examples_run(argv, expected, capsys):
     if argv is None:
         pytest.skip("README not written yet")
     assert main(argv) == expected
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--game", "chsh", "--strategy", "chsh-nlb", "--seeds", "sample:x",
+      "--rng-seed", "1"], "bad sample count in --seeds 'sample:x'"),
+    (["verify", "--game", "chsh", "--strategy", "chsh-nlb", "--seeds", "bogus"],
+     "--seeds must be 'exhaustive' or 'sample:<K>', got 'bogus'"),
+    (["search", "--game", "chsh", "--budget", "2nlb"], "--budget must be 0nlb or 1nlb"),
+    (["search", "--game", "chsh", "--pair", "0"],
+     "--pair expects two comma-separated party indices"),
+    (["value", "--game", "dj:4"], "dj:4 has no enumerable per-party inputs"),
+    (["search", "--game", "dj:1", "--budget", "1nlb"],
+     "search needs binary per-party inputs, which dj:1 lacks"),
+    (["value", "--game", "dj:0"], "dj needs n >= 1"),
+    (["value", "--game", "bmaj:1"], "bmaj needs n >= 2"),
+    (["resources", "--strategy", "dj-nlb:0"], "dj-nlb needs n >= 1"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_each_refusal_is_one_error_line(argv, message, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {message}\n"

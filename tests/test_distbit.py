@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlbox.distbit import (And, Const, DistributedBit, FormulaError, Leaf, Not,
-                           and_count, disj, dist_and, dist_eval, dist_init,
-                           dist_not, flatten, formula_eval, gadget_f,
+from distbit_oracle import (Const, DistributedBit, and_count, dist_and,
+                            dist_eval, dist_init, dist_not, formula_eval,
+                            gadget_f)
+from nlbox.distbit import (And, FormulaError, Leaf, Not, conj, disj, flatten,
                            majority_formula)
 
 
@@ -199,3 +200,17 @@ def test_plaintext_seed_independent_shares_vary():
         assert out.plaintext() == 1
         seen.add(out.shares)
     assert len(seen) > 1, "individual shares must vary with the free bits"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: majority_formula(1), "majority_formula needs n >= 2"),
+    (lambda: conj([]), "empty conjunction"),
+    (lambda: disj([]), "empty disjunction"),
+    (lambda: flatten(And(Leaf(0), 1)), "not a formula node: 1"),
+    # the oracle's constants are no node of the formulas bmaj-nlb runs
+    (lambda: flatten(Not(Const(1))), r"not a formula node: Const\(value=1\)"),
+], ids=["majority-of-one", "empty-conj", "empty-disj", "flatten-non-node",
+        "flatten-const"])
+def test_formula_refusals(build, message):
+    with pytest.raises(FormulaError, match=f"^{message}$"):
+        build()

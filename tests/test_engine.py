@@ -308,6 +308,29 @@ def test_strategy_validation():
                  nlbs=(NlbInstance("x", 0, 1), NlbInstance("x", 1, 0)))
 
 
+
+@pytest.mark.parametrize("resources, message", [
+    ({"nlbs": (NlbInstance("box", 0, 2),)}, "NLB 'box' wired to an unknown party"),
+    ({"nlbs": (NlbInstance("box", -1, 1),)}, "NLB 'box' wired to an unknown party"),
+    ({"channels": (Channel("c", 0, 2),)}, "channel 'c' wired to an unknown party"),
+    ({"channels": (Channel("c", -1, 0),)}, "channel 'c' wired to an unknown party"),
+], ids=["box-port1", "box-port0", "channel-dst", "channel-src"])
+def test_a_resource_wired_to_an_unknown_party_is_refused(resources, message):
+    with pytest.raises(ValueError, match=f"^{message}$") as raised:
+        Strategy(name="bad", n_parties=2,
+                 programs=(_output_own_input(), _output_own_input()), **resources)
+    assert type(raised.value) is ValueError
+
+
+def test_a_send_on_an_undeclared_channel_is_refused():
+    def send(view):
+        return Action(sends={"ghost": 1}, output=(0,))
+    s = Strategy(name="bad", n_parties=2,
+                 programs=(PartyProgram((send,)), _output_own_input()))
+    with pytest.raises(UndeclaredResourceError,
+                       match="^party 0 sent on undeclared channel 'ghost'$"):
+        execute(s, (0, 0), Seed(()))
+
 def test_enumerate_seeds_counts():
     from nlbox.strategies import enumerate_quadruples
     assert len(list(enumerate_seeds(get_strategy("chsh-nlb")))) == 2

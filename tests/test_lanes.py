@@ -1677,3 +1677,22 @@ def test_magic_square_sweeps_are_one_run_each(sid, execute_calls):
     assert verify_winning(strategy, dataclasses.replace(game, win=relation),
                           Exhaustive()).passed
     assert len(calls) == 1 and all(type(v) is Choice for v in calls[0])
+
+
+@pytest.mark.parametrize("values", [
+    ((0, 1), (True, 1), (1, 1)),        # an int and a bool in one leaf
+    ((0, 256), (1, 0), (1, 1)),         # an int leaf past a byte
+], ids=["mixed-types", "int-above-255"])
+def test_shared_leaves_off_the_lanes_keep_one_block_per_value(values, execute_calls):
+    strategy, game = _shared_sum(values), get_game("chsh")
+    grid = LaneGrid.periodic(strategy, promised_inputs(game), analysis.SWEEP_WIDTH)
+    assert grid.shared_shape is None and grid.per_index
+    assert [(offset, block) for offset, block, _, _ in grid.start] == \
+        [(0, 0b1111), (4, 0b1111), (8, 0b1111)]
+    per_input, checked, wins, counterexample = scalar_oracle(strategy, game)
+    execute_calls.clear()
+    assert exact_distribution(strategy, game).per_input == per_input
+    assert [seed.shared for seed in execute_calls[:3]] == list(values)
+    result = verify_winning(strategy, game, Exhaustive())
+    assert (result.checked, result.wins, result.counterexample) == \
+        (checked, wins, counterexample)

@@ -10,7 +10,8 @@ import pytest
 
 from nlbox.analysis import (Exhaustive, Sample, exact_distribution,
                             resource_count, uniformity_verdict, verify_winning)
-from nlbox.distbit import dist_eval, dist_init, majority_formula
+from distbit_oracle import dist_eval, dist_init
+from nlbox.distbit import majority_formula
 from nlbox.engine import Seed, enumerate_seeds, execute, nlb_evaluate, sample_seed
 from nlbox.games import bmaj, get_game, hamming, is_winning, promised_inputs
 from nlbox.strategies import (MagicSquareQuadruple, REF_ALICE, REF_BOB0,
@@ -235,6 +236,16 @@ def test_invalid_quadruple_rejected():
     with pytest.raises(StrategyError):
         MagicSquareQuadruple(REF_ALICE, REF_ALICE, REF_BOB0, REF_BOB1)
 
+
+
+def test_a_quadruple_whose_first_pair_loses_off_the_corner_is_rejected():
+    # a0 and a1 swapped: every matrix is valid, and (a0, b0) disagree off
+    # the corner
+    q = REF_QUADRUPLE
+    assert not pair_wins_off_corner(q.a1, q.b0)
+    with pytest.raises(StrategyError,
+                       match=r"^\(a0, b0\) must win every input but \(3,3\)$"):
+        MagicSquareQuadruple(q.a1, q.a0, q.b0, q.b1)
 
 def test_ms_nlb_seed_cases_at_double_three():
     s = get_strategy("ms-nlb")
