@@ -11,6 +11,7 @@ a convex combination of deterministic successes).
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import operator
@@ -24,8 +25,8 @@ from .engine import (LaneBranch, LaneGrid, NlbInstance, PartyProgram, Action,
                      Strategy, DEFAULT_MAX_SEED_BITS, EnumerationLimitError,
                      bit_mask, count_text, enumerate_seeds, execute, lowest_bit,
                      mask_outcome, outcome_masks, require_enumerable)
-from .games import (MAX_OUTCOMES, Game, GameError, is_winning, outcome_index,
-                    outcome_lanes, promised_inputs, require_promise,
+from .games import (MAX_OUTCOMES, Game, GameError, is_winning, outcome_lanes,
+                    outcome_space, promised_inputs, require_promise,
                     winning_outcomes)
 from .search import score_strategies
 
@@ -247,13 +248,13 @@ def uniformity_verdict(dist: ExactDistribution, game: Game) -> bool:
     uniform over that input's winning outcomes and zero elsewhere.
 
     Each input's winners are decided by _decide, on lanes over the whole
-    outcome space (see games.outcome_lanes): bit k of a mask stands for the
-    k-th outcome of that space. Each input's mask, once its promise is
-    checked and the input read (require_promise), and each outcome's
-    position are kept on the game, so they are found once per game, and a
-    call that finds every input in the table builds no outcome space."""
-    # each promised input's winners, and each outcome's position or None
-    table, index = game.__dict__.setdefault("_uniformity", ({}, {}))
+    outcome space (see games.outcome_lanes): bit k of the mask it gives
+    stands for the k-th outcome of that space, and is read off as that
+    outcome. Each input's winners, as a set of outcomes, are kept on the
+    game once its promise is checked and the input read (require_promise),
+    so they are found once per game, and a call that finds every input in
+    the table builds no outcome space."""
+    table = game.__dict__.setdefault("_uniformity", {})
     space = None        # the outcome space's masks, built at the first miss
     for x, probs in dist.per_input.items():
         winners = table.get(x)
@@ -261,17 +262,10 @@ def uniformity_verdict(dist: ExactDistribution, game: Game) -> bool:
             if space is None:
                 lanes = outcome_lanes(game)     # refuses a space past MAX_OUTCOMES
                 full = (1 << (1 << sum(game.output_lengths))) - 1
-                space = outcome_masks(lanes, full)
-            winners = table[x] = _decide(game, require_promise(game, x), full, space)
-        support = 0
-        for o in probs:
-            if o not in index:
-                index[o] = outcome_index(game, o)
-            k = index[o]
-            if k is None:
-                return False
-            support |= 1 << k
-        if support != winners:
+                space, outcomes = outcome_masks(lanes, full), list(outcome_space(game))
+            won = _decide(game, require_promise(game, x), full, space)
+            winners = table[x] = {outcomes[k] for k in _set_bits(won)}
+        if probs.keys() != winners:
             return False
         # exact_distribution shares one Fraction per seed count, so equal
         # shares are mostly one object
@@ -520,13 +514,14 @@ def no_signaling_check(strategy: Strategy, game: Game,
 
 # --- deterministic-strategy search -------------------------------------------
 
-def _deterministic_search(game: Game, pairings: list, budget: int,
+def _deterministic_search(game: Game, pair: tuple | None, budget: int,
                           max_candidates: int):
     """Check that a search of the game fits the limit, then score its
-    deterministic strategies with search.score_strategies. The count is
-    checked before the promise is read. Returns (candidates, grid size, best
-    wins, the first perfect (pairing, pair tables, other tables) in product
-    order or None)."""
+    deterministic strategies with search.score_strategies: at budget 1,
+    those of the given pair, or of every party pair where pair is None. The
+    count is checked before the pairings are listed or the promise is read.
+    Returns (candidates, pairings, grid size, best wins, the first perfect
+    (pairing, pair tables, other tables) in product order or None)."""
     if budget not in (0, 1):
         raise SearchSpaceError("supported budgets: 0 or 1 NLBs")
     if budget and (game.parity is None or any(w != 1 for w in game.output_lengths)):
@@ -541,14 +536,22 @@ def _deterministic_search(game: Game, pairings: list, budget: int,
         raise SearchSpaceError(f"{game.name} is not a parity game")
     n = game.n_parties
     outputs, domains = game.party_outputs, game.party_inputs
-    candidates = 4096 ** budget * len(pairings) * math.prod(
-        len(outputs[r]) ** len(domains[r])
-        for r in range(n) if r not in (pairings[0] or ()))
+    # every pairing leaves the same number of parties outside it
+    count = 1 if budget == 0 or pair is not None else math.comb(n, 2)
+    paired = () if budget == 0 else pair or (0, 1)
+    # equal factors are raised to their multiplicity: multiplying n huge
+    # factors one by one is quadratic in the product's size
+    factors = collections.Counter(len(outputs[r]) ** len(domains[r])
+                                  for r in range(n) if r not in paired)
+    candidates = 4096 ** budget * count * math.prod(
+        f ** k for f, k in factors.items())
     if candidates > max_candidates:
         raise SearchSpaceError(
             f"{count_text(candidates)} deterministic strategies exceed the limit "
             f"{max_candidates}")
-    return (candidates,
+    pairings = [None] if budget == 0 else [tuple(pair)] if pair is not None \
+        else list(itertools.combinations(range(n), 2))
+    return (candidates, pairings,
             *score_strategies(game, promised_inputs(game), pairings, budget))
 
 
@@ -557,7 +560,7 @@ def classical_value(game: Game, max_candidates: int = DEFAULT_MAX_SEARCH) -> Fra
     no-communication strategy, inputs weighted uniformly: the best of the
     budget-0 search. Shared randomness cannot beat this maximum, so it is
     the classical game value."""
-    _, grid_size, best, _ = _deterministic_search(game, [None], 0, max_candidates)
+    _, _, grid_size, best, _ = _deterministic_search(game, None, 0, max_candidates)
     return Fraction(best, grid_size)
 
 
@@ -653,10 +656,8 @@ def impossibility_search(game: Game, pair: tuple | None = None, budget: int = 1,
             raise AnalysisError(
                 f"pair {p},{q} must name two distinct parties of {game.name} "
                 f"(0..{n - 1})")
-    pairings = [None] if budget == 0 else [tuple(pair)] if pair is not None \
-        else list(itertools.combinations(range(n), 2))
-    candidates, grid_size, best, found = _deterministic_search(
-        game, pairings, budget, max_candidates)
+    candidates, pairings, grid_size, best, found = _deterministic_search(
+        game, pair, budget, max_candidates)
 
     witness = None
     witness_strategy = None

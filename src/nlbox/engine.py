@@ -713,17 +713,16 @@ def sample_seed(strategy: Strategy, rng: random.Random) -> Seed:
 MAX_CHOICES = 8
 
 
-def _columns(values, leaves: list, choices: list | None = None):
+def _columns(values, leaves: list, choices: bool = False):
     """The nesting of plain tuples and frozen dataclasses shared by every
     value in ``values`` (a sequence), or None when they differ in it or a
     leaf is neither the int 0 or 1 nor one value of one type in every value.
     Each bit leaf's column, its value in every value as bytes of 0 and 1, is
     appended to ``leaves`` in _build's order; a constant leaf is kept in the
-    shape as (None, value). Where ``choices`` is a list, an int leaf that
-    takes at most MAX_CHOICES values, not all bits, is kept too, as
-    (Choice, its values in order of first appearance), with one column per
-    value, 1 where the leaf takes it; its values are appended to
-    ``choices``."""
+    shape as (None, value). With ``choices``, an int leaf that takes at most
+    MAX_CHOICES values, not all bits, is kept too, as (Choice, its values in
+    order of first appearance), with one column per value, 1 where the leaf
+    takes it."""
     kinds = set(map(type, values))
     if len(kinds) != 1:
         return None
@@ -744,13 +743,12 @@ def _columns(values, leaves: list, choices: list | None = None):
     elif values.count(values[0]) == len(values):
         return None, values[0]
     else:
-        if kind is not int or choices is None:
+        if kind is not int or not choices:
             return None
         distinct = tuple(dict.fromkeys(values))
         if len(distinct) > MAX_CHOICES:
             return None
         leaves += [bytes([v == d for v in values]) for d in distinct]
-        choices.append(distinct)
         return Choice, distinct
     shapes = []
     for part in parts:
@@ -897,8 +895,7 @@ class LaneGrid:
     - ``periodic``: the exhaustive grid. size is the seed count, each
       input's seeds in enumerate_seeds' order, and every group has the same
       seed lanes, so a block's seed serves it one group on too. Here an int
-      input leaf that is not a bit may be a Choice (see _columns), until
-      the first split narrows the grid (see split).
+      input leaf that is not a bit may be a Choice (see _columns).
     - ``drawn``: k points in one group, drawn as one chunk (see drawn):
       point i is the i-th input drawn, under bit i of each box's lane and
       the i-th shared index; size is 1. Where the game draws its inputs as
@@ -920,7 +917,6 @@ class LaneGrid:
         self.whole = None       # the drawn fill's whole chunk, as a block
         self.promised = None    # per input, on the promise? (analysis.verify_winning)
         self.groups = None      # per party, its input groups (analysis.input_groups)
-        self.narrows = False    # the input holds a Choice, until split narrows
 
     @classmethod
     def periodic(cls, strategy: Strategy, inputs: list, width: int) -> "LaneGrid":
@@ -929,11 +925,11 @@ class LaneGrid:
         nb, values = len(strategy.nlbs), strategy.shared_domain.values
         size = len(values) << nb
         copies = max(1, min(len(inputs), width // size))
-        columns, shape, choices = [], None, []
+        columns, shape = [], None
         # inputs share a group only where they have one shape and the grid
         # is not per_index (see __init__)
         if copies > 1 and (len(values) == 1 or _columns(values, []) is not None):
-            shape = _columns(inputs, columns, choices)
+            shape = _columns(inputs, columns, choices=True)
         copies = copies if shape else 1
         grid = cls(strategy, size, copies * size, list(values) * copies, 1 << nb)
         # free-bit lanes repeat every period points; blocks of one shared
@@ -941,7 +937,6 @@ class LaneGrid:
         grid.period = 1 << nb if grid.per_index else grid.width
         grid.nlb_masks = [lane.mask for lane in seed_lanes(nb, grid.period >> nb)]
         grid.inputs, grid.input_shape, grid.input_columns = inputs, shape, columns
-        grid.narrows = bool(shape and choices)
         blocks = ([(s << nb, (1 << (1 << nb)) - 1) for s in range(len(values))]
                   if grid.per_index else [(0, (1 << grid.width) - 1)])
         grid.start = [(offset, block, *grid.run(offset, block))
@@ -1072,21 +1067,7 @@ class LaneGrid:
         raised LaneBranch: the two blocks on which its mask is constant;
         without one, or one constant on the block, one block per input when
         the block meets several (see windows), else the block with x and
-        seed None, to run point by point.
-
-        A grid whose input holds a Choice first narrows, whatever the
-        LaneBranch: from then on, for every sweep of the grid, each group
-        is one input and the input is never a lane, as for inputs that are
-        not bit-shaped, and ``start`` is the first input's block. A block
-        that met several inputs, a whole group of the wider layout, is
-        replaced by its first input's block."""
-        if self.narrows:
-            first, last = self.input_span(offset, block)
-            whole = (1 << self.size) - 1
-            self.narrows, self.width, self.input_shape = False, self.size, None
-            self.start = [(0, whole, *self.run(0, whole))]
-            if last > first:
-                return [(offset, whole, *self.run(offset, whole))]
+        seed None, to run point by point."""
         inside = block & mask if mask is not None else 0
         if inside and inside != block:
             parts = [inside, block ^ inside]

@@ -268,20 +268,6 @@ def outcome_lanes(game: Game) -> tuple:
     return tuple(tuple(itertools.islice(lanes, w)) for w in game.output_lengths)
 
 
-def outcome_index(game: Game, outcome: tuple) -> int | None:
-    """The position of outcome in outcome_space, or None when it is not
-    one of the space's outcomes."""
-    if tuple(map(len, outcome)) != tuple(game.output_lengths):
-        return None
-    k = 0
-    for part in outcome:
-        for b in part:
-            if b not in (0, 1):
-                return None
-            k = k << 1 | int(b)
-    return k
-
-
 def winning_outcomes(game: Game, input_tuple: tuple) -> set:
     """All outcomes satisfying the win relation for one promised input,
     enumerated from the full outcome space, one call of the win relation

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import re
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -791,10 +792,10 @@ def test_marginal_logic_detects_signaling():
 @pytest.mark.parametrize("sid,copies", [("ms-nlb-branching", None),
                                          ("row-index", 2), ("row-index", 9)])
 def test_split_sweeps_match_the_scalar_oracle(sid, copies, monkeypatch):
-    # runs that meet parts of inputs: ms-nlb-branching splits every input's
-    # block on its box (19 runs once the grid has narrowed), and row-index's
-    # Choice grid narrows where a group of copies inputs first splits. The
-    # second sweep of each runs on the grid kept on the strategy
+    # runs that meet parts of inputs: ms-nlb-branching splits its group of
+    # nine inputs into one block per input and each of those on its box (28
+    # runs a sweep), and row-index's Choice grid splits each group of copies
+    # inputs. The second sweep of each runs on the grid kept on the strategy
     strategy = row_index() if sid == "row-index" else CUSTOM[sid]()
     game = get_game("magic-square")
     if copies:
@@ -955,8 +956,8 @@ def test_random_programs_match_the_scalar_oracle(case, k):
 # how a drawn magic-square program reads its input x as a view bit, given a
 # value v of 1..3, a table t of three bits and a lane or bit z (its first box
 # output, or its shared bit): its indicator bits, or select in bit algebra,
-# which run on a Choice, or compare, index with x - 1 or branch, which narrow
-# its grid; some of them on z
+# which run on a Choice, or compare, index with x - 1 or branch, which split
+# a block of several inputs into one block per input; some of them on z
 MS_ALGEBRA = {
     "equal bit": lambda x, v, t, z: equal_bits(x, (1, 2, 3))[v - 1],
     "equal bit & z": lambda x, v, t, z: equal_bits(x, (3, 2, 1))[v - 1] & z,
@@ -1018,11 +1019,11 @@ def random_ms_programs(draw):
 @given(strategy=random_ms_programs(), copies=st.sampled_from([None, 1, 2, 3, 4]),
        k=st.integers(1, 30))
 def test_random_magic_square_programs_match_the_scalar_oracle(strategy, copies, k):
-    # copies inputs to a group, or all nine (None): a grid of Choices runs
-    # until its first split narrows it, at the first group or a later one.
+    # copies inputs to a group, or all nine (None): a grid of Choices, whose
+    # blocks split into one block per input where a run needs a plain input.
     # Every input a run gets is a plain int or a Choice that differs on its
-    # block, and a narrowed grid is kept: at nine inputs to a group, a
-    # second sweep makes one run fewer than a first that narrowed
+    # block, and the kept grid's layout is fixed: a second sweep makes as
+    # many runs as the first
     game = get_game("magic-square")
     per_input, checked, wins, counterexample = scalar_oracle(strategy, game)
     runs, real, width = [], analysis.execute, analysis.SWEEP_WIDTH
@@ -1042,8 +1043,7 @@ def test_random_magic_square_programs_match_the_scalar_oracle(strategy, copies, 
             runs.clear()
             assert exact_distribution(strategy, game).per_input == per_input
             counts = runs[:] if sweep == 0 else counts
-        if copies is None:
-            assert len(runs) == max(1, len(counts) - 1)
+        assert len(runs) == len(counts)
         assert verify_winning(strategy, game, Exhaustive()) == analysis.VerifyResult(
             counterexample is None, "exhaustive", checked, wins, counterexample)
         assert no_signaling_check(strategy, game) is oracle_non_signaling(per_input, 2)
@@ -1148,6 +1148,39 @@ def test_search_limit_message_states_count_and_limit():
     with pytest.raises(SearchSpaceError,
                        match="^16 deterministic strategies exceed the limit 15$"):
         impossibility_search(get_game("chsh"), budget=0, max_candidates=15)
+    # multi-mermin:4's six pairs, then one named pair
+    with pytest.raises(SearchSpaceError,
+                       match="^393216 deterministic strategies exceed the limit 1$"):
+        impossibility_search(get_game("multi-mermin:4"), max_candidates=1)
+    with pytest.raises(SearchSpaceError,
+                       match="^65536 deterministic strategies exceed the limit 1$"):
+        impossibility_search(get_game("multi-mermin:4"), pair=(1, 3), max_candidates=1)
+
+
+def test_a_refused_search_lists_no_pairing():
+    # multi-mermin:1000 has 499,500 party pairs: listing them before the
+    # count was checked held a 32 MB peak
+    game = get_game("multi-mermin:1000")
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchSpaceError,
+                           match=r"^more than 2\*\*2026 deterministic strategies"):
+            impossibility_search(game)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_a_refused_value_raises_equal_factors_at_once():
+    # 300,000 parties of 4 tables each: multiplying the factors one by one
+    # took 3 to 4 s
+    game = get_game("multi-mermin:300000")
+    start = time.perf_counter()
+    with pytest.raises(SearchSpaceError,
+                       match=r"^2\*\*600000 deterministic strategies exceed"):
+        classical_value(game)
+    assert time.perf_counter() - start < 1.0
 
 
 def _xor_game(base="chsh"):

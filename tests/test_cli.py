@@ -246,6 +246,12 @@ def test_dj_past_its_cap_exits_1(argv, capsys):
      "2**199998 deterministic strategies exceed the limit 268435456"),
     (["search", "--game", "multi-mermin:99999", "--budget", "0nlb"],
      "2**199998 deterministic strategies exceed the limit 268435456"),
+    # these took 31 s and 327 MB to refuse while the count multiplied its
+    # factors one by one and the search listed every pairing first
+    (["value", "--game", "multi-mermin:1000000"],
+     "2**2000000 deterministic strategies exceed the limit 268435456"),
+    (["search", "--game", "multi-mermin:3000", "--budget", "1nlb"],
+     "more than 2**6030 deterministic strategies exceed the limit 268435456"),
     (["verify", "--game", "multi-mermin:40", "--strategy", "multi-mermin-nlb:40"],
      "seed space of multi-mermin-nlb:40 has 2**780 points (limit 2**24); "
      "use --seeds sample:<K>"),

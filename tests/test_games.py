@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from nlbox.engine import Choice, EnumerationLimitError, Lane, bit_mask, seed_lanes
 from nlbox.games import (DJ_MAX_PROMISE, GameError, PromiseError, bmaj, get_game,
-                         hamming, is_winning, outcome_index, outcome_lanes,
+                         hamming, is_winning, outcome_lanes,
                          outcome_space, promised_inputs, winning_outcomes)
 
 
@@ -273,11 +273,6 @@ def test_win_on_outcome_lanes_matches_winning_outcomes(gid):
         assert {o for k, o in enumerate(space) if won.mask >> k & 1} == \
             winning_outcomes(g, x)
         assert type(is_winning(g, x, space[0])) is bool
-    assert [outcome_index(g, o) for o in space] == list(range(len(space)))
-    part = space[-1][0]
-    assert outcome_index(g, space[-1][1:]) is None
-    assert outcome_index(g, ((*part[:-1], 2), *space[-1][1:])) is None
-    assert outcome_index(g, ((*part, 0), *space[-1][1:])) is None
 
 
 def stated_win(gid, x, y):

@@ -324,9 +324,10 @@ def _raised(call):
                                      ("ms-nlb", "dj:1"), ("ms-comm-sim", "chsh"),
                                      ("ms-nlb-sim", "bmaj:2")])
 def test_a_builtin_off_its_game_matches_the_scalar_oracle(sid, gid):
-    # a Choice fed as a bit, iterated, or compared past 1, 2 and 3 narrows
-    # its grid, so an error names the plain value of the first point that
-    # raises it, and magic-square programs index a bit input as x - 1 does
+    # a Choice fed as a bit, iterated, or compared past 1, 2 and 3 splits
+    # its block into one block per input, so an error names the plain value
+    # of the first point that raises it, and magic-square programs index a
+    # bit input as x - 1 does
     strategy, game = get_strategy(sid), get_game(gid)
     total, per_input = strategy.seed_count(), {}
 
@@ -462,22 +463,7 @@ def test_grid_fills_match_their_definitions(sid, gid, fill):
         points = drawn_points(strategy, game, random.Random(sid), 40)
     for k, point in enumerate(points):
         assert grid.run(k, 1) == point
-    if grid.narrows:
-        # a grid whose input holds a Choice: every group of its layout, then
-        # one split narrows it to one input per group, whose first input's
-        # block the split's group gives way to and start now holds; then
-        # every group of the narrowed layout
-        assert _check_groups(grid, points, strategy) == len(grid.inputs) // 3
-        offset, block = grid.start[0][:2]
-        cover = 0
-        for start, part, _, _ in grid.split(offset, block, None):
-            cover |= part << start
-        assert (grid.width, grid.input_shape, grid.narrows) == (grid.size, None, False)
-        assert cover == (1 << grid.size) - 1
-        assert [run[:2] for run in grid.start] == [(0, (1 << grid.size) - 1)]
-        assert _check_groups(grid, points, strategy) == len(grid.inputs)
-    else:
-        _check_groups(grid, points, strategy)
+    _check_groups(grid, points, strategy)
 
 
 def _form(bit):
@@ -511,13 +497,12 @@ def test_a_drawn_grid_seeds_each_block_as_on_block_cuts_it(sid, k):
                 assert seed.nlb_bits == tuple(m >> offset & 1 for m in grid.nlb_masks)
 
 
-def _check_groups(grid, points, strategy) -> int:
+def _check_groups(grid, points, strategy):
     """The start partition, in every group of grid's layout: each block's
-    lanes hold its points, and the input windows cover it; on a grid that
-    does not narrow, a split without a mask leaves one input per block.
-    Returns the number of groups."""
-    groups = range(0, len(points), grid.width)
-    for base in groups:
+    lanes hold its points, and the input windows cover it; a split without
+    a mask leaves one input per block, whose input is the plain one. The
+    split leaves the grid's layout as it was."""
+    for base in range(0, len(points), grid.width):
         for offset, block, _, _ in grid.start:
             offset += base
             if offset >= len(points):
@@ -551,8 +536,7 @@ def _check_groups(grid, points, strategy) -> int:
                     assert cover & window == 0
                     cover |= whole & window
                 assert cover == whole
-            if grid.narrows:
-                continue        # its first split narrows it (see the caller)
+            layout = (grid.width, grid.input_shape, grid.start)
             cover = 0
             for start, part, x, seed in grid.split(offset, block, None):
                 if grid.input_shape is None:
@@ -560,9 +544,10 @@ def _check_groups(grid, points, strategy) -> int:
                     assert (start, part, x, seed) == (offset, block, None, None)
                 else:
                     assert (start + part.bit_length() - 1) // grid.size == start // grid.size
+                    assert seed is None or x == grid.inputs[start // grid.size]
                 cover |= part << start
             assert cover == block << offset
-    return len(groups)
+            assert (grid.width, grid.input_shape, grid.start) == layout
 
 
 @pytest.mark.parametrize("sid", sorted(SAMPLED_ORACLE))
@@ -628,18 +613,18 @@ def test_branch_free_builtins_take_the_lane_path(sid, execute_calls):
 
 
 # (runs, lane runs) of a first sweep, then of a second sweep of the kept
-# grid. Magic-square inputs are Choices on a fresh grid, so all nine inputs
-# are one block: the branching copies of ms-nlb and ms-nlb-sim compare their
-# input with == there, which a Choice refuses, and that narrows the grid to
-# one input per block (LaneGrid.split),
-# and then make one run on the first input's seeds and one run per half
-# (ms-nlb's halves are single seeds) for every input; a second sweep starts
-# from the narrowed grid. The search witness's inputs are bits, and its grid
-# block holds all four: the block splits on each pair party's input (it
-# indexes a table with it), 1 + 2 runs; each of the four one-input blocks then
-# fails on arithmetic with its box output and runs seed by seed, 4 + 4 * 2
-SPLIT_ONCE = {"ms-nlb-branching": ((1 + 1 + 9 * 2, 2), (1 + 9 * 2, 1)),
-              "ms-nlb-sim-branching": ((1 + 1 + 9 * 2, 20), (1 + 9 * 2, 19)),
+# grid. Magic-square inputs are Choices, so all nine inputs are one block:
+# the branching copies of ms-nlb and ms-nlb-sim compare their input with ==
+# there, which a Choice refuses, and that splits the block into one block
+# per input (LaneGrid.split), each of which splits on its box, one run per
+# half (ms-nlb's halves are single seeds); the kept grid's layout is fixed,
+# so a second sweep makes the same runs. The search witness's inputs are
+# bits, and its grid block holds all four: the block splits on each pair
+# party's input (it indexes a table with it), 1 + 2 runs; each of the four
+# one-input blocks then fails on arithmetic with its box output and runs
+# seed by seed, 4 + 4 * 2
+SPLIT_ONCE = {"ms-nlb-branching": ((1 + 9 + 9 * 2, 10), (1 + 9 + 9 * 2, 10)),
+              "ms-nlb-sim-branching": ((1 + 9 + 9 * 2, 28), (1 + 9 + 9 * 2, 28)),
               "search-witness": ((1 + 2 + 4 + 4 * 2, 7), (1 + 2 + 4 + 4 * 2, 7))}
 
 
@@ -749,12 +734,12 @@ def test_exhaustive_verify_runs_the_win_relation_once_per_piece(sid, gid, monkey
     # relation once on each run that spans several inputs, on its input and
     # outcome lanes, and once on each piece of one input of the other runs;
     # where the relation does arithmetic on lanes, each piece falls back to
-    # one call per distinct outcome. A first sweep narrows the branching
-    # copy's grid, whose inputs are then not lane-shaped
+    # one call per distinct outcome. The branching copy's runs over several
+    # inputs raise LaneBranch, so each run it completes holds one input
     strategy, game = build(sid), get_game(gid)
     exact_distribution(strategy, game)
     grid = analysis._grid(strategy, game, analysis.DEFAULT_MAX_SEED_BITS)
-    assert (grid.input_shape is None) is (sid == "ms-nlb-branching")
+    assert grid.input_shape is not None
     # each run's pieces, its points at one input (LaneGrid.windows), with
     # the run's masks; a run of several pieces spans several inputs
     runs = [[(block & window, parts) for _, window in grid.windows(offset, block)
@@ -788,7 +773,7 @@ def test_exhaustive_verify_runs_the_win_relation_once_per_piece(sid, gid, monkey
             want += [(False, laned(block, parts)) for block, parts in pieces]
     assert sorted(calls) == sorted(want)
     # ms-nlb's nine inputs are one run, on Choice input lanes, and so are
-    # dj-nlb:2's 112 inputs; the narrowed grid runs each input apart
+    # dj-nlb:2's 112 inputs; the branching copy completes each input apart
     assert any(len(pieces) > 1 for pieces in runs) is (sid != "ms-nlb-branching")
     assert (len(calls) == 1) is (sid in ("ms-nlb", "dj-nlb:2"))
 
@@ -1133,15 +1118,13 @@ def test_count_by_input_matches_the_cut_masks(size):
 
 
 def test_count_by_input_keeps_a_block_of_one_input_value_whole():
-    # a narrowed magic-square grid's inputs are not bit-shaped: a block holds
+    # inputs with a leaf past MAX_CHOICES are not bit-shaped: a block holds
     # one input, and each column has one count
-    strategy, game = get_strategy("ms-nlb-sim"), get_game("magic-square")
-    grid = LaneGrid.periodic(strategy, promised_inputs(game), analysis.SWEEP_WIDTH)
-    grid.split(*grid.start[0][:2], None)
+    from nlbox.engine import MAX_CHOICES
+    grid = _choice_grid(MAX_CHOICES + 1)
     assert grid.input_shape is None
-    block = (1 << 256) - 1
-    assert grid.input_span(512, block) == (2, 2)
-    assert grid.count_by_input(512, block, [block, 0b1011 << 200]) == [[256], [3]]
+    assert grid.input_span(4, 0b11) == (2, 2)
+    assert grid.count_by_input(4, 0b11, [0b11, 0b10, 0]) == [[2], [1], [0]]
 
 
 def _shared_read_chsh(name, values, read):
@@ -1372,9 +1355,9 @@ def test_equal_bits_read_a_choice_as_each_point_compares():
 
 
 def test_a_compared_choice_output_is_refused_as_its_bool(execute_calls):
-    # x == 3 on a Choice raises LaneBranch: the lane run stops, the grid
-    # narrows, and the first input's run raises NonBitError as the scalar
-    # run does, naming the bool
+    # x == 3 on a Choice raises LaneBranch: the lane run stops, its block
+    # splits into one block per input, and the first input's run raises
+    # NonBitError as the scalar run does, naming the bool
     prog = PartyProgram((lambda v: Action(output=(v.own_input == 3, 0, 0)),))
     strategy = Strategy(name="bool-out", n_parties=2, programs=(prog, prog),
                         game_id="magic-square")
@@ -1431,7 +1414,7 @@ def test_a_block_of_one_input_value_gives_the_plain_int():
     # within one input both are plain ints
     strategy, game = get_strategy("ms-nlb"), get_game("magic-square")
     grid = LaneGrid.periodic(strategy, promised_inputs(game), 3 * 2)
-    assert grid.narrows and grid.width == 6
+    assert grid.input_shape is not None and grid.width == 6
     row, column = grid.input(0, 0b111111)
     assert row == 1 and type(row) is int
     assert type(column) is Choice and sorted(column.masks) == [1, 2, 3]
@@ -1523,15 +1506,15 @@ def test_every_decoded_draw_is_on_the_promise(gid):
 def test_a_leaf_past_the_choice_bound_keeps_one_input_per_group():
     from nlbox.engine import MAX_CHOICES
     grid = _choice_grid(MAX_CHOICES)
-    assert grid.narrows and grid.width == 2 * MAX_CHOICES
+    assert grid.input_shape is not None and grid.width == 2 * MAX_CHOICES
     assert type(grid.start[0][2][0]) is Choice
     grid = _choice_grid(MAX_CHOICES + 1)
-    assert (grid.narrows, grid.input_shape, grid.width) == (False, None, 2)
+    assert (grid.input_shape, grid.width) == (None, 2)
     assert [run[:2] for run in grid.start] == [(0, 0b11)]
     # the drawn fill keeps such inputs as they were
     strategy, game = get_strategy("ms-nlb"), get_game("magic-square")
     grid = LaneGrid.drawn(strategy, game, random.Random(1), 40)
-    assert grid.input_shape is None and not grid.narrows
+    assert grid.input_shape is None
 
 
 def _old_ms_comm_programs(pick):
@@ -1574,7 +1557,8 @@ def _old_ms_nlb_programs(pick):
 @pytest.mark.parametrize("sid", ["ms-nlb", "ms-nlb-sim", "ms-comm", "ms-comm-sim"])
 def test_magic_square_programs_match_their_indexing_copies(sid):
     # the bit-algebra selection gives byte for byte what indexing gave; the
-    # copies narrow their grid on its first run
+    # copies' runs over several inputs split into one block per input, on
+    # a grid of the same fixed layout
     strategy, game = get_strategy(sid), get_game("magic-square")
     old = _old_ms_nlb_programs if "nlb" in sid else _old_ms_comm_programs
     if sid.endswith("-sim"):
@@ -1588,7 +1572,8 @@ def test_magic_square_programs_match_their_indexing_copies(sid):
         json.dumps(exact_distribution(strategy, game).to_json())
     assert verify_winning(copy, game, Exhaustive()) == \
         verify_winning(strategy, game, Exhaustive())
-    assert copy._grid[1].input_shape is None and strategy._grid[1].narrows
+    assert copy._grid[1].input_shape is not None
+    assert copy._grid[1].input_shape == strategy._grid[1].input_shape
 
 
 def row_index():
@@ -1614,15 +1599,15 @@ def row_index():
                     nlbs=(box,), game_id="magic-square")
 
 
-@pytest.mark.parametrize("copies,runs", [(2, (1 + 1 + 7, 9)), (3, (3, 3)),
-                                         (9, (1 + 9, 9))])
-def test_a_grid_narrows_at_the_group_that_first_splits(copies, runs, execute_calls,
-                                                        monkeypatch):
+@pytest.mark.parametrize("copies,runs", [(2, (1 + 1 + 2 + 2 + 2 + 1,) * 2),
+                                         (3, (3, 3)), (9, (1 + 9, 1 + 9))])
+def test_a_choice_grid_splits_each_group_by_input(copies, runs, execute_calls,
+                                                  monkeypatch):
     # two inputs to a group: the first group runs whole, the second fails and
-    # gives way to its first input, and the seven inputs from there run one
-    # by one; a second sweep starts from the narrowed grid's first input.
-    # Three inputs to a group hold one row each, so no run fails; nine fail
-    # on the first run
+    # splits into its two inputs, and each group from there starts from those
+    # two blocks, the last group's one input from one; a second sweep makes
+    # the same runs. Three inputs to a group hold one row each, so no run
+    # fails; nine fail on the first run and split into the nine inputs
     strategy, game = row_index(), get_game("magic-square")
     per_input, checked, wins, counterexample = scalar_oracle(strategy, game)
     monkeypatch.setattr(analysis, "SWEEP_WIDTH", copies * strategy.seed_count())
@@ -1637,20 +1622,22 @@ def test_a_grid_narrows_at_the_group_that_first_splits(copies, runs, execute_cal
         (checked, wins, counterexample)
 
 
-def test_a_split_of_one_input_narrows_and_splits_by_its_mask():
+def test_a_split_halves_one_input_by_its_mask():
     # four inputs to a group: the last group is input (3, 3) alone, whose
-    # split narrows the grid and then halves the block by its mask
+    # split halves the block by its mask; a group of four splits into its
+    # inputs' blocks, each with its plain input. Neither changes the layout
     strategy, game = get_strategy("ms-nlb"), get_game("magic-square")
     grid = LaneGrid.periodic(strategy, promised_inputs(game), 4 * 2)
-    assert grid.narrows and grid.width == 8
+    start, shape = grid.start, grid.input_shape
+    assert shape is not None and grid.width == 8
     runs = grid.split(16, 0b11, 0b01)
     assert [run[:3] for run in runs] == [(16, 1, (3, 3)), (17, 1, (3, 3))]
-    assert (grid.narrows, grid.width, grid.input_shape) == (False, 2, None)
-    assert [run[:3] for run in grid.start] == [(0, 0b11, (1, 1))]
-    # a fresh grid: a group of four gives way to its first input's block
-    grid = LaneGrid.periodic(strategy, promised_inputs(game), 4 * 2)
-    (offset, block, x, seed), = grid.split(8, 0xff, None)
-    assert (offset, block, x, seed.block) == (8, 0b11, (2, 2), 0b11)
+    # last first, as the block loop pops them
+    runs = grid.split(8, 0xff, None)[::-1]
+    assert [(offset, block, x, seed.block) for offset, block, x, seed in runs] == [
+        (8 + 2 * i, 0b11, x, 0b11) for i, x in enumerate([(2, 2), (2, 3), (3, 1), (3, 2)])]
+    assert all(type(v) is int for run in runs for v in run[2])
+    assert (grid.width, grid.input_shape, grid.start) == (8, shape, start)
 
 
 @pytest.mark.parametrize("sid", ["ms-nlb", "ms-nlb-sim", "ms-comm-sim"])
